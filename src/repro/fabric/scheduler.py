@@ -21,12 +21,14 @@ results are byte-identical to the single-process run — the contract the
 sharded executor (:mod:`repro.fabric.shard`) and its fingerprint test
 rest on.
 
-The interleaving itself is still real: a heap of per-packet events keyed
+The interleaving itself is still real: per-packet events are ordered
 ``(tick, rr, flow_id, …)`` where ``rr`` is a seeded per-flow hash, so
-packets of concurrent flows alternate rather than running flow-by-flow,
-and ``max_inflight`` bounds how many flows' events are resident at once
-(a memory bound only — it never shifts a packet's tick, which would
-leak scheduling into the flap-epoch draws).
+packets of concurrent flows alternate rather than running flow-by-flow.
+Each flow's own events are already sorted by that key, so the heap
+holds one entry per live flow — a k-way merge over per-flow cursors —
+and ``max_inflight`` bounds how many flows are resident at once (a
+memory bound only — it never shifts a packet's tick, which would leak
+scheduling into the flap-epoch draws).
 """
 
 from __future__ import annotations
@@ -464,39 +466,53 @@ class _LinkStateController:
 # ----------------------------------------------------------------------
 # The scheduler
 # ----------------------------------------------------------------------
-@dataclass(order=True)
-class _Event:
-    """One packet send, ordered for the interleaving heap."""
+class _Cursor:
+    """One flow's next packet send; advancing walks its event stream.
 
-    tick: int
-    rr: int          # seeded per-flow hash: round-robin tie-break
-    flow_id: int
-    is_response: bool
-    pkt_index: int
-    flow: Flow = field(compare=False)
-    record: FlowRecord = field(compare=False)
-    session: FaultSession = field(compare=False)
+    The stream is the requests at ``start_tick + i * gap_ticks``, then
+    the responses from one tick past the last request slot — so by heap
+    order every request outcome is on the record before the first
+    response is considered.  ``gap_ticks >= 0`` keeps the stream sorted
+    by :attr:`key`, which is what lets the engine's heap hold only the
+    head of every live flow.
+    """
 
+    __slots__ = ("flow", "record", "session", "rr", "tick", "is_response",
+                 "pkt_index", "left")
 
-def _flow_events(flow: Flow, record: FlowRecord, session: FaultSession,
-                 rr_seed: int) -> list[_Event]:
-    rr = derive_seed(rr_seed, "rr", flow.flow_id) & 0xFFFFFFFF
-    events = [
-        _Event(flow.start_tick + i * flow.gap_ticks, rr, flow.flow_id,
-               False, i, flow, record, session)
-        for i in range(flow.packets)
-    ]
-    if flow.response_packets:
-        # Responses start strictly after the last request tick, so by
-        # heap order every request outcome is on the record before the
-        # first response is considered.
-        first = flow.start_tick + flow.packets * flow.gap_ticks + 1
-        events.extend(
-            _Event(first + i * flow.gap_ticks, rr, flow.flow_id,
-                   True, i, flow, record, session)
-            for i in range(flow.response_packets)
-        )
-    return events
+    def __init__(self, flow: Flow, record: FlowRecord,
+                 session: FaultSession, rr_seed: int):
+        self.flow = flow
+        self.record = record
+        self.session = session
+        # Seeded per-flow hash: the round-robin tie-break.
+        self.rr = derive_seed(rr_seed, "rr", flow.flow_id) & 0xFFFFFFFF
+        self.tick = flow.start_tick
+        self.is_response = False
+        self.pkt_index = 0
+        self.left = flow.packets  # events left in this direction
+
+    @property
+    def key(self) -> tuple:
+        """The heap entry: event order, then the cursor as payload."""
+        return (self.tick, self.rr, self.flow.flow_id, self.is_response,
+                self.pkt_index, self)
+
+    def advance(self, n: int) -> bool:
+        """Step past ``n`` carried events of the current direction;
+        False once the flow has nothing left to send."""
+        flow = self.flow
+        self.left -= n
+        if self.left:
+            self.pkt_index += n
+            self.tick += n * flow.gap_ticks
+        elif self.is_response or not flow.response_packets:
+            return False
+        else:
+            self.is_response, self.pkt_index = True, 0
+            self.left = flow.response_packets
+            self.tick = flow.start_tick + flow.packets * flow.gap_ticks + 1
+        return True
 
 
 def flow_frame(
@@ -547,7 +563,7 @@ def _lost_total(record: FlowRecord) -> int:
 
 def _send_packet(
     topology: FabricTopology,
-    event: _Event,
+    event: _Cursor,
     flap: _FlapOracle,
     hops_hist: Counter,
     frames: dict[tuple[int, bool], bytes],
@@ -648,7 +664,7 @@ def _account_uniform(
 
 def _send_batch(
     topology: FabricTopology,
-    event: _Event,
+    event: _Cursor,
     n: int,
     flap: _FlapOracle,
     hops_hist: Counter,
@@ -680,8 +696,8 @@ def _send_batch(
         return  # the request never arrived: there is no RPC to answer
     src = topology.hosts[flow.dst if event.is_response else flow.src]
     dst = topology.hosts[flow.src if event.is_response else flow.dst]
-    gap = max(flow.gap_ticks, 0)
-    epoch_of = lambda j: (event.tick + j * gap) // FLAP_EPOCH_TICKS
+    epoch_of = lambda j: (
+        (event.tick + j * flow.gap_ticks) // FLAP_EPOCH_TICKS)
     epoch = event.tick // FLAP_EPOCH_TICKS
     record.attempted += n
     if flap.down(src.name, epoch):
@@ -755,7 +771,7 @@ class FlowEngine:
     """The fabric scheduler as a steppable machine.
 
     This is :func:`run_flows` opened up: the same setup, the same event
-    heap, the same dispatch — but instead of one closed ``while heap``
+    order, the same dispatch — but instead of one closed ``while heap``
     loop the engine exposes :meth:`step` / :meth:`run_until` /
     :meth:`run`, and an optional :class:`~repro.shell.clock.VirtualClock`
     owns how virtual time passes between events.  Batch callers never
@@ -763,6 +779,12 @@ class FlowEngine:
     and immediately drains it, so the shell's interactive path and the
     sharded/fastpath batch path are *one code path* and the
     :class:`FabricReport` fingerprint is identical by construction.
+
+    The heap is a k-way merge: one ``(tick, rr, flow_id, is_response,
+    pkt_index, cursor)`` tuple per live flow, re-pushed at the flow's
+    next event after each dispatch.  Every flow's stream is sorted by
+    that key, so events pop in exactly the order one heap entry per
+    packet would give, at a depth of flows — not packets — in flight.
 
     Control never changes outcomes.  Pausing, stepping one event at a
     time, or warping over idle cycles only decides *when* the next heap
@@ -803,6 +825,12 @@ class FlowEngine:
             flows = [f for f in flows if flow_filter(f)]
         if int_all:
             flows = [replace(f, int_enabled=True) for f in flows]
+        for flow in flows:
+            if flow.gap_ticks < 0 or flow.packets < 1:
+                raise ValueError(
+                    f"flow {flow.flow_id}: needs packets >= 1 and "
+                    f"gap_ticks >= 0 (got packets={flow.packets}, "
+                    f"gap_ticks={flow.gap_ticks})")
 
         self.topology = topology
         self.spec = spec
@@ -824,7 +852,6 @@ class FlowEngine:
             batch and fastpath and clock is None
             and (plan is None or plan.link is None)
         )
-        self._consumed: set[tuple[int, bool, int]] = set()
         self._batch_segments = 0
         self._batch_segment_packets = 0
         # Span cap: with the flap oracle disarmed and link state static
@@ -850,12 +877,11 @@ class FlowEngine:
         self._frames: dict[tuple[int, bool], bytes] = {}
 
         # Admit flows to the heap in start order, at most max_inflight
-        # at a time; a flow's events enter together so its packet
-        # spacing holds.
+        # at a time.
         self._pending = sorted(flows, key=lambda f: (f.start_tick, f.flow_id))
-        self._heap: list[_Event] = []
-        self._resident: dict[int, int] = {}  # flow_id -> resident events
+        self._heap: list[tuple] = []  # one _Cursor.key per live flow
         self._cursor = 0
+        self._admitted_events = 0
         self._dispatched = 0
         self._report: Optional[FabricReport] = None
         self._admit()
@@ -893,7 +919,7 @@ class FlowEngine:
     # -- heap plumbing -------------------------------------------------
     def _admit(self) -> None:
         while (self._cursor < len(self._pending)
-               and len(self._resident) < self._max_inflight):
+               and len(self._heap) < self._max_inflight):
             flow = self._pending[self._cursor]
             self._cursor += 1
             record = FlowRecord(flow.flow_id, flow.src, flow.dst)
@@ -901,45 +927,47 @@ class FlowEngine:
             session = (self._plan.derived("fabric", flow.flow_id).session()
                        if self._plan is not None
                        else FaultPlan("none").session())
-            events = _flow_events(flow, record, session, self.spec.seed)
-            self._resident[flow.flow_id] = len(events)
-            for event in events:
-                heapq.heappush(self._heap, event)
+            self._admitted_events += flow.packets + flow.response_packets
+            heapq.heappush(
+                self._heap,
+                _Cursor(flow, record, session, self.spec.seed).key)
 
-    def _dispatch(self) -> Optional[_Event]:
-        """Pop and carry exactly one event — the batch loop's body.
+    def _dispatch(self, coalesce: bool = False) -> int:
+        """Pop the next event and carry it — with ``coalesce``, together
+        with the rest of its segment; returns the events carried.
 
-        Events a coalesced segment already carried pop as no-ops;
-        returns ``None`` when the heap drained without a live event.
+        Pull-forward is safe because per-flow outcomes are pure
+        functions of ``(topology, workload, seed, plan)`` independent
+        of event interleaving — the same contract that lets sharding
+        reorder arbitrarily.  The flow's cursor then skips everything
+        carried, so a coalesced event never reaches the heap.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if self._consumed:
-                key = (event.flow_id, event.is_response, event.pkt_index)
-                if key in self._consumed:
-                    self._consumed.discard(key)
-                    continue
-            if self.clock is not None:
-                self.clock.advance_to(event.tick)
-            self._link_ctl.apply(event.tick // FLAP_EPOCH_TICKS)
+        event = heapq.heappop(self._heap)[-1]
+        n = self._segment_span(event) if coalesce else 1
+        if self.clock is not None:
+            self.clock.advance_to(event.tick)
+        self._link_ctl.apply(event.tick // FLAP_EPOCH_TICKS)
+        if n == 1:
             _send_packet(self.topology, event, self._flap, self._hops_hist,
                          self._frames, self._loss_by_epoch, self.collector)
-            self._finish_events(event, 1)
-            return event
-        return None
-
-    def _finish_events(self, event: _Event, n: int) -> None:
-        """Book ``n`` carried events against the flow's residency."""
-        self._resident[event.flow_id] -= n
-        if not self._resident[event.flow_id]:
-            del self._resident[event.flow_id]
-            self._frames.pop((event.flow_id, False), None)
-            self._frames.pop((event.flow_id, True), None)
+        else:
+            _send_batch(self.topology, event, n, self._flap,
+                        self._hops_hist, self._frames, self._loss_by_epoch,
+                        self.collector)
+            self._batch_segments += 1
+            self._batch_segment_packets += n
+        self._dispatched += n
+        if event.advance(n):
+            heapq.heappush(self._heap, event.key)
+        else:
+            flow_id = event.flow.flow_id
+            self._frames.pop((flow_id, False), None)
+            self._frames.pop((flow_id, True), None)
             self._fault_counters.update(event.session.counters)
             self._admit()
-        self._dispatched += n
+        return n
 
-    def _segment_span(self, event: _Event) -> int:
+    def _segment_span(self, event: _Cursor) -> int:
         """How many consecutive packets this event may coalesce.
 
         The remaining packets of the event's flow direction.  With an
@@ -950,49 +978,11 @@ class FlowEngine:
         (no flap, links static) nothing can change mid-segment and the
         span covers the whole remaining burst.
         """
-        flow = event.flow
-        total = (flow.response_packets if event.is_response
-                 else flow.packets)
-        left = total - event.pkt_index
-        if self._epoch_free:
-            return max(left, 1)
-        gap = flow.gap_ticks
-        if left <= 1 or gap <= 0:
-            return max(left, 1) if gap > 0 else left
+        gap = event.flow.gap_ticks
+        if self._epoch_free or not gap:
+            return event.left  # gap 0: the whole direction shares a tick
         epoch_end = (event.tick // FLAP_EPOCH_TICKS + 1) * FLAP_EPOCH_TICKS
-        return min(left, (epoch_end - 1 - event.tick) // gap + 1)
-
-    def _dispatch_batched(self) -> int:
-        """Pop one event and carry its whole coalesced segment.
-
-        Pull-forward is safe because per-flow outcomes are pure
-        functions of ``(topology, workload, seed, plan)`` independent
-        of event interleaving — the same contract that lets sharding
-        reorder arbitrarily.  The segment's later events stay in the
-        heap and pop as no-ops via :attr:`_consumed`.
-        """
-        event = heapq.heappop(self._heap)
-        key = (event.flow_id, event.is_response, event.pkt_index)
-        if key in self._consumed:
-            self._consumed.discard(key)
-            return 0
-        n = self._segment_span(event)
-        self._link_ctl.apply(event.tick // FLAP_EPOCH_TICKS)
-        if n == 1:
-            _send_packet(self.topology, event, self._flap, self._hops_hist,
-                         self._frames, self._loss_by_epoch, self.collector)
-        else:
-            _send_batch(self.topology, event, n, self._flap,
-                        self._hops_hist, self._frames, self._loss_by_epoch,
-                        self.collector)
-            for i in range(1, n):
-                self._consumed.add(
-                    (event.flow_id, event.is_response, event.pkt_index + i)
-                )
-            self._batch_segments += 1
-            self._batch_segment_packets += n
-        self._finish_events(event, n)
-        return n
+        return min(event.left, (epoch_end - 1 - event.tick) // gap + 1)
 
     # -- introspection -------------------------------------------------
     @property
@@ -1007,20 +997,17 @@ class FlowEngine:
         else the tick of the next undispatched event."""
         if self.clock is not None:
             return self.clock.now
-        return self._last_tick
-
-    @property
-    def _last_tick(self) -> int:
-        return self._heap[0].tick if self._heap else 0
+        return self.next_tick or 0
 
     @property
     def next_tick(self) -> Optional[int]:
         """The tick of the next event, or ``None`` when finished."""
-        return self._heap[0].tick if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     @property
     def pending_events(self) -> int:
-        return len(self._heap)
+        """Undispatched packet events of the admitted flows."""
+        return self._admitted_events - self._dispatched
 
     @property
     def flows_admitted(self) -> int:
@@ -1041,8 +1028,7 @@ class FlowEngine:
             raise ValueError("step count must be >= 1")
         done = 0
         while done < events and self._heap:
-            if self._dispatch() is not None:
-                done += 1
+            done += self._dispatch()
         return done
 
     def run_until(
@@ -1064,10 +1050,9 @@ class FlowEngine:
         while self._heap:
             if predicate is not None and predicate(self):
                 break
-            if tick is not None and self._heap[0].tick > tick:
+            if tick is not None and self._heap[0][0] > tick:
                 break
-            if self._dispatch() is not None:
-                done += 1
+            done += self._dispatch()
         if (tick is not None and self.clock is not None
                 and (predicate is None or not predicate(self))):
             self.clock.advance_to(tick)
@@ -1082,15 +1067,10 @@ class FlowEngine:
         coalesce into compiled segment replays.
         """
         done = 0
-        if self._batch:
-            while self._heap:
-                done += self._dispatch_batched()
-            return done
         while self._heap:
             if self.clock is not None and self.clock.paused:
                 break
-            if self._dispatch() is not None:
-                done += 1
+            done += self._dispatch(self._batch)
         return done
 
     # -- the report ----------------------------------------------------
@@ -1104,10 +1084,7 @@ class FlowEngine:
         if self._report is not None:
             return self._report
         while self._heap:
-            if self._batch:
-                self._dispatch_batched()
-            else:
-                self._dispatch()
+            self._dispatch(self._batch)
         self._link_ctl.restore()
         self._report = FabricReport(
             topology=self.topology.key,
@@ -1164,7 +1141,7 @@ class FlowEngine:
             "now": self.now,
             "next_tick": self.next_tick,
             "events_dispatched": self._dispatched,
-            "pending_events": len(self._heap),
+            "pending_events": self.pending_events,
             "flows_admitted": len(self._records),
             "flows_total": len(self._pending),
             **totals,
