@@ -273,6 +273,24 @@ class FaultReport:
         return self.counters.get("link_retransmits", 0)
 
 
+class _SiteRngs(dict):
+    """``site -> random.Random``, each seeded on its first draw.
+
+    A site's stream depends only on ``(seed, site)``, so which site is
+    consulted first cannot matter — and a session whose plan arms one
+    site (or none: the fabric engine opens one per flow) never pays
+    for the other thirteen generators' seeding and state.
+    """
+
+    def __init__(self, seed: int):
+        super().__init__()
+        self._seed = seed
+
+    def __missing__(self, site: str) -> random.Random:
+        rng = self[site] = random.Random(_site_seed(self._seed, site))
+        return rng
+
+
 class FaultSession:
     """Runtime state of one plan execution: per-site RNGs, bursts, counters.
 
@@ -282,8 +300,8 @@ class FaultSession:
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
-        self._rng = {site: random.Random(_site_seed(plan.seed, site)) for site in SITES}
-        self._burst = {site: 0 for site in SITES}
+        self._rng = _SiteRngs(plan.seed)
+        self._burst = dict.fromkeys(SITES, 0)
         self.counters: Counter[str] = Counter()
         #: Telemetry hook: ``hook(site, outcome)`` called for every fault
         #: decision that actually fires.  Observation only — it must not

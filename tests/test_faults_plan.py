@@ -1,5 +1,7 @@
 """The fault layer itself: seeded determinism, burst bounds, the registry."""
 
+import random
+
 import pytest
 
 from repro.faults import (
@@ -10,8 +12,10 @@ from repro.faults import (
     MmioFaultSpec,
     OqFaultSpec,
     available_plans,
+    derive_seed,
     get_plan,
 )
+from repro.faults.plan import SITES
 
 pytestmark = pytest.mark.faults
 
@@ -59,6 +63,33 @@ class TestDeterminism:
             mixed.mmio_read_faults()
             mixed.dma_fault("rx_completion")
         assert link_only == interleaved
+
+    def test_lazy_site_rngs_match_eager_ones_in_any_first_use_order(self):
+        """Per-site generators are seeded on first draw; the streams
+        must be the ones seeded all up front, whichever site goes
+        first."""
+        plan = FaultPlan("lazy", seed=0xC0FFEE)
+        eager = {site: random.Random(derive_seed(plan.seed, site))
+                 for site in SITES}
+        expected = {site: [eager[site].random() for _ in range(8)]
+                    for site in SITES}
+        for shuffle_seed in range(5):
+            order = list(SITES)
+            random.Random(shuffle_seed).shuffle(order)
+            session = plan.session()
+            assert not session._rng  # nothing seeded until drawn from
+            drawn = {site: [] for site in SITES}
+            for _ in range(8):
+                for site in order:
+                    drawn[site].append(session._rng[site].random())
+            assert drawn == expected
+
+    def test_unused_sites_cost_nothing(self):
+        session = get_plan("lossy-link", seed=4).session()
+        for _ in range(20):
+            session.link_transfer()
+        session.mmio_read_faults()  # no mmio spec: answers without a draw
+        assert set(session._rng) == {"link"}
 
 
 class TestBurstBounds:
