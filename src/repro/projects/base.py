@@ -16,7 +16,7 @@ Port convention: 8 logical ports — physical nf0..nf3 (one-hot bits
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.core.axilite import AxiLiteInterconnect
@@ -53,6 +53,9 @@ class PortRef:
 
     kind: str
     index: int
+    #: The port's one-hot TUSER bit: derived from the identity, so it
+    #: stays out of equality, hashing and the repr.
+    bit: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("phys", "dma"):
@@ -60,12 +63,8 @@ class PortRef:
         limit = NUM_PHYS_PORTS if self.kind == "phys" else NUM_DMA_PORTS
         if not 0 <= self.index < limit:
             raise ValueError(f"{self.kind} port index {self.index} out of range")
-
-    @property
-    def bit(self) -> int:
-        if self.kind == "phys":
-            return phys_port_bit(self.index)
-        return dma_port_bit(self.index)
+        bit_of = phys_port_bit if self.kind == "phys" else dma_port_bit
+        object.__setattr__(self, "bit", bit_of(self.index))
 
     def __str__(self) -> str:
         return f"nf{self.index}" if self.kind == "phys" else f"dma{self.index}"

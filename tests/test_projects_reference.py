@@ -1,5 +1,7 @@
 """Reference projects end to end, in both harness modes (claims C2/C6)."""
 
+import pickle
+
 import pytest
 
 from repro.board.fpga import report_for_design
@@ -18,6 +20,15 @@ class TestPortRef:
         assert PortRef("dma", 0).bit == 0x02
         assert PortRef("phys", 3).bit == 0x40
         assert PortRef("dma", 3).bit == 0x80
+
+    def test_stored_bit_is_not_part_of_the_identity(self):
+        port = PortRef("phys", 2)
+        assert repr(port) == "PortRef(kind='phys', index=2)"
+        assert port == PortRef("phys", 2)
+        assert hash(port) == hash(PortRef("phys", 2))
+        assert pickle.loads(pickle.dumps(port)).bit == port.bit
+        with pytest.raises(TypeError):
+            PortRef("phys", 2, 0x10)  # derived, never passed in
 
     def test_validation(self):
         with pytest.raises(ValueError):
