@@ -696,8 +696,8 @@ def _send_batch(
         return  # the request never arrived: there is no RPC to answer
     src = topology.hosts[flow.dst if event.is_response else flow.src]
     dst = topology.hosts[flow.src if event.is_response else flow.dst]
-    epoch_of = lambda j: (
-        (event.tick + j * flow.gap_ticks) // FLAP_EPOCH_TICKS)
+    gap = flow.gap_ticks
+    epoch_of = lambda j: (event.tick + j * gap) // FLAP_EPOCH_TICKS
     epoch = event.tick // FLAP_EPOCH_TICKS
     record.attempted += n
     if flap.down(src.name, epoch):
@@ -880,7 +880,6 @@ class FlowEngine:
         # at a time.
         self._pending = sorted(flows, key=lambda f: (f.start_tick, f.flow_id))
         self._heap: list[tuple] = []  # one _Cursor.key per live flow
-        self._cursor = 0
         self._admitted_events = 0
         self._dispatched = 0
         self._report: Optional[FabricReport] = None
@@ -918,10 +917,9 @@ class FlowEngine:
 
     # -- heap plumbing -------------------------------------------------
     def _admit(self) -> None:
-        while (self._cursor < len(self._pending)
+        while (len(self._records) < len(self._pending)
                and len(self._heap) < self._max_inflight):
-            flow = self._pending[self._cursor]
-            self._cursor += 1
+            flow = self._pending[len(self._records)]
             record = FlowRecord(flow.flow_id, flow.src, flow.dst)
             self._records.append(record)
             session = (self._plan.derived("fabric", flow.flow_id).session()

@@ -67,10 +67,6 @@ def derive_seed(seed: int, *parts: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _site_seed(seed: int, site: str) -> int:
-    return derive_seed(seed, site)
-
-
 def _check_rates(*rates: float) -> None:
     for rate in rates:
         if not 0.0 <= rate <= 1.0:
@@ -287,7 +283,7 @@ class _SiteRngs(dict):
         self._seed = seed
 
     def __missing__(self, site: str) -> random.Random:
-        rng = self[site] = random.Random(_site_seed(self._seed, site))
+        rng = self[site] = random.Random(derive_seed(self._seed, site))
         return rng
 
 
