@@ -59,6 +59,11 @@ _SPORT_BASE = 40000
 _DPORT_BASE = 50000
 
 
+#: The :class:`FlowRecord` fields that count an attempted packet lost.
+_LOSS_FIELDS = ("lost_wire", "lost_flap", "lost_link", "blackholed",
+                "dropped_hop_limit")
+
+
 @dataclass
 class FlowRecord:
     """Everything one flow did, in merge-friendly integer form."""
@@ -155,7 +160,7 @@ class FabricReport:
     max_inflight: int = DEFAULT_MAX_INFLIGHT
     int_all: bool = False
     fastpath_enabled: bool = True
-    #: Batch-tier statistics (closures compiled, packets replayed,
+    #: Counted-replay statistics (walks stored, packets replayed,
     #: invalidation splits, coalesced segments).  Operational like
     #: ``fastpath`` — segment shapes depend on partitioning — so they
     #: are Counter-merged across shards and stay out of the signature.
@@ -183,9 +188,7 @@ class FabricReport:
 
     @property
     def lost(self) -> int:
-        return (self._total("lost_wire") + self._total("lost_flap")
-                + self._total("lost_link") + self._total("blackholed")
-                + self._total("dropped_hop_limit"))
+        return sum(self._total(name) for name in _LOSS_FIELDS)
 
     @property
     def misdelivered(self) -> int:
@@ -284,8 +287,7 @@ class FabricReport:
             "Fabric packets by final outcome",
             labelnames=("outcome",),
         )
-        for name in ("delivered", "lost_wire", "lost_flap",
-                     "blackholed", "dropped_hop_limit", "misdelivered"):
+        for name in ("delivered", *_LOSS_FIELDS, "misdelivered"):
             count = self._total(name)
             if count:
                 outcomes.labels(name).inc(count)
@@ -556,217 +558,6 @@ def int_frame(
     return encode_template(base, flow.flow_id, response=is_response)
 
 
-def _lost_total(record: FlowRecord) -> int:
-    return (record.lost_wire + record.lost_flap + record.lost_link
-            + record.blackholed + record.dropped_hop_limit)
-
-
-def _send_packet(
-    topology: FabricTopology,
-    event: _Cursor,
-    flap: _FlapOracle,
-    hops_hist: Counter,
-    frames: dict[tuple[int, bool], bytes],
-    loss_by_epoch: Counter,
-    collector: Optional[IntCollector] = None,
-) -> None:
-    flow, record, session = event.flow, event.record, event.session
-    if event.is_response and record.delivered == 0:
-        return  # the request never arrived: there is no RPC to answer
-    src = topology.hosts[flow.dst if event.is_response else flow.src]
-    dst = topology.hosts[flow.src if event.is_response else flow.dst]
-    record.attempted += 1
-    lost_before = _lost_total(record)
-    try:
-        if flap.down(src.name, event.tick // FLAP_EPOCH_TICKS):
-            record.lost_flap += 1
-            session.counters["flap_lost_frames"] += 1
-            return
-        retrans_before = session.counters.get("link_retransmits", 0)
-        delivered_to_wire = session.link_transfer()
-        record.retransmits += (
-            session.counters.get("link_retransmits", 0) - retrans_before
-        )
-        if not delivered_to_wire:
-            record.lost_wire += 1
-            return
-        key = (flow.flow_id, event.is_response)
-        frame = frames.get(key)
-        if frame is None:
-            builder = int_frame if flow.int_enabled else flow_frame
-            frame = frames[key] = builder(topology, flow, event.is_response)
-        telemetered = flow.int_enabled and collector is not None
-        result = topology.network.inject(
-            src.device, src.port, frame,
-            int_seq=event.pkt_index if telemetered else None,
-        )
-        if telemetered:
-            collector.sent(
-                flow.flow_id, event.is_response, event.pkt_index,
-                event.tick // FLAP_EPOCH_TICKS, result,
-            )
-            for delivery in result:
-                collector.deliver(delivery.frame)
-        record.dropped_hop_limit += result.dropped_hop_limit
-        record.lost_link += result.dropped_link_down
-        hit = False
-        for delivery in result:
-            if (delivery.at.device == dst.device
-                    and delivery.at.port.index == dst.port):
-                hit = True
-                record.delivered += 1
-                record.bytes_delivered += len(delivery.frame)
-                record.hops_total += delivery.hops
-                record.hops_max = max(record.hops_max, delivery.hops)
-                hops_hist[delivery.hops] += 1
-            else:
-                record.misdelivered += 1
-        if (not hit and not result.dropped_hop_limit
-                and not result.dropped_link_down):
-            record.blackholed += 1
-    finally:
-        lost = _lost_total(record) - lost_before
-        if lost:
-            loss_by_epoch[event.tick // FLAP_EPOCH_TICKS] += lost
-
-
-def _account_uniform(
-    record: FlowRecord,
-    dst,
-    deliveries,
-    dropped_hop: int,
-    dropped_link: int,
-    hops_hist: Counter,
-    n: int,
-) -> None:
-    """Fold ``n`` identical packets' outcome into the flow record.
-
-    ``deliveries`` iterates one packet's ``(attachment, frame, hops)``
-    template; every count moves by ``n *`` the template — exactly what
-    ``n`` passes of :func:`_send_packet`'s accounting loop would do.
-    """
-    record.dropped_hop_limit += dropped_hop * n
-    record.lost_link += dropped_link * n
-    hit = False
-    for at, frame, hops in deliveries:
-        if at.device == dst.device and at.port.index == dst.port:
-            hit = True
-            record.delivered += n
-            record.bytes_delivered += len(frame) * n
-            record.hops_total += hops * n
-            record.hops_max = max(record.hops_max, hops)
-            hops_hist[hops] += n
-        else:
-            record.misdelivered += n
-    if not hit and not dropped_hop and not dropped_link:
-        record.blackholed += n
-
-
-def _send_batch(
-    topology: FabricTopology,
-    event: _Cursor,
-    n: int,
-    flap: _FlapOracle,
-    hops_hist: Counter,
-    frames: dict[tuple[int, bool], bytes],
-    loss_by_epoch: Counter,
-    collector: Optional[IntCollector] = None,
-) -> None:
-    """Carry ``n`` consecutive packets of one flow direction at once.
-
-    The coalesced counterpart of :func:`_send_packet`, valid only under
-    the engine's eligibility gate: every per-epoch oracle answers the
-    same for all ``n`` events (they share one flap epoch, or the
-    oracles are epoch-independent) and the fault plan has no per-packet
-    wire draws (``plan.link is None`` makes ``link_transfer`` a
-    constant True with no counters).  Packets replay through
-    :meth:`Network.inject_batch`; a cold or uncacheable flow falls back
-    to per-packet injects — the first of which warms the walk, so the
-    remainder batches.
-
-    Loss and INT epoch attribution stay per-packet: a segment may span
-    flap epochs (the epoch-free case), so lost packets are booked
-    against the epoch of their *own* tick, not the segment head's.
-    Closure replays are uniform — every packet of a batch loses the
-    same amount — which is what lets the batch path spread its loss
-    delta evenly across the member ticks.
-    """
-    flow, record, session = event.flow, event.record, event.session
-    if event.is_response and record.delivered == 0:
-        return  # the request never arrived: there is no RPC to answer
-    src = topology.hosts[flow.dst if event.is_response else flow.src]
-    dst = topology.hosts[flow.src if event.is_response else flow.dst]
-    gap = flow.gap_ticks
-    epoch_of = lambda j: (event.tick + j * gap) // FLAP_EPOCH_TICKS
-    epoch = event.tick // FLAP_EPOCH_TICKS
-    record.attempted += n
-    if flap.down(src.name, epoch):
-        # Only reachable with the flap oracle armed, where the span is
-        # capped to one epoch — head attribution is exact.
-        record.lost_flap += n
-        session.counters["flap_lost_frames"] += n
-        loss_by_epoch[epoch] += n
-        return
-    key = (flow.flow_id, event.is_response)
-    frame = frames.get(key)
-    if frame is None:
-        builder = int_frame if flow.int_enabled else flow_frame
-        frame = frames[key] = builder(topology, flow, event.is_response)
-    telemetered = flow.int_enabled and collector is not None
-    network = topology.network
-    seq = event.pkt_index
-    remaining = n
-    while remaining:
-        offset = n - remaining  # packets of the segment already carried
-        lost_before = _lost_total(record)
-        batch = network.inject_batch(src.device, src.port, frame, remaining)
-        if batch is None:
-            # Cold (or uncacheable) walk: carry one packet the classic
-            # way — it warms the path cache so the rest can replay.
-            result = network.inject(
-                src.device, src.port, frame,
-                int_seq=seq if telemetered else None,
-            )
-            if telemetered:
-                collector.sent(flow.flow_id, event.is_response, seq,
-                               epoch_of(offset), result)
-                for delivery in result:
-                    collector.deliver(delivery.frame)
-            _account_uniform(
-                record, dst,
-                ((d.at, d.frame, d.hops) for d in result),
-                result.dropped_hop_limit, result.dropped_link_down,
-                hops_hist, 1,
-            )
-            lost = _lost_total(record) - lost_before
-            if lost:
-                loss_by_epoch[epoch_of(offset)] += lost
-            seq += 1
-            remaining -= 1
-            continue
-        if telemetered:
-            seqs = range(seq, seq + remaining)
-            collector.sent_batch(
-                flow.flow_id, event.is_response, seqs,
-                [epoch_of(j) for j in range(offset, n)], batch,
-            )
-            for _, dframe, _ in batch.deliveries:
-                collector.deliver_batch(dframe, seqs)
-        _account_uniform(
-            record, dst, batch.deliveries,
-            batch.dropped_hop_limit, batch.dropped_link_down,
-            hops_hist, remaining,
-        )
-        lost = _lost_total(record) - lost_before
-        if lost:
-            # Uniform replay: each of the `remaining` packets lost
-            # exactly lost/remaining, booked at its own tick's epoch.
-            per_packet = lost // remaining
-            for j in range(offset, n):
-                loss_by_epoch[epoch_of(j)] += per_packet
-        remaining = 0
-
-
 class FlowEngine:
     """The fabric scheduler as a steppable machine.
 
@@ -843,32 +634,31 @@ class FlowEngine:
         self._link_schedule = link_schedule
         self._int_all = int_all
         self._batch_requested = batch
+        self._wire_faults = plan is not None and plan.link is not None
         # Coalescing eligibility: the fast path must exist (no cache,
         # nothing to replay), per-packet wire draws must not (a
         # plan.link spec makes every packet a fresh RNG decision), and
         # an attached clock means an interactive observer who expects
         # per-event time — coalescing is for the drain loops only.
         self._batch = bool(
-            batch and fastpath and clock is None
-            and (plan is None or plan.link is None)
+            batch and fastpath and clock is None and not self._wire_faults
         )
-        self._batch_segments = 0
-        self._batch_segment_packets = 0
+        #: The engine's share of ``report.batch`` (see :meth:`_batch_stats`).
+        self._coalesced = dict.fromkeys(
+            ("segments", "segment_packets", "splits"), 0)
         # Span cap: with the flap oracle disarmed and link state static
         # for the whole run, no per-epoch oracle can change its answer
         # mid-segment — segments may span flap epochs and cover a flow
         # direction's whole remaining burst.  (Loss and INT epoch
         # attribution stay per-packet either way.)
-        self._epoch_free = not (
-            plan is not None and plan.ctrl is not None
-            and plan.ctrl.flap_rate > 0
-        ) and link_schedule is None and (
-            plan is None or plan.link_state is None
+        self._flap = _FlapOracle(plan)
+        self._epoch_free = (
+            not self._flap.enabled and link_schedule is None
+            and (plan is None or plan.link_state is None)
         )
         self.collector = (IntCollector(topology.network)
                           if any(f.int_enabled for f in flows) else None)
 
-        self._flap = _FlapOracle(plan)
         self._link_ctl = _LinkStateController(topology, link_schedule, plan)
         self._fault_counters: Counter[str] = Counter()
         self._records: list[FlowRecord] = []
@@ -894,10 +684,10 @@ class FlowEngine:
         :meth:`~repro.testenv.topology.Network.warm_paths` walks each
         template once inside the counter sandbox, so the dispatch loop
         never takes a cold walk: the first ``inject_batch`` of a flow
-        compiles straight from the prewarmed walk and the whole segment
-        replays.  Purely an optimisation — carries no packet, moves no
-        fingerprinted counter, and a stale or uncacheable walk still
-        falls back to the per-packet path mid-run.
+        finds the prewarmed walk and the whole segment replays.  Purely
+        an optimisation — carries no packet, moves no fingerprinted
+        counter, and a stale or uncacheable walk still falls back to
+        the per-packet path mid-run.
         """
         injections = []
         for flow in self._pending:
@@ -906,14 +696,20 @@ class FlowEngine:
                     continue
                 src = self.topology.hosts[
                     flow.dst if is_response else flow.src]
-                key = (flow.flow_id, is_response)
-                frame = self._frames.get(key)
-                if frame is None:
-                    builder = int_frame if flow.int_enabled else flow_frame
-                    frame = self._frames[key] = builder(
-                        self.topology, flow, is_response)
-                injections.append((src.device, src.port, frame))
+                injections.append(
+                    (src.device, src.port, self._frame(flow, is_response)))
         self.topology.network.warm_paths(injections)
+
+    def _frame(self, flow: Flow, is_response: bool) -> bytes:
+        """One flow direction's wire frame (the INT template for an INT
+        flow), built on first use and dropped when the flow finishes."""
+        key = (flow.flow_id, is_response)
+        frame = self._frames.get(key)
+        if frame is None:
+            builder = int_frame if flow.int_enabled else flow_frame
+            frame = self._frames[key] = builder(
+                self.topology, flow, is_response)
+        return frame
 
     # -- heap plumbing -------------------------------------------------
     def _admit(self) -> None:
@@ -945,15 +741,10 @@ class FlowEngine:
         if self.clock is not None:
             self.clock.advance_to(event.tick)
         self._link_ctl.apply(event.tick // FLAP_EPOCH_TICKS)
-        if n == 1:
-            _send_packet(self.topology, event, self._flap, self._hops_hist,
-                         self._frames, self._loss_by_epoch, self.collector)
-        else:
-            _send_batch(self.topology, event, n, self._flap,
-                        self._hops_hist, self._frames, self._loss_by_epoch,
-                        self.collector)
-            self._batch_segments += 1
-            self._batch_segment_packets += n
+        n = self._send(event, n)
+        if n > 1:
+            self._coalesced["segments"] += 1
+            self._coalesced["segment_packets"] += n
         self._dispatched += n
         if event.advance(n):
             heapq.heappush(self._heap, event.key)
@@ -963,6 +754,101 @@ class FlowEngine:
             self._frames.pop((flow_id, True), None)
             self._fault_counters.update(event.session.counters)
             self._admit()
+        return n
+
+    def _send(self, event: _Cursor, n: int) -> int:
+        """Carry the event's packet — or, for ``n > 1``, the coalesced
+        run of ``n`` consecutive packets it heads; returns how many
+        events that settled.
+
+        A coalesced run is only offered under the engine's eligibility
+        gate: every per-epoch oracle answers the same for all ``n``
+        packets (:meth:`_segment_span`) and the plan has no per-packet
+        wire draws.  It replays through
+        :meth:`~repro.testenv.topology.Network.inject_batch`; when that
+        declines (an invalidation flushed the walk) the run is *split*:
+        this call carries one packet the per-packet way — warming the
+        walk — and the flow's next event offers the rest again.
+        """
+        flow, record = event.flow, event.record
+        if event.is_response and record.delivered == 0:
+            return n  # the request never arrived: there is no RPC to answer
+        hosts = self.topology.hosts
+        src = hosts[flow.dst if event.is_response else flow.src]
+        dst = hosts[flow.src if event.is_response else flow.dst]
+        tick = event.tick
+        epoch = tick // FLAP_EPOCH_TICKS
+        if self._flap.enabled and self._flap.down(src.name, epoch):
+            # An armed flap oracle caps a run to one epoch, so booking
+            # the whole run at its head's epoch is exact.
+            record.attempted += n
+            record.lost_flap += n
+            event.session.counters["flap_lost_frames"] += n
+            self._loss_by_epoch[epoch] += n
+            return n
+        if self._wire_faults:  # bars coalescing: n == 1
+            counters = event.session.counters
+            retransmits = counters.get("link_retransmits", 0)
+            on_wire = event.session.link_transfer()
+            record.retransmits += (
+                counters.get("link_retransmits", 0) - retransmits)
+            if not on_wire:
+                record.attempted += 1
+                record.lost_wire += 1
+                self._loss_by_epoch[epoch] += 1
+                return 1
+        frame = self._frame(flow, event.is_response)
+        network = self.topology.network
+        seq = event.pkt_index
+        telemetered = flow.int_enabled  # the collector exists iff any is
+        walk = (network.inject_batch(src.device, src.port, frame, n)
+                if n > 1 else None)
+        if walk is not None:
+            outcome, deliveries = walk, walk.deliveries
+        else:
+            if n > 1:  # no valid walk to replay: split the run
+                self._coalesced["splits"] += 1
+                n = 1
+            outcome = deliveries = network.inject(
+                src.device, src.port, frame,
+                int_seq=seq if telemetered else None,
+            )
+        # One packet's outcome, counted n times.
+        record.attempted += n
+        lost = outcome.dropped_hop_limit + outcome.dropped_link_down
+        if lost:
+            record.dropped_hop_limit += outcome.dropped_hop_limit * n
+            record.lost_link += outcome.dropped_link_down * n
+        hit = False
+        for delivery in deliveries:
+            at, hops = delivery.at, delivery.hops
+            if at.device == dst.device and at.port.index == dst.port:
+                hit = True
+                record.delivered += n
+                record.bytes_delivered += len(delivery.frame) * n
+                record.hops_total += hops * n
+                if hops > record.hops_max:
+                    record.hops_max = hops
+                self._hops_hist[hops] += n
+            else:
+                record.misdelivered += n
+        if not hit and not lost:
+            record.blackholed += n
+            lost = 1
+        if lost or telemetered:
+            # A run may span flap epochs (the epoch-free case): loss and
+            # INT evidence are booked at each packet's own epoch.
+            gap = flow.gap_ticks
+            epochs = [(tick + j * gap) // FLAP_EPOCH_TICKS for j in range(n)]
+            if lost:
+                for packet_epoch in epochs:
+                    self._loss_by_epoch[packet_epoch] += lost
+            if telemetered:
+                seqs = range(seq, seq + n)
+                self.collector.sent_batch(
+                    flow.flow_id, event.is_response, seqs, epochs, outcome)
+                for delivery in deliveries:
+                    self.collector.deliver_batch(delivery.frame, seqs)
         return n
 
     def _segment_span(self, event: _Cursor) -> int:
@@ -1061,8 +947,8 @@ class FlowEngine:
 
         This is the batch loop: with no clock (or an unpaused one) it
         drains the heap exactly as :func:`run_flows` always did — and
-        with the batch tier eligible, consecutive same-flow events
-        coalesce into compiled segment replays.
+        where coalescing is eligible, consecutive same-flow events
+        replay as one counted segment.
         """
         done = 0
         while self._heap:
@@ -1113,10 +999,14 @@ class FlowEngine:
         return self._report
 
     def _batch_stats(self) -> dict[str, int]:
-        stats = self.topology.network.batch_stats()
-        stats["segments"] = self._batch_segments
-        stats["segment_packets"] = self._batch_segment_packets
-        return stats
+        """``report.batch``: the network's
+        :meth:`~repro.testenv.topology.Network.batch_stats` plus the
+        engine's own three.  ``segments`` / ``segment_packets`` —
+        dispatches that settled more than one event, and the events
+        they settled; ``splits`` — coalesced runs ``inject_batch``
+        declined, i.e. (every walk being prewarmed at set-up) runs an
+        invalidation cut short."""
+        return {**self.topology.network.batch_stats(), **self._coalesced}
 
     def snapshot(self) -> dict:
         """A live mid-run view: totals so far, never memoized.
@@ -1133,7 +1023,7 @@ class FlowEngine:
             totals["delivered"] += r.delivered
             totals["blackholed"] += r.blackholed
             totals["misdelivered"] += r.misdelivered
-            totals["lost"] += _lost_total(r)
+            totals["lost"] += sum(getattr(r, name) for name in _LOSS_FIELDS)
         return {
             "finished": self.finished,
             "now": self.now,
@@ -1187,8 +1077,8 @@ def run_flows(
     any carried flow is INT-enabled an :class:`~repro.int.IntCollector`
     rides the run and the report carries its receiver-side summary.
 
-    ``batch=False`` disables the S27 batch tier (compiled per-flow
-    closures, coalesced segment dispatch) — the per-packet reference
+    ``batch=False`` disables S27 coalesced dispatch (counted replay of
+    cached walks through ``inject_batch``) — the per-packet reference
     path behind ``nf-mon fabric --no-batch``.  Like ``fastpath`` it is
     an A/B switch: the fingerprint is identical either way, only
     ``report.batch`` and the wall clock move.

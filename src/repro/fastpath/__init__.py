@@ -9,31 +9,21 @@ observable:
   :mod:`repro.fastpath.cache` for the invariants).
 * the **path cache** inside :class:`repro.testenv.topology.Network` —
   memoizes whole hop walks per (entry attachment, frame) while the
-  topology-wide generation vector is stable, and batches injections
-  through :meth:`Network.inject_many`.
-
-A third tier batches (S27):
-
-* :class:`FlowBatchCompiler` / :class:`CompiledFlow`
-  (:mod:`repro.fastpath.batch`) — a warm cached walk frozen into
-  struct-of-arrays form and replayed *N packets at a time* through
-  :meth:`Network.inject_batch`, counter deltas applied as ``n * delta``,
-  guarded by the same generation counters (a mid-run mutation splits
-  the batch exactly where it would invalidate the cache).
+  topology-wide generation vector is stable.  One table, two entry
+  points: per-packet :meth:`Network.inject` (and
+  :meth:`Network.inject_many`, which amortizes the generation check)
+  and counted :meth:`Network.inject_batch`, which replays a stored
+  walk for *N packets in one pass* with counter deltas applied as
+  ``n * delta``.  A mutation flushes the table, so a counted run splits
+  exactly where a per-packet run would re-walk.
 
 Telemetry lives in :func:`repro.telemetry.probes.probe_fastpath`;
 ``nf-mon fabric`` prints the same stats (and ``--no-fastpath`` turns
 the whole subsystem off for A/B runs — the E18 bench asserts the
 fingerprints agree and the cache side is >=3x faster; ``--no-batch``
-is the batch tier's own A/B switch).
+keeps the caches but sends every packet through the per-packet entry).
 """
 
-from repro.fastpath.batch import (
-    COMPILED_CAPACITY,
-    BatchResult,
-    CompiledFlow,
-    FlowBatchCompiler,
-)
 from repro.fastpath.cache import (
     DEFAULT_CAPACITY,
     MicroflowCache,
@@ -41,11 +31,7 @@ from repro.fastpath.cache import (
 )
 
 __all__ = [
-    "BatchResult",
-    "COMPILED_CAPACITY",
-    "CompiledFlow",
     "DEFAULT_CAPACITY",
-    "FlowBatchCompiler",
     "MicroflowCache",
     "session_has_datapath_sites",
 ]

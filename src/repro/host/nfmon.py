@@ -528,8 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run shards sequentially in-process")
     fabric.add_argument("--batch", action=argparse.BooleanOptionalAction,
                         default=True,
-                        help="the S27 batch tier (compiled per-flow "
-                             "closures); --no-batch takes the "
+                        help="S27 coalesced dispatch (counted replay of "
+                             "cached walks); --no-batch takes the "
                              "per-packet reference path")
     fabric.add_argument("--no-fastpath", action="store_true",
                         help="disable the flow-cache fast path (A/B "

@@ -118,20 +118,16 @@ class IntCollector:
     def sent(self, flow_id: int, response: bool, seq: int, epoch: int,
              result: Any) -> None:
         """Record one transmitted packet and its injection's drop sites."""
-        self._state(flow_id, response).sent[seq] = (
-            epoch,
-            tuple(getattr(result, "link_down_sites", ())),
-            tuple(getattr(result, "hop_limit_sites", ())),
-        )
+        self.sent_batch(flow_id, response, (seq,), (epoch,), result)
 
     def sent_batch(self, flow_id: int, response: bool, seqs,
                    epochs, result: Any) -> None:
         """Record a coalesced run of transmitted packets (S27).
 
-        All ``seqs`` share one injection outcome (the batch tier's
+        All ``seqs`` share one injection outcome (the coalescing
         eligibility contract), so each gets the same drop-site evidence
-        — but a segment may span flap epochs, so ``epochs`` carries one
-        entry per sequence.  Exactly ``len(seqs)`` :meth:`sent` calls.
+        — but a run may span flap epochs, so ``epochs`` carries one
+        entry per sequence.
         """
         down_sites = tuple(getattr(result, "link_down_sites", ()))
         limit_sites = tuple(getattr(result, "hop_limit_sites", ()))
@@ -142,43 +138,23 @@ class IntCollector:
     def deliver(self, frame: bytes) -> None:
         """Parse one delivered frame's stamps into the ledgers."""
         stack = parse(frame)
-        state = self._state(stack.flow_id, stack.response)
-        if stack.overflow:
-            self.overflows += 1
-        self.stamps += len(stack.hops)
-        path = []
-        prev_ts = 0
-        for hop in stack.hops:
-            name = self._device_name(hop.device_id)
-            path.append(name)
-            self.hop_latency[f"{name}:{hop.timestamp - prev_ts}"] += 1
-            prev_ts = hop.timestamp
-            if hop.rerouted:
-                self.reroutes[name] += 1
-                for index in range(8):
-                    if hop.dead_ports & (1 << index):
-                        label = self._cables.get((name, index))
-                        if label is not None:
-                            self.reroute_links[label] += 1
-        self.paths[">".join(path)] += 1
-        if stack.seq >= state.last_seq:
-            state.last_seq = stack.seq
-            state.last_path = tuple(path)
-        state.received.add(stack.seq)
+        self._fold(stack, (stack.seq,))
 
     def deliver_batch(self, frame: bytes, seqs) -> None:
         """Fold a coalesced run of deliveries of one stamped template.
 
-        The batch tier delivers ``len(seqs)`` packets that differ only
-        in the 4-byte sequence field, so the stamps parse once and every
+        A run delivers ``len(seqs)`` packets that differ only in the
+        4-byte sequence field, so the stamps parse once and every
         stamp-derived counter moves by ``len(seqs)`` — byte-identical
-        to calling :meth:`deliver` per packet with the sequence
-        substituted, since no counter here is sequence-dependent.
+        to :meth:`deliver` per packet with the sequence substituted,
+        since no counter here is sequence-dependent.
         """
+        if seqs:
+            self._fold(parse(frame), seqs)
+
+    def _fold(self, stack, seqs) -> None:
+        """Book one parsed stamp stack as delivered once per sequence."""
         n = len(seqs)
-        if not n:
-            return
-        stack = parse(frame)
         state = self._state(stack.flow_id, stack.response)
         if stack.overflow:
             self.overflows += n

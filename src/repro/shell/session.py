@@ -133,8 +133,6 @@ class ShellSession:
             raise ShellError(
                 "this fabric already carried a run; `build` a fresh one first"
             )
-        if not self.fastpath:
-            self.topology.network.set_fastpath(False)
         self.engine = FlowEngine(
             self.topology, self.workload, self.plan,
             frr=self.frr, int_all=self.int_all, fastpath=self.fastpath,

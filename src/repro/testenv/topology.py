@@ -17,31 +17,32 @@ in-flight copies the hop limit truncated, so broadcast-storm clamping is
 observable per injection (and cumulatively via
 :attr:`Network.dropped_hop_limit`) instead of silently vanishing.
 
-**Path cache.**  Between table mutations, the entire hop walk of an
-injection is a pure function of (entry attachment, frame): the network
-memoizes finished walks — deliveries, hop-limit losses and the per-device
-counter deltas they caused — keyed by the topology-wide generation
-vector (the sum of every device's :meth:`state_generation` plus a wiring
-counter).  A walk is only cached when it touched no CPU handler, no
-device with armed data-path faults, and mutated no table; replays apply
-the recorded counter deltas so per-device statistics (and the fabric
-fingerprint built from them) are byte-identical cached or not.
-:meth:`Network.inject_many` batches injections and amortizes the
-generation check across hits.  ``set_fastpath(False)`` turns the path
-cache *and* every device's microflow cache off for A/B runs.
+**One path cache, two entry points.**  Between table mutations, the
+entire hop walk of an injection is a pure function of (entry attachment,
+frame): the network memoizes finished walks — deliveries, losses and the
+per-device counter deltas they caused — in one ``(device, port, frame)``
+table valid for one topology-wide generation (the sum of every device's
+:meth:`state_generation` plus a wiring counter); any mutation moves the
+sum and the next lookup flushes the table wholesale.  A walk is only
+cached when it touched no CPU handler, no device with armed data-path
+faults, and mutated no table; replays apply the recorded counter deltas
+so per-device statistics (and the fabric fingerprint built from them)
+are byte-identical cached or not.
 
-**Batch tier (S27).**  :meth:`Network.inject_batch` replays *N
-same-flow packets in one call* through a precompiled
-:class:`~repro.fastpath.batch.CompiledFlow` closure built from the
-cached walk — counter deltas applied as ``n * delta``, one aggregate
-:class:`~repro.fastpath.batch.BatchResult` instead of N
-:class:`InjectionResult` objects, and (deliberately) no per-packet
-entries in the :attr:`deliveries` log, which is a debugging aid, not a
-fingerprinted observable.  Closures carry the same generation guard as
-the path cache, so any mutation splits the batch at the invalidation
-boundary; a cold or uncacheable flow returns ``None`` and the caller
-falls back to per-packet :meth:`inject` (which warms the walk for the
-next attempt).
+* :meth:`Network.inject` is the per-packet entry: replay a valid walk
+  or take the slow walk and store it.  :meth:`Network.inject_many`
+  amortizes the generation check across hits.
+* :meth:`Network.inject_batch` is the counted entry: replay a valid walk
+  ``count`` times in one pass (deltas applied as ``count * delta``) and
+  hand back the frozen walk as the per-packet outcome template — no
+  per-packet objects, and (deliberately) no entries in the
+  :attr:`deliveries` log, which is a debugging aid, not a fingerprinted
+  observable.  It never walks: with no valid walk it returns ``None``
+  and the caller falls back to one :meth:`inject`, which warms the walk
+  for the next attempt.
+
+``set_fastpath(False)`` turns the path cache *and* every device's
+microflow cache off for A/B runs.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from itertools import starmap
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from repro.fastpath.batch import BatchResult, FlowBatchCompiler
 from repro.int.codec import set_seq as _int_set_seq
 from repro.projects.base import PortRef, ReferencePipeline
 
@@ -65,26 +66,6 @@ DEFAULT_HOP_LIMIT = 64
 
 #: Bound on memoized hop walks per network (FIFO eviction).
 PATH_CACHE_CAPACITY = 8192
-
-
-@dataclass(frozen=True)
-class _CachedWalk:
-    """A finished injection, frozen for replay.
-
-    ``deliveries`` are (attachment, frame, hops) tuples — fresh
-    :class:`Delivery` objects are minted per replay since Delivery is
-    mutable.  ``ops`` carries each touched device's counter delta
-    ``(opl, packets, drops, ((counter, delta), ...))``.  The site tuples
-    localize where the walk's losses happened, ``((device, port), ...)``.
-    """
-
-    deliveries: tuple
-    dropped: int
-    forwarded: int
-    link_down: int
-    ops: tuple
-    link_down_sites: tuple = ()
-    hop_limit_sites: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -102,6 +83,48 @@ class Delivery:
     at: Attachment
     frame: bytes
     hops: int
+
+
+class _WalkDelivery(NamedTuple):
+    """A :class:`Delivery` frozen into a cached walk (same field names,
+    so one loop can account either)."""
+
+    at: Attachment
+    frame: bytes
+    hops: int
+
+
+@dataclass(frozen=True)
+class _CachedWalk:
+    """A finished injection, frozen for replay.
+
+    The loss fields are named as :class:`InjectionResult` names them, so
+    a walk doubles as one packet's outcome template
+    (:meth:`Network.inject_batch` returns it as such).  ``ops`` carries
+    each touched device's counter delta
+    ``(opl, packets, drops, ((counter, delta), ...))``; the site tuples
+    localize where the walk's losses happened, ``((device, port), ...)``.
+    """
+
+    deliveries: tuple[_WalkDelivery, ...]
+    dropped_hop_limit: int
+    dropped_link_down: int
+    forwarded: int
+    ops: tuple
+    link_down_sites: tuple = ()
+    hop_limit_sites: tuple = ()
+
+    def replay(self, network: "Network", count: int) -> None:
+        """Move every counter as ``count`` identical injections would."""
+        for opl, packets, drops, deltas in self.ops:
+            opl.packets += packets * count
+            opl.drops += drops * count
+            counters = opl.counters
+            for name, delta in deltas:
+                counters[name] = counters.get(name, 0) + delta * count
+        network.dropped_hop_limit += self.dropped_hop_limit * count
+        network.dropped_link_down += self.dropped_link_down * count
+        network.forwarded_hops += self.forwarded * count
 
 
 class TopologyError(RuntimeError):
@@ -152,7 +175,7 @@ class InjectionResult(list):
         self, deliveries=(), dropped_hop_limit: int = 0, dropped_link_down: int = 0,
         hop_limit_sites: tuple = (), link_down_sites: tuple = (),
     ):
-        super().__init__(deliveries)
+        list.__init__(self, deliveries)
         self.dropped_hop_limit = dropped_hop_limit
         self.dropped_link_down = dropped_link_down
         self.hop_limit_sites = hop_limit_sites
@@ -182,9 +205,10 @@ class Network:
         self.path_misses = 0
         self.path_invalidations = 0
         self.path_bypasses = 0
-        # Batch tier: compiled per-flow closures over cached walks.
-        self.batch_enabled = True
-        self._batch = FlowBatchCompiler()
+        #: What :meth:`batch_stats` reports, less the resident count.
+        self._batch = dict.fromkeys(
+            ("compiled", "replays", "replayed_packets", "cold_misses",
+             "prewarmed"), 0)
 
     # ------------------------------------------------------------------
     # Construction
@@ -387,41 +411,40 @@ class Network:
 
     def inject_batch(
         self, device: str, port: int, frame: bytes, count: int,
-    ) -> Optional[BatchResult]:
-        """Replay ``count`` identical injections in one compiled call.
+    ) -> Optional[_CachedWalk]:
+        """Replay ``count`` identical injections in one pass.
 
-        Returns a :class:`~repro.fastpath.batch.BatchResult` whose
-        aggregate effects (per-device counters, loss accounting, the
-        template deliveries) are byte-identical to ``count`` sequential
-        :meth:`inject` calls of the same frame — or ``None`` when no
-        valid closure exists and none can be compiled: the batch tier
-        is off, the path cache is off, the walk is not warm under the
-        current generation, or the walk is uncacheable (CPU handlers,
-        armed datapath faults).  On ``None`` the caller injects
-        per-packet; one real inject warms the walk, so the next
-        ``inject_batch`` compiles and the rest of the run replays.
+        The counted entry to the path cache: validate the generation,
+        look the walk up, apply its effects ``count`` times.  Returns
+        the frozen walk — one packet's outcome template (``deliveries``
+        plus the :class:`InjectionResult` loss fields); the aggregate
+        effect on per-device counters and loss accounting is
+        byte-identical to ``count`` sequential :meth:`inject` calls of
+        the same frame.  Returns ``None``, having carried nothing, when
+        there is no valid walk to replay: the cache is off, the walk is
+        not warm under the current generation, or it is uncacheable
+        (CPU handlers, armed datapath faults).  The caller then injects
+        one packet the per-packet way, which warms the walk for the
+        next call.
 
-        Batched replays do *not* append to the :attr:`deliveries` log —
+        Counted replays do *not* append to the :attr:`deliveries` log —
         the log is a per-packet debugging aid, not a fingerprinted
-        observable, and materializing N entries would defeat the tier.
+        observable, and materializing ``count`` entries would defeat
+        the point.
         """
         if count < 1:
             raise ValueError("batch count must be >= 1")
-        if not (self.path_cache_enabled and self.batch_enabled):
+        if not self.path_cache_enabled:
             return None
-        generation = self._network_generation()
-        key = (device, port, frame)
-        closure = self._batch.lookup(key, generation)
-        if closure is None:
-            if generation != self._path_generation:
-                self._batch.cold_misses += 1
-                return None
-            walk = self._path_cache.get(key)
-            if walk is None:
-                self._batch.cold_misses += 1
-                return None
-            closure = self._batch.compile(key, walk, generation)
-        return self._batch.replay(self, closure, count)
+        self._validate(self._network_generation())
+        walk = self._path_cache.get((device, port, frame))
+        if walk is None:
+            self._batch["cold_misses"] += 1
+            return None
+        self._batch["replays"] += 1
+        self._batch["replayed_packets"] += count
+        walk.replay(self, count)
+        return walk
 
     def warm_paths(
         self, injections: Iterable[tuple[str, int, bytes]]
@@ -430,11 +453,11 @@ class Network:
 
         Walks each ``(device, port, frame)`` once inside
         :meth:`sandbox` — every fingerprinted counter is restored, so
-        warming carries no packet — and memoizes the cacheable walks.
+        warming carries no packet — and stores the cacheable walks.
         A later :meth:`inject` or :meth:`inject_batch` of the same key
-        then replays (or compiles) without ever taking the slow walk:
-        this is what moves the batch tier's per-flow warm-up cost out
-        of the dispatch loop and into setup.
+        then replays without ever taking the slow walk: this is what
+        moves a flow's warm-up cost out of the dispatch loop and into
+        setup.
 
         Returns the number of walks cached.  Stops early if a walk
         mutates decision state (a learning device — the same caveat as
@@ -443,11 +466,7 @@ class Network:
         if not self.path_cache_enabled:
             return 0
         generation = self._network_generation()
-        if generation != self._path_generation:
-            if self._path_cache:
-                self.path_invalidations += 1
-                self._path_cache.clear()
-            self._path_generation = generation
+        self._validate(generation)
         warmed = 0
         with self.sandbox():
             for device, port, frame in injections:
@@ -460,13 +479,10 @@ class Network:
                 _, walk = self._walk(device, port, frame, record=True)
                 if self._network_generation() != generation:
                     break
-                if walk is None:
-                    continue
-                if len(self._path_cache) >= PATH_CACHE_CAPACITY:
-                    del self._path_cache[next(iter(self._path_cache))]
-                self._path_cache[key] = walk
-                warmed += 1
-        self._batch.prewarmed += warmed
+                if walk is not None:
+                    self._store(key, walk)
+                    warmed += 1
+        self._batch["prewarmed"] += warmed
         return warmed
 
     def run(self, traffic: list[tuple[str, int, bytes]]) -> list[Delivery]:
@@ -487,51 +503,47 @@ class Network:
             total += project.state_generation()
         return total
 
-    def _inject_cached(
-        self, device: str, port: int, frame: bytes, generation: int
-    ) -> tuple[InjectionResult, int]:
-        """One cached injection; returns (result, current generation)."""
+    def _validate(self, generation: int) -> None:
+        """Flush every walk if state moved since they were recorded."""
         if generation != self._path_generation:
             if self._path_cache:
                 self.path_invalidations += 1
                 self._path_cache.clear()
             self._path_generation = generation
+
+    def _store(self, key: tuple, walk: _CachedWalk) -> None:
+        if len(self._path_cache) >= PATH_CACHE_CAPACITY:
+            # FIFO eviction: drop the oldest walk.
+            del self._path_cache[next(iter(self._path_cache))]
+        self._path_cache[key] = walk
+        self._batch["compiled"] += 1
+
+    def _inject_cached(
+        self, device: str, port: int, frame: bytes, generation: int
+    ) -> tuple[InjectionResult, int]:
+        """One cached injection; returns (result, current generation)."""
+        self._validate(generation)
         key = (device, port, frame)
-        cached = self._path_cache.get(key)
-        if cached is not None:
+        walk = self._path_cache.get(key)
+        if walk is not None:
             self.path_hits += 1
-            return self._replay_walk(cached), generation
+            walk.replay(self, 1)
+            # Fresh deliveries: Delivery is mutable, the walk is shared.
+            result = InjectionResult(
+                starmap(Delivery, walk.deliveries),
+                walk.dropped_hop_limit, walk.dropped_link_down,
+                walk.hop_limit_sites, walk.link_down_sites,
+            )
+            self.deliveries += result
+            return result, generation
         self.path_misses += 1
         result, walk = self._walk(device, port, frame, record=True)
         after = self._network_generation()
         if walk is None:
             self.path_bypasses += 1
         elif after == generation:
-            if len(self._path_cache) >= PATH_CACHE_CAPACITY:
-                del self._path_cache[next(iter(self._path_cache))]
-            self._path_cache[key] = walk
+            self._store(key, walk)
         return result, after
-
-    def _replay_walk(self, walk: _CachedWalk) -> InjectionResult:
-        first = len(self.deliveries)
-        for at, frame, hops in walk.deliveries:
-            self.deliveries.append(Delivery(at, frame, hops))
-        self.dropped_hop_limit += walk.dropped
-        self.dropped_link_down += walk.link_down
-        self.forwarded_hops += walk.forwarded
-        for opl, packets, drops, deltas in walk.ops:
-            opl.packets += packets
-            opl.drops += drops
-            counters = opl.counters
-            for name, delta in deltas:
-                counters[name] = counters.get(name, 0) + delta
-        return InjectionResult(
-            self.deliveries[first:],
-            dropped_hop_limit=walk.dropped,
-            dropped_link_down=walk.link_down,
-            hop_limit_sites=walk.hop_limit_sites,
-            link_down_sites=walk.link_down_sites,
-        )
 
     def _walk(
         self, device: str, port: int, frame: bytes, record: bool
@@ -626,10 +638,11 @@ class Network:
             if d_packets or d_drops or deltas:
                 ops.append((opl, d_packets, d_drops, deltas))
         walk = _CachedWalk(
-            deliveries=tuple((d.at, d.frame, d.hops) for d in result),
-            dropped=result.dropped_hop_limit,
+            deliveries=tuple(_WalkDelivery(d.at, d.frame, d.hops)
+                             for d in result),
+            dropped_hop_limit=result.dropped_hop_limit,
+            dropped_link_down=result.dropped_link_down,
             forwarded=self.forwarded_hops - forwarded_before,
-            link_down=result.dropped_link_down,
             ops=tuple(ops),
             link_down_sites=result.link_down_sites,
             hop_limit_sites=result.hop_limit_sites,
@@ -645,7 +658,6 @@ class Network:
         if not enabled:
             self._path_cache.clear()
             self._path_generation = -1
-            self._batch.clear()
         for project in self._devices.values():
             cache = getattr(project, "fastpath", None)
             if cache is not None:
@@ -653,24 +665,21 @@ class Network:
                 if not enabled:
                     cache.clear()
 
-    def set_batch(self, enabled: bool) -> None:
-        """Enable/disable the compiled-closure batch tier alone.
-
-        Orthogonal to :meth:`set_fastpath`: the A/B switch behind
-        ``nf-mon fabric --no-batch``, which keeps the flow caches warm
-        but forces :meth:`inject_batch` to decline so callers take the
-        per-packet reference path."""
-        self.batch_enabled = enabled
-        if not enabled:
-            self._batch.clear()
-
     @property
     def path_entries(self) -> int:
         return len(self._path_cache)
 
     def batch_stats(self) -> dict[str, int]:
-        """The batch tier's operational counters (never fingerprinted)."""
-        return self._batch.stats()
+        """The counted entry's operational counters (never fingerprinted).
+
+        ``compiled`` — walks stored in the cache (a stored walk *is* the
+        replayable form); ``entries`` — walks resident now; ``replays``
+        / ``replayed_packets`` — :meth:`inject_batch` calls that
+        replayed and the packets they carried; ``cold_misses`` — calls
+        that found no valid walk and declined; ``prewarmed`` — walks
+        stored by :meth:`warm_paths` before any packet flew.
+        """
+        return {**self._batch, "entries": len(self._path_cache)}
 
     def fastpath_stats(self) -> dict[str, int]:
         """Aggregate flow-cache counters: path cache + device caches."""

@@ -21,7 +21,6 @@ from repro.fabric import (
     generate_flows,
     get_topology,
     run_flows,
-    scheduler,
 )
 from repro.fabric.workload import Flow
 from repro.faults import derive_seed, get_plan
@@ -67,15 +66,15 @@ class EagerHeap:
 
 
 def _recording(log):
-    """Patch the per-packet send so every dispatched event is logged."""
-    real = scheduler._send_packet
+    """Patch the one send path so every dispatched event is logged."""
+    real = FlowEngine._send
 
-    def send(topology, event, *rest):
+    def send(engine, event, n):
         log.append((event.tick, event.rr, event.flow.flow_id,
                     event.is_response, event.pkt_index))
-        real(topology, event, *rest)
+        return real(engine, event, n)
 
-    return mock.patch.object(scheduler, "_send_packet", send)
+    return mock.patch.object(FlowEngine, "_send", send)
 
 
 specs = st.builds(

@@ -145,6 +145,24 @@ class TestTelemetryFeed:
         parity = session.registry.snapshot(cycle_independent_only=True)
         assert 'fabric_packets_total{outcome="delivered"}' in parity
 
+    def test_outcome_series_sum_to_attempted(self):
+        """Every loss field has its own outcome label (``lost_link``
+        used to be dropped), so the series account for every packet."""
+        record = FlowRecord(0, "a", "b", attempted=21, delivered=6,
+                            lost_wire=1, lost_flap=2, lost_link=3,
+                            blackholed=4, dropped_hop_limit=5)
+        report = FabricReport("t", "w", 0, records=[record])
+        session = TelemetrySession("sim")
+        report.feed(session.registry)
+        outcomes = {
+            key: value for key, value in session.registry.snapshot().items()
+            if key.startswith("fabric_packets_total{")
+        }
+        assert outcomes['fabric_packets_total{outcome="lost_link"}'] == 3
+        assert len(outcomes) == 6 and 0 not in outcomes.values()
+        assert sum(outcomes.values()) == record.attempted
+        assert report.lost == 15
+
     def test_feed_device_series(self):
         report = _run(topo="star-3")
         session = TelemetrySession("sim")

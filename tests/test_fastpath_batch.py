@@ -1,11 +1,11 @@
-"""The S27 batch tier: compiled flow closures and coalesced dispatch.
+"""S27: counted replay of cached walks and coalesced dispatch.
 
 Three contracts under test.  **Counter identity**: a warm
 ``inject_batch(n)`` must move every observable counter exactly as far
 as ``n`` sequential ``inject`` calls — per-device OPL packets, drops
 and named counters, network loss tallies, forwarded hops and template
 deliveries.  **Invalidation**: any wiring or table mutation between
-batches must split the batch at the generation boundary (stale closure
+batches must split the batch at the generation boundary (flushed walk
 → ``None`` → the caller re-warms through the real pipeline).
 **Fingerprint invariance**: the FabricReport and INT fingerprints are
 byte-identical across {batch on/off} × {cache on/off} × {1/2/4
@@ -62,12 +62,17 @@ class TestInjectBatch:
         for net in (batched, serial):
             net.inject("s1", 0, frame)  # learn
             net.inject("s1", 0, frame)  # fill + warm the walk
-        result = batched.inject_batch("s1", 0, frame, 6)
-        assert result is not None and result.count == 6
+        template = batched.inject_batch("s1", 0, frame, 6)
         for _ in range(6):
-            serial.inject("s1", 0, frame)
+            one = serial.inject("s1", 0, frame)
         assert counter_state(batched) == counter_state(serial)
         assert batched.batch_stats()["replayed_packets"] == 6
+        # The returned walk is one packet's outcome, field for field.
+        assert [tuple(d) for d in template.deliveries] \
+            == [(d.at, d.frame, d.hops) for d in one]
+        for name in ("dropped_hop_limit", "dropped_link_down",
+                     "hop_limit_sites", "link_down_sites"):
+            assert getattr(template, name) == getattr(one, name)
 
     def test_cold_flow_returns_none_and_counts_the_miss(self):
         net = two_switch_fabric()
@@ -76,27 +81,39 @@ class TestInjectBatch:
         assert counter_state(net) == counter_state(two_switch_fabric())
 
     def test_mutation_between_batches_splits_at_the_boundary(self):
-        net = two_switch_fabric()
+        net, twin = two_switch_fabric(), two_switch_fabric()
         frame = udp_frame(1, 2)
-        net.inject("s1", 0, frame)
-        net.inject("s1", 0, frame)
+        for fabric in (net, twin):
+            fabric.inject("s1", 0, frame)
+            fabric.inject("s1", 0, frame)
         assert net.inject_batch("s1", 0, frame, 3) is not None
-        net.set_link_state("s1", "s2", False)
-        net.set_link_state("s1", "s2", True)
+        for fabric in (net, twin):
+            fabric.set_link_state("s1", "s2", False)
+            fabric.set_link_state("s1", "s2", True)
+        # The flushed walk declines exactly once, carrying nothing ...
+        before = counter_state(net)
         assert net.inject_batch("s1", 0, frame, 3) is None
-        assert net.batch_stats()["splits"] == 1
-        # One real inject re-warms; the next batch compiles again.
+        assert counter_state(net) == before
+        assert net.batch_stats()["cold_misses"] == 1
+        assert net.fastpath_stats()["path_invalidations"] == 1
+        # ... one real inject re-warms, and the next replay matches a
+        # twin that took every packet the per-packet way.
         net.inject("s1", 0, frame)
         assert net.inject_batch("s1", 0, frame, 3) is not None
+        for _ in range(3 + 1 + 3):
+            twin.inject("s1", 0, frame)
+        assert counter_state(net) == counter_state(twin)
+        # Two walks were stored: the first warm-up and the re-warm.
         assert net.batch_stats()["compiled"] == 2
+        assert net.batch_stats()["entries"] == 1
 
-    def test_set_batch_off_clears_and_declines(self):
+    def test_fastpath_off_clears_and_declines(self):
         net = two_switch_fabric()
         frame = udp_frame(1, 2)
         net.inject("s1", 0, frame)
         net.inject("s1", 0, frame)
         assert net.inject_batch("s1", 0, frame, 2) is not None
-        net.set_batch(False)
+        net.set_fastpath(False)
         assert net.batch_stats()["entries"] == 0
         assert net.inject_batch("s1", 0, frame, 2) is None
 
@@ -116,8 +133,7 @@ class TestChurnProperty:
         after every step."""
         rng = random.Random(2701)
         batched = two_switch_fabric()
-        cached = two_switch_fabric()
-        cached.set_batch(False)
+        cached = two_switch_fabric()  # same caches, per-packet entry only
         plain = two_switch_fabric()
         plain.set_fastpath(False)
         fabrics = (batched, cached, plain)
@@ -152,7 +168,10 @@ class TestChurnProperty:
             assert counter_state(batched) == counter_state(cached)
             assert counter_state(batched) == counter_state(plain)
         assert took_batch > 0
-        assert batched.batch_stats()["splits"] > 0
+        assert cached.batch_stats()["replays"] == 0
+        # Churn flushed warm walks: inject_batch declined mid-stream.
+        assert batched.batch_stats()["cold_misses"] > 0
+        assert batched.fastpath_stats()["path_invalidations"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -208,6 +227,37 @@ class TestEngineFingerprint:
                         batch=False)
         assert on.fingerprint() == off.fingerprint()
         assert on.batch["splits"] > 0
+
+    def test_precut_link_books_loss_at_each_packets_own_epoch(self):
+        """A link cut before the engine is built leaves the run
+        epoch-free, so whole bursts coalesce across flap epochs while
+        losing packets on the dark cable: loss must still land in each
+        packet's own epoch."""
+        workload = WorkloadSpec(flows=40, packets_per_flow=64, seed=3,
+                                window_ticks=64)
+
+        def run(**kw):
+            topology = get_topology("leaf-spine").build()
+            topology.network.set_link_state("spine0", "leaf0", False)
+            return run_flows(topology, workload, **kw)
+
+        on, off, slow = run(), run(batch=False), run(fastpath=False)
+        assert on.batch["segments"] > 0
+        assert on.lost > 0 and len(on.loss_by_epoch) > 1
+        assert sum(on.loss_by_epoch.values()) == on.lost
+        assert on.loss_by_epoch == off.loss_by_epoch == slow.loss_by_epoch
+        assert on.fingerprint() == off.fingerprint() == slow.fingerprint()
+
+    def test_wire_faults_keep_the_run_per_packet(self):
+        """Per-packet wire draws bar coalescing: every packet takes the
+        per-packet entry of the path cache, none the counted one."""
+        plan = get_plan("lossy-link", seed=4)
+        on = self._run(plan=plan)
+        off = self._run(plan=plan, batch=False)
+        assert on.batch["segments"] == 0
+        assert on.batch["replayed_packets"] == 0
+        assert on.fastpath["path_hits"] > 0
+        assert on.fingerprint() == off.fingerprint()
 
     def test_shard_grid_one_fingerprint(self):
         spec = get_topology("leaf-spine")
