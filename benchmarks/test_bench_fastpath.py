@@ -132,6 +132,8 @@ def test_e18_fastpath(benchmark):
         "speedup_wall": round(speedup_wall, 3),
         "speedup_4shard": round(speedup_4, 3),
         "path_hits": base_report.fastpath.get("path_hits", 0),
+        "path_misses": base_report.fastpath.get("path_misses", 0),
+        "path_shared": base_report.fastpath.get("path_shared", 0),
         "batch_replayed": base_report.batch.get("replayed_packets", 0),
         "cpus": cpus,
         "fingerprint": base_report.fingerprint(),

@@ -20,7 +20,13 @@ from repro.core.metadata import (
 from repro.core.module import Resources
 from repro.cores.cam import BinaryCam
 from repro.cores.header_parser import parse_headers
-from repro.cores.output_port_lookup import Decision, OutputPortLookup
+from repro.cores.output_port_lookup import (
+    READS_NOTHING,
+    Decision,
+    HeaderReads,
+    OutputPortLookup,
+    header_bytes,
+)
 
 
 class PassthroughLookup(OutputPortLookup):
@@ -30,6 +36,9 @@ class PassthroughLookup(OutputPortLookup):
     TUSER is honoured; a zero destination is dropped, matching the
     reference behaviour of an unrouted packet.
     """
+
+    def header_reads(self) -> HeaderReads:
+        return READS_NOTHING
 
     def decide(self, header: bytes, tuser: int) -> Decision:
         if SUME_TUSER.extract(tuser, "dst_port") == 0:
@@ -47,6 +56,9 @@ class NicLookup(OutputPortLookup):
     """
 
     DECISION_LATENCY_CYCLES = 1  # a wired mapping: no table walk
+
+    def header_reads(self) -> HeaderReads:
+        return READS_NOTHING
 
     def decide(self, header: bytes, tuser: int) -> Decision:
         src = SUME_TUSER.extract(tuser, "src_port")
@@ -132,6 +144,15 @@ class LearningSwitchLookup(OutputPortLookup):
             + self._vlan_generation
         )
 
+    def header_reads(self) -> HeaderReads:
+        """Both MAC addresses — the source is learned, the destination
+        looked up — once the 14-byte Ethernet header is there to parse;
+        a VLAN-aware switch also reads TPID and TCI, and honours the
+        tag only when all 18 tagged-header bytes arrived."""
+        if self.vlan_aware:
+            return HeaderReads(header_bytes(0, 16), 18)
+        return HeaderReads(header_bytes(0, 12), 14)
+
     def _fdb_key(self, mac_value: int, vid: int) -> int:
         return (vid << 48) | mac_value if self.vlan_aware else mac_value
 
@@ -195,6 +216,9 @@ class SwitchLiteLookup(OutputPortLookup):
     """
 
     DECISION_LATENCY_CYCLES = 1  # static crossing
+
+    def header_reads(self) -> HeaderReads:
+        return READS_NOTHING
 
     def decide(self, header: bytes, tuser: int) -> Decision:
         src = SUME_TUSER.extract(tuser, "src_port")

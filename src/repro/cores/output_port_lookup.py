@@ -15,8 +15,10 @@ reference OPL's parser+lookup pipeline depth.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.core.axis import AxiStreamBeat, AxiStreamChannel
 from repro.core.metadata import NUM_PHYS_PORTS, all_phys_ports_mask, phys_port_bit
@@ -31,6 +33,48 @@ INT_UNASSIGNED_DEVICE_ID = 0xFFFF
 HEADER_WINDOW = 64
 #: Elastic buffer bound, in beats, between input and output.
 ENGINE_BUFFER_BEATS = 128
+
+
+class HeaderReads(NamedTuple):
+    """What a lookup's ``decide()`` may read of a frame.
+
+    A promise to the network's path cache
+    (:mod:`repro.testenv.topology`): two frames with equal
+    :meth:`key` get the same :class:`Decision`, the same counter bumps
+    and the same table writes from this lookup, so one cold walk can
+    serve both.  ``mask`` has bit ``8 * i + b`` set when bit ``b`` of
+    header byte ``i`` may be read (:func:`header_bytes` builds it);
+    ``length`` is how many leading bytes the lookup tells present from
+    absent — frames at least that long look alike to it, and
+    :data:`FRAME_LENGTH` says it reads the length itself.  Declarations
+    OR together into what a whole fabric reads.
+    """
+
+    mask: int
+    length: int
+
+    def __or__(self, other: "HeaderReads") -> "HeaderReads":
+        return HeaderReads(self.mask | other.mask,
+                           max(self.length, other.length))
+
+    def key(self, frame: bytes) -> tuple[int, int]:
+        """Everything of ``frame`` the declaring lookups can see."""
+        # Little-endian puts byte i at bits 8i.., whatever the length.
+        return (int.from_bytes(frame[:HEADER_WINDOW], "little") & self.mask,
+                min(len(frame), self.length))
+
+
+def header_bytes(start: int, stop: int) -> int:
+    """The :class:`HeaderReads` mask of header bytes ``start:stop``."""
+    return ((1 << 8 * (stop - start)) - 1) << 8 * start
+
+
+#: ``HeaderReads.length`` of a lookup that reads the frame length.
+FRAME_LENGTH = sys.maxsize
+#: The declaration of a lookup that has not narrowed it.
+READS_EVERYTHING = HeaderReads(header_bytes(0, HEADER_WINDOW), FRAME_LENGTH)
+#: The declaration of a lookup that decides from TUSER alone.
+READS_NOTHING = HeaderReads(0, 0)
 
 
 @dataclass
@@ -102,6 +146,13 @@ class OutputPortLookup(Module):
     def decide(self, header: bytes, tuser: int) -> Decision:
         """Map (header bytes, ingress TUSER) to a forwarding decision."""
         raise NotImplementedError
+
+    def header_reads(self) -> HeaderReads:
+        """What :meth:`decide` may read of the frame (see
+        :class:`HeaderReads`).  The default — all of it — is always
+        safe; a lookup that narrows it lets frames that differ only in
+        bytes it never reads share one cold walk through the fabric."""
+        return READS_EVERYTHING
 
     def bump(self, counter: str) -> None:
         self.counters[counter] = self.counters.get(counter, 0) + 1

@@ -15,7 +15,13 @@ observable:
   and counted :meth:`Network.inject_batch`, which replays a stored
   walk for *N packets in one pass* with counter deltas applied as
   ``n * delta``.  A mutation flushes the table, so a counted run splits
-  exactly where a per-packet run would re-walk.
+  exactly where a per-packet run would re-walk.  Beside the exact
+  table, a **class table** shares one cold walk among all frames that
+  agree on the header bits the fabric's lookups declare they read
+  (:meth:`~repro.cores.output_port_lookup.OutputPortLookup.header_reads`)
+  — on a switched fabric, every flow of a host pair.  The device cache
+  key stays exact; whether and when to fill it at all is the ROADMAP's
+  device-cache item.
 
 Telemetry lives in :func:`repro.telemetry.probes.probe_fastpath`;
 ``nf-mon fabric`` prints the same stats (and ``--no-fastpath`` turns

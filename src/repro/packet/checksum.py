@@ -4,6 +4,11 @@ The reference router updates the IPv4 header checksum *incrementally* when
 it decrements TTL — recomputing over the full header would cost another
 pipeline stage.  ``incremental_update16`` implements RFC 1624 equation 3,
 the same arithmetic as the Verilog.
+
+The word sum itself never loops in Python: 2**16 is 1 modulo 0xFFFF, so
+the data read as one big-endian integer is congruent to the sum of its
+16-bit words, and the end-around-carry fold of that sum is its residue
+modulo 0xFFFF (with 0xFFFF, not 0, for a non-zero multiple).
 """
 
 from __future__ import annotations
@@ -13,13 +18,9 @@ def internet_checksum(data: bytes) -> int:
     """One's-complement 16-bit checksum over ``data`` (odd length padded)."""
     if len(data) % 2:
         data = data + b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    # Fold carries; two folds suffice for any length input.
-    total = (total & 0xFFFF) + (total >> 16)
-    total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+    total = int.from_bytes(data, "big")
+    # The end-around-carry fold of the word sum, in one step.
+    return ~(total % 0xFFFF or (total and 0xFFFF)) & 0xFFFF
 
 
 def verify_checksum(data: bytes) -> bool:
@@ -62,10 +63,8 @@ def transport_checksum(
     src: bytes, dst: bytes, protocol: int, segment: bytes
 ) -> int:
     """Full TCP/UDP checksum including the IPv4 pseudo header."""
-    data = segment if len(segment) % 2 == 0 else segment + b"\x00"
     total = pseudo_header_checksum_words(src, dst, protocol, len(segment))
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    total = (total & 0xFFFF) + (total >> 16)
-    total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+    if len(segment) % 2:
+        segment = segment + b"\x00"
+    total += int.from_bytes(segment, "big")
+    return ~(total % 0xFFFF or (total and 0xFFFF)) & 0xFFFF

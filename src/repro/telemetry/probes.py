@@ -456,7 +456,8 @@ def probe_fastpath(network: Any, session: "TelemetrySession") -> None:
         entries.labels(name).bind(lambda c=cache: len(c.entries))
     for event, attr in (("hit", "path_hits"), ("miss", "path_misses"),
                         ("invalidation", "path_invalidations"),
-                        ("bypass", "path_bypasses")):
+                        ("bypass", "path_bypasses"),
+                        ("shared", "path_shared")):
         events.labels("net", event).bind(
             lambda n=network, a=attr: getattr(n, a)
         )

@@ -25,9 +25,30 @@ table valid for one topology-wide generation (the sum of every device's
 :meth:`state_generation` plus a wiring counter); any mutation moves the
 sum and the next lookup flushes the table wholesale.  A walk is only
 cached when it touched no CPU handler, no device with armed data-path
-faults, and mutated no table; replays apply the recorded counter deltas
-so per-device statistics (and the fabric fingerprint built from them)
-are byte-identical cached or not.
+faults or a lookup that is not ``CACHEABLE``, and mutated no table;
+replays apply the recorded counter deltas so per-device statistics (and
+the fabric fingerprint built from them) are byte-identical cached or
+not.
+
+**Walks are shared across frames the fabric cannot tell apart** (the
+microflow → megaflow step of Open vSwitch).  Every lookup declares what
+its ``decide()`` may read of a frame
+(:meth:`~repro.cores.output_port_lookup.OutputPortLookup.header_reads`:
+a learning switch the two MAC addresses, a router everything) and the
+network ORs the declarations of its devices.  Beside the exact table
+sits a *class* table keyed ``(device, port, frame bits under that mask,
+frame length as far as any lookup tells)``.  It holds a walk only when
+the walk was *frame-preserving* — cacheable as above and every copy it
+forwarded or delivered byte-equal to the injected frame, so no rewrite
+and no INT stamp: then each lookup on the way saw exactly the injected
+frame, would decide the same for any frame of the class and hand that
+one on unchanged too.  On an exact-key miss a class hit therefore
+*derives* the new walk — the template's with the caller's frame in its
+deliveries and the same counter deltas — stores it under the exact key
+and carries on as a hit (``path_shared`` counts these); the slow walk
+runs for the first frame of a class only.  Both tables flush together.
+INT frames never touch the class table, and a fabric in which some
+lookup reads the whole header window has no classes to share.
 
 * :meth:`Network.inject` is the per-packet entry: replay a valid walk
   or take the slow walk and store it.  :meth:`Network.inject_many`
@@ -53,6 +74,12 @@ from dataclasses import dataclass
 from itertools import starmap
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
+from repro.cores.output_port_lookup import (
+    READS_EVERYTHING,
+    READS_NOTHING,
+    HeaderReads,
+)
+from repro.int.codec import MAGIC as _INT_MAGIC
 from repro.int.codec import set_seq as _int_set_seq
 from repro.projects.base import PortRef, ReferencePipeline
 
@@ -104,6 +131,10 @@ class _CachedWalk:
     each touched device's counter delta
     ``(opl, packets, drops, ((counter, delta), ...))``; the site tuples
     localize where the walk's losses happened, ``((device, port), ...)``.
+    ``template`` marks a *frame-preserving* walk of a frame with no INT
+    trailer: every copy it forwarded or delivered is byte-equal to the
+    injected frame, so the walk can stand in for any frame of the same
+    class (see the module docstring).
     """
 
     deliveries: tuple[_WalkDelivery, ...]
@@ -113,6 +144,7 @@ class _CachedWalk:
     ops: tuple
     link_down_sites: tuple = ()
     hop_limit_sites: tuple = ()
+    template: bool = False
 
     def replay(self, network: "Network", count: int) -> None:
         """Move every counter as ``count`` identical injections would."""
@@ -199,12 +231,18 @@ class Network:
         # Path cache (see the module docstring for the invariants).
         self.path_cache_enabled = True
         self._path_cache: dict[tuple, _CachedWalk] = {}
+        self._class_cache: dict[tuple, _CachedWalk] = {}
         self._path_generation = -1  # device generations are >= 0
         self._wiring_generation = 0
+        #: What the devices' lookups read between them, and the wiring
+        #: generation that was computed under (see :meth:`_header_reads`).
+        self._reads: Optional[HeaderReads] = None
+        self._reads_generation = -1
         self.path_hits = 0
         self.path_misses = 0
         self.path_invalidations = 0
         self.path_bypasses = 0
+        self.path_shared = 0
         #: What :meth:`batch_stats` reports, less the resident count.
         self._batch = dict.fromkeys(
             ("compiled", "replays", "replayed_packets", "cold_misses",
@@ -364,8 +402,10 @@ class Network:
 
         While the path cache is enabled, a previously memoized walk for
         the same (device, port, frame) under an unchanged topology-wide
-        generation is replayed instead of re-forwarded — deliveries,
-        loss accounting and per-device counters included.
+        generation — or one derived from the walk of a frame no lookup
+        in the fabric can tell from this one — is replayed instead of
+        re-forwarded, deliveries, loss accounting and per-device
+        counters included.
 
         ``int_seq`` is the INT sequence-number substitution hook: the
         caller injects the flow's sequence-zero *template* (so every
@@ -421,11 +461,12 @@ class Network:
         effect on per-device counters and loss accounting is
         byte-identical to ``count`` sequential :meth:`inject` calls of
         the same frame.  Returns ``None``, having carried nothing, when
-        there is no valid walk to replay: the cache is off, the walk is
-        not warm under the current generation, or it is uncacheable
-        (CPU handlers, armed datapath faults).  The caller then injects
-        one packet the per-packet way, which warms the walk for the
-        next call.
+        there is no valid walk to replay: the cache is off, neither the
+        walk nor one to derive it from is warm under the current
+        generation, or it is uncacheable (CPU handlers, armed datapath
+        faults, a lookup that is not ``CACHEABLE``).  The caller then
+        injects one packet the per-packet way, which warms the walk for
+        the next call.
 
         Counted replays do *not* append to the :attr:`deliveries` log —
         the log is a per-packet debugging aid, not a fingerprinted
@@ -437,7 +478,10 @@ class Network:
         if not self.path_cache_enabled:
             return None
         self._validate(self._network_generation())
-        walk = self._path_cache.get((device, port, frame))
+        key = (device, port, frame)
+        walk = self._path_cache.get(key)
+        if walk is None and self._class_cache:
+            walk = self._derive(key)
         if walk is None:
             self._batch["cold_misses"] += 1
             return None
@@ -454,13 +498,16 @@ class Network:
         Walks each ``(device, port, frame)`` once inside
         :meth:`sandbox` — every fingerprinted counter is restored, so
         warming carries no packet — and stores the cacheable walks.
+        A frame whose class already has a frame-preserving walk is not
+        walked at all: its walk is derived from that one, which is
+        neither a dry walk nor a path miss (``path_shared`` counts it).
         A later :meth:`inject` or :meth:`inject_batch` of the same key
         then replays without ever taking the slow walk: this is what
         moves a flow's warm-up cost out of the dispatch loop and into
         setup.
 
-        Returns the number of walks cached.  Stops early if a walk
-        mutates decision state (a learning device — the same caveat as
+        Returns the number of walks cached, walked or derived.  Stops
+        early if a walk mutates decision state (a learning device — the same caveat as
         :meth:`sandbox`): the already-recorded walks would be stale.
         """
         if not self.path_cache_enabled:
@@ -472,6 +519,9 @@ class Network:
             for device, port, frame in injections:
                 key = (device, port, frame)
                 if key in self._path_cache:
+                    continue
+                if self._class_cache and self._derive(key) is not None:
+                    warmed += 1
                     continue
                 # A dry walk is still a slow walk taken: it counts as a
                 # path miss (operational stats move, like pingall's).
@@ -509,6 +559,7 @@ class Network:
             if self._path_cache:
                 self.path_invalidations += 1
                 self._path_cache.clear()
+                self._class_cache.clear()
             self._path_generation = generation
 
     def _store(self, key: tuple, walk: _CachedWalk) -> None:
@@ -517,6 +568,58 @@ class Network:
             del self._path_cache[next(iter(self._path_cache))]
         self._path_cache[key] = walk
         self._batch["compiled"] += 1
+        if walk.template:
+            reads = self._header_reads()
+            if reads is not None:
+                classes = self._class_cache
+                if len(classes) >= PATH_CACHE_CAPACITY:
+                    del classes[next(iter(classes))]
+                device, port, frame = key
+                classes[(device, port, *reads.key(frame))] = walk
+
+    def _header_reads(self) -> Optional[HeaderReads]:
+        """What any device's lookup may read of a frame, OR-ed; ``None``
+        when some lookup reads the whole window and no two frames share
+        a class.  Recomputed when the wiring generation moved."""
+        if self._reads_generation != self._wiring_generation:
+            reads = READS_NOTHING
+            for project in self._devices.values():
+                reads |= project.opl.header_reads()
+            self._reads = (None if reads.mask == READS_EVERYTHING.mask
+                           else reads)
+            self._reads_generation = self._wiring_generation
+        return self._reads
+
+    def _derive(self, key: tuple) -> Optional[_CachedWalk]:
+        """On an exact-key miss, cut the key's walk from its class's.
+
+        The class table holds one frame-preserving walk per ``(device,
+        port, what the lookups read of the frame)``.  Every lookup on
+        the way decides for this frame as it did for the template's and
+        hands it on unchanged, so the walk is the template's with this
+        frame in its deliveries and the same ``ops``.  It is stored
+        under the exact key and counted in :attr:`path_shared`; the
+        caller carries on as if the exact lookup had hit.
+        """
+        device, port, frame = key
+        if frame[-4:] == _INT_MAGIC:
+            return None  # every hop stamps it: never frame-preserving
+        # Callers validate first, so a filled class table means the
+        # declarations it was keyed under still stand (and allow sharing).
+        shared = self._class_cache.get(
+            (device, port, *self._header_reads().key(frame)))
+        if shared is None:
+            return None
+        walk = _CachedWalk(
+            tuple(_WalkDelivery(d.at, frame, d.hops)
+                  for d in shared.deliveries),
+            shared.dropped_hop_limit, shared.dropped_link_down,
+            shared.forwarded, shared.ops,
+            shared.link_down_sites, shared.hop_limit_sites,
+        )  # template=False: the class already has its walk
+        self._store(key, walk)
+        self.path_shared += 1
+        return walk
 
     def _inject_cached(
         self, device: str, port: int, frame: bytes, generation: int
@@ -525,6 +628,8 @@ class Network:
         self._validate(generation)
         key = (device, port, frame)
         walk = self._path_cache.get(key)
+        if walk is None and self._class_cache:
+            walk = self._derive(key)
         if walk is not None:
             self.path_hits += 1
             walk.replay(self, 1)
@@ -551,15 +656,20 @@ class Network:
         """The slow hop walk; optionally records a replayable walk.
 
         Recording returns ``None`` (uncacheable) when the walk invoked a
-        CPU handler (arbitrary software state) or touched a device with
+        CPU handler (arbitrary software state), touched a device with
         an armed data-path fault session (whose draws must stay
-        per-packet).
+        per-packet) or one whose lookup is not ``CACHEABLE`` (hidden
+        per-packet state).
         """
         first = len(self.deliveries)
         drops_before = self.dropped_hop_limit
         link_down_before = self.dropped_link_down
         forwarded_before = self.forwarded_hops
         cacheable = record
+        # An INT frame is stamped at every hop: it neither makes nor
+        # takes a template (the four tail bytes are the whole test, so
+        # the INT-only hot path pays no call for it).
+        template = record and frame[-4:] != _INT_MAGIC
         link_down_sites: list[tuple[str, int]] = []
         hop_limit_sites: list[tuple[str, int]] = []
         snapshots: dict[str, tuple] = {}
@@ -574,7 +684,8 @@ class Network:
                     project.opl, project.opl.packets, project.opl.drops,
                     dict(project.opl.counters),
                 )
-                if project.datapath_faults is not None:
+                if (project.datapath_faults is not None
+                        or not project.opl.CACHEABLE):
                     cacheable = False
             outputs = project.forward_behavioural(data, at.port)
             handled: list[tuple[PortRef, bytes]] = []
@@ -600,6 +711,8 @@ class Network:
             for out_port, out_frame in requeued:
                 if out_port.kind != "phys":
                     continue
+                if template and out_frame != frame:
+                    template = False  # rewritten on the way
                 self.forwarded_hops += 1
                 exit_at = Attachment(at.device, out_port)
                 peer = self._links.get(exit_at)
@@ -646,6 +759,7 @@ class Network:
             ops=tuple(ops),
             link_down_sites=result.link_down_sites,
             hop_limit_sites=result.hop_limit_sites,
+            template=template,
         )
         return result, walk
 
@@ -657,6 +771,7 @@ class Network:
         self.path_cache_enabled = enabled
         if not enabled:
             self._path_cache.clear()
+            self._class_cache.clear()
             self._path_generation = -1
         for project in self._devices.values():
             cache = getattr(project, "fastpath", None)
@@ -682,12 +797,17 @@ class Network:
         return {**self._batch, "entries": len(self._path_cache)}
 
     def fastpath_stats(self) -> dict[str, int]:
-        """Aggregate flow-cache counters: path cache + device caches."""
+        """Aggregate flow-cache counters: path cache + device caches.
+
+        ``path_misses`` counts slow walks taken, ``path_shared`` the
+        walks derived from another frame's instead; a derived walk that
+        :meth:`inject` goes on to replay is a ``path_hits`` as well."""
         stats = {
             "path_hits": self.path_hits,
             "path_misses": self.path_misses,
             "path_invalidations": self.path_invalidations,
             "path_bypasses": self.path_bypasses,
+            "path_shared": self.path_shared,
             "path_entries": self.path_entries,
             "device_hits": 0,
             "device_misses": 0,

@@ -228,6 +228,40 @@ class TestEngineFingerprint:
         assert on.fingerprint() == off.fingerprint()
         assert on.batch["splits"] > 0
 
+    def test_link_cut_flushes_shared_walks_too(self):
+        """Twenty flows per host pair share walks; a walk shared across
+        the cut (or the repair) would carry packets over a dark cable
+        and move loss to other epochs."""
+        schedule = LinkSchedule(events=(("spine0", "leaf0", 1, 4),))
+        workload = WorkloadSpec(flows=120, packets_per_flow=12, seed=0)
+        topo = get_topology("leaf-spine")
+        on, per_packet, slow = (
+            run_flows(topo.build(), workload, link_schedule=schedule, **kw)
+            for kw in ({}, {"batch": False}, {"fastpath": False}))
+        for run in (on, per_packet):
+            assert run.fastpath["path_shared"] > 0
+            assert run.fastpath["path_invalidations"] == 2
+            assert run.loss_by_epoch == slow.loss_by_epoch
+            assert run.records == slow.records
+            assert run.fingerprint() == slow.fingerprint()
+        assert slow.lost > 0 and len(slow.loss_by_epoch) > 1
+
+    def test_int_flows_share_nothing_and_lean_on_the_device_cache(self):
+        """Every hop stamps an INT frame, so no walk is frame-preserving:
+        after a flush the re-walks still hit the device caches whose own
+        generation did not move, as they did before walks were shared."""
+        schedule = LinkSchedule(events=(("spine0", "leaf0", 1, 4),))
+        workload = WorkloadSpec(flows=120, packets_per_flow=12, seed=0)
+        topo = get_topology("leaf-spine")
+        on = run_flows(topo.build(), workload, link_schedule=schedule,
+                       int_all=True)
+        slow = run_flows(topo.build(), workload, link_schedule=schedule,
+                         int_all=True, fastpath=False)
+        assert on.fingerprint() == slow.fingerprint()
+        assert on.int_summary == slow.int_summary
+        assert on.fastpath["path_shared"] == 0
+        assert on.fastpath["device_hits"] > 0
+
     def test_precut_link_books_loss_at_each_packets_own_epoch(self):
         """A link cut before the engine is built leaves the run
         epoch-free, so whole bursts coalesce across flap epochs while

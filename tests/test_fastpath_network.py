@@ -7,17 +7,25 @@ import json
 
 import pytest
 
+from repro.cores.lookups import SwitchLiteLookup
+from repro.cores.output_queues import QueueConfig
 from repro.fabric import get_topology, get_workload, run_sharded
 from repro.fabric.scheduler import flow_frame, run_flows
 from repro.fabric.workload import WorkloadSpec, generate_flows
 from repro.faults import get_plan, inject
 from repro.host.nfmon import main as nfmon_main
+from repro.int import encode_template
 from repro.packet.generator import make_udp_frame
+from repro.projects.base import ReferencePipeline
+from repro.projects.firewall import FirewallProject, SynFloodDetector
+from repro.projects.reference_nic import ReferenceNic
+from repro.projects.reference_router import ReferenceRouter
 from repro.projects.reference_switch import ReferenceSwitch
 from repro.telemetry import TelemetrySession, probe_fastpath
 from repro.testenv.topology import Network
 
-from .conftest import udp_frame
+from .conftest import ip, mac, udp_frame
+from .test_projects_firewall import tcp_frame
 
 pytestmark = pytest.mark.fastpath
 
@@ -36,6 +44,33 @@ def two_switch_fabric() -> Network:
 def delivery_log(net: Network) -> list[tuple]:
     return [(d.at.device, d.at.port.index, d.frame, d.hops)
             for d in net.deliveries]
+
+
+def programmed_fabric() -> Network:
+    """:func:`two_switch_fabric` with pinned FDBs: host 1 on s1 port 0,
+    host 2 on s2 port 1 — every walk is cacheable from the first."""
+    net = Network()
+    for name in ("s1", "s2"):
+        net.add_device(name, ReferenceSwitch(name=name, learning=False))
+    net.link("s1", 3, "s2", 0)
+    for name, port_1, port_2 in (("s1", 0, 3), ("s2", 0, 1)):
+        net.device(name).install_static_mac(mac(1), port_1)
+        net.device(name).install_static_mac(mac(2), port_2)
+    return net
+
+
+def flow_of_pair(sport: int, size: int = 96) -> bytes:
+    """One more flow between hosts 1 and 2: same MACs, its own bytes."""
+    return make_udp_frame(mac(1), mac(2), ip(1), ip(2), sport=sport,
+                          dport=7, size=size).pack()
+
+
+def observables(net: Network) -> tuple:
+    return (delivery_log(net), net.dropped_hop_limit, net.dropped_link_down,
+            net.forwarded_hops,
+            {name: (net.device(name).opl.packets, net.device(name).opl.drops,
+                    dict(net.device(name).opl.counters))
+             for name in net.device_names()})
 
 
 # ----------------------------------------------------------------------
@@ -108,6 +143,198 @@ class TestPathCache:
         net.inject("s1", 0, frame)
         assert net.path_misses == misses_before
         assert net.fastpath_stats()["device_entries"] == 0
+
+    def test_an_uncacheable_lookup_bars_the_walk(self):
+        """The SYN-flood detector advances per packet, so a walk through
+        the firewall may never be replayed: the tenth SYN must meet the
+        same detector with the fast path on as off."""
+        outcomes = []
+        for fastpath in (True, False):
+            net = Network()
+            net.add_device("fw", FirewallProject(detector=SynFloodDetector(
+                threshold=4, window_packets=10_000)))
+            net.set_fastpath(fastpath)
+            delivered = sum(len(net.inject("fw", 0, tcp_frame()))
+                            for _ in range(10))
+            outcomes.append((delivered, dict(net.device("fw").opl.counters)))
+            if fastpath:
+                assert net.path_hits == 0 and net.path_entries == 0
+                assert net.path_bypasses == 10
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == (3, {"permitted": 3, "syn_flood_dropped": 7})
+
+
+# ----------------------------------------------------------------------
+# Walk sharing: frames the lookups cannot tell apart share one cold walk
+# ----------------------------------------------------------------------
+class TestWalkSharing:
+    def test_flows_of_one_host_pair_share_one_walk(self):
+        fast, slow = programmed_fabric(), programmed_fabric()
+        slow.set_fastpath(False)
+        flows = [flow_of_pair(5000 + i, size) for i, size in
+                 enumerate((64, 96, 96, 512, 1500, 64))]
+        for frame in flows + flows[:2]:
+            fast.inject("s1", 0, frame)
+            slow.inject("s1", 0, frame)
+        assert observables(fast) == observables(slow)
+        stats = fast.fastpath_stats()
+        assert stats["path_misses"] == 1  # the pair's first frame walked
+        assert stats["path_shared"] == len(flows) - 1
+        assert stats["path_hits"] == len(flows) - 1 + 2
+        assert stats["path_entries"] == len(flows)
+
+    def test_every_entry_point_derives(self):
+        net = programmed_fabric()
+        net.inject("s1", 0, flow_of_pair(1))
+        assert net.warm_paths([("s1", 0, flow_of_pair(2)),
+                               ("s1", 0, flow_of_pair(1))]) == 1
+        walk = net.inject_batch("s1", 0, flow_of_pair(3), 5)
+        assert [d.frame for d in walk.deliveries] == [flow_of_pair(3)]
+        assert net.inject_many([("s1", 0, flow_of_pair(4))])[0][0].frame \
+            == flow_of_pair(4)
+        stats = net.fastpath_stats()
+        assert (stats["path_misses"], stats["path_shared"]) == (1, 3)
+        assert net.batch_stats()["cold_misses"] == 0
+        # A derived walk is neither a dry walk nor a miss, and the
+        # sandbox left the device counters to the 1 + 5 + 1 real packets.
+        assert net.device("s2").opl.packets == 7
+
+    def test_another_port_or_host_is_another_class(self):
+        net = programmed_fabric()
+        net.inject("s1", 0, flow_of_pair(1))
+        net.inject("s1", 1, flow_of_pair(2))       # same bytes, other port
+        net.inject("s1", 0, udp_frame(1, 3))       # other destination
+        net.inject("s1", 0, flow_of_pair(3)[:12])  # a runt of the same MACs
+        assert net.path_shared == 0
+        assert net.path_misses == 4
+
+    def test_a_mutation_flushes_the_templates_too(self):
+        fast, slow = programmed_fabric(), programmed_fabric()
+        slow.set_fastpath(False)
+        for net in (fast, slow):
+            net.inject("s1", 0, flow_of_pair(1))
+            net.device("s2").install_static_mac(mac(2), 2)  # host 2 moved
+            net.inject("s1", 0, flow_of_pair(2))
+        assert fast.path_shared == 0 and fast.path_invalidations == 1
+        assert observables(fast) == observables(slow)
+        assert fast.deliveries[-1].at.port.index == 2
+
+    def test_fastpath_off_drops_the_templates(self):
+        net = programmed_fabric()
+        net.inject("s1", 0, flow_of_pair(1))
+        net.set_fastpath(False)
+        net.set_fastpath(True)
+        net.inject("s1", 0, flow_of_pair(2))
+        assert net.path_shared == 0
+
+    def test_derived_walks_do_not_alias(self):
+        """Each flow's deliveries carry its own bytes, whoever walked
+        first and whatever a caller did to a result it was handed."""
+        net = programmed_fabric()
+        first, second = flow_of_pair(1), flow_of_pair(2)
+        handed = net.inject("s1", 0, first, int_seq=3)
+        derived = net.inject("s1", 0, second, int_seq=9)
+        handed[0].frame = derived[0].frame = b"scribbled"
+        assert [d.frame for d in net.inject("s1", 0, first)] == [first]
+        assert [d.frame for d in net.inject("s1", 0, second, int_seq=4)] \
+            == [second]
+        assert net.inject_batch("s1", 0, first, 2).deliveries[0].frame == first
+        assert net.path_shared == 1
+
+    def test_int_frames_neither_make_nor_take_a_template(self):
+        """Every hop stamps an INT frame, so its walk belongs to its own
+        bytes — also next to plain flows of the same host pair."""
+        fast, slow = programmed_fabric(), programmed_fabric()
+        slow.set_fastpath(False)
+        plain = [flow_of_pair(i, size=256) for i in (1, 2)]
+        telemetered = [encode_template(flow_of_pair(i, size=256), flow_id=i)
+                       for i in (3, 4)]
+        for frame in (telemetered[0], plain[0], telemetered[1], plain[1]):
+            for net in (fast, slow):
+                net.inject("s1", 0, frame, int_seq=1)
+        assert observables(fast) == observables(slow)
+        assert fast.path_shared == 1  # the second plain flow, nothing else
+        assert fast.path_misses == 3
+
+    def test_a_rewritten_walk_is_no_template(self):
+        """A lookup may read nothing and still write: its walk's copies
+        are not the injected frame, so nobody else's either."""
+        class Remarker(SwitchLiteLookup):
+            def decide(self, header, tuser):
+                decision = super().decide(header, tuser)
+                decision.rewrites[15] = b"\xb8"  # DSCP EF
+                return decision
+
+        def remarking_fabric() -> Network:
+            net = Network()
+            net.add_device("x", ReferencePipeline(
+                "x", lambda *args: Remarker(*args), QueueConfig()))
+            return net
+
+        fast, slow = remarking_fabric(), remarking_fabric()
+        slow.set_fastpath(False)
+        for sport in (1, 2, 1):
+            for net in (fast, slow):
+                net.inject("x", 0, flow_of_pair(sport))
+        assert observables(fast) == observables(slow)
+        assert fast.deliveries[1].frame[15] == 0xB8
+        assert (fast.path_shared, fast.path_hits) == (0, 1)
+
+    def test_a_lookup_that_reads_everything_ends_sharing(self):
+        net = programmed_fabric()
+        net.add_device("r1", ReferenceRouter())
+        net.link("s2", 2, "r1", 0)
+        for sport in range(4):
+            net.inject("s1", 0, flow_of_pair(sport))
+        stats = net.fastpath_stats()
+        assert stats["path_shared"] == 0
+        assert stats["path_misses"] == stats["path_entries"] == 4
+
+    def test_a_cpu_handler_ends_sharing(self):
+        """The NIC's lookup reads nothing, so every frame is one class —
+        but a walk through host software is never cached, let alone
+        shared."""
+        net = Network()
+        net.add_device("nic", ReferenceNic(),
+                       cpu_handler=lambda frame, queue: [(queue, frame)])
+        for sport in range(4):
+            assert len(net.inject("nic", 1, flow_of_pair(sport))) == 1
+        stats = net.fastpath_stats()
+        assert stats["path_shared"] == stats["path_entries"] == 0
+        assert stats["path_bypasses"] == 4
+
+
+class TestWalkSharingInTheFabric:
+    #: ~10 flows per ordered host pair of fat-tree-4, IMIX sizes.
+    MICE = WorkloadSpec(flows=2400, packets_per_flow=2, seed=5,
+                        window_ticks=4096)
+
+    def test_fat_tree_mice_one_walk_per_host_pair(self):
+        spec = get_topology("fat-tree-4")
+        on = run_flows(spec.build(), self.MICE)
+        per_packet = run_flows(spec.build(), self.MICE, batch=False)
+        off = run_flows(spec.build(), self.MICE, fastpath=False)
+        assert len({flow.frame_size for flow in generate_flows(
+            spec.build().host_names(), self.MICE)}) > 3
+        assert on.fingerprint() == per_packet.fingerprint() \
+            == off.fingerprint()
+        assert on.records == per_packet.records == off.records
+        host_pairs = 16 * 15
+        for report in (on, per_packet):
+            assert report.fastpath["path_shared"] > 2400
+            assert report.fastpath["path_misses"] <= host_pairs
+        assert off.fastpath["path_shared"] == 0
+
+    def test_shards_sum_the_shared_walks(self):
+        spec = get_topology("fat-tree-4")
+        workload = WorkloadSpec(flows=600, packets_per_flow=2, seed=5)
+        one = run_sharded(spec, workload, shards=1)
+        four = run_sharded(spec, workload, shards=4, parallel=False)
+        assert one.fingerprint() == four.fingerprint()
+        # Each replica walks its own first frame of a class.
+        assert four.fastpath["path_shared"] + four.fastpath["path_misses"] \
+            == one.fastpath["path_shared"] + one.fastpath["path_misses"]
+        assert 0 < four.fastpath["path_shared"] < one.fastpath["path_shared"]
 
 
 # ----------------------------------------------------------------------
@@ -187,6 +414,7 @@ class TestProbeFastpath:
         assert snap['fastpath_events_total{device="net",event="miss"}'] == \
             net.path_misses
         assert snap['fastpath_entries{device="net"}'] == net.path_entries
+        assert snap['fastpath_events_total{device="net",event="shared"}'] == 0
         s1 = net.device("s1").fastpath
         assert snap['fastpath_events_total{device="s1",event="miss"}'] == \
             s1.misses
@@ -203,6 +431,17 @@ class TestProbeFastpath:
         assert any(name.startswith("fastpath_events_total") for name in parity)
         assert any(name.startswith("fastpath_entries") for name in parity)
 
+    def test_shared_walks_have_their_own_series(self):
+        net = programmed_fabric()
+        session = TelemetrySession("sim")
+        probe_fastpath(net, session)
+        for sport in range(3):
+            net.inject("s1", 0, flow_of_pair(sport))
+        snap = session.registry.snapshot()
+        assert snap['fastpath_events_total{device="net",event="shared"}'] \
+            == net.path_shared == 2
+        assert snap['fastpath_events_total{device="net",event="miss"}'] == 1
+
 
 # ----------------------------------------------------------------------
 # nf-mon: the operator's A/B switch
@@ -214,6 +453,7 @@ class TestNfmonFastpath:
         out = capsys.readouterr().out
         assert "flow-cache stats:" in out
         assert "path_hits" in out
+        assert "path_shared" in out
 
     def test_no_fastpath_flag_same_fingerprint(self, capsys):
         args = ["fabric", "--topo", "leaf-spine",

@@ -1,13 +1,36 @@
 """Internet checksum: RFC 1071 semantics and RFC 1624 incremental update."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.packet.checksum import (
     incremental_update16,
     internet_checksum,
+    pseudo_header_checksum_words,
     transport_checksum,
     verify_checksum,
+)
+
+
+def loop_checksum(data: bytes, total: int = 0) -> int:
+    """The oracle: RFC 1071's word-by-word sum, as the module computed
+    it before the sum moved into one big-integer residue."""
+    if len(data) % 2:
+        data = data + b"\x00"
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+    total = (total & 0xFFFF) + (total >> 16)
+    total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
+#: Word patterns that push the sum onto the fold's edges, mixed with
+#: arbitrary bytes; lengths run past a full-size frame.
+_checksum_inputs = st.one_of(
+    st.binary(max_size=1600),
+    st.lists(st.sampled_from([b"\x00\x00", b"\xff\xff", b"\xff\xfe",
+                              b"\x00\x01", b"\x80\x00"]),
+             max_size=800).map(b"".join),
 )
 
 
@@ -33,6 +56,15 @@ class TestInternetChecksum:
         # headers), hence even-length data.
         csum = internet_checksum(data)
         assert internet_checksum(data + csum.to_bytes(2, "big")) == 0
+
+    @given(_checksum_inputs)
+    @example(b"")
+    @example(bytes(64))                    # all-zero: the sum stays 0
+    @example(b"\xff\xff")                  # folds to 0xFFFF
+    @example(b"\xff\xfe\x00\x01")          # carries into 0xFFFF
+    @example(b"\xff\xff" * 700 + b"\x01")  # odd length, many carries
+    def test_matches_the_word_loop(self, data):
+        assert internet_checksum(data) == loop_checksum(data)
 
 
 class TestIncrementalUpdate:
@@ -84,6 +116,17 @@ class TestTransportChecksum:
         csum = transport_checksum(src, dst, 17, segment)
         patched = segment[:6] + csum.to_bytes(2, "big") + segment[8:]
         assert transport_checksum(src, dst, 17, patched) == 0
+
+    @given(segment=_checksum_inputs, src=st.binary(min_size=4, max_size=4),
+           dst=st.binary(min_size=4, max_size=4),
+           protocol=st.sampled_from([0, 6, 17, 0xFF]))
+    @example(segment=b"", src=bytes(4), dst=bytes(4), protocol=0)
+    @example(segment=b"\xff\xfe", src=bytes(4), dst=bytes(4), protocol=0)
+    @example(segment=b"\xff", src=b"\xff" * 4, dst=b"\xff" * 4, protocol=0xFF)
+    def test_matches_the_word_loop(self, segment, src, dst, protocol):
+        pseudo = pseudo_header_checksum_words(src, dst, protocol, len(segment))
+        assert transport_checksum(src, dst, protocol, segment) \
+            == loop_checksum(segment, pseudo)
 
     def test_bad_address_length(self):
         with pytest.raises(ValueError):
