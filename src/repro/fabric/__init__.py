@@ -37,6 +37,12 @@ Quickstart::
 Fault plans compose exactly as with ``run_test``: pass a
 :class:`~repro.faults.FaultPlan` and wire loss, retransmits and link
 flaps are drawn deterministically per flow and per (host, epoch).
+
+How a run executes — ``max_inflight``, ``fastpath``, ``batch``, ``frr``,
+``link_schedule``, ``int_all`` — is one :class:`RunConfig`.
+:func:`run_sharded`, :func:`run_flows` and :class:`FlowEngine` accept
+its fields as keywords; everything below them passes the config whole,
+and the merged report carries it as ``report.config``.
 """
 
 from repro.fabric.scheduler import (
@@ -46,7 +52,7 @@ from repro.fabric.scheduler import (
     FlowEngine,
     FlowRecord,
     LinkSchedule,
-    run_fabric,
+    RunConfig,
     run_flows,
 )
 from repro.fabric.shard import merge_reports, run_sharded
@@ -93,6 +99,7 @@ __all__ = [
     "Host",
     "LinkSchedule",
     "PATTERNS",
+    "RunConfig",
     "SupervisorOptions",
     "SupervisorStats",
     "TOPOLOGIES",
@@ -107,7 +114,6 @@ __all__ = [
     "linear",
     "merge_reports",
     "oversubscription",
-    "run_fabric",
     "run_flows",
     "run_sharded",
     "run_supervised",

@@ -59,9 +59,10 @@ _SPORT_BASE = 40000
 _DPORT_BASE = 50000
 
 
-#: The :class:`FlowRecord` fields that count an attempted packet lost.
-_LOSS_FIELDS = ("lost_wire", "lost_flap", "lost_link", "blackholed",
-                "dropped_hop_limit")
+#: The :class:`FlowRecord` fields that count an attempted packet lost —
+#: the one list every total, table and telemetry series is derived from.
+LOSS_FIELDS = ("lost_wire", "lost_flap", "lost_link", "blackholed",
+               "dropped_hop_limit")
 
 
 @dataclass
@@ -95,18 +96,9 @@ class FlowRecord:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "flow_id": self.flow_id, "src": self.src, "dst": self.dst,
-            "attempted": self.attempted, "delivered": self.delivered,
-            "lost_wire": self.lost_wire, "lost_flap": self.lost_flap,
-            "lost_link": self.lost_link,
-            "blackholed": self.blackholed,
-            "dropped_hop_limit": self.dropped_hop_limit,
-            "misdelivered": self.misdelivered,
-            "retransmits": self.retransmits,
-            "bytes_delivered": self.bytes_delivered,
-            "hops_total": self.hops_total, "hops_max": self.hops_max,
-        }
+        """Every field by name: ``FlowRecord(**record.as_dict())`` is
+        the round trip checkpoints rely on."""
+        return dict(vars(self))
 
 
 @dataclass
@@ -115,9 +107,9 @@ class FabricReport:
 
     The :meth:`fingerprint` covers only order-independent observables —
     per-flow records, per-device forwarded totals, fault counters and
-    the hop histogram — never ``shards``, ``max_inflight`` or wall-clock
-    time, so the same ``(topology, workload, seed)`` fingerprints
-    identically no matter how the run was parallelised.
+    the hop histogram — never ``shards``, the execution options or
+    wall-clock time, so the same ``(topology, workload, seed)``
+    fingerprints identically no matter how the run was parallelised.
     """
 
     topology: str
@@ -128,12 +120,9 @@ class FabricReport:
     device_forwarded: dict[str, int] = field(default_factory=dict)
     fault_counters: dict[str, int] = field(default_factory=dict)
     hops_hist: dict[int, int] = field(default_factory=dict)
-    #: Fast-reroute observables: whether backups were installed, the
-    #: scripted link-failure windows (if any), failure-attributable
-    #: losses per scheduler epoch, and per-device reroute/blackhole
-    #: counts.  All order-independent, so all part of the signature.
-    frr: bool = False
-    link_schedule: Optional[str] = None
+    #: Fast-reroute observables: failure-attributable losses per
+    #: scheduler epoch and per-device reroute/blackhole counts.  All
+    #: order-independent, so all part of the signature.
     loss_by_epoch: dict[int, int] = field(default_factory=dict)
     device_reroutes: dict[str, int] = field(default_factory=dict)
     device_blackholed: dict[str, int] = field(default_factory=dict)
@@ -150,24 +139,18 @@ class FabricReport:
     #: Counter sums over disjoint flows, so it IS an observable: it
     #: joins the signature, and shard merges reproduce it exactly.
     int_summary: Optional[dict] = None
-    #: Run-configuration echoes.  Operational, never observables (the
-    #: fingerprint must stay invariant to how a run was executed), but
-    #: ``merge_reports`` head-checks them so reports produced under
-    #: different configs can never silently merge: ``int_all`` changes
-    #: which flows carry trailers, ``fastpath_enabled``/``max_inflight``
-    #: must not differ across shards of one run even though they leave
-    #: the outcome untouched.
-    max_inflight: int = DEFAULT_MAX_INFLIGHT
-    int_all: bool = False
-    fastpath_enabled: bool = True
+    #: The :class:`RunConfig` the run executed under.  Carried whole and
+    #: outside :meth:`signature` (which reads only its two outcome-moving
+    #: members, ``frr`` and the link schedule's key — the fingerprint
+    #: must stay invariant to *how* a run was executed), but
+    #: ``merge_reports`` head-checks it so shards of different
+    #: invocations can never silently merge.
+    config: RunConfig = field(default_factory=lambda: RunConfig())
     #: Counted-replay statistics (walks stored, packets replayed,
     #: invalidation splits, coalesced segments).  Operational like
     #: ``fastpath`` — segment shapes depend on partitioning — so they
     #: are Counter-merged across shards and stay out of the signature.
     batch: dict[str, int] = field(default_factory=dict)
-    #: Config echo for the batch tier; head-checked at merge like
-    #: ``fastpath_enabled``, never part of the signature.
-    batch_enabled: bool = True
     #: The supervised executor's ledger (attempts, retries, inline
     #: fallbacks, checkpoint hits …) for the merged run.  Operational
     #: data like ``fastpath``: it describes how the run survived, not
@@ -188,7 +171,7 @@ class FabricReport:
 
     @property
     def lost(self) -> int:
-        return sum(self._total(name) for name in _LOSS_FIELDS)
+        return sum(self._total(name) for name in LOSS_FIELDS)
 
     @property
     def misdelivered(self) -> int:
@@ -208,6 +191,7 @@ class FabricReport:
 
     # -- the determinism contract --------------------------------------
     def signature(self) -> dict:
+        schedule = self.config.link_schedule
         return {
             "topology": self.topology,
             "workload": self.workload,
@@ -219,8 +203,8 @@ class FabricReport:
             "fault_counters": dict(sorted(self.fault_counters.items())),
             "hops_hist": {str(k): v for k, v in
                           sorted(self.hops_hist.items())},
-            "frr": self.frr,
-            "link_schedule": self.link_schedule,
+            "frr": self.config.frr,
+            "link_schedule": schedule.key if schedule is not None else None,
             "loss_by_epoch": {str(k): v for k, v in
                               sorted(self.loss_by_epoch.items())},
             "device_reroutes": dict(sorted(self.device_reroutes.items())),
@@ -234,39 +218,23 @@ class FabricReport:
         return sha256(canon.encode()).hexdigest()
 
     def as_dict(self, per_flow: bool = False) -> dict:
+        observables = self.signature()
+        del observables["flows"]  # reported as a count; per_flow lists them
         out = {
-            "topology": self.topology,
-            "workload": self.workload,
-            "seed": self.seed,
-            "plan": self.plan,
+            **observables,
             "shards": self.shards,
             "flows": len(self.records),
             "attempted": self.attempted,
             "delivered": self.delivered,
-            "lost_wire": self._total("lost_wire"),
-            "lost_flap": self._total("lost_flap"),
-            "lost_link": self._total("lost_link"),
-            "blackholed": self._total("blackholed"),
-            "dropped_hop_limit": self._total("dropped_hop_limit"),
+            **{name: self._total(name) for name in LOSS_FIELDS},
             "misdelivered": self.misdelivered,
             "retransmits": self._total("retransmits"),
             "bytes_delivered": self._total("bytes_delivered"),
             "elapsed_s": round(self.elapsed_s, 6),
             "packets_per_second": round(self.packets_per_second, 1),
-            "device_forwarded": dict(sorted(self.device_forwarded.items())),
-            "fault_counters": dict(sorted(self.fault_counters.items())),
-            "hops_hist": {str(k): v for k, v in
-                          sorted(self.hops_hist.items())},
             "healthy": self.healthy(),
             "fingerprint": self.fingerprint(),
             "fastpath": dict(sorted(self.fastpath.items())),
-            "frr": self.frr,
-            "link_schedule": self.link_schedule,
-            "loss_by_epoch": {str(k): v for k, v in
-                              sorted(self.loss_by_epoch.items())},
-            "device_reroutes": dict(sorted(self.device_reroutes.items())),
-            "device_blackholed": dict(sorted(self.device_blackholed.items())),
-            "int": self.int_summary,
             "batch": dict(sorted(self.batch.items())),
             "supervision": dict(sorted(self.supervision.items())),
         }
@@ -287,7 +255,7 @@ class FabricReport:
             "Fabric packets by final outcome",
             labelnames=("outcome",),
         )
-        for name in ("delivered", *_LOSS_FIELDS, "misdelivered"):
+        for name in ("delivered", *LOSS_FIELDS, "misdelivered"):
             count = self._total(name)
             if count:
                 outcomes.labels(name).inc(count)
@@ -373,6 +341,68 @@ class LinkSchedule:
     def pairs(self) -> list[tuple[str, str]]:
         """The device pairs this schedule touches, canonically ordered."""
         return sorted({tuple(sorted((a, b))) for a, b, _, _ in self.events})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The options of one fabric run — the only form they travel in.
+
+    Everything here is picklable and decided by the caller; whoever
+    carries a run onward (shard jobs, the supervisor, the checkpoint
+    identity, the report) hands over the config whole, and
+    :class:`FlowEngine` is the one place its fields are read.  Not
+    options: ``plan``, ``flows`` and ``shards`` travel beside
+    ``(spec, workload)`` as the run's *identity*; ``clock`` and
+    ``flow_filter`` are per-engine and unpicklable.
+
+    Only ``frr``, ``link_schedule`` and ``int_all`` can move an outcome;
+    ``max_inflight``, ``fastpath`` and ``batch`` never do — with
+    ``fastpath=False, batch=False`` a run is the per-packet reference
+    every other combination must fingerprint identically to.
+    """
+
+    #: Bound on flows with resident scheduler events.  A memory bound
+    #: only: it never shifts a packet's tick.
+    max_inflight: int = DEFAULT_MAX_INFLIGHT
+    #: ``False`` turns the flow caches (path cache + per-device
+    #: microflow caches) off — the A/B switch; only ``report.fastpath``
+    #: and the wall clock move.
+    fastpath: bool = True
+    #: ``False`` turns coalesced dispatch (counted replay of cached
+    #: walks through ``inject_batch``) off — ``nf-mon fabric
+    #: --no-batch``; only ``report.batch`` and the wall clock move.
+    batch: bool = True
+    #: Install the precomputed loop-free backup next-hops after
+    #: :meth:`~repro.fabric.topo.FabricTopology.learn`.
+    frr: bool = False
+    #: Scripted switch-switch link-failure windows; the seeded
+    #: ``link_down`` fault sites (``plan.link_state``) cut cables the
+    #: same way, drawn per (link, epoch).
+    link_schedule: Optional[LinkSchedule] = None
+    #: Upgrade every carried flow to INT whatever the workload's
+    #: ``int_ratio`` (the ``nf-mon int`` switch).  Whenever any carried
+    #: flow is INT-enabled an :class:`~repro.int.IntCollector` rides
+    #: the run and the report carries its receiver-side summary.
+    int_all: bool = False
+
+    def __post_init__(self) -> None:
+        if self.max_inflight < 1:
+            raise ValueError("max_inflight must be >= 1")
+
+    def as_dict(self) -> dict:
+        """The canonical JSON-safe form (the link schedule as its
+        events) that :meth:`from_dict` inverts exactly."""
+        schedule = self.link_schedule
+        events = (None if schedule is None
+                  else [list(event) for event in schedule.events])
+        return {**vars(self), "link_schedule": events}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "RunConfig":
+        events = data["link_schedule"]
+        schedule = (None if events is None
+                    else LinkSchedule(tuple(tuple(e) for e in events)))
+        return cls(**{**data, "link_schedule": schedule})
 
 
 class _LinkStateOracle:
@@ -582,6 +612,14 @@ class FlowEngine:
     event dispatches relative to wall clock; the heap order — and with
     it every fingerprinted observable — is fixed by
     ``(topology, workload, seed, plan)`` alone.
+
+    ``flow_filter`` selects the subset of generated flows this engine
+    carries (the sharded executor passes ``flow_id % shards == index``);
+    the report then covers just that subset, and merging subset reports
+    reproduces the full-run report exactly.  ``flows`` overrides the
+    workload's generated flow list entirely (the E19 sweep passes the
+    crossing flows it constructed for one link); the filter still
+    applies on top.  Every other keyword is a :class:`RunConfig` field.
     """
 
     def __init__(
@@ -592,21 +630,15 @@ class FlowEngine:
         *,
         flow_filter: Optional[Callable[[Flow], bool]] = None,
         flows: Optional[list[Flow]] = None,
-        max_inflight: int = DEFAULT_MAX_INFLIGHT,
         shards: int = 1,
-        fastpath: bool = True,
-        frr: bool = False,
-        link_schedule: Optional[LinkSchedule] = None,
-        int_all: bool = False,
-        batch: bool = True,
         clock=None,
+        **options,
     ):
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
-        if not fastpath:
+        config = RunConfig(**options)
+        if not config.fastpath:
             topology.network.set_fastpath(False)
         topology.learn()
-        if frr:
+        if config.frr:
             topology.install_backups()
         if flows is None:
             flows = generate_flows(topology.host_names(), spec)
@@ -614,7 +646,7 @@ class FlowEngine:
             flows = list(flows)
         if flow_filter is not None:
             flows = [f for f in flows if flow_filter(f)]
-        if int_all:
+        if config.int_all:
             flows = [replace(f, int_enabled=True) for f in flows]
         for flow in flows:
             if flow.gap_ticks < 0 or flow.packets < 1:
@@ -626,14 +658,10 @@ class FlowEngine:
         self.topology = topology
         self.spec = spec
         self.clock = clock
+        self.config = config
         self._plan = plan
-        self._max_inflight = max_inflight
+        self._max_inflight = config.max_inflight
         self._shards = shards
-        self._fastpath = fastpath
-        self._frr = frr
-        self._link_schedule = link_schedule
-        self._int_all = int_all
-        self._batch_requested = batch
         self._wire_faults = plan is not None and plan.link is not None
         # Coalescing eligibility: the fast path must exist (no cache,
         # nothing to replay), per-packet wire draws must not (a
@@ -641,7 +669,8 @@ class FlowEngine:
         # an attached clock means an interactive observer who expects
         # per-event time — coalescing is for the drain loops only.
         self._batch = bool(
-            batch and fastpath and clock is None and not self._wire_faults
+            config.batch and config.fastpath and clock is None
+            and not self._wire_faults
         )
         #: The engine's share of ``report.batch`` (see :meth:`_batch_stats`).
         self._coalesced = dict.fromkeys(
@@ -653,13 +682,14 @@ class FlowEngine:
         # attribution stay per-packet either way.)
         self._flap = _FlapOracle(plan)
         self._epoch_free = (
-            not self._flap.enabled and link_schedule is None
+            not self._flap.enabled and config.link_schedule is None
             and (plan is None or plan.link_state is None)
         )
         self.collector = (IntCollector(topology.network)
                           if any(f.int_enabled for f in flows) else None)
 
-        self._link_ctl = _LinkStateController(topology, link_schedule, plan)
+        self._link_ctl = _LinkStateController(
+            topology, config.link_schedule, plan)
         self._fault_counters: Counter[str] = Counter()
         self._records: list[FlowRecord] = []
         self._hops_hist: Counter[int] = Counter()
@@ -979,9 +1009,6 @@ class FlowEngine:
             device_forwarded=self.topology.device_forwarded(),
             fault_counters=dict(sorted(self._fault_counters.items())),
             hops_hist=dict(sorted(self._hops_hist.items())),
-            frr=self._frr,
-            link_schedule=(self._link_schedule.key
-                           if self._link_schedule is not None else None),
             loss_by_epoch=dict(sorted(self._loss_by_epoch.items())),
             device_reroutes=self.topology.device_counters("frr_reroute"),
             device_blackholed=self.topology.device_counters("frr_blackhole"),
@@ -990,11 +1017,8 @@ class FlowEngine:
             fastpath=self.topology.network.fastpath_stats(),
             int_summary=(self.collector.summary()
                          if self.collector is not None else None),
-            max_inflight=self._max_inflight,
-            int_all=self._int_all,
-            fastpath_enabled=self._fastpath,
+            config=self.config,
             batch=self._batch_stats(),
-            batch_enabled=self._batch_requested,
         )
         return self._report
 
@@ -1023,7 +1047,7 @@ class FlowEngine:
             totals["delivered"] += r.delivered
             totals["blackholed"] += r.blackholed
             totals["misdelivered"] += r.misdelivered
-            totals["lost"] += sum(getattr(r, name) for name in _LOSS_FIELDS)
+            totals["lost"] += sum(getattr(r, name) for name in LOSS_FIELDS)
         return {
             "finished": self.finished,
             "now": self.now,
@@ -1040,72 +1064,12 @@ def run_flows(
     topology: FabricTopology,
     spec: WorkloadSpec,
     plan: Optional[FaultPlan] = None,
-    *,
-    flow_filter: Optional[Callable[[Flow], bool]] = None,
-    flows: Optional[list[Flow]] = None,
-    max_inflight: int = DEFAULT_MAX_INFLIGHT,
-    shards: int = 1,
-    fastpath: bool = True,
-    frr: bool = False,
-    link_schedule: Optional[LinkSchedule] = None,
-    int_all: bool = False,
-    batch: bool = True,
+    **engine_options,
 ) -> FabricReport:
     """Run a workload over a fabric; returns the :class:`FabricReport`.
 
-    ``flow_filter`` selects the subset of generated flows this call
-    carries (the sharded executor passes ``flow_id % shards == index``);
-    the report then covers just that subset, and merging subset reports
-    reproduces the full-run report exactly.  ``flows`` overrides the
-    workload's generated flow list entirely (the E19 sweep passes the
-    crossing flows it constructed for one link); the filter still
-    applies on top.
-
-    ``fastpath=False`` disables the flow-cache fast path (path cache +
-    per-device microflow caches) for this run — the A/B switch; the
-    report's fingerprint is identical either way, only
-    ``report.fastpath`` (the cache stats) and the wall clock move.
-
-    ``frr=True`` installs the precomputed loop-free backup next-hops
-    after :meth:`~repro.fabric.topo.FabricTopology.learn`, and
-    ``link_schedule`` scripts switch-switch link-failure windows; the
-    seeded ``link_down`` fault sites (``plan.link_state``) cut cables
-    the same way, drawn per (link, epoch).
-
-    ``int_all=True`` upgrades every carried flow to INT regardless of
-    the workload's ``int_ratio`` (the ``nf-mon int`` switch).  Whenever
-    any carried flow is INT-enabled an :class:`~repro.int.IntCollector`
-    rides the run and the report carries its receiver-side summary.
-
-    ``batch=False`` disables S27 coalesced dispatch (counted replay of
-    cached walks through ``inject_batch``) — the per-packet reference
-    path behind ``nf-mon fabric --no-batch``.  Like ``fastpath`` it is
-    an A/B switch: the fingerprint is identical either way, only
-    ``report.batch`` and the wall clock move.
-
-    This is now a thin veneer over :class:`FlowEngine` — the steppable
-    machine the interactive shell (:mod:`repro.shell`) drives with a
-    virtual clock.  Batch and interactive runs therefore share one
-    code path and fingerprint identically.
+    A thin veneer: construct a :class:`FlowEngine` (same keywords, no
+    clock) and drain it — so batch runs and the interactive shell share
+    one code path and fingerprint identically.
     """
-    return FlowEngine(
-        topology, spec, plan,
-        flow_filter=flow_filter, flows=flows, max_inflight=max_inflight,
-        shards=shards, fastpath=fastpath, frr=frr,
-        link_schedule=link_schedule, int_all=int_all, batch=batch,
-    ).report()
-
-
-def run_fabric(
-    topology_spec,
-    workload: WorkloadSpec,
-    plan: Optional[FaultPlan] = None,
-    *,
-    max_inflight: int = DEFAULT_MAX_INFLIGHT,
-    frr: bool = False,
-    link_schedule: Optional[LinkSchedule] = None,
-) -> FabricReport:
-    """Build a fabric from its spec and run a workload over it."""
-    return run_flows(topology_spec.build(), workload, plan,
-                     max_inflight=max_inflight, frr=frr,
-                     link_schedule=link_schedule)
+    return FlowEngine(topology, spec, plan, **engine_options).report()

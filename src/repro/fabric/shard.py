@@ -6,7 +6,10 @@ by ``flow_id % shards`` across worker processes.  Each worker rebuilds
 its *own* network replica from the picklable :class:`FabricSpec`
 (device models are stateful and unpicklable — the spec travels, not the
 network), regenerates the flow list from the same seed, runs only its
-slice, and ships back its :class:`FabricReport`.
+slice, and ships back its :class:`FabricReport`.  A job is ``(spec,
+workload, plan, flows, config, shards, index)``: the run's options ride
+as one :class:`~repro.fabric.scheduler.RunConfig`, built once in
+:func:`run_sharded` from its keywords.
 
 The merge is deterministic by construction: per-flow records are
 disjoint (concatenate, sort by ``flow_id``), per-device forwarded
@@ -27,7 +30,8 @@ against.
 ``parallel=False`` (or ``shards=1``) runs the same partition/merge path
 in-process — the reference the process paths are checked against, and
 the fallback when worker processes are unavailable (e.g. a daemonic
-parent process).
+parent process).  Neither it nor the bare pool can honour ``chaos=`` or
+``checkpoint=``; asking is a ``ValueError``, not a silent clean run.
 """
 
 from __future__ import annotations
@@ -35,14 +39,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 from collections import Counter
+from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
-from repro.fabric.scheduler import (
-    DEFAULT_MAX_INFLIGHT,
-    FabricReport,
-    LinkSchedule,
-    run_flows,
-)
+from repro.fabric.scheduler import FabricReport, RunConfig, run_flows
 from repro.fabric.topo import FabricSpec
 from repro.fabric.workload import Flow, WorkloadSpec
 from repro.faults import FaultPlan
@@ -67,42 +67,40 @@ def _run_shard(
     spec: FabricSpec,
     workload: WorkloadSpec,
     plan: Optional[FaultPlan],
+    flows: Optional[list[Flow]],
+    config: RunConfig,
     shards: int,
     index: int,
-    max_inflight: int,
-    fastpath: bool,
-    flows: Optional[list[Flow]],
-    frr: bool,
-    link_schedule: Optional[LinkSchedule],
-    int_all: bool,
-    batch: bool = True,
 ) -> FabricReport:
     """One worker's slice: rebuild the fabric, carry flows ≡ index (mod
     shards).  Module-level so worker processes can pickle it."""
-    topology = spec.build()
     return run_flows(
-        topology, workload, plan,
-        flow_filter=lambda flow: flow.flow_id % shards == index,
-        flows=flows,
-        max_inflight=max_inflight,
-        shards=shards,
-        fastpath=fastpath,
-        frr=frr,
-        link_schedule=link_schedule,
-        int_all=int_all,
-        batch=batch,
+        spec.build(), workload, plan, flows=flows, shards=shards,
+        flow_filter=(None if shards == 1 else
+                     lambda flow: flow.flow_id % shards == index),
+        **vars(config),
     )
 
 
-#: The config fields every shard of one run must agree on.  ``int_all``
-#: changes which flows carry INT trailers; ``max_inflight`` and
-#: ``fastpath_enabled`` must not vary across one run's shards even
-#: though they leave the outcome untouched — a mixed-config merge means
-#: the reports came from different invocations.
-_HEAD_FIELDS = (
-    "topology", "workload", "seed", "plan", "frr", "link_schedule",
-    "max_inflight", "int_all", "fastpath_enabled", "batch_enabled",
+#: What every shard of one run must agree on: the run's identity and
+#: the whole :class:`RunConfig` — including the options that leave the
+#: outcome untouched, since a mixed-config merge means the reports came
+#: from different invocations.
+_HEAD_FIELDS = ("topology", "workload", "seed", "plan", "config")
+
+
+#: The report's keyed tallies, each an order-independent sum over shards.
+_SUMMED_FIELDS = (
+    "device_forwarded", "fault_counters", "hops_hist", "loss_by_epoch",
+    "device_reroutes", "device_blackholed", "fastpath", "batch",
 )
+
+
+def _head(report: FabricReport) -> dict:
+    """The head fields, the config flattened so a mismatch names the
+    option that differs."""
+    head = {name: getattr(report, name) for name in _HEAD_FIELDS}
+    return head | vars(head.pop("config"))
 
 
 def merge_reports(reports: list[FabricReport], shards: int) -> FabricReport:
@@ -118,64 +116,35 @@ def merge_reports(reports: list[FabricReport], shards: int) -> FabricReport:
     if not reports:
         raise ValueError("nothing to merge")
     head = reports[0]
+    expected = _head(head)
     for other in reports[1:]:
-        mismatched = [
-            name for name in _HEAD_FIELDS
-            if getattr(other, name) != getattr(head, name)
-        ]
+        mismatched = [name for name, value in _head(other).items()
+                      if value != expected[name]]
         if mismatched:
             raise ValueError(
                 "cannot merge reports of different runs: "
                 f"{', '.join(mismatched)} differ"
             )
-    forwarded: Counter[str] = Counter()
-    faults: Counter[str] = Counter()
-    hops: Counter[int] = Counter()
-    fastpath: Counter[str] = Counter()
-    batch: Counter[str] = Counter()
-    loss_by_epoch: Counter[int] = Counter()
-    reroutes: Counter[str] = Counter()
-    blackholed: Counter[str] = Counter()
+    sums = {name: Counter() for name in _SUMMED_FIELDS}
     records = []
     for report in reports:
         records.extend(report.records)
-        forwarded.update(report.device_forwarded)
-        faults.update(report.fault_counters)
-        hops.update(report.hops_hist)
-        fastpath.update(report.fastpath)
-        batch.update(report.batch)
-        loss_by_epoch.update(report.loss_by_epoch)
-        reroutes.update(report.device_reroutes)
-        blackholed.update(report.device_blackholed)
+        for name, total in sums.items():
+            total.update(getattr(report, name))
     seen = [r.flow_id for r in records]
     if len(seen) != len(set(seen)):
         raise ValueError("shard partitions overlap: duplicate flow ids")
-    return FabricReport(
-        topology=head.topology,
-        workload=head.workload,
-        seed=head.seed,
-        plan=head.plan,
+    return replace(  # the head fields ride over untouched
+        head,
         records=sorted(records, key=lambda r: r.flow_id),
-        device_forwarded=dict(sorted(forwarded.items())),
-        fault_counters=dict(sorted(faults.items())),
-        hops_hist=dict(sorted(hops.items())),
-        frr=head.frr,
-        link_schedule=head.link_schedule,
-        loss_by_epoch=dict(sorted(loss_by_epoch.items())),
-        device_reroutes=dict(sorted(reroutes.items())),
-        device_blackholed=dict(sorted(blackholed.items())),
         shards=shards,
         elapsed_s=max(r.elapsed_s for r in reports),
-        fastpath=dict(sorted(fastpath.items())),
         # int_summary is an observable (data), not run config, so it is
         # merged rather than head-checked: shards that carried no INT
         # flow report None and drop out of the fold.
         int_summary=merge_int_summaries([r.int_summary for r in reports]),
-        max_inflight=head.max_inflight,
-        int_all=head.int_all,
-        fastpath_enabled=head.fastpath_enabled,
-        batch=dict(sorted(batch.items())),
-        batch_enabled=head.batch_enabled,
+        supervision={},
+        **{name: dict(sorted(total.items())) for name, total in sums.items()},
     )
 
 
@@ -186,27 +155,24 @@ def run_sharded(
     *,
     shards: int = 1,
     parallel: bool = True,
-    max_inflight: int = DEFAULT_MAX_INFLIGHT,
-    fastpath: bool = True,
     flows: Optional[list[Flow]] = None,
-    frr: bool = False,
-    link_schedule: Optional[LinkSchedule] = None,
-    int_all: bool = False,
-    batch: bool = True,
     supervised: bool = True,
     chaos: Optional[FaultPlan] = None,
     checkpoint: Optional[str | os.PathLike] = None,
     supervisor: Optional["SupervisorOptions"] = None,
+    **options,
 ) -> FabricReport:
     """Run a fabric workload across ``shards`` partitions and merge.
 
-    With ``parallel=True`` and ``shards > 1`` the partitions run in
-    worker processes (at most ``min(shards, cores)`` concurrently)
-    under the supervised executor; otherwise they run sequentially
-    in-process through the identical partition/merge path.  Either way
-    the merged report's fingerprint equals the 1-shard run's — and
-    equals the run with ``fastpath=False`` (flow caches off), since
-    caches are per-replica and observationally inert.
+    ``options`` are the :class:`~repro.fabric.scheduler.RunConfig`
+    fields; the config built from them here is what every layer below
+    is handed.  With ``parallel=True`` and ``shards > 1`` the partitions
+    run in worker processes (at most ``min(shards, cores)``
+    concurrently) under the supervised executor; otherwise they run
+    sequentially in-process through the identical partition/merge path.
+    Either way the merged report's fingerprint equals the 1-shard run's
+    — and equals the run with ``fastpath=False`` (flow caches off),
+    since caches are per-replica and observationally inert.
 
     ``chaos`` is a fault plan whose :class:`~repro.faults.ShardFaultSpec`
     seeds worker crash/hang/corrupt chaos per (shard, attempt).  It is
@@ -214,10 +180,12 @@ def run_sharded(
     chaos schedule, which the ``-m shard`` suite pins.  ``checkpoint``
     names a directory where accepted shard reports persist as they
     land; rerunning with the same arguments resumes from the surviving
-    shards.  Both require the supervised process path: the inline path
-    (``parallel=False``) has no workers to crash, and the bare pool
-    (``supervised=False``, the E21 A/B reference) predates supervision.
+    shards.  Both need the supervised process path and are a
+    ``ValueError`` without it: the inline path (``parallel=False``) has
+    no workers to crash, and the bare pool (``supervised=False``, the
+    E21 A/B reference) predates supervision.
     """
+    config = RunConfig(**options)
     if shards < 1:
         raise ValueError("shards must be >= 1")
     flow_count = len(flows) if flows is not None else workload.flows
@@ -226,28 +194,29 @@ def run_sharded(
             f"shards={shards} exceeds the {flow_count} flows to carry; "
             "the extra workers would rebuild replicas to forward nothing"
         )
-    wants_supervisor = parallel and supervised and (
-        shards > 1 or chaos is not None or checkpoint is not None
-    )
-    if wants_supervisor:
+    wanted = [name for name, value in
+              (("chaos=", chaos), ("checkpoint=", checkpoint))
+              if value is not None]
+    if wanted and not (parallel and supervised):
+        path = ("supervised=False (the bare pool)" if parallel
+                else "parallel=False (the inline path)")
+        raise ValueError(
+            f"{', '.join(wanted)} cannot be honoured with {path}: only "
+            "the supervised process path has workers to crash and "
+            "checkpoints to write"
+        )
+    if parallel and supervised and (shards > 1 or wanted):
         from repro.fabric.supervisor import run_supervised
 
         return run_supervised(
-            spec, workload, plan,
-            shards=shards, max_inflight=max_inflight, fastpath=fastpath,
-            flows=flows, frr=frr, link_schedule=link_schedule,
-            int_all=int_all, batch=batch, chaos=chaos,
-            checkpoint=checkpoint, options=supervisor,
+            spec, workload, plan, shards=shards, flows=flows,
+            config=config, chaos=chaos, checkpoint=checkpoint,
+            options=supervisor,
         )
-    if shards == 1:
-        return run_flows(spec.build(), workload, plan,
-                         flows=flows, max_inflight=max_inflight,
-                         fastpath=fastpath, frr=frr,
-                         link_schedule=link_schedule, int_all=int_all,
-                         batch=batch)
-    jobs = [(spec, workload, plan, shards, index, max_inflight, fastpath,
-             flows, frr, link_schedule, int_all, batch)
+    jobs = [(spec, workload, plan, flows, config, shards, index)
             for index in range(shards)]
+    if shards == 1:
+        return _run_shard(*jobs[0])
     if parallel:
         # The legacy bare pool: no deadlines, no retries, no integrity
         # checks — one worker crash aborts the run.  Kept as the E21

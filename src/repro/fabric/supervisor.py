@@ -19,8 +19,11 @@ the run computes:
   partition membership verified), so a corrupted or wrong-partition
   report is re-run, never merged;
 * accepted shard reports are **checkpointed** as they land (atomic
-  rename under a run-identity header), so a mid-run supervisor restart
-  resumes from the surviving shards instead of recomputing them.
+  rename under a run-identity header — :func:`run_identity`, the run's
+  identity fields beside its ``RunConfig.as_dict()``), so a mid-run
+  supervisor restart resumes from the surviving shards instead of
+  recomputing them, and a directory written under any other config is
+  refused.
 
 Because ``run_flows`` is a pure function of ``(topology, workload,
 seed)``, a retried attempt, an inline fallback and a checkpoint-restored
@@ -51,12 +54,7 @@ from multiprocessing import Pipe, Process, connection
 from pathlib import Path
 from typing import Optional
 
-from repro.fabric.scheduler import (
-    DEFAULT_MAX_INFLIGHT,
-    FabricReport,
-    FlowRecord,
-    LinkSchedule,
-)
+from repro.fabric.scheduler import FabricReport, FlowRecord, RunConfig
 from repro.fabric.topo import FabricSpec
 from repro.fabric.workload import Flow, WorkloadSpec
 from repro.faults import FaultPlan
@@ -66,9 +64,9 @@ _HEARTBEAT = "hb"
 _RESULT = "ok"
 
 #: Bumped when the checkpoint layout changes; old directories are then
-#: rejected rather than misread.  2: the S27 batch tier joined the run
-#: identity and the serialized report.
-CHECKPOINT_FORMAT = 2
+#: rejected rather than misread.  3: the identity and the serialized
+#: report carry the run's :class:`RunConfig` as one ``as_dict()``.
+CHECKPOINT_FORMAT = 3
 
 #: The worker's exit code for a chaos-drawn crash (visible in stats
 #: debugging; any non-zero exit without a result is treated the same).
@@ -137,60 +135,28 @@ class SupervisorStats:
 # ----------------------------------------------------------------------
 # Report serialization (the checkpoint wire format)
 # ----------------------------------------------------------------------
+#: ``FabricReport`` dicts keyed by ints, which JSON would stringify.
+_INT_KEYED = ("hops_hist", "loss_by_epoch")
+
+
 def report_to_dict(report: FabricReport) -> dict:
     """A JSON-safe dump that :func:`report_from_dict` inverts exactly."""
-    return {
-        "topology": report.topology,
-        "workload": report.workload,
-        "seed": report.seed,
-        "plan": report.plan,
-        "records": [r.as_dict() for r in report.records],
-        "device_forwarded": report.device_forwarded,
-        "fault_counters": report.fault_counters,
-        "hops_hist": {str(k): v for k, v in report.hops_hist.items()},
-        "frr": report.frr,
-        "link_schedule": report.link_schedule,
-        "loss_by_epoch": {str(k): v for k, v in report.loss_by_epoch.items()},
-        "device_reroutes": report.device_reroutes,
-        "device_blackholed": report.device_blackholed,
-        "shards": report.shards,
-        "elapsed_s": report.elapsed_s,
-        "fastpath": report.fastpath,
-        "int_summary": report.int_summary,
-        "max_inflight": report.max_inflight,
-        "int_all": report.int_all,
-        "fastpath_enabled": report.fastpath_enabled,
-        "batch": report.batch,
-        "batch_enabled": report.batch_enabled,
-    }
+    out = {f.name: getattr(report, f.name) for f in fields(report)}
+    out["records"] = [r.as_dict() for r in report.records]
+    out["config"] = report.config.as_dict()
+    for name in _INT_KEYED:
+        out[name] = {str(k): v for k, v in out[name].items()}
+    return out
 
 
 def report_from_dict(data: dict) -> FabricReport:
     """Rebuild a :class:`FabricReport` from :func:`report_to_dict` output."""
-    return FabricReport(
-        topology=data["topology"],
-        workload=data["workload"],
-        seed=data["seed"],
-        plan=data["plan"],
-        records=[FlowRecord(**r) for r in data["records"]],
-        device_forwarded=dict(data["device_forwarded"]),
-        fault_counters=dict(data["fault_counters"]),
-        hops_hist={int(k): v for k, v in data["hops_hist"].items()},
-        frr=data["frr"],
-        link_schedule=data["link_schedule"],
-        loss_by_epoch={int(k): v for k, v in data["loss_by_epoch"].items()},
-        device_reroutes=dict(data["device_reroutes"]),
-        device_blackholed=dict(data["device_blackholed"]),
-        shards=data["shards"],
-        elapsed_s=data["elapsed_s"],
-        fastpath=dict(data["fastpath"]),
-        int_summary=data["int_summary"],
-        max_inflight=data["max_inflight"],
-        int_all=data["int_all"],
-        fastpath_enabled=data["fastpath_enabled"],
-        batch=dict(data.get("batch", {})),
-        batch_enabled=data.get("batch_enabled", True),
-    )
+    data = dict(data)
+    data["records"] = [FlowRecord(**r) for r in data["records"]]
+    data["config"] = RunConfig.from_dict(data["config"])
+    for name in _INT_KEYED:
+        data[name] = {int(k): v for k, v in data[name].items()}
+    return FabricReport(**data)
 
 
 def _flows_digest(flows: Optional[list[Flow]]) -> Optional[str]:
@@ -207,13 +173,8 @@ def run_identity(
     workload: WorkloadSpec,
     plan: Optional[FaultPlan],
     shards: int,
-    max_inflight: int,
-    fastpath: bool,
     flows: Optional[list[Flow]],
-    frr: bool,
-    link_schedule: Optional[LinkSchedule],
-    int_all: bool,
-    batch: bool = True,
+    config: RunConfig,
 ) -> dict:
     """Everything that determines a run's outcome, as a flat JSON dict.
 
@@ -229,15 +190,8 @@ def run_identity(
         "plan": plan.name if plan is not None else None,
         "plan_seed": plan.seed if plan is not None else None,
         "shards": shards,
-        "max_inflight": max_inflight,
-        "fastpath": fastpath,
         "flows": _flows_digest(flows),
-        "frr": frr,
-        "link_schedule": (link_schedule.key
-                          if link_schedule is not None else None),
-        "int_all": int_all,
-        "batch": batch,
-    }
+    } | config.as_dict()
 
 
 class CheckpointStore:
@@ -441,13 +395,8 @@ def run_supervised(
     plan: Optional[FaultPlan] = None,
     *,
     shards: int,
-    max_inflight: int = DEFAULT_MAX_INFLIGHT,
-    fastpath: bool = True,
     flows: Optional[list[Flow]] = None,
-    frr: bool = False,
-    link_schedule: Optional[LinkSchedule] = None,
-    int_all: bool = False,
-    batch: bool = True,
+    config: RunConfig = RunConfig(),
     chaos: Optional[FaultPlan] = None,
     checkpoint: Optional[str | os.PathLike] = None,
     options: Optional[SupervisorOptions] = None,
@@ -465,15 +414,12 @@ def run_supervised(
 
     options = options or SupervisorOptions()
     stats = SupervisorStats()
-    identity = run_identity(spec, workload, plan, shards, max_inflight,
-                            fastpath, flows, frr, link_schedule, int_all,
-                            batch)
+    identity = run_identity(spec, workload, plan, shards, flows, config)
     store = (CheckpointStore(checkpoint, identity)
              if checkpoint is not None else None)
 
     def job(index: int) -> tuple:
-        return (spec, workload, plan, shards, index, max_inflight,
-                fastpath, flows, frr, link_schedule, int_all, batch)
+        return (spec, workload, plan, flows, config, shards, index)
 
     results: dict[int, FabricReport] = {}
     waiting: set[int] = set()

@@ -406,13 +406,12 @@ def run_sweep(
         schedule = LinkSchedule(
             ((a_dev, b_dev, fail_epoch, fail_epoch + down_epochs),)
         )
-        on = run_sharded(
-            spec, workload, None, shards=shards, parallel=parallel,
-            flows=flows, frr=True, link_schedule=schedule,
-        )
-        off = run_sharded(
-            spec, workload, None, shards=shards, parallel=parallel,
-            flows=flows, frr=False, link_schedule=schedule,
+        on, off = (
+            run_sharded(
+                spec, workload, None, shards=shards, parallel=parallel,
+                flows=flows, frr=frr, link_schedule=schedule,
+            )
+            for frr in (True, False)
         )
         # With INT flows both runs carry receiver summaries; without,
         # int_summary is None and the int_* fields stay at their zeros.

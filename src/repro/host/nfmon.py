@@ -174,6 +174,7 @@ def cmd_soak(args: argparse.Namespace) -> int:
 
 def cmd_fabric(args: argparse.Namespace) -> int:
     from repro.fabric import get_topology, get_workload, run_sharded
+    from repro.fabric.scheduler import LOSS_FIELDS
     from repro.faults import get_plan
 
     try:
@@ -192,8 +193,10 @@ def cmd_fabric(args: argparse.Namespace) -> int:
             chaos=chaos, checkpoint=args.checkpoint,
         )
     except ValueError as exc:
-        # Unknown topology/workload/plan preset, shards > flows, or a
-        # checkpoint written by a different run — operator error.
+        # Unknown topology/workload/plan preset, shards > flows, a
+        # checkpoint written by a different run, or --checkpoint /
+        # --chaos-shards on a path with no supervised workers
+        # (--inline, --bare-pool) — operator error.
         print(str(exc), file=sys.stderr)
         return 2
     if args.format == "json":
@@ -208,10 +211,9 @@ def cmd_fabric(args: argparse.Namespace) -> int:
             ("flows", len(report.records)),
             ("packets attempted", report.attempted),
             ("packets delivered", report.delivered),
-            ("lost on wire", sum(r.lost_wire for r in report.records)),
-            ("lost to link flaps", sum(r.lost_flap for r in report.records)),
-            ("hop-limit drops", sum(r.dropped_hop_limit for r in report.records)),
-            ("blackholed", sum(r.blackholed for r in report.records)),
+            *((name.replace("_", " "),
+               sum(getattr(r, name) for r in report.records))
+              for name in LOSS_FIELDS),
             ("misdelivered", report.misdelivered),
             ("retransmits", sum(r.retransmits for r in report.records)),
             ("bytes delivered", sum(r.bytes_delivered for r in report.records)),
@@ -241,8 +243,7 @@ def cmd_fabric(args: argparse.Namespace) -> int:
             print(f"  {'flow':>6s} {'src':>5s} {'dst':>5s} {'try':>5s} "
                   f"{'ok':>5s} {'lost':>5s} {'hops≤':>5s}")
             for record in report.records:
-                lost = (record.lost_wire + record.lost_flap
-                        + record.blackholed + record.dropped_hop_limit)
+                lost = sum(getattr(record, name) for name in LOSS_FIELDS)
                 print(f"  {record.flow_id:>6d} {record.src:>5s} "
                       f"{record.dst:>5s} {record.attempted:>5d} "
                       f"{record.delivered:>5d} {lost:>5d} "

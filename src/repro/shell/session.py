@@ -30,9 +30,10 @@ assertion → exit 1.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
-from repro.fabric.scheduler import FabricReport, FlowEngine
+from repro.fabric.scheduler import FabricReport, FlowEngine, RunConfig
 from repro.fabric.topo import get_topology
 from repro.fabric.workload import get_workload
 from repro.faults import FaultPlan, available_plans, get_plan
@@ -76,9 +77,7 @@ class ShellSession:
         self.workload_name = workload
         self.seed = seed
         self.plan: Optional[FaultPlan] = None
-        self.frr = frr
-        self.int_all = int_all
-        self.fastpath = fastpath
+        self.config = RunConfig(frr=frr, int_all=int_all, fastpath=fastpath)
         self.build(topo, workload, seed)
         if plan is not None:
             self.faults_arm(plan)
@@ -109,7 +108,7 @@ class ShellSession:
         self.workload = get_workload(self.workload_name).with_seed(self.seed)
         self.topology = self.spec.build()
         self.topology.learn()
-        if self.frr:
+        if self.config.frr:
             self.topology.install_backups()
         self.engine = None
         self._report = None
@@ -134,9 +133,8 @@ class ShellSession:
                 "this fabric already carried a run; `build` a fresh one first"
             )
         self.engine = FlowEngine(
-            self.topology, self.workload, self.plan,
-            frr=self.frr, int_all=self.int_all, fastpath=self.fastpath,
-            clock=self.clock,
+            self.topology, self.workload, self.plan, clock=self.clock,
+            **vars(self.config),
         )
         return self.status()
 
@@ -209,9 +207,9 @@ class ShellSession:
             "workload": self.workload.key,
             "seed": self.seed,
             "plan": self.plan.name if self.plan is not None else None,
-            "frr": self.frr,
-            "int_all": self.int_all,
-            "fastpath": self.fastpath,
+            "frr": self.config.frr,
+            "int_all": self.config.int_all,
+            "fastpath": self.config.fastpath,
             "clock": self.clock.stats(),
             "finished": self._report is not None,
         }
@@ -306,8 +304,9 @@ class ShellSession:
             if not self.topology.network.link_is_up(a.device, b.device)
         )
         return {
-            "installed": self.frr,
-            "coverage": backup_coverage(self.topology) if self.frr else 0.0,
+            "installed": self.config.frr,
+            "coverage": (backup_coverage(self.topology)
+                         if self.config.frr else 0.0),
             "links_down": down,
             "reroutes": self.topology.device_counters("frr_reroute"),
             "blackholed": self.topology.device_counters("frr_blackhole"),
@@ -343,7 +342,7 @@ class ShellSession:
             "warp": clock["warp"],
             "paused": clock["paused"],
             "ticks_warped": clock["ticks_warped"],
-            "frr": self.frr,
+            "frr": self.config.frr,
             "finished": self._report is not None,
         }
         if self._report is not None:
@@ -443,7 +442,7 @@ class ShellSession:
             raise ShellError(
                 "frr on applies to the next start; `build` a fresh fabric"
             )
-        self.frr = True
+        self.config = replace(self.config, frr=True)
         self.topology.install_backups()
         return self.frr_status()
 

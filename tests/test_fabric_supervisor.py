@@ -18,16 +18,15 @@ import os
 import pytest
 
 from repro.fabric import (
+    RunConfig,
     SupervisorOptions,
     get_topology,
     get_workload,
-    merge_reports,
     run_flows,
     run_sharded,
 )
 from repro.fabric.shard import _pool_size
 from repro.fabric.supervisor import (
-    CHECKPOINT_FORMAT,
     CheckpointStore,
     reject_reason,
     report_from_dict,
@@ -222,26 +221,10 @@ class TestCheckpointResume:
         assert second.fingerprint() == _clean_fingerprint()
         assert second.supervision["checkpoint_hits"] == 2
 
-    def test_identity_covers_the_chaos_free_config(self):
-        spec = get_topology(TOPO)
-        workload = get_workload(WORKLOAD)
-        base = run_identity(spec, workload, None, 2, 512, True, None,
-                            False, None, False)
-        other = run_identity(spec, workload, None, 4, 512, True, None,
-                             False, None, False)
-        assert base != other
-        assert base["format"] == CHECKPOINT_FORMAT
-        # The S27 batch switch is part of the identity (format 2): a
-        # checkpoint written batched must not resume unbatched.
-        batched_off = run_identity(spec, workload, None, 2, 512, True,
-                                   None, False, None, False, batch=False)
-        assert base != batched_off
-
     def test_store_load_absent_shard_is_none(self, tmp_path):
         spec = get_topology(TOPO)
         workload = get_workload(WORKLOAD)
-        identity = run_identity(spec, workload, None, 2, 512, True,
-                                None, False, None, False)
+        identity = run_identity(spec, workload, None, 2, None, RunConfig())
         store = CheckpointStore(tmp_path, identity)
         assert store.load(0) is None
 
@@ -263,21 +246,21 @@ class TestPoolAndMergeGuards:
             run_sharded(get_topology(TOPO), workload,
                         shards=workload.flows + 1)
 
-    @pytest.mark.parametrize("field,kwargs", [
-        ("max_inflight", {"max_inflight": 3}),
-        ("int_all", {"int_all": True}),
-        ("fastpath_enabled", {"fastpath": False}),
-    ])
-    def test_merge_refuses_mixed_execution_config(self, field, kwargs):
-        spec = get_topology(TOPO)
-        workload = get_workload(WORKLOAD)
-        a = run_flows(spec.build(), workload,
-                      flow_filter=lambda f: f.flow_id % 2 == 0, shards=2)
-        b = run_flows(spec.build(), workload,
-                      flow_filter=lambda f: f.flow_id % 2 == 1, shards=2,
-                      **kwargs)
-        with pytest.raises(ValueError, match=field):
-            merge_reports([a, b], 2)
+    @pytest.mark.parametrize("path", [
+        {"parallel": False}, {"supervised": False}])
+    @pytest.mark.parametrize("wanted", ["chaos", "checkpoint"])
+    def test_unsupervised_paths_refuse_chaos_and_checkpoint(
+            self, path, wanted, tmp_path):
+        """Neither path starts supervised workers, so neither may take
+        the request and silently run clean / write nothing."""
+        asked = {"chaos": get_plan("shard-killer", seed=0),
+                 "checkpoint": tmp_path / "ckpt"}[wanted]
+        (conflict,) = path
+        with pytest.raises(ValueError,
+                           match=f"{wanted}=.*{conflict}=False"):
+            run_sharded(get_topology(TOPO), get_workload(WORKLOAD),
+                        shards=2, **path, **{wanted: asked})
+        assert not (tmp_path / "ckpt").exists()
 
 
 class TestShardFaultPlan:

@@ -15,12 +15,13 @@ an execution strategy, never an observable.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
 import pytest
 
-from repro.fabric import get_topology, run_sharded
+from repro.fabric import DEFAULT_MAX_INFLIGHT, get_topology, run_sharded
 from repro.fabric.scheduler import FlowEngine, LinkSchedule, run_flows
 from repro.fabric.workload import WorkloadSpec
 from repro.faults import CtrlFaultSpec, FaultPlan, LinkStateSpec, get_plan
@@ -184,15 +185,31 @@ class TestEngineFingerprint:
         return run_flows(get_topology("leaf-spine").build(),
                          self.WORKLOAD, kw.pop("plan", None), **kw)
 
-    def test_clean_run_batch_on_off_and_cache_on_off(self):
-        runs = [self._run(batch=batch, fastpath=fastpath)
-                for batch in (True, False) for fastpath in (True, False)]
-        prints = {run.fingerprint() for run in runs}
-        assert len(prints) == 1
-        assert runs[0].batch["segment_packets"] > 0
-        assert runs[0].batch["replayed_packets"] > 0
+    def test_outcome_neutral_grid_is_one_run(self):
+        """``fastpath``, ``batch``, ``max_inflight`` and the shard count
+        decide how a run executes, never what it computes: every point
+        of the grid reproduces the per-packet reference's fingerprint,
+        per-flow records and loss curve."""
+        spec = get_topology("leaf-spine")
+        reference = run_sharded(spec, self.WORKLOAD,
+                                fastpath=False, batch=False)
+        runs = {}
+        for point in itertools.product(
+                (True, False), (True, False), (1, DEFAULT_MAX_INFLIGHT),
+                (1, 2, 4)):
+            fastpath, batch, max_inflight, shards = point
+            run = runs[point] = run_sharded(
+                spec, self.WORKLOAD, shards=shards, parallel=False,
+                fastpath=fastpath, batch=batch, max_inflight=max_inflight)
+            assert run.fingerprint() == reference.fingerprint(), point
+            assert run.records == reference.records, point
+            assert run.loss_by_epoch == reference.loss_by_epoch, point
+        on = runs[True, True, DEFAULT_MAX_INFLIGHT, 1]
+        assert on.batch["segment_packets"] > 0
+        assert on.batch["replayed_packets"] > 0
         # batch needs the flow cache; without it the tier stands down
-        assert runs[1].batch.get("replayed_packets", 0) == 0
+        uncached = runs[False, True, DEFAULT_MAX_INFLIGHT, 1]
+        assert uncached.batch.get("replayed_packets", 0) == 0
 
     def test_datapath_plan_disables_the_tier_but_not_identity(self):
         plan = get_plan("flaky-fabric", seed=3)
@@ -293,24 +310,13 @@ class TestEngineFingerprint:
         assert on.fastpath["path_hits"] > 0
         assert on.fingerprint() == off.fingerprint()
 
-    def test_shard_grid_one_fingerprint(self):
-        spec = get_topology("leaf-spine")
-        prints = {
-            run_sharded(spec, self.WORKLOAD, shards=shards, parallel=False,
-                        batch=batch, fastpath=fastpath).fingerprint()
-            for shards in (1, 2, 4)
-            for batch in (True, False)
-            for fastpath in (True, False)
-        }
-        assert len(prints) == 1
-
     def test_shard_reports_carry_summed_batch_stats(self):
         spec = get_topology("leaf-spine")
         merged = run_sharded(spec, self.WORKLOAD, shards=4, parallel=False)
         single = run_sharded(spec, self.WORKLOAD, shards=1)
         assert merged.batch["replayed_packets"] == \
             single.batch["replayed_packets"]
-        assert merged.batch_enabled is True
+        assert merged.config.batch is True
 
 
 # ----------------------------------------------------------------------

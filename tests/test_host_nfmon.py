@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.fabric import FabricReport, FlowRecord
 from repro.host import cli
 from repro.host.nfmon import main
 
@@ -232,6 +233,42 @@ class TestFabricCommand:
         two = json.loads(capsys.readouterr().out)
         assert one["fingerprint"] == two["fingerprint"]
         assert one["shards"] == 1 and two["shards"] == 2
+
+    def test_loss_rows_account_for_every_attempted_packet(
+            self, capsys, monkeypatch):
+        """The table's loss rows and the per-flow ``lost`` column come
+        from ``LOSS_FIELDS`` (``lost_link`` used to be missing from
+        both), so they sum to ``attempted - delivered``."""
+        record = FlowRecord(0, "a", "b", attempted=21, delivered=6,
+                            lost_wire=1, lost_flap=2, lost_link=3,
+                            blackholed=4, dropped_hop_limit=5)
+        report = FabricReport("t", "w", 0, records=[record])
+        monkeypatch.setattr("repro.fabric.run_sharded",
+                            lambda *args, **kwargs: report)
+        assert main(["fabric", "--per-flow"]) == 1  # blackholed: unhealthy
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.rsplit(None, 1) for line in lines]
+        labels = [label.strip() for label, _ in rows]
+        first = labels.index("packets delivered") + 1
+        losses = [int(value)
+                  for _, value in rows[first:labels.index("misdelivered")]]
+        assert sorted(losses) == [1, 2, 3, 4, 5]
+        assert sum(losses) == record.attempted - record.delivered
+        flow_row = lines[labels.index("fingerprint:") - 1].split()
+        assert flow_row[3:6] == ["21", "6", "15"]
+
+    @pytest.mark.parametrize("flag, named", (
+        ("--checkpoint", "checkpoint="), ("--chaos-shards", "chaos=")))
+    def test_inline_refuses_checkpoint_and_chaos(
+            self, capsys, tmp_path, flag, named):
+        """Both used to be dropped silently: exit 0, no ledger, no
+        directory."""
+        ckpt = tmp_path / "ckpt"
+        value = str(ckpt) if flag == "--checkpoint" else "shard-killer"
+        assert main(["fabric", "--inline", "--shards", "2", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "inline" in err and "Traceback" not in err
+        assert not ckpt.exists()
 
     def test_unknown_topology_exits_2(self, capsys):
         assert main(["fabric", "--topo", "torus-9"]) == 2
