@@ -1,4 +1,5 @@
-"""Module base class and the FPGA resource declaration carried by each core.
+"""Module base class, the FPGA resource declaration carried by each core,
+and the per-device change signal (:class:`StateCell`) its tables share.
 
 A module in this kernel corresponds to a Verilog module in a NetFPGA
 project: it owns registered state, drives output signals combinationally,
@@ -18,7 +19,7 @@ can compare design utilization and performance").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.core.signal import Signal
 
@@ -52,6 +53,42 @@ class Resources:
             brams=self.brams * factor,
             dsps=round(self.dsps * factor),
         )
+
+
+class StateCell:
+    """One device's decision-visible state, as a change signal.
+
+    Everything a forwarding decision reads — lookup tables, port
+    liveness, VLAN membership, the active flow-table bank — shares one
+    cell per device, and the statement that changes any of it calls
+    :meth:`bump`.  That moves :attr:`generation` (what a device's own
+    microflow cache compares) *and* calls every watcher (how a
+    :class:`~repro.testenv.topology.Network` learns which cached walks
+    to drop), so no mutation can do one without the other.  A table
+    built on its own gets a private cell; the lookup that owns it hands
+    it the device's (``state=``).
+    """
+
+    __slots__ = ("generation", "watchers")
+
+    def __init__(self) -> None:
+        #: Monotonic: moves whenever the visible state changes, and only
+        #: then — re-writing an identical entry is a semantic no-op and
+        #: must not bump, or no cache above could stay warm on a
+        #: learning switch.
+        self.generation = 0
+        self.watchers: list[Callable[[], Any]] = []
+
+    def bump(self) -> None:
+        self.generation += 1
+        self.notify()
+
+    def notify(self) -> None:
+        """Tell the watchers alone: for a change that makes cached
+        *walks* through the device stale but no cached decision of the
+        device itself (a fault session coming or going)."""
+        for watcher in self.watchers:
+            watcher()
 
 
 class Module:

@@ -13,13 +13,14 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterator, Optional
 
-from repro.core.module import Resources
+from repro.core.module import Resources, StateCell
 
 
 class BinaryCam:
     """Fixed-capacity exact-match table with optional FIFO eviction."""
 
-    def __init__(self, capacity: int, key_bits: int, evict_oldest: bool = True):
+    def __init__(self, capacity: int, key_bits: int, evict_oldest: bool = True,
+                 state: Optional[StateCell] = None):
         if capacity <= 0:
             raise ValueError("CAM capacity must be positive")
         if key_bits <= 0:
@@ -33,13 +34,10 @@ class BinaryCam:
         self.insertions = 0
         self.evictions = 0
         self.rejects = 0
-        #: Monotonic state-change counter: bumps whenever the *visible
-        #: match state* changes (new entry, changed value, eviction,
-        #: deletion, clear) — and only then.  Re-learning an identical
-        #: (key, value) pair is a semantic no-op and must not bump, or
-        #: the flow-cache fast path above us could never stay warm on a
-        #: learning switch.
-        self.generation = 0
+        #: Bumped whenever the *visible match state* changes (new entry,
+        #: changed value, eviction, deletion, clear) — and only then:
+        #: re-learning an identical (key, value) pair is a no-op.
+        self.state = state if state is not None else StateCell()
 
     def _check_key(self, key: int) -> None:
         if not 0 <= key < (1 << self.key_bits):
@@ -59,7 +57,7 @@ class BinaryCam:
         if key in self._entries:
             if self._entries[key] != value:
                 self._entries[key] = value
-                self.generation += 1
+                self.state.bump()
             return True
         if len(self._entries) >= self.capacity:
             if not self.evict_oldest:
@@ -69,20 +67,20 @@ class BinaryCam:
             self.evictions += 1
         self._entries[key] = value
         self.insertions += 1
-        self.generation += 1
+        self.state.bump()
         return True
 
     def delete(self, key: int) -> bool:
         self._check_key(key)
         if self._entries.pop(key, None) is None:
             return False
-        self.generation += 1
+        self.state.bump()
         return True
 
     def clear(self) -> None:
         if self._entries:
             self._entries.clear()
-            self.generation += 1
+            self.state.bump()
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -104,14 +104,15 @@ class LearningSwitchLookup(OutputPortLookup):
         super().__init__(name, s_axis, m_axis)
         self.vlan_aware = vlan_aware
         key_bits = 60 if vlan_aware else 48  # 12-bit VID + 48-bit MAC
-        self.mac_table = BinaryCam(capacity=table_size, key_bits=key_bits)
+        self.mac_table = BinaryCam(capacity=table_size, key_bits=key_bits,
+                                   state=self.state)
         #: Backup next-hop column (fast reroute): same key space as the
         #: FDB, consulted only when the primary port has lost link.
-        self.backup_table = BinaryCam(capacity=table_size, key_bits=key_bits)
+        self.backup_table = BinaryCam(capacity=table_size, key_bits=key_bits,
+                                      state=self.state)
         self.learn = learn
         #: VLAN membership: vid -> one-hot physical-port mask.
         self.vlan_members: dict[int, int] = {}
-        self._vlan_generation = 0
         self.registers = RegisterFile(f"{name}_regs")
         self.registers.add_register(
             "lut_hits", 0x00, read_only=True,
@@ -133,16 +134,8 @@ class LearningSwitchLookup(OutputPortLookup):
         if not 0 <= vid <= 0xFFF:
             raise ValueError(f"VLAN ID out of range: {vid}")
         if self.vlan_members.get(vid) != port_mask:
-            self._vlan_generation += 1
-        self.vlan_members[vid] = port_mask
-
-    def state_generation(self) -> int:
-        return (
-            super().state_generation()
-            + self.mac_table.generation
-            + self.backup_table.generation
-            + self._vlan_generation
-        )
+            self.vlan_members[vid] = port_mask
+            self.state.bump()
 
     def header_reads(self) -> HeaderReads:
         """Both MAC addresses — the source is learned, the destination

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.module import Resources
+from repro.core.module import Resources, StateCell
 from repro.packet.addresses import Ipv4Addr
 
 
@@ -59,16 +59,16 @@ class _TrieNode:
 class LpmTable:
     """Binary-trie longest-prefix-match table."""
 
-    def __init__(self, capacity: Optional[int] = None):
+    def __init__(self, capacity: Optional[int] = None,
+                 state: Optional[StateCell] = None):
         self._root = _TrieNode()
         self.capacity = capacity
         self.size = 0
         self.lookups = 0
         self.hits = 0
-        #: Monotonic state-change counter (see BinaryCam.generation):
-        #: bumps on any route add, replace or delete — never on lookups
-        #: or on re-installing an identical entry.
-        self.generation = 0
+        #: Bumped on any route add, replace or delete — never on lookups
+        #: or on re-installing an identical entry (see BinaryCam.state).
+        self.state = state if state is not None else StateCell()
 
     def _bits(self, addr: int, length: int):
         for i in range(length):
@@ -86,7 +86,7 @@ class LpmTable:
                 return False
             self.size += 1
         if node.entry != entry:
-            self.generation += 1
+            self.state.bump()
         node.entry = entry
         return True
 
@@ -105,7 +105,7 @@ class LpmTable:
             return False
         node.entry = None
         self.size -= 1
-        self.generation += 1
+        self.state.bump()
         return True
 
     def lookup(self, addr: Ipv4Addr) -> Optional[LpmEntry]:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from repro.core.axis import AxiStreamBeat, AxiStreamChannel
 from repro.core.metadata import NUM_PHYS_PORTS, all_phys_ports_mask, phys_port_bit
-from repro.core.module import Module, Resources
+from repro.core.module import Module, Resources, StateCell
 from repro.int.codec import stamp as _int_stamp
 
 #: ``int_device_id`` before the device joins a network — stamps still
@@ -131,7 +131,9 @@ class OutputPortLookup(Module):
         #: next-hops (fast reroute) consult it inside ``decide()`` so a
         #: dead primary port falls over in the same packet walk.
         self.port_liveness = all_phys_ports_mask()
-        self._liveness_generation = 0
+        #: The device's change signal (see :class:`StateCell`): liveness
+        #: flips bump it here, a lookup's tables are built on it.
+        self.state = StateCell()
         #: In-band telemetry identity, assigned by
         #: :meth:`repro.testenv.topology.Network.add_device` in
         #: insertion order — deterministic across shard replicas.
@@ -160,10 +162,9 @@ class OutputPortLookup(Module):
     def set_port_state(self, index: int, up: bool) -> bool:
         """Mark physical port ``index`` up or down in the liveness mask.
 
-        Returns True if the state actually changed.  A change bumps the
-        liveness generation, which folds into :meth:`state_generation`
-        so every cached forwarding decision that might have consulted
-        the mask is invalidated.
+        Returns True if the state actually changed.  A change bumps
+        :attr:`state`, so every cached forwarding decision that might
+        have consulted the mask is invalidated.
         """
         if not 0 <= index < NUM_PHYS_PORTS:
             raise ValueError(f"physical port index {index} out of range")
@@ -172,7 +173,7 @@ class OutputPortLookup(Module):
         if new == self.port_liveness:
             return False
         self.port_liveness = new
-        self._liveness_generation += 1
+        self.state.bump()
         return True
 
     def port_is_up(self, index: int) -> bool:
@@ -207,12 +208,11 @@ class OutputPortLookup(Module):
     def state_generation(self) -> int:
         """Monotonic counter over the lookup's *decision-visible* state.
 
-        Cached decisions are valid exactly while this value is stable;
-        lookups with tables override it to add their tables' generation
-        counters (and must include ``super().state_generation()`` so
-        port-liveness flips invalidate them too).
+        Cached decisions are valid exactly while this value is stable:
+        the generation of :attr:`state`, which port-liveness flips and
+        every table a lookup builds on it bump.
         """
-        return self._liveness_generation
+        return self.state.generation
 
     # ------------------------------------------------------------------
     # Kernel interface

@@ -28,7 +28,7 @@ from repro.core.metadata import (
     dma_port_bit,
     phys_port_bit,
 )
-from repro.core.module import Resources
+from repro.core.module import Resources, StateCell
 from repro.cores.cam import BinaryCam
 from repro.cores.header_parser import parse_headers
 from repro.cores.lpm import LpmEntry, LpmTable
@@ -55,13 +55,15 @@ class RouterTables:
             raise ValueError(f"router needs {NUM_PHYS_PORTS} port MACs and IPs")
         self.port_macs = list(port_macs)
         self.port_ips = list(port_ips)
-        self.lpm = LpmTable(capacity=lpm_capacity)
-        self.arp = BinaryCam(capacity=arp_capacity, key_bits=32, evict_oldest=False)
+        #: The owning device's change signal: every table below bumps it.
+        self.state = StateCell()
+        self.lpm = LpmTable(capacity=lpm_capacity, state=self.state)
+        self.arp = BinaryCam(capacity=arp_capacity, key_bits=32,
+                             evict_oldest=False, state=self.state)
         # Destination-IP filter: addresses terminating at the router
         # (its own interfaces plus anything software adds, e.g. OSPF
         # multicast groups in the reference router).
         self.ip_filter: set[int] = {ip.value for ip in port_ips}
-        self._filter_generation = 0
 
     def add_route(self, entry: LpmEntry) -> bool:
         return self.lpm.insert(entry)
@@ -71,13 +73,8 @@ class RouterTables:
 
     def add_filter(self, ip: Ipv4Addr) -> None:
         if ip.value not in self.ip_filter:
-            self._filter_generation += 1
-        self.ip_filter.add(ip.value)
-
-    def generation(self) -> int:
-        """Monotonic counter over every table a forwarding decision reads."""
-        return (self.lpm.generation + self.arp.generation
-                + self._filter_generation)
+            self.ip_filter.add(ip.value)
+            self.state.bump()
 
     def clear_volatile(self) -> None:
         """Wipe everything software loaded: routes, ARP, extra filters.
@@ -90,7 +87,7 @@ class RouterTables:
             self.lpm.delete(entry.prefix, entry.prefix_len)
         self.arp.clear()
         self.ip_filter = {ip.value for ip in self.port_ips}
-        self._filter_generation += 1
+        self.state.bump()
 
 
 class RouterLookup(OutputPortLookup):
@@ -107,6 +104,7 @@ class RouterLookup(OutputPortLookup):
     ):
         super().__init__(name, s_axis, m_axis)
         self.tables = tables
+        self.state = tables.state  # the tables were built first
         self.registers = RegisterFile(f"{name}_regs")
         for offset, counter in (
             (0x00, "forwarded"),
@@ -122,9 +120,6 @@ class RouterLookup(OutputPortLookup):
                 counter, offset, read_only=True,
                 on_read=lambda c=counter: self.counters.get(c, 0),
             )
-
-    def state_generation(self) -> int:
-        return super().state_generation() + self.tables.generation()
 
     # ------------------------------------------------------------------
     def _ingress_index(self, src_bits: int) -> Optional[int]:

@@ -461,11 +461,14 @@ class _LinkStateController:
         plan: Optional[FaultPlan],
     ):
         self._net = topology.network
-        self._schedule = schedule
         self._oracle = _LinkStateOracle(plan)
-        pairs: set[tuple[str, str]] = set()
-        if schedule is not None:
-            pairs.update(schedule.pairs())
+        #: The schedule's dark windows by canonical pair, indexed once:
+        #: :meth:`apply` asks for every pair at every epoch change.
+        self._windows: dict[tuple[str, str], list[tuple[int, int]]] = {}
+        for a, b, start, end in schedule.events if schedule else ():
+            self._windows.setdefault(
+                tuple(sorted((a, b))), []).append((start, end))
+        pairs = set(self._windows)
         if self._oracle.enabled:
             pairs.update(
                 tuple(sorted((a.device, b.device)))
@@ -482,12 +485,11 @@ class _LinkStateController:
         if not self._pairs or epoch == self._last:
             return
         self._last = epoch
-        for a, b in self._pairs:
-            down = self._oracle.down(a, b, epoch) or (
-                self._schedule is not None
-                and self._schedule.down(a, b, epoch)
-            )
-            self._net.set_link_state(a, b, not down)
+        for pair in self._pairs:
+            down = self._oracle.down(*pair, epoch) or any(
+                start <= epoch < end
+                for start, end in self._windows.get(pair, ()))
+            self._net.set_link_state(*pair, not down)
 
     def restore(self) -> None:
         """Bring every touched link back up (end-of-run tidiness)."""

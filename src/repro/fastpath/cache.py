@@ -13,7 +13,8 @@ consults before running ``opl.decide``:
 * **Generation-based invalidation**: every table mutation — CAM
   learn/evict/static install, router route/ARP/filter writes, BlueSwitch
   flow installs, ``soft_reset``, resilience repairs, corrupting ctrl
-  faults — bumps a monotonic generation counter.  The cache stores the
+  faults — bumps the device's :class:`~repro.core.module.StateCell`,
+  a monotonic generation counter.  The cache stores the
   generation its entries were filled under and flushes wholesale the
   moment the device's current generation differs, so a stale decision
   can never be served (it is *lazy* invalidation: mutators never touch

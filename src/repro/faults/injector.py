@@ -84,18 +84,20 @@ class FaultInjector:
     def arm_project(self, project: Any) -> None:
         """Arm a reference pipeline's control plane and output queues.
 
-        Also attaches the session to ``project.datapath_faults`` so the
-        flow-cache fast path bypasses itself while data-path sites are
-        armed — a cache hit must never skip a per-packet fault draw.
+        Also attaches the session to the project's data path
+        (:meth:`~repro.projects.base.ReferencePipeline.attach_datapath_faults`,
+        undone on :meth:`disarm`), so the flow-cache fast path drops what
+        it cached through the device and bypasses itself while data-path
+        sites are armed — a cache hit must never skip a per-packet
+        fault draw.
         """
         self.arm_interconnect(project.interconnect)
         self.arm_output_queues(project.oq)
-        previous = getattr(project, "datapath_faults", None)
-        if hasattr(project, "datapath_faults"):
-            project.datapath_faults = self.session
-            self._restores.append(
-                lambda: setattr(project, "datapath_faults", previous)
-            )
+        attach = getattr(project, "attach_datapath_faults", None)
+        if attach is not None:
+            previous = project.datapath_faults
+            attach(self.session)
+            self._restores.append(lambda: attach(previous))
 
     def disarm(self) -> None:
         """Restore every hook this injector replaced (LIFO)."""

@@ -122,8 +122,8 @@ class ReferencePipeline(Module):
         # comparisons.
         self.fastpath = MicroflowCache()
         #: The fault session armed on this device's data path, if any
-        #: (set by :class:`repro.faults.injector.FaultInjector`); the
-        #: fast path bypasses itself while one is attached.
+        #: (:meth:`attach_datapath_faults`); the fast path bypasses
+        #: itself while one is attached.
         self.datapath_faults = None
         self.soft_resets = 0
 
@@ -173,21 +173,32 @@ class ReferencePipeline(Module):
         :meth:`_wipe_volatile`.
         """
         self.soft_resets += 1
+        self.opl.state.bump()
         self._wipe_volatile()
 
     def _wipe_volatile(self) -> None:
         """Clear project-specific volatile lookup state (default: none)."""
 
+    def attach_datapath_faults(self, session) -> None:
+        """Attach (or, with ``None``, detach) a data-path fault session.
+
+        A network never caches a walk through an armed device, so the
+        walks it cached before arming must go too: it is told, though
+        no decision of this device's own changed.
+        """
+        self.datapath_faults = session
+        self.opl.state.notify()
+
     def state_generation(self) -> int:
         """Monotonic counter over everything a forwarding decision reads.
 
-        The sum of the OPL's table generations and the soft-reset count;
-        cached decisions are valid exactly while it is stable.  Wiping
-        already-empty tables bumps only the reset term, and a reset that
-        clears tables bumps both — double counting is harmless, the
+        The generation of the lookup's :class:`~repro.core.module.StateCell`,
+        which table writes, liveness flips and soft resets all bump;
+        cached decisions are valid exactly while it is stable.  A reset
+        that also clears tables bumps more than once — harmless, the
         contract is monotone-and-moves-on-change.
         """
-        return self.soft_resets + self.opl.state_generation()
+        return self.opl.state.generation
 
     # ------------------------------------------------------------------
     # Link state
@@ -196,8 +207,8 @@ class ReferencePipeline(Module):
         """Report physical port ``index`` link state to the lookup.
 
         Returns True if the state changed.  The liveness flip bumps the
-        OPL's state generation, so microflow-cache entries and network
-        path-cache walks that crossed this port are invalidated.
+        OPL's state cell, so microflow-cache entries and network
+        path-cache walks through this device are invalidated.
         """
         return self.opl.set_port_state(index, up)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from repro.core.module import StateCell
 from repro.cores.header_parser import parse_headers
 from repro.cores.tcam import Tcam, TcamEntry
 from repro.utils.bitfield import BitField, mask
@@ -137,7 +138,8 @@ class FlowTable:
     (the TCAM result is an index into the bank's action store).
     """
 
-    def __init__(self, table_id: int, slots: int = 64):
+    def __init__(self, table_id: int, slots: int = 64,
+                 state: Optional[StateCell] = None):
         self.table_id = table_id
         self.slots = slots
         self.banks = (Tcam(slots, FLOW_KEY.width), Tcam(slots, FLOW_KEY.width))
@@ -157,10 +159,9 @@ class FlowTable:
         self.hit_counts: list[list[int]] = [[0] * slots, [0] * slots]
         self.matches = 0
         self.misses = 0
-        #: Monotonic state-change counter over installed flows (both
-        #: banks); every write bumps it, so any flow-cache layered on
-        #: top of the classifier invalidates on table churn.
-        self.generation = 0
+        #: Bumped by every write (either bank), so any flow cache
+        #: layered on top of the classifier invalidates on table churn.
+        self.state = state if state is not None else StateCell()
 
     def write(self, bank: int, slot: int, entry: Optional[FlowEntry]) -> None:
         """Install or clear (None) one slot in one bank.
@@ -178,7 +179,7 @@ class FlowTable:
             self._actions[bank][slot] = entry.actions
             self._matches[bank][slot] = entry.match
         self.hit_counts[bank][slot] = 0
-        self.generation += 1
+        self.state.bump()
 
     def read(self, bank: int, slot: int) -> Optional[FlowEntry]:
         tcam_entry = self.banks[bank].read_slot(slot)

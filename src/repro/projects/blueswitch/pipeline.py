@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.module import StateCell
 from repro.projects.blueswitch.flow_table import (
     ActionDrop,
     ActionGoto,
@@ -44,7 +45,10 @@ class BlueSwitchPipeline:
     def __init__(self, num_tables: int = 3, slots_per_table: int = 64):
         if num_tables <= 0:
             raise ValueError("need at least one table")
-        self.tables = [FlowTable(i, slots_per_table) for i in range(num_tables)]
+        #: The switch's change signal: bank writes and commits bump it.
+        self.state = StateCell()
+        self.tables = [FlowTable(i, slots_per_table, state=self.state)
+                       for i in range(num_tables)]
         self.active_version = 0
         self.commits = 0
         self.packets = 0
@@ -74,16 +78,17 @@ class BlueSwitchPipeline:
         """Atomically flip every table to the shadow configuration."""
         self.active_version = self.shadow_version
         self.commits += 1
+        self.state.bump()
 
     def state_generation(self) -> int:
         """Monotonic counter over classification-visible state.
 
         Covers every bank write plus the atomic version flips — a
         shadow write alone does not change what packets see, but it
-        will have flipped into view by the time ``commits`` moves, so
-        the sum is a safe (slightly conservative) invalidation key.
+        will have flipped into view by the time a commit bumps, so
+        this is a safe (slightly conservative) invalidation key.
         """
-        return self.commits + sum(t.generation for t in self.tables)
+        return self.state.generation
 
     # ------------------------------------------------------------------
     # Data plane

@@ -456,6 +456,7 @@ def probe_fastpath(network: Any, session: "TelemetrySession") -> None:
         entries.labels(name).bind(lambda c=cache: len(c.entries))
     for event, attr in (("hit", "path_hits"), ("miss", "path_misses"),
                         ("invalidation", "path_invalidations"),
+                        ("dropped", "path_dropped"),
                         ("bypass", "path_bypasses"),
                         ("shared", "path_shared")):
         events.labels("net", event).bind(

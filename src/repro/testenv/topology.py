@@ -21,14 +21,30 @@ observable per injection (and cumulatively via
 entire hop walk of an injection is a pure function of (entry attachment,
 frame): the network memoizes finished walks — deliveries, losses and the
 per-device counter deltas they caused — in one ``(device, port, frame)``
-table valid for one topology-wide generation (the sum of every device's
-:meth:`state_generation` plus a wiring counter); any mutation moves the
-sum and the next lookup flushes the table wholesale.  A walk is only
-cached when it touched no CPU handler, no device with armed data-path
-faults or a lookup that is not ``CACHEABLE``, and mutated no table;
-replays apply the recorded counter deltas so per-device statistics (and
-the fabric fingerprint built from them) are byte-identical cached or
-not.
+table.  A walk is only cached when it touched no CPU handler, no device
+with armed data-path faults or a lookup that is not ``CACHEABLE``, and
+mutated no table; replays apply the recorded counter deltas so
+per-device statistics (and the fabric fingerprint built from them) are
+byte-identical cached or not.
+
+**A walk depends on the devices it visited, and they tell.**  Nothing is
+polled: every device's decision-visible state hangs off one
+:class:`~repro.core.module.StateCell`, the statement that changes a
+table, a liveness bit or a fault session bumps it, and the bump adds the
+device's name to this network's dirty set (:meth:`Network.add_device`
+subscribes) — one ``set.add`` per *mutation*.
+:meth:`Network.set_link_state` marks both cable ends the same way.
+Each slow walk records the devices it visited and an inverted index
+maps a device to the records of the resident walks through it (the
+tag-based revalidation Open vSwitch pairs with its megaflow cache).  An
+injection first asks "is anything dirty" — on a hit that is the whole
+validation, with no call into any device — and if so drops exactly the
+walks through the dirty devices, from both tables, leaving every other
+walk resident: a link cut costs the walks that visited either end, not
+the table.  A slow walk during which anything turned dirty (a switch
+learned) is not stored.  Only a change to the graph itself
+(:meth:`Network.add_device`, :meth:`Network.link`) still flushes
+everything.
 
 **Walks are shared across frames the fabric cannot tell apart** (the
 microflow → megaflow step of Open vSwitch).  Every lookup declares what
@@ -46,13 +62,14 @@ one on unchanged too.  On an exact-key miss a class hit therefore
 *derives* the new walk — the template's with the caller's frame in its
 deliveries and the same counter deltas — stores it under the exact key
 and carries on as a hit (``path_shared`` counts these); the slow walk
-runs for the first frame of a class only.  Both tables flush together.
+runs for the first frame of a class only.  A derived walk shares its
+template's dependency record, so the two leave together.
 INT frames never touch the class table, and a fabric in which some
 lookup reads the whole header window has no classes to share.
 
 * :meth:`Network.inject` is the per-packet entry: replay a valid walk
-  or take the slow walk and store it.  :meth:`Network.inject_many`
-  amortizes the generation check across hits.
+  or take the slow walk and store it (:meth:`Network.inject_many` is
+  that in a loop).
 * :meth:`Network.inject_batch` is the counted entry: replay a valid walk
   ``count`` times in one pass (deltas applied as ``count * delta``) and
   hand back the frozen walk as the per-packet outcome template — no
@@ -71,6 +88,7 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import starmap
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -121,7 +139,25 @@ class _WalkDelivery(NamedTuple):
     hops: int
 
 
-@dataclass(frozen=True)
+class _WalkDeps:
+    """What one slow walk depends on: the devices it visited.
+
+    Shared by every walk derived from it (a derived key costs one list
+    append, not an index entry of its own) and indexed per device, so a
+    mutation finds exactly the table entries it invalidates:
+    ``keys`` are the record's exact-table keys, ``class_key`` its
+    class-table key while the walk serves as a template.
+    """
+
+    __slots__ = ("devices", "keys", "class_key")
+
+    def __init__(self, devices: tuple[str, ...]):
+        self.devices = devices
+        self.keys: list[tuple] = []
+        self.class_key: Optional[tuple] = None
+
+
+@dataclass(frozen=True, slots=True)
 class _CachedWalk:
     """A finished injection, frozen for replay.
 
@@ -134,7 +170,8 @@ class _CachedWalk:
     ``template`` marks a *frame-preserving* walk of a frame with no INT
     trailer: every copy it forwarded or delivered is byte-equal to the
     injected frame, so the walk can stand in for any frame of the same
-    class (see the module docstring).
+    class (see the module docstring).  ``deps`` is the dependency record
+    of the slow walk this one was recorded by or derived from.
     """
 
     deliveries: tuple[_WalkDelivery, ...]
@@ -142,6 +179,7 @@ class _CachedWalk:
     dropped_link_down: int
     forwarded: int
     ops: tuple
+    deps: _WalkDeps
     link_down_sites: tuple = ()
     hop_limit_sites: tuple = ()
     template: bool = False
@@ -232,15 +270,21 @@ class Network:
         self.path_cache_enabled = True
         self._path_cache: dict[tuple, _CachedWalk] = {}
         self._class_cache: dict[tuple, _CachedWalk] = {}
-        self._path_generation = -1  # device generations are >= 0
-        self._wiring_generation = 0
-        #: What the devices' lookups read between them, and the wiring
-        #: generation that was computed under (see :meth:`_header_reads`).
-        self._reads: Optional[HeaderReads] = None
-        self._reads_generation = -1
+        #: Devices whose decision state (or cabling) moved since the
+        #: last :meth:`_drop_dirty`; each device's state cell adds its
+        #: name here, once per mutation.
+        self._dirty: set[str] = set()
+        #: The inverted index: device -> records of the resident walks
+        #: that visited it.
+        self._dependents: dict[str, set[_WalkDeps]] = {}
+        #: What the devices' lookups read of a frame between them,
+        #: OR-ed as they join; ``None`` once some lookup reads the whole
+        #: window and no two frames share a class.
+        self._reads: Optional[HeaderReads] = READS_NOTHING
         self.path_hits = 0
         self.path_misses = 0
         self.path_invalidations = 0
+        self.path_dropped = 0
         self.path_bypasses = 0
         self.path_shared = 0
         #: What :meth:`batch_stats` reports, less the resident count.
@@ -265,8 +309,13 @@ class Network:
             # deterministic order, so every shard replica of a topology
             # assigns the same ids and stamps parse identically.
             opl.int_device_id = len(self._devices)
+            opl.state.watchers.append(partial(self._dirty.add, name))
+            if self._reads is not None:
+                reads = self._reads | opl.header_reads()
+                self._reads = (None if reads.mask == READS_EVERYTHING.mask
+                               else reads)
         self._devices[name] = project
-        self._wiring_generation += 1
+        self._dirty.update(self._devices)  # the graph changed: flush all
         if cpu_handler is not None:
             self._cpu[name] = cpu_handler
         return project
@@ -289,7 +338,7 @@ class Network:
             raise TopologyError("cannot cable a port to itself")
         self._links[a] = b
         self._links[b] = a
-        self._wiring_generation += 1
+        self._dirty.update(self._devices)  # the graph changed: flush all
 
     def edge_ports(self, device: str) -> list[PortRef]:
         """The device's un-cabled physical ports (host attachment points)."""
@@ -338,12 +387,13 @@ class Network:
         """Set link state on every cable between two devices.
 
         Models pulling (or re-seating) the fibre: both end devices see
-        loss of light — their per-port liveness bitmaps flip, which bumps
-        each device's state generation — and frames sent onto a down
-        cable vanish on the wire (counted in :attr:`dropped_link_down`).
-        The wiring generation is bumped too, so the summed network
-        generation moves even for devices whose lookups ignore liveness,
-        and no cached walk can replay across the dead link.
+        loss of light — their per-port liveness bitmaps flip — and
+        frames sent onto a down cable vanish on the wire (counted in
+        :attr:`dropped_link_down`).  Both end devices are marked dirty
+        here, whatever their lookups make of liveness: every cached
+        walk that visited either is dropped before the next injection
+        (one that sent onto the cable necessarily did), and walks that
+        went nowhere near the cable stay resident.
 
         Returns True if any cable's state changed; raises
         :class:`TopologyError` when the devices share no cable.
@@ -369,8 +419,7 @@ class Network:
                 else:
                     self._down_ports.add(end)
                 self._devices[end.device].set_port_state(end.port.index, up)
-        if changed:
-            self._wiring_generation += 1
+                self._dirty.add(end.device)
         return changed
 
     def link_is_up(self, a_device: str, b_device: str) -> bool:
@@ -400,12 +449,14 @@ class Network:
         count of copies the hop limit truncated, so storm clamping is
         accounted rather than silent.
 
-        While the path cache is enabled, a previously memoized walk for
-        the same (device, port, frame) under an unchanged topology-wide
-        generation — or one derived from the walk of a frame no lookup
-        in the fabric can tell from this one — is replayed instead of
-        re-forwarded, deliveries, loss accounting and per-device
-        counters included.
+        While the path cache is enabled, a memoized walk for the same
+        (device, port, frame) — or one derived from the walk of a frame
+        no lookup in the fabric can tell from this one — is replayed
+        instead of re-forwarded, deliveries, loss accounting and
+        per-device counters included.  A walk is resident only while no
+        device it visited has changed: mutations mark their device
+        dirty, and the walks through dirty devices are dropped here,
+        first thing.  On a hit no device is called at all.
 
         ``int_seq`` is the INT sequence-number substitution hook: the
         caller injects the flow's sequence-zero *template* (so every
@@ -417,9 +468,29 @@ class Network:
         if not self.path_cache_enabled:
             result = self._walk(device, port, frame, record=False)[0]
         else:
-            result, _ = self._inject_cached(
-                device, port, frame, self._network_generation()
-            )
+            if self._dirty:
+                self._drop_dirty()
+            key = (device, port, frame)
+            walk = self._path_cache.get(key)
+            if walk is None and self._class_cache:
+                walk = self._derive(key)
+            if walk is not None:
+                self.path_hits += 1
+                walk.replay(self, 1)
+                # Fresh deliveries: Delivery is mutable, the walk is shared.
+                result = InjectionResult(
+                    starmap(Delivery, walk.deliveries),
+                    walk.dropped_hop_limit, walk.dropped_link_down,
+                    walk.hop_limit_sites, walk.link_down_sites,
+                )
+                self.deliveries += result
+            else:
+                self.path_misses += 1
+                result, walk = self._walk(device, port, frame, record=True)
+                if walk is None:
+                    self.path_bypasses += 1
+                elif not self._dirty:  # else it changed what walks read
+                    self._store(key, walk)
         if int_seq is not None:
             for delivery in result:
                 delivery.frame = _int_set_seq(delivery.frame, int_seq)
@@ -428,45 +499,30 @@ class Network:
     def inject_many(
         self, injections: Iterable[tuple[str, int, bytes]]
     ) -> list[InjectionResult]:
-        """Inject a batch; returns one :class:`InjectionResult` each.
-
-        Semantically identical to calling :meth:`inject` in a loop, but
-        the topology-wide generation is computed once per batch and only
-        refreshed after a cache miss (a replayed walk cannot mutate
-        table state, so consecutive hits skip the re-validation that a
-        lone ``inject`` must pay) — the batching the fabric scheduler's
-        repeated sends and :meth:`run` lean on.
-        """
-        if not self.path_cache_enabled:
-            return [self._walk(device, port, frame, record=False)[0]
-                    for device, port, frame in injections]
-        generation = self._network_generation()
-        out = []
-        for device, port, frame in injections:
-            result, generation = self._inject_cached(
-                device, port, frame, generation
-            )
-            out.append(result)
-        return out
+        """Inject a sequence; returns one :class:`InjectionResult` each
+        — :meth:`inject` in a loop (a hit validates nothing that a
+        batch could amortize)."""
+        return [self.inject(device, port, frame)
+                for device, port, frame in injections]
 
     def inject_batch(
         self, device: str, port: int, frame: bytes, count: int,
     ) -> Optional[_CachedWalk]:
         """Replay ``count`` identical injections in one pass.
 
-        The counted entry to the path cache: validate the generation,
-        look the walk up, apply its effects ``count`` times.  Returns
-        the frozen walk — one packet's outcome template (``deliveries``
-        plus the :class:`InjectionResult` loss fields); the aggregate
-        effect on per-device counters and loss accounting is
-        byte-identical to ``count`` sequential :meth:`inject` calls of
-        the same frame.  Returns ``None``, having carried nothing, when
+        The counted entry to the path cache: drop what a mutation made
+        stale, look the walk up, apply its effects ``count`` times.
+        Returns the frozen walk — one packet's outcome template
+        (``deliveries`` plus the :class:`InjectionResult` loss fields);
+        the aggregate effect on per-device counters and loss accounting
+        is byte-identical to ``count`` sequential :meth:`inject` calls
+        of the same frame.  Returns ``None``, having carried nothing, when
         there is no valid walk to replay: the cache is off, neither the
-        walk nor one to derive it from is warm under the current
-        generation, or it is uncacheable (CPU handlers, armed datapath
-        faults, a lookup that is not ``CACHEABLE``).  The caller then
-        injects one packet the per-packet way, which warms the walk for
-        the next call.
+        walk nor one to derive it from is resident (never walked, or a
+        device it visited has changed since), or it is uncacheable (CPU
+        handlers, armed datapath faults, a lookup that is not
+        ``CACHEABLE``).  The caller then injects one packet the
+        per-packet way, which warms the walk for the next call.
 
         Counted replays do *not* append to the :attr:`deliveries` log —
         the log is a per-packet debugging aid, not a fingerprinted
@@ -477,7 +533,8 @@ class Network:
             raise ValueError("batch count must be >= 1")
         if not self.path_cache_enabled:
             return None
-        self._validate(self._network_generation())
+        if self._dirty:
+            self._drop_dirty()
         key = (device, port, frame)
         walk = self._path_cache.get(key)
         if walk is None and self._class_cache:
@@ -507,13 +564,14 @@ class Network:
         setup.
 
         Returns the number of walks cached, walked or derived.  Stops
-        early if a walk mutates decision state (a learning device — the same caveat as
-        :meth:`sandbox`): the already-recorded walks would be stale.
+        early if a walk mutates decision state (a learning device — the
+        same caveat as :meth:`sandbox`): anything turned dirty means
+        already-recorded walks may be stale.
         """
         if not self.path_cache_enabled:
             return 0
-        generation = self._network_generation()
-        self._validate(generation)
+        if self._dirty:
+            self._drop_dirty()
         warmed = 0
         with self.sandbox():
             for device, port, frame in injections:
@@ -527,7 +585,7 @@ class Network:
                 # path miss (operational stats move, like pingall's).
                 self.path_misses += 1
                 _, walk = self._walk(device, port, frame, record=True)
-                if self._network_generation() != generation:
+                if self._dirty:
                     break
                 if walk is not None:
                     self._store(key, walk)
@@ -542,53 +600,51 @@ class Network:
         return self.deliveries
 
     # -- the path cache -------------------------------------------------
-    def _network_generation(self) -> int:
-        """Sum of all device generations plus the wiring counter.
+    def _drop_dirty(self) -> None:
+        """Drop every walk that visited a device marked dirty since the
+        last call — from both tables, and nothing else."""
+        dropped = 0
+        for device in self._dirty:
+            records = self._dependents.get(device)
+            while records:
+                dropped += self._drop(records.pop())
+        self._dirty.clear()
+        if dropped:
+            self.path_invalidations += 1
+            self.path_dropped += dropped
 
-        Each term is monotonic, so the sum changes whenever any device's
-        decision-visible state (or the graph itself) does.
-        """
-        total = self._wiring_generation
-        for project in self._devices.values():
-            total += project.state_generation()
-        return total
-
-    def _validate(self, generation: int) -> None:
-        """Flush every walk if state moved since they were recorded."""
-        if generation != self._path_generation:
-            if self._path_cache:
-                self.path_invalidations += 1
-                self._path_cache.clear()
-                self._class_cache.clear()
-            self._path_generation = generation
+    def _drop(self, deps: _WalkDeps) -> int:
+        """Forget one slow walk and the walks derived from it; returns
+        the table entries that took.  The record is left empty, as new."""
+        for device in deps.devices:
+            self._dependents[device].discard(deps)
+        dropped = len(deps.keys)
+        for key in deps.keys:
+            del self._path_cache[key]
+        deps.keys.clear()
+        if deps.class_key is not None:
+            del self._class_cache[deps.class_key]
+            deps.class_key = None
+            dropped += 1
+        return dropped
 
     def _store(self, key: tuple, walk: _CachedWalk) -> None:
         if len(self._path_cache) >= PATH_CACHE_CAPACITY:
-            # FIFO eviction: drop the oldest walk.
-            del self._path_cache[next(iter(self._path_cache))]
+            # FIFO eviction: the oldest walk goes, and with it the rest
+            # of its record (every key in a record is resident, so the
+            # class table needs no bound of its own).
+            self._drop(next(iter(self._path_cache.values())).deps)
         self._path_cache[key] = walk
         self._batch["compiled"] += 1
-        if walk.template:
-            reads = self._header_reads()
-            if reads is not None:
-                classes = self._class_cache
-                if len(classes) >= PATH_CACHE_CAPACITY:
-                    del classes[next(iter(classes))]
-                device, port, frame = key
-                classes[(device, port, *reads.key(frame))] = walk
-
-    def _header_reads(self) -> Optional[HeaderReads]:
-        """What any device's lookup may read of a frame, OR-ed; ``None``
-        when some lookup reads the whole window and no two frames share
-        a class.  Recomputed when the wiring generation moved."""
-        if self._reads_generation != self._wiring_generation:
-            reads = READS_NOTHING
-            for project in self._devices.values():
-                reads |= project.opl.header_reads()
-            self._reads = (None if reads.mask == READS_EVERYTHING.mask
-                           else reads)
-            self._reads_generation = self._wiring_generation
-        return self._reads
+        deps = walk.deps
+        if not deps.keys:  # new — or just evicted from under a derivation
+            for device in deps.devices:
+                self._dependents.setdefault(device, set()).add(deps)
+        deps.keys.append(key)
+        if walk.template and self._reads is not None:
+            device, port, frame = key
+            deps.class_key = (device, port, *self._reads.key(frame))
+            self._class_cache[deps.class_key] = walk
 
     def _derive(self, key: tuple) -> Optional[_CachedWalk]:
         """On an exact-key miss, cut the key's walk from its class's.
@@ -604,51 +660,23 @@ class Network:
         device, port, frame = key
         if frame[-4:] == _INT_MAGIC:
             return None  # every hop stamps it: never frame-preserving
-        # Callers validate first, so a filled class table means the
-        # declarations it was keyed under still stand (and allow sharing).
+        # Callers drop stale walks first (a new device makes all of them
+        # stale), so a filled class table means the declarations it was
+        # keyed under still stand (and allow sharing).
         shared = self._class_cache.get(
-            (device, port, *self._header_reads().key(frame)))
+            (device, port, *self._reads.key(frame)))
         if shared is None:
             return None
         walk = _CachedWalk(
             tuple(_WalkDelivery(d.at, frame, d.hops)
                   for d in shared.deliveries),
             shared.dropped_hop_limit, shared.dropped_link_down,
-            shared.forwarded, shared.ops,
+            shared.forwarded, shared.ops, shared.deps,
             shared.link_down_sites, shared.hop_limit_sites,
         )  # template=False: the class already has its walk
         self._store(key, walk)
         self.path_shared += 1
         return walk
-
-    def _inject_cached(
-        self, device: str, port: int, frame: bytes, generation: int
-    ) -> tuple[InjectionResult, int]:
-        """One cached injection; returns (result, current generation)."""
-        self._validate(generation)
-        key = (device, port, frame)
-        walk = self._path_cache.get(key)
-        if walk is None and self._class_cache:
-            walk = self._derive(key)
-        if walk is not None:
-            self.path_hits += 1
-            walk.replay(self, 1)
-            # Fresh deliveries: Delivery is mutable, the walk is shared.
-            result = InjectionResult(
-                starmap(Delivery, walk.deliveries),
-                walk.dropped_hop_limit, walk.dropped_link_down,
-                walk.hop_limit_sites, walk.link_down_sites,
-            )
-            self.deliveries += result
-            return result, generation
-        self.path_misses += 1
-        result, walk = self._walk(device, port, frame, record=True)
-        after = self._network_generation()
-        if walk is None:
-            self.path_bypasses += 1
-        elif after == generation:
-            self._store(key, walk)
-        return result, after
 
     def _walk(
         self, device: str, port: int, frame: bytes, record: bool
@@ -757,6 +785,7 @@ class Network:
             dropped_link_down=result.dropped_link_down,
             forwarded=self.forwarded_hops - forwarded_before,
             ops=tuple(ops),
+            deps=_WalkDeps(tuple(snapshots)),
             link_down_sites=result.link_down_sites,
             hop_limit_sites=result.hop_limit_sites,
             template=template,
@@ -772,7 +801,7 @@ class Network:
         if not enabled:
             self._path_cache.clear()
             self._class_cache.clear()
-            self._path_generation = -1
+            self._dependents.clear()
         for project in self._devices.values():
             cache = getattr(project, "fastpath", None)
             if cache is not None:
@@ -801,11 +830,17 @@ class Network:
 
         ``path_misses`` counts slow walks taken, ``path_shared`` the
         walks derived from another frame's instead; a derived walk that
-        :meth:`inject` goes on to replay is a ``path_hits`` as well."""
+        :meth:`inject` goes on to replay is a ``path_hits`` as well.
+        ``path_invalidations`` counts the mutation events that dropped
+        at least one resident walk and ``path_dropped`` the entries
+        (exact and class table) they dropped between them: their ratio,
+        held against ``path_entries``, is how selective invalidation
+        was."""
         stats = {
             "path_hits": self.path_hits,
             "path_misses": self.path_misses,
             "path_invalidations": self.path_invalidations,
+            "path_dropped": self.path_dropped,
             "path_bypasses": self.path_bypasses,
             "path_shared": self.path_shared,
             "path_entries": self.path_entries,

@@ -443,6 +443,22 @@ class TestProbeFastpath:
         assert snap['fastpath_events_total{device="net",event="miss"}'] == 1
 
 
+    def test_dropped_walks_have_their_own_series(self):
+        net = programmed_fabric()
+        session = TelemetrySession("sim")
+        probe_fastpath(net, session)
+        for sport in range(2):
+            net.inject("s1", 0, flow_of_pair(sport))
+        net.device("s2").install_static_mac(mac(2), 2)
+        net.inject("s1", 0, flow_of_pair(0))
+        snap = session.registry.snapshot()
+        # Both flows' walks and the template they shared.
+        assert snap['fastpath_events_total{device="net",event="dropped"}'] \
+            == net.fastpath_stats()["path_dropped"] == 3
+        assert snap['fastpath_events_total{device="net",'
+                    'event="invalidation"}'] == 1
+
+
 # ----------------------------------------------------------------------
 # nf-mon: the operator's A/B switch
 # ----------------------------------------------------------------------
@@ -454,6 +470,7 @@ class TestNfmonFastpath:
         assert "flow-cache stats:" in out
         assert "path_hits" in out
         assert "path_shared" in out
+        assert "path_dropped" in out
 
     def test_no_fastpath_flag_same_fingerprint(self, capsys):
         args = ["fabric", "--topo", "leaf-spine",
