@@ -9,7 +9,6 @@ punt to the CPU path) — hardware never raises exceptions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.packet.addresses import Ipv4Addr, MacAddr
@@ -20,24 +19,42 @@ from repro.packet.ethernet import ETHERTYPE_IPV4, ETHERTYPE_VLAN
 HEADER_WINDOW = 64
 
 
-@dataclass(frozen=True)
-class ParsedHeaders:
-    """Every field the reference lookups use; ``None`` = not present."""
+_L2_FIELDS = ("dst_mac", "src_mac", "ethertype", "vlan_vid", "vlan_pcp")
+_L3_FIELDS = ("ip_src", "ip_dst", "ip_proto", "ip_ttl", "ip_dscp",
+              "ip_header_offset", "ip_header_len", "l4_src_port",
+              "l4_dst_port")
 
-    dst_mac: Optional[MacAddr] = None
-    src_mac: Optional[MacAddr] = None
-    ethertype: Optional[int] = None
-    vlan_vid: Optional[int] = None
-    vlan_pcp: Optional[int] = None
-    ip_src: Optional[Ipv4Addr] = None
-    ip_dst: Optional[Ipv4Addr] = None
-    ip_proto: Optional[int] = None
-    ip_ttl: Optional[int] = None
-    ip_dscp: Optional[int] = None
-    ip_header_offset: Optional[int] = None
-    ip_header_len: Optional[int] = None
-    l4_src_port: Optional[int] = None
-    l4_dst_port: Optional[int] = None
+
+class ParsedHeaders:
+    """Every field the reference lookups use; ``None`` = not present.
+
+    Fields are extracted a layer at a time, when one of the layer's is
+    first read — the Ethernet/802.1Q fields together, then the IPv4 and
+    L4 fields together — and are plain attributes from then on: a
+    learning switch, which reads two MAC addresses, never builds an
+    :class:`Ipv4Addr`.
+    """
+
+    def __init__(self, data: bytes = b""):
+        self._data = data
+
+    def __getattr__(self, name: str):
+        # Reached only for a field whose layer is not extracted yet.
+        if name in _L2_FIELDS:
+            fields = _L2_FIELDS
+            *values, self._l3_offset = _extract_l2(self._data)
+        elif name in _L3_FIELDS:
+            fields = _L3_FIELDS
+            values = _extract_l3(self._data, self.ethertype, self._l3_offset)
+        else:
+            raise AttributeError(name)
+        self.__dict__.update(zip(fields, values))
+        return self.__dict__[name]
+
+    def __repr__(self) -> str:
+        return "ParsedHeaders(%s)" % ", ".join(
+            f"{name}={getattr(self, name)!r}"
+            for name in _L2_FIELDS + _L3_FIELDS)
 
     @property
     def is_ipv4(self) -> bool:
@@ -48,43 +65,41 @@ def parse_headers(data: bytes) -> ParsedHeaders:
     """Extract header fields from the first bytes of a frame.
 
     Handles one optional 802.1Q tag (like the reference parser) and stops
-    gracefully at whatever layer the data runs out.
+    gracefully at whatever layer the data runs out.  The extraction
+    itself is deferred to the first read of a field (see
+    :class:`ParsedHeaders`); what a field reads as is unchanged.
     """
+    return ParsedHeaders(data)
+
+
+def _extract_l2(data: bytes) -> tuple:
+    """The :data:`_L2_FIELDS`, then the offset an IPv4 header would
+    start at."""
     if len(data) < 14:
-        return ParsedHeaders()
+        return None, None, None, None, None, 14
     dst_mac = MacAddr.from_bytes(data[0:6])
     src_mac = MacAddr.from_bytes(data[6:12])
     ethertype = int.from_bytes(data[12:14], "big")
-    offset = 14
-    vlan_vid: Optional[int] = None
-    vlan_pcp: Optional[int] = None
-    if ethertype == ETHERTYPE_VLAN:
-        if len(data) < offset + 4:
-            return ParsedHeaders(dst_mac, src_mac, ethertype)
-        tci = int.from_bytes(data[offset : offset + 2], "big")
-        vlan_vid = tci & 0xFFF
-        vlan_pcp = (tci >> 13) & 0x7
-        ethertype = int.from_bytes(data[offset + 2 : offset + 4], "big")
-        offset += 4
+    if ethertype != ETHERTYPE_VLAN or len(data) < 18:
+        # Untagged — or a truncated tag, which leaves the TPID standing
+        # as the ethertype and so parses no further.
+        return dst_mac, src_mac, ethertype, None, None, 14
+    tci = int.from_bytes(data[14:16], "big")
+    return (dst_mac, src_mac, int.from_bytes(data[16:18], "big"),
+            tci & 0xFFF, (tci >> 13) & 0x7, 18)
 
-    base = ParsedHeaders(
-        dst_mac=dst_mac,
-        src_mac=src_mac,
-        ethertype=ethertype,
-        vlan_vid=vlan_vid,
-        vlan_pcp=vlan_pcp,
-    )
+
+def _extract_l3(data: bytes, ethertype: Optional[int], offset: int) -> tuple:
+    """The :data:`_L3_FIELDS`."""
+    absent = (None,) * len(_L3_FIELDS)
     if ethertype != ETHERTYPE_IPV4 or len(data) < offset + 20:
-        return base
-    version = data[offset] >> 4
-    ihl = data[offset] & 0x0F
-    ip_header_len = ihl * 4
-    if version != 4 or ip_header_len < 20:
-        return base
+        return absent
+    ip_header_len = (data[offset] & 0x0F) * 4
+    if data[offset] >> 4 != 4 or ip_header_len < 20:
+        return absent
     # The fixed 20-byte header is present; options may extend past the
     # parse window — the caller sees that via ip_header_len and decides
     # (the router punts such packets to software).
-
     l4 = offset + ip_header_len
     l4_src: Optional[int] = None
     l4_dst: Optional[int] = None
@@ -92,20 +107,9 @@ def parse_headers(data: bytes) -> ParsedHeaders:
     if proto in (6, 17) and len(data) >= l4 + 4:
         l4_src = int.from_bytes(data[l4 : l4 + 2], "big")
         l4_dst = int.from_bytes(data[l4 + 2 : l4 + 4], "big")
-
-    return ParsedHeaders(
-        dst_mac=dst_mac,
-        src_mac=src_mac,
-        ethertype=ethertype,
-        vlan_vid=vlan_vid,
-        vlan_pcp=vlan_pcp,
-        ip_src=Ipv4Addr.from_bytes(data[offset + 12 : offset + 16]),
-        ip_dst=Ipv4Addr.from_bytes(data[offset + 16 : offset + 20]),
-        ip_proto=proto,
-        ip_ttl=data[offset + 8],
-        ip_dscp=data[offset + 1] >> 2,
-        ip_header_offset=offset,
-        ip_header_len=ip_header_len,
-        l4_src_port=l4_src,
-        l4_dst_port=l4_dst,
+    return (
+        Ipv4Addr.from_bytes(data[offset + 12 : offset + 16]),
+        Ipv4Addr.from_bytes(data[offset + 16 : offset + 20]),
+        proto, data[offset + 8], data[offset + 1] >> 2,
+        offset, ip_header_len, l4_src, l4_dst,
     )

@@ -43,9 +43,9 @@ from typing import Callable, Optional
 
 from repro.fabric.topo import FabricTopology
 from repro.fabric.workload import Flow, WorkloadSpec, generate_flows
-from repro.faults import FaultPlan, FaultSession, derive_seed
+from repro.faults import FaultPlan, FaultSession, seed_stream
 from repro.int import INT_MIN_FRAME_SIZE, IntCollector, encode_template
-from repro.packet.generator import make_udp_frame
+from repro.packet.generator import make_udp_frame, retarget_udp_frame
 
 #: Ticks per link-flap epoch: a flapped (host, epoch) pair is down for
 #: this whole window, mirroring the soak harness's epoch granularity.
@@ -280,8 +280,7 @@ class FabricReport:
             cycle_dependent=False,
         )
         for hop, count in sorted(self.hops_hist.items()):
-            for _ in range(count):
-                hops.observe(float(hop))
+            hops.observe(float(hop), count)
 
 
 # ----------------------------------------------------------------------
@@ -515,12 +514,11 @@ class _Cursor:
                  "pkt_index", "left")
 
     def __init__(self, flow: Flow, record: FlowRecord,
-                 session: FaultSession, rr_seed: int):
+                 session: FaultSession, rr: int):
         self.flow = flow
         self.record = record
         self.session = session
-        # Seeded per-flow hash: the round-robin tie-break.
-        self.rr = derive_seed(rr_seed, "rr", flow.flow_id) & 0xFFFFFFFF
+        self.rr = rr  # seeded per-flow hash: the round-robin tie-break
         self.tick = flow.start_tick
         self.is_response = False
         self.pkt_index = 0
@@ -559,17 +557,23 @@ def flow_frame(
     of a direction is byte-identical, which is what lets the scheduler
     build it once per flow instead of per packet — and what the E18
     bench micro-asserts against a fresh ``make_udp_frame`` build.
+    Frames of one (src host, dst host, size) differ in two ports and
+    the checksum: ``make_udp_frame`` runs once per such class and
+    topology instance, and each flow's frame is that one re-targeted.
     ``frame_size`` overrides the flow's own size (the INT builder uses
     it to guarantee trailer room).
     """
     src = topology.hosts[flow.dst if is_response else flow.src]
     dst = topology.hosts[flow.src if is_response else flow.dst]
-    return make_udp_frame(
-        src.mac, dst.mac, src.ip, dst.ip,
-        _SPORT_BASE + (flow.flow_id % 10000),
-        _DPORT_BASE + (flow.flow_id % 10000),
-        size=flow.frame_size if frame_size is None else frame_size,
-    ).pack()
+    size = flow.frame_size if frame_size is None else frame_size
+    key = (src.name, dst.name, size)
+    template = topology.frame_templates.get(key)
+    if template is None:
+        template = topology.frame_templates[key] = make_udp_frame(
+            src.mac, dst.mac, src.ip, dst.ip, size=size).pack()
+    return retarget_udp_frame(
+        template, _SPORT_BASE + (flow.flow_id % 10000),
+        _DPORT_BASE + (flow.flow_id % 10000))
 
 
 def int_frame(
@@ -692,6 +696,9 @@ class FlowEngine:
 
         self._link_ctl = _LinkStateController(
             topology, config.link_schedule, plan)
+        self._rr = seed_stream(spec.seed, "rr")  # the cursors' tie-break
+        #: With no plan no flow draws or counts a fault: all share this.
+        self._null_session = FaultPlan("none").session()
         self._fault_counters: Counter[str] = Counter()
         self._records: list[FlowRecord] = []
         self._hops_hist: Counter[int] = Counter()
@@ -751,12 +758,11 @@ class FlowEngine:
             record = FlowRecord(flow.flow_id, flow.src, flow.dst)
             self._records.append(record)
             session = (self._plan.derived("fabric", flow.flow_id).session()
-                       if self._plan is not None
-                       else FaultPlan("none").session())
+                       if self._plan is not None else self._null_session)
             self._admitted_events += flow.packets + flow.response_packets
-            heapq.heappush(
-                self._heap,
-                _Cursor(flow, record, session, self.spec.seed).key)
+            heapq.heappush(self._heap, _Cursor(
+                flow, record, session,
+                self._rr(flow.flow_id) & 0xFFFFFFFF).key)
 
     def _dispatch(self, coalesce: bool = False) -> int:
         """Pop the next event and carry it — with ``coalesce``, together
@@ -784,7 +790,8 @@ class FlowEngine:
             flow_id = event.flow.flow_id
             self._frames.pop((flow_id, False), None)
             self._frames.pop((flow_id, True), None)
-            self._fault_counters.update(event.session.counters)
+            if event.session.counters:
+                self._fault_counters.update(event.session.counters)
             self._admit()
         return n
 
@@ -857,7 +864,8 @@ class FlowEngine:
             if at.device == dst.device and at.port.index == dst.port:
                 hit = True
                 record.delivered += n
-                record.bytes_delivered += len(delivery.frame) * n
+                # A walk the class shares names no frame: ours went through.
+                record.bytes_delivered += len(delivery.frame or frame) * n
                 record.hops_total += hops * n
                 if hops > record.hops_max:
                     record.hops_max = hops

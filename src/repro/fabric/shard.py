@@ -5,8 +5,8 @@ seed)`` are embarrassingly parallel: :func:`run_sharded` partitions them
 by ``flow_id % shards`` across worker processes.  Each worker rebuilds
 its *own* network replica from the picklable :class:`FabricSpec`
 (device models are stateful and unpicklable — the spec travels, not the
-network), regenerates the flow list from the same seed, runs only its
-slice, and ships back its :class:`FabricReport`.  A job is ``(spec,
+network), expands its slice of the flow list from the same seed, runs
+it, and ships back its :class:`FabricReport`.  A job is ``(spec,
 workload, plan, flows, config, shards, index)``: the run's options ride
 as one :class:`~repro.fabric.scheduler.RunConfig`, built once in
 :func:`run_sharded` from its keywords.
@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.fabric.scheduler import FabricReport, RunConfig, run_flows
 from repro.fabric.topo import FabricSpec
-from repro.fabric.workload import Flow, WorkloadSpec
+from repro.fabric.workload import Flow, WorkloadSpec, generate_flows
 from repro.faults import FaultPlan
 from repro.int import merge_int_summaries
 
@@ -73,9 +73,15 @@ def _run_shard(
     index: int,
 ) -> FabricReport:
     """One worker's slice: rebuild the fabric, carry flows ≡ index (mod
-    shards).  Module-level so worker processes can pickle it."""
+    shards) — of the caller's ``flows``, else of the workload's, of
+    which only that slice is expanded.  Module-level so worker
+    processes can pickle it."""
+    topology = spec.build()
+    if flows is None and shards > 1:
+        flows = generate_flows(topology.host_names(), workload,
+                               range(index, workload.flows, shards))
     return run_flows(
-        spec.build(), workload, plan, flows=flows, shards=shards,
+        topology, workload, plan, flows=flows, shards=shards,
         flow_filter=(None if shards == 1 else
                      lambda flow: flow.flow_id % shards == index),
         **vars(config),

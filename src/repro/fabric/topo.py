@@ -84,6 +84,9 @@ class FabricTopology:
         self.params = dict(params)
         self.network = network
         self.hosts: dict[str, Host] = {h.name: h for h in hosts}
+        #: :func:`~repro.fabric.scheduler.flow_frame`'s memo: one packed
+        #: frame per (src host, dst host, size), gone with the instance.
+        self.frame_templates: dict[tuple[str, str, int], bytes] = {}
         self._learned = False
         self._backups_installed = False
         self.validate()

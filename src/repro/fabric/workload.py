@@ -6,9 +6,9 @@ records — host pairs, frame sizes, packet counts, start ticks and
 inter-arrival gaps — using only RNG streams derived from the spec's
 seed (one independent stream per flow, via
 :func:`repro.faults.derive_seed`).  That makes the expansion a pure
-function of ``(hosts, spec)``: every shard worker regenerates the exact
-same flow list and picks its slice by ``flow_id``, with no flow state
-shipped between processes.
+function of ``(hosts, spec)`` flow by flow: every shard worker expands
+exactly the flows whose ``flow_id`` falls in its slice, as any other
+process would, with no flow state shipped between processes.
 
 Three inter-arrival patterns cover the paper's evaluation shapes:
 
@@ -35,14 +35,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Iterable, Optional
 
-from repro.faults import derive_seed
+from repro.faults import seed_stream
 
 PATTERNS = ("uniform", "bursty", "incast")
 
 #: Frame sizes drawn for flows, IMIX-flavoured (small-heavy).
 _SIZE_CHOICES = (64, 128, 256, 576, 1024, 1518)
 _SIZE_WEIGHTS = (7, 4, 3, 3, 2, 1)
+_SIZE_CUM_WEIGHTS = tuple(accumulate(_SIZE_WEIGHTS))
 
 
 @dataclass(frozen=True)
@@ -135,30 +138,41 @@ def _start_tick(spec: WorkloadSpec, index: int, rng: random.Random) -> int:
     return (index % waves) * spec.burst_gap
 
 
-def generate_flows(hosts: list[str], spec: WorkloadSpec) -> list[Flow]:
+def generate_flows(
+    hosts: list[str], spec: WorkloadSpec,
+    ids: Optional[Iterable[int]] = None,
+) -> list[Flow]:
     """Expand a spec into flows over ``hosts`` — pure in (hosts, spec).
 
     Each flow draws from its own RNG stream seeded by
     ``derive_seed(spec.seed, "flow", i)``, so the description of flow
     ``i`` never depends on how many flows came before it or on which
-    shard regenerates it.
+    shard regenerates it — so ``ids`` (default: all ``spec.flows``)
+    expands just the flows named, each as the full expansion has it.
+    What does not vary with the flow (the seed's rendered prefix, the
+    generator object, each host's peers) is set up once; every draw is
+    the one a fresh ``random.Random(derive_seed(...))`` would make.
     """
     if len(hosts) < 2:
         raise ValueError("workload needs at least two hosts")
+    flow_seed = seed_stream(spec.seed, "flow")
+    rng = random.Random()
+    peers = {host: [h for h in hosts if h != host] for host in hosts}
     flows: list[Flow] = []
-    for i in range(spec.flows):
-        rng = random.Random(derive_seed(spec.seed, "flow", i))
+    for i in range(spec.flows) if ids is None else ids:
+        rng.seed(flow_seed(i))
         if spec.pattern == "incast":
             # One rotating sink per wave; everyone else fans in.
             wave = i % max(1, spec.window_ticks // spec.burst_gap)
             dst = hosts[wave % len(hosts)]
-            src = rng.choice([h for h in hosts if h != dst])
+            src = rng.choice(peers[dst])
         else:
             src = rng.choice(hosts)
-            dst = rng.choice([h for h in hosts if h != src])
+            dst = rng.choice(peers[src])
         packets = rng.randint(1, spec.packets_per_flow)
         responds = rng.random() < spec.response_ratio
-        frame_size = rng.choices(_SIZE_CHOICES, weights=_SIZE_WEIGHTS)[0]
+        frame_size = rng.choices(
+            _SIZE_CHOICES, cum_weights=_SIZE_CUM_WEIGHTS)[0]
         response_packets = rng.randint(1, packets) if responds else 0
         start_tick = _start_tick(spec, i, rng)
         gap_ticks = rng.randint(1, 4)

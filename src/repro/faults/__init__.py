@@ -44,6 +44,7 @@ from repro.faults.plan import (
     derive_seed,
     get_plan,
     register_plan,
+    seed_stream,
 )
 
 __all__ = [
@@ -70,4 +71,5 @@ __all__ = [
     "derive_seed",
     "get_plan",
     "register_plan",
+    "seed_stream",
 ]

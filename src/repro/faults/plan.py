@@ -67,6 +67,21 @@ def derive_seed(seed: int, *parts: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def seed_stream(seed: int, *parts: object) -> Callable[[object], int]:
+    """``derive_seed(seed, *parts, last)`` as a function of ``last``:
+    the prefix a loop over one stream shares (``"<seed>:flow:"`` under
+    every flow id) is rendered and hashed once, here."""
+    prefix = hashlib.sha256(
+        ":".join([str(seed), *map(str, parts), ""]).encode())
+
+    def derive(last: object) -> int:
+        digest = prefix.copy()
+        digest.update(str(last).encode())
+        return int.from_bytes(digest.digest()[:8], "big")
+
+    return derive
+
+
 def _check_rates(*rates: float) -> None:
     for rate in rates:
         if not 0.0 <= rate <= 1.0:

@@ -41,6 +41,7 @@ from repro.packet.generator import (
     make_arp_request,
     make_udp_frame,
     random_frame,
+    retarget_udp_frame,
     uniform_random_frames,
 )
 
@@ -85,5 +86,6 @@ __all__ = [
     "make_arp_request",
     "make_udp_frame",
     "random_frame",
+    "retarget_udp_frame",
     "uniform_random_frames",
 ]

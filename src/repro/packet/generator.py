@@ -56,6 +56,31 @@ def make_udp_frame(
     return EthernetFrame(dst_mac, src_mac, ETHERTYPE_IPV4, ip.pack())
 
 
+_UDP_AT = 14 + 20  # make_udp_frame: untagged Ethernet, option-less IPv4
+
+
+def retarget_udp_frame(packed: bytes, sport: int, dport: int) -> bytes:
+    """``make_udp_frame(..., sport, dport, ...).pack()``, cut from the
+    packed frame the same call built for any other pair of ports.
+
+    Two port words and the RFC 1624 checksum update, at any size.
+    One's-complement arithmetic is arithmetic modulo 0xFFFF, the
+    checksum sent is minus the word sum, and ``0xFFFF - residue`` is
+    never zero — RFC 768's "a computed zero is sent as all ones".  A
+    zero checksum field (none computed) stays zero.
+    """
+    if not (0 <= sport <= 0xFFFF and 0 <= dport <= 0xFFFF):
+        raise ValueError(f"port out of range: {sport}, {dport}")
+    header = int.from_bytes(packed[_UDP_AT:_UDP_AT + 8], "big")
+    ports = sport << 16 | dport
+    checksum = header & 0xFFFF
+    if checksum:
+        checksum = 0xFFFF - (ports - (header >> 32) - checksum) % 0xFFFF
+    header = ports << 32 | header & 0xFFFF0000 | checksum
+    return (packed[:_UDP_AT] + header.to_bytes(8, "big")
+            + packed[_UDP_AT + 8:])
+
+
 def make_arp_request(
     sender_mac: MacAddr, sender_ip: Ipv4Addr, target_ip: Ipv4Addr
 ) -> EthernetFrame:

@@ -109,10 +109,12 @@ class Histogram:
         self.sum = 0.0
         self.count = 0
 
-    def observe(self, value: float) -> None:
-        self.counts[bisect_left(self.buckets, value)] += 1
-        self.sum += value
-        self.count += 1
+    def observe(self, value: float, count: int = 1) -> None:
+        """``count`` observations of ``value`` (the sum moves by their
+        product)."""
+        self.counts[bisect_left(self.buckets, value)] += count
+        self.sum += value * count
+        self.count += count
 
     def quantile(self, q: float) -> float:
         """Approximate quantile: the upper bound of the covering bucket."""
@@ -183,8 +185,8 @@ class _Family:
     def dec(self, amount: float = 1) -> None:
         self._solo().dec(amount)
 
-    def observe(self, value: float) -> None:
-        self._solo().observe(value)
+    def observe(self, value: float, count: int = 1) -> None:
+        self._solo().observe(value, count)
 
     def bind(self, fn: Callable[[], float]) -> None:
         self._solo().bind(fn)

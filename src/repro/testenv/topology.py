@@ -58,12 +58,14 @@ the walk was *frame-preserving* — cacheable as above and every copy it
 forwarded or delivered byte-equal to the injected frame, so no rewrite
 and no INT stamp: then each lookup on the way saw exactly the injected
 frame, would decide the same for any frame of the class and hand that
-one on unchanged too.  On an exact-key miss a class hit therefore
-*derives* the new walk — the template's with the caller's frame in its
-deliveries and the same counter deltas — stores it under the exact key
-and carries on as a hit (``path_shared`` counts these); the slow walk
-runs for the first frame of a class only.  A derived walk shares its
-template's dependency record, so the two leave together.
+one on unchanged too.  The class's entry is that walk with no frame in
+its deliveries (``None`` there means "what you injected"), so it *is*
+the walk of every frame of the class: on an exact-key miss a class hit
+stores that one object under the exact key too and carries on as a hit
+(``path_shared`` counts these) — a table entry per derived key, not a
+walk object, and no bytes of one flow to hand to another.  The slow
+walk runs for the first frame of a class only, and every key of a class
+shares one dependency record, so they leave together.
 INT frames never touch the class table, and a fabric in which some
 lookup reads the whole header window has no classes to share.
 
@@ -132,10 +134,11 @@ class Delivery:
 
 class _WalkDelivery(NamedTuple):
     """A :class:`Delivery` frozen into a cached walk (same field names,
-    so one loop can account either)."""
+    so one loop can account either); ``frame`` is ``None`` in the walk
+    a class shares — the copy delivered is whichever frame went in."""
 
     at: Attachment
-    frame: bytes
+    frame: Optional[bytes]
     hops: int
 
 
@@ -167,11 +170,12 @@ class _CachedWalk:
     each touched device's counter delta
     ``(opl, packets, drops, ((counter, delta), ...))``; the site tuples
     localize where the walk's losses happened, ``((device, port), ...)``.
-    ``template`` marks a *frame-preserving* walk of a frame with no INT
-    trailer: every copy it forwarded or delivered is byte-equal to the
-    injected frame, so the walk can stand in for any frame of the same
-    class (see the module docstring).  ``deps`` is the dependency record
-    of the slow walk this one was recorded by or derived from.
+    ``template`` marks a recorded *frame-preserving* walk of a frame
+    with no INT trailer: every copy it forwarded or delivered is
+    byte-equal to the injected frame, so less those frames it is the
+    walk of every frame of the class (see the module docstring) and
+    :meth:`Network._store` enters that twin in the class table.
+    ``deps`` is the slow walk's dependency record, and the twin's.
     """
 
     deliveries: tuple[_WalkDelivery, ...]
@@ -450,10 +454,11 @@ class Network:
         accounted rather than silent.
 
         While the path cache is enabled, a memoized walk for the same
-        (device, port, frame) — or one derived from the walk of a frame
-        no lookup in the fabric can tell from this one — is replayed
-        instead of re-forwarded, deliveries, loss accounting and
-        per-device counters included.  A walk is resident only while no
+        (device, port, frame) — or the one its class shares, recorded
+        for a frame no lookup in the fabric can tell from this one — is
+        replayed instead of re-forwarded: deliveries (of the caller's
+        own bytes), loss accounting, per-device counters.  A walk is
+        resident only while no
         device it visited has changed: mutations mark their device
         dirty, and the walks through dirty devices are dropped here,
         first thing.  On a hit no device is called at all.
@@ -483,6 +488,9 @@ class Network:
                     walk.dropped_hop_limit, walk.dropped_link_down,
                     walk.hop_limit_sites, walk.link_down_sites,
                 )
+                for delivery in result:
+                    if delivery.frame is None:  # the class's walk: ours
+                        delivery.frame = frame
                 self.deliveries += result
             else:
                 self.path_misses += 1
@@ -513,7 +521,8 @@ class Network:
         The counted entry to the path cache: drop what a mutation made
         stale, look the walk up, apply its effects ``count`` times.
         Returns the frozen walk — one packet's outcome template
-        (``deliveries`` plus the :class:`InjectionResult` loss fields);
+        (``deliveries`` — a ``None`` frame there stands for ``frame``
+        itself — plus the :class:`InjectionResult` loss fields);
         the aggregate effect on per-device counters and loss accounting
         is byte-identical to ``count`` sequential :meth:`inject` calls
         of the same frame.  Returns ``None``, having carried nothing, when
@@ -644,18 +653,25 @@ class Network:
         if walk.template and self._reads is not None:
             device, port, frame = key
             deps.class_key = (device, port, *self._reads.key(frame))
-            self._class_cache[deps.class_key] = walk
+            # The class's walk names no frame: no flow's bytes to hand out.
+            self._class_cache[deps.class_key] = _CachedWalk(
+                tuple(_WalkDelivery(d.at, None, d.hops)
+                      for d in walk.deliveries),
+                walk.dropped_hop_limit, walk.dropped_link_down,
+                walk.forwarded, walk.ops, deps,
+                walk.link_down_sites, walk.hop_limit_sites,
+            )  # template=False: the class has its entry
 
     def _derive(self, key: tuple) -> Optional[_CachedWalk]:
-        """On an exact-key miss, cut the key's walk from its class's.
+        """On an exact-key miss, enter the key under its class's walk.
 
         The class table holds one frame-preserving walk per ``(device,
         port, what the lookups read of the frame)``.  Every lookup on
-        the way decides for this frame as it did for the template's and
-        hands it on unchanged, so the walk is the template's with this
-        frame in its deliveries and the same ``ops``.  It is stored
-        under the exact key and counted in :attr:`path_shared`; the
-        caller carries on as if the exact lookup had hit.
+        the way decides for this frame as it did for the recorded one
+        and hands it on unchanged, and the class's walk names no frame:
+        it is this frame's walk as it stands.  The same object is
+        stored under the exact key and counted in :attr:`path_shared`;
+        the caller carries on as if the exact lookup had hit.
         """
         device, port, frame = key
         if frame[-4:] == _INT_MAGIC:
@@ -663,19 +679,15 @@ class Network:
         # Callers drop stale walks first (a new device makes all of them
         # stale), so a filled class table means the declarations it was
         # keyed under still stand (and allow sharing).
-        shared = self._class_cache.get(
-            (device, port, *self._reads.key(frame)))
-        if shared is None:
-            return None
-        walk = _CachedWalk(
-            tuple(_WalkDelivery(d.at, frame, d.hops)
-                  for d in shared.deliveries),
-            shared.dropped_hop_limit, shared.dropped_link_down,
-            shared.forwarded, shared.ops, shared.deps,
-            shared.link_down_sites, shared.hop_limit_sites,
-        )  # template=False: the class already has its walk
-        self._store(key, walk)
-        self.path_shared += 1
+        class_key = (device, port, *self._reads.key(frame))
+        walk = self._class_cache.get(class_key)
+        if walk is not None:
+            self._store(key, walk)
+            if walk.deps.class_key is None:
+                # Evicted from under its own store: live again, class too.
+                walk.deps.class_key = class_key
+                self._class_cache[class_key] = walk
+            self.path_shared += 1
         return walk
 
     def _walk(

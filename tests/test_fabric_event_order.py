@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cProfile
 import heapq
+from hashlib import sha256
 from unittest import mock
 
 import pytest
@@ -139,6 +140,17 @@ class TestOrderIsTheSpec:
         assert engine.pending_events == len(reference.heap)
         assert engine.next_tick == (reference.heap[0][0]
                                     if reference.heap else None)
+
+    def test_the_tie_break_is_the_recorded_one(self):
+        """``rr`` of flows 0..99 under seed 5, hashed while each cursor
+        called ``derive_seed(seed, "rr", flow_id)`` whole: rendering the
+        prefix once per engine cannot have moved one."""
+        spec = WorkloadSpec("uniform", flows=100, seed=5)
+        engine, flows = _engine(spec, 1024)
+        rr = [entry[1] for entry in sorted(engine._heap, key=lambda e: e[2])]
+        assert rr[:3] == [493227606, 2492957608, 1055332539]
+        assert sha256(repr(rr).encode()).hexdigest() == (
+            "1bcf0c49d9a8f8fd9081660e3249388e8bdf8e34e2f23283e6be7e5997bd8b0c")
 
 
 def _flow(flow_id, src, dst, **kw):

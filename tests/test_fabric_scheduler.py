@@ -6,6 +6,7 @@ import pytest
 
 from repro.fabric import (
     FabricReport,
+    FlowEngine,
     FlowRecord,
     get_topology,
     get_workload,
@@ -40,6 +41,20 @@ class TestCleanRuns:
         wide = _run(max_inflight=1024)
         narrow = _run(max_inflight=1)
         assert wide.fingerprint() == narrow.fingerprint()
+
+    def test_no_plan_no_per_flow_plan(self):
+        """Without a plan no flow can draw or count a fault: all share
+        the engine's one null session; with one, each has its own."""
+        def sessions(plan):
+            engine = FlowEngine(get_topology("leaf-spine").build(),
+                                get_workload("uniform-small"), plan)
+            held = {id(entry[-1].session) for entry in engine._heap}
+            return len(held), len(engine._heap), engine.report()
+
+        shared, flows, report = sessions(None)
+        assert (shared, report.fault_counters) == (1, {})
+        own, flows, report = sessions(get_plan("lossy-link", seed=3))
+        assert own == flows > 1 and report.fault_counters
 
     def test_responses_flow_back(self):
         report = _run(workload="incast-64")
@@ -162,6 +177,26 @@ class TestTelemetryFeed:
         assert len(outcomes) == 6 and 0 not in outcomes.values()
         assert sum(outcomes.values()) == record.attempted
         assert report.lost == 15
+
+    def test_hop_histogram_is_fed_once_per_bucket(self):
+        """``observe(value, count)`` exports exactly what ``count``
+        single observations did — the series are byte-identical."""
+        report = _run(topo="leaf-spine")
+        assert len(report.hops_hist) > 1
+        counted, single = TelemetrySession("sim"), TelemetrySession("sim")
+        report.feed(counted.registry)
+        hops = single.registry.histogram(
+            "fabric_delivery_hops", "Device hops per delivered packet",
+            buckets=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0),
+            cycle_dependent=False)
+        for hop, count in sorted(report.hops_hist.items()):
+            for _ in range(count):
+                hops.observe(float(hop))
+        report.hops_hist = {}
+        report.feed(single.registry)  # every other series, the same way
+        assert counted.registry.to_prometheus() \
+            == single.registry.to_prometheus()
+        assert counted.registry.to_json() == single.registry.to_json()
 
     def test_feed_device_series(self):
         report = _run(topo="star-3")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.fabric import (
+    generate_flows,
     get_topology,
     get_workload,
     merge_reports,
@@ -59,6 +60,35 @@ class TestShardInvariance:
         a = run_sharded(spec, workload, shards=1)
         b = run_sharded(spec, workload, shards=2, parallel=False)
         assert a.signature() == b.signature()
+
+    def test_a_shard_expands_only_the_flows_it_carries(self, monkeypatch):
+        """Flow ``i`` never depends on its neighbours, so a shard asks
+        for its own ids and nobody regenerates the whole workload; an
+        explicit ``flows=`` is still just filtered."""
+        from repro.fabric import scheduler, shard
+
+        spec = get_topology("leaf-spine")
+        workload = get_workload("uniform-small")
+        whole = run_sharded(spec, workload, shards=1)
+        asked = []
+
+        def recording(hosts, spec, ids=None):
+            asked.append(ids)
+            return generate_flows(hosts, spec, ids)
+
+        def refusing(*_):
+            raise AssertionError("a shard expanded the whole workload")
+
+        monkeypatch.setattr(shard, "generate_flows", recording)
+        monkeypatch.setattr(scheduler, "generate_flows", refusing)
+        merged = run_sharded(spec, workload, shards=4, parallel=False)
+        assert asked == [range(i, workload.flows, 4) for i in range(4)]
+        assert merged.signature() == whole.signature()
+        flows = generate_flows(spec.build().host_names(), workload)
+        del asked[:]
+        listed = run_sharded(spec, workload, shards=4, parallel=False,
+                             flows=flows)
+        assert not asked and listed.signature() == whole.signature()
 
 
 class TestMerge:

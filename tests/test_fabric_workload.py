@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from hashlib import sha256
+
 import pytest
 
 from repro.fabric import (
@@ -46,6 +48,52 @@ class TestGeneration:
         spec100 = WorkloadSpec("uniform", flows=100, seed=9)
         first10 = generate_flows(HOSTS, spec100)[:10]
         assert generate_flows(HOSTS, spec10) == first10
+
+
+class TestExpansionIsPinned:
+    """Hoisting set-up out of the per-flow loop may not move a draw."""
+
+    #: sha256 of ``repr(generate_flows(...))`` over 16 hosts, taken
+    #: while every flow built its own ``random.Random(derive_seed(...))``.
+    PINNED = {
+        ("bursty-256", 0): "0dbee852c142544a99133c9d1d44fb7f1058510e5f4ceaaac73848e2f9d0ebfa",
+        ("bursty-256", 1): "946d9f01fc594428678ee0b86c425aeb9513948526fa91a4f9392b08d1253abe",
+        ("bursty-256", 7): "82dcb79ecd639933c9c8c0fcbc9c2219771bbb8c0629d85a5a323f0dc4a6e560",
+        ("incast-64", 0): "30be22e2bb4377d26d3853a3aed052b1764c1a83d822ee0ba48a25cacf5d48ff",
+        ("incast-64", 1): "7f3ad41e6855f74931d2cd07b28ea80205dc379a57e68dda680781f9794b51c3",
+        ("incast-64", 7): "4643ed1da6535843e6646dfcb9548ae062a2bfd222653626fe50e7f2e4ebc30e",
+        ("uniform-1k", 0): "217f41a150e3fa5e8e792a03aaba3b44553c546e6be45aefac3ddb23d8964ac6",
+        ("uniform-1k", 1): "eb6d07f5ee1a459ea0d11c0300cd4d5b9127cb8bd699de8423f3cb3722caf491",
+        ("uniform-1k", 7): "374bbd320d95d71d256dc7d9f851cfad17a24010cf88003b70e2f583a6116e8f",
+        ("uniform-int", 0): "0a6db9d57186610ca0f086e92829448d6d058de4052ae232b69c60a92ceaa249",
+        ("uniform-int", 1): "fe0460a5f08d15c4cf5c3f5464b9c9138718b86a64d107d952761fc1b544c899",
+        ("uniform-int", 7): "34e633a85714f9f99fe0fbeb3fc031b565e83478a7df530653946c51ccd2cec9",
+        ("uniform-small", 0): "9f366756c8160eae9976e45009703d1b3056ab4b07ab4bd099b40d842f2e229c",
+        ("uniform-small", 1): "e61b77d22787f3b5a2ba0df6184788c141c8acaca768a1e8932b9db6f5475a88",
+        ("uniform-small", 7): "1ec634bfceb2efd0ddbd4f422250d1ddfa4bf57973dec02830c07861ba47302d",
+    }
+    HOSTS = [f"h{i}" for i in range(16)]
+
+    @pytest.mark.parametrize("name,seed", sorted(PINNED))
+    def test_presets_expand_as_recorded(self, name, seed):
+        assert set(name for name, _ in self.PINNED) == set(WORKLOADS)
+        flows = generate_flows(self.HOSTS, WORKLOADS[name].with_seed(seed))
+        assert sha256(repr(flows).encode()).hexdigest() \
+            == self.PINNED[name, seed]
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_a_slice_expands_as_the_whole_has_it(self, name):
+        """``ids`` names the flows to expand; each comes out as the
+        full expansion's — what lets a shard expand only its own."""
+        spec = WORKLOADS[name].with_seed(3)
+        whole = generate_flows(self.HOSTS, spec)
+        for shards in (1, 3, 4):
+            for index in range(shards):
+                assert generate_flows(
+                    self.HOSTS, spec, range(index, spec.flows, shards),
+                ) == [f for f in whole if f.flow_id % shards == index]
+        assert generate_flows(self.HOSTS, spec, [5, 2]) == [whole[5], whole[2]]
+        assert generate_flows(self.HOSTS, spec, []) == []
 
 
 class TestPatterns:

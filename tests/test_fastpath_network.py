@@ -10,11 +10,11 @@ import pytest
 from repro.cores.lookups import SwitchLiteLookup
 from repro.cores.output_queues import QueueConfig
 from repro.fabric import get_topology, get_workload, run_sharded
-from repro.fabric.scheduler import flow_frame, run_flows
+from repro.fabric.scheduler import flow_frame, int_frame, run_flows
 from repro.fabric.workload import WorkloadSpec, generate_flows
 from repro.faults import get_plan, inject
 from repro.host.nfmon import main as nfmon_main
-from repro.int import encode_template
+from repro.int import INT_MIN_FRAME_SIZE, encode_template
 from repro.packet.generator import make_udp_frame
 from repro.projects.base import ReferencePipeline
 from repro.projects.firewall import FirewallProject, SynFloodDetector
@@ -189,7 +189,8 @@ class TestWalkSharing:
         assert net.warm_paths([("s1", 0, flow_of_pair(2)),
                                ("s1", 0, flow_of_pair(1))]) == 1
         walk = net.inject_batch("s1", 0, flow_of_pair(3), 5)
-        assert [d.frame for d in walk.deliveries] == [flow_of_pair(3)]
+        # The class's walk names no frame: what went in came out.
+        assert [d.frame for d in walk.deliveries] == [None]
         assert net.inject_many([("s1", 0, flow_of_pair(4))])[0][0].frame \
             == flow_of_pair(4)
         stats = net.fastpath_stats()
@@ -240,6 +241,43 @@ class TestWalkSharing:
             == [second]
         assert net.inject_batch("s1", 0, first, 2).deliveries[0].frame == first
         assert net.path_shared == 1
+
+    def test_a_class_shares_one_walk_that_names_no_frame(self):
+        """Derived keys hold the class's walk itself, and nothing read
+        off it is another flow's bytes."""
+        net = programmed_fabric()
+        walked, short, long = (flow_of_pair(1), flow_of_pair(2, size=64),
+                               flow_of_pair(3, size=1500))
+        net.inject("s1", 0, walked)
+        shared = net.inject_batch("s1", 0, short, 2)
+        assert net.inject_batch("s1", 0, long, 2) is shared
+        assert [d.frame for d in shared.deliveries] == [None]
+        # Only the recorded frame's own key names it, being that frame.
+        own = net.inject_batch("s1", 0, walked, 2)
+        assert own is not shared
+        assert [d.frame for d in own.deliveries] == [walked]
+        for frame in (long, short, walked, long):
+            assert [d.frame for d in net.inject("s1", 0, frame)] == [frame]
+        assert (net.path_misses, net.path_shared) == (1, 2)
+
+    def test_eviction_from_under_a_derivation_keeps_the_class(
+            self, monkeypatch):
+        """Storing a derived key may evict the record it derives from;
+        the record, its class entry included, is live again with it."""
+        from repro.testenv import topology
+
+        monkeypatch.setattr(topology, "PATH_CACHE_CAPACITY", 2)
+        fast, slow = programmed_fabric(), programmed_fabric()
+        slow.set_fastpath(False)
+        frames = [flow_of_pair(i) for i in range(6)]
+        for frame in frames + frames:
+            assert [d.frame for d in fast.inject("s1", 0, frame)] == [frame]
+            slow.inject("s1", 0, frame)
+            assert fast.path_entries <= 2
+        assert observables(fast) == observables(slow)
+        # Every third store evicts the one record; its class never left.
+        assert fast.path_misses == 1
+        assert fast.path_shared == len(frames) * 2 - 1
 
     def test_int_frames_neither_make_nor_take_a_template(self):
         """Every hop stamps an INT frame, so its walk belongs to its own
@@ -379,21 +417,74 @@ class TestFabricFingerprintInvariance:
         assert four.fastpath["path_misses"] > 0
         assert sum(four_off.fastpath.values()) == 0
 
-    def test_flow_frame_matches_fresh_build(self):
-        topology = get_topology("leaf-spine").build()
-        flows = generate_flows(topology.host_names(),
-                               WorkloadSpec(flows=8, seed=2))
+    #: The repo benchmark's four flow lists (``bench/workloads.py``),
+    #: and the small one this test started with.
+    SHAPES = {
+        "small": ("leaf-spine", WorkloadSpec(flows=8, seed=2)),
+        "elephants": ("leaf-spine", WorkloadSpec(
+            flows=192, seed=1, packets_per_flow=1024, window_ticks=1024)),
+        "mice": ("fat-tree-4", WorkloadSpec(
+            flows=2400, seed=1, packets_per_flow=2, window_ticks=4096)),
+        "lossy": ("leaf-spine-wide", WorkloadSpec(
+            "bursty", flows=600, seed=1, packets_per_flow=96,
+            window_ticks=1024)),
+        "churn": ("abilene", WorkloadSpec(
+            flows=800, seed=1, packets_per_flow=96, window_ticks=2048)),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_flow_frame_matches_fresh_build(self, shape):
+        """Every direction's frame — re-targeted from its (host pair,
+        size) template — and its INT template are byte-equal to a
+        build of their own."""
+        name, workload = self.SHAPES[shape]
+        topology = get_topology(name).build()
+        flows = generate_flows(topology.host_names(), workload)
+        classes = set()
         for flow in flows:
             for is_response in (False, True):
                 src = topology.hosts[flow.dst if is_response else flow.src]
                 dst = topology.hosts[flow.src if is_response else flow.dst]
-                fresh = make_udp_frame(
-                    src.mac, dst.mac, src.ip, dst.ip,
-                    _SPORT_BASE + (flow.flow_id % 10000),
-                    _DPORT_BASE + (flow.flow_id % 10000),
-                    size=flow.frame_size,
-                ).pack()
-                assert flow_frame(topology, flow, is_response) == fresh
+
+                def fresh(size):
+                    return make_udp_frame(
+                        src.mac, dst.mac, src.ip, dst.ip,
+                        _SPORT_BASE + (flow.flow_id % 10000),
+                        _DPORT_BASE + (flow.flow_id % 10000),
+                        size=size,
+                    ).pack()
+
+                assert flow_frame(topology, flow, is_response) \
+                    == fresh(flow.frame_size)
+                int_size = max(flow.frame_size, INT_MIN_FRAME_SIZE)
+                assert int_frame(topology, flow, is_response) \
+                    == encode_template(fresh(int_size), flow.flow_id,
+                                       response=is_response)
+                classes |= {(src.name, dst.name, flow.frame_size),
+                            (src.name, dst.name, int_size)}
+        assert set(topology.frame_templates) == classes
+
+    def test_the_frame_memo_dies_with_its_topology(self, monkeypatch):
+        """One real build per (host pair, size) per ``FabricTopology``:
+        nothing outlives a run, so a second run pays for its own."""
+        from repro.fabric import scheduler
+
+        builds = []
+
+        def counting(*args, **kwargs):
+            builds.append(kwargs["size"])
+            return make_udp_frame(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "make_udp_frame", counting)
+        spec, workload = get_topology("leaf-spine"), self.WORKLOAD
+        first = run_sharded(spec, workload)
+        once = len(builds)
+        directions = sum(1 + bool(flow.response_packets) for flow in
+                         generate_flows(spec.build().host_names(), workload))
+        assert 0 < once < directions
+        assert run_sharded(spec, workload).fingerprint() \
+            == first.fingerprint()
+        assert len(builds) == 2 * once
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.faults import (
     DmaFaultSpec,
@@ -14,6 +15,7 @@ from repro.faults import (
     available_plans,
     derive_seed,
     get_plan,
+    seed_stream,
 )
 from repro.faults.plan import SITES
 
@@ -63,6 +65,14 @@ class TestDeterminism:
             mixed.mmio_read_faults()
             mixed.dma_fault("rx_completion")
         assert link_only == interleaved
+
+    @given(st.integers(), st.lists(st.one_of(st.integers(), st.text()),
+                                   max_size=3),
+           st.one_of(st.integers(), st.text()))
+    def test_a_seed_stream_is_derive_seed_with_its_prefix_bound(
+            self, seed, parts, last):
+        assert seed_stream(seed, *parts)(last) \
+            == derive_seed(seed, *parts, last)
 
     def test_lazy_site_rngs_match_eager_ones_in_any_first_use_order(self):
         """Per-site generators are seeded on first draw; the streams

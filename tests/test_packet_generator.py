@@ -1,6 +1,7 @@
 """Workload generators: determinism, well-formedness, distributions."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.packet.addresses import Ipv4Addr, MacAddr
 from repro.packet.arp import ArpPacket
@@ -10,6 +11,7 @@ from repro.packet.generator import (
     make_arp_request,
     make_udp_frame,
     random_frame,
+    retarget_udp_frame,
     uniform_random_frames,
 )
 from repro.packet.ipv4 import Ipv4Packet
@@ -41,6 +43,63 @@ class TestMakeUdpFrame:
     def test_ttl_propagates(self):
         frame = make_udp_frame(MAC_A, MAC_B, IP_A, IP_B, ttl=3, size=100)
         assert Ipv4Packet.parse(frame.payload).ttl == 3
+
+
+ports = st.integers(0, 0xFFFF)
+
+
+class TestRetargetUdpFrame:
+    """A re-targeted frame is byte-equal to one built for its ports."""
+
+    @given(ports, ports, ports, ports, st.integers(64, 1518),
+           st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    def test_equals_a_fresh_build(self, sport, dport, new_sport, new_dport,
+                                  size, src_ip, dst_ip):
+        def build(sport, dport):
+            return make_udp_frame(MAC_A, MAC_B, Ipv4Addr(src_ip),
+                                  Ipv4Addr(dst_ip), sport, dport,
+                                  size=size).pack()
+
+        assert retarget_udp_frame(build(sport, dport), new_sport,
+                                  new_dport) == build(new_sport, new_dport)
+
+    @given(ports, ports, ports, st.integers(64, 1518))
+    def test_a_sum_that_folds_to_zero_is_sent_as_all_ones(
+            self, sport, dport, new_sport, size):
+        """RFC 768: the destination port that makes the words sum to
+        minus zero gives a computed checksum of 0, transmitted 0xFFFF —
+        from, and to, such a frame."""
+        def build(sport, dport):
+            return make_udp_frame(MAC_A, MAC_B, IP_A, IP_B, sport, dport,
+                                  size=size).pack()
+
+        def checksum(frame):
+            return int.from_bytes(frame[40:42], "big")
+
+        # The checksum is minus the word sum (mod 0xFFFF): moving the
+        # port by what is left of it makes the sum a multiple of 0xFFFF.
+        zeroing = (checksum(build(new_sport, 0)) % 0xFFFF) or 0xFFFF
+        folded = build(new_sport, zeroing)
+        assert checksum(folded) == 0xFFFF
+        assert retarget_udp_frame(build(sport, dport), new_sport,
+                                  zeroing) == folded
+        assert retarget_udp_frame(folded, sport, dport) == build(sport, dport)
+        assert retarget_udp_frame(folded, new_sport, zeroing) == folded
+
+    def test_no_checksum_stays_no_checksum(self):
+        datagram = UdpDatagram(5, 6, b"\xa5" * 30)
+        def frame(datagram):
+            return EthernetFrame(MAC_B, MAC_A, 0x0800, Ipv4Packet(
+                IP_A, IP_B, 17, datagram.pack()).pack()).pack()
+
+        assert retarget_udp_frame(frame(datagram), 7, 8) \
+            == frame(UdpDatagram(7, 8, datagram.payload))
+
+    def test_ports_out_of_range_are_refused(self):
+        frame = make_udp_frame(MAC_A, MAC_B, IP_A, IP_B).pack()
+        for sport, dport in ((-1, 5), (5, 0x10000)):
+            with pytest.raises(ValueError):
+                retarget_udp_frame(frame, sport, dport)
 
 
 class TestArpRequest:
