@@ -42,6 +42,11 @@ SUME_TUSER = BitField(
 #: ``SUME_TUSER.pack(len=length, src_port=src_bit)``, including the
 #: out-of-range errors.
 pack_tuser_len_src = SUME_TUSER.packer("len", "src_port")
+#: The two port fields every decision touches, compiled likewise:
+#: ``tuser_dst_port(word)`` == ``SUME_TUSER.extract(word, "dst_port")``,
+#: ``with_tuser_dst_port(word, bits)`` == ``SUME_TUSER.insert(...)``.
+tuser_src_port = SUME_TUSER.accessors("src_port")[0]
+tuser_dst_port, with_tuser_dst_port = SUME_TUSER.accessors("dst_port")
 
 #: Number of physical (SFP+) ports on a SUME board.
 NUM_PHYS_PORTS = 4

@@ -12,14 +12,15 @@ from repro.core.metadata import (
     DMA_PORT_BITS,
     NUM_PHYS_PORTS,
     PHYS_PORT_BITS,
-    SUME_TUSER,
     all_phys_ports_mask,
     dma_port_bit,
     phys_port_bit,
+    tuser_dst_port,
+    tuser_src_port,
+    with_tuser_dst_port,
 )
 from repro.core.module import Resources
 from repro.cores.cam import BinaryCam
-from repro.cores.header_parser import parse_headers
 from repro.cores.output_port_lookup import (
     READS_NOTHING,
     Decision,
@@ -27,6 +28,10 @@ from repro.cores.output_port_lookup import (
     OutputPortLookup,
     header_bytes,
 )
+from repro.packet.ethernet import ETHERTYPE_VLAN
+
+_ALL_PHYS = all_phys_ports_mask()
+_VLAN_TPID = ETHERTYPE_VLAN.to_bytes(2, "big")
 
 
 class PassthroughLookup(OutputPortLookup):
@@ -41,7 +46,7 @@ class PassthroughLookup(OutputPortLookup):
         return READS_NOTHING
 
     def decide(self, header: bytes, tuser: int) -> Decision:
-        if SUME_TUSER.extract(tuser, "dst_port") == 0:
+        if tuser_dst_port(tuser) == 0:
             return Decision(tuser, drop=True, note="no_destination")
         return Decision(tuser, note="passthrough")
 
@@ -61,14 +66,14 @@ class NicLookup(OutputPortLookup):
         return READS_NOTHING
 
     def decide(self, header: bytes, tuser: int) -> Decision:
-        src = SUME_TUSER.extract(tuser, "src_port")
+        src = tuser_src_port(tuser)
         for i in range(NUM_PHYS_PORTS):
             if src & phys_port_bit(i):
                 dst = dma_port_bit(i)
-                return Decision(SUME_TUSER.insert(tuser, "dst_port", dst), note="to_host")
+                return Decision(with_tuser_dst_port(tuser, dst), note="to_host")
             if src & dma_port_bit(i):
                 dst = phys_port_bit(i)
-                return Decision(SUME_TUSER.insert(tuser, "dst_port", dst), note="to_wire")
+                return Decision(with_tuser_dst_port(tuser, dst), note="to_wire")
         return Decision(tuser, drop=True, note="unknown_source")
 
     def resources(self) -> Resources:
@@ -146,33 +151,31 @@ class LearningSwitchLookup(OutputPortLookup):
             return HeaderReads(header_bytes(0, 16), 18)
         return HeaderReads(header_bytes(0, 12), 14)
 
-    def _fdb_key(self, mac_value: int, vid: int) -> int:
-        return (vid << 48) | mac_value if self.vlan_aware else mac_value
-
     def decide(self, header: bytes, tuser: int) -> Decision:
-        parsed = parse_headers(header)
-        src_bits = SUME_TUSER.extract(tuser, "src_port")
-        if parsed.src_mac is None:
+        # Off the raw bytes (the CAM is keyed by them): no parsed objects.
+        src_bits = tuser_src_port(tuser)
+        if len(header) < 14:
             return Decision(tuser, drop=True, note="runt")
-        vid = (parsed.vlan_vid or 0) if self.vlan_aware else 0
-        members = self.vlan_members.get(vid, all_phys_ports_mask())
+        vid = 0  # also of untagged frames, and of a tag cut short of 18 bytes
+        if self.vlan_aware and header[12:14] == _VLAN_TPID and len(header) >= 18:
+            vid = int.from_bytes(header[14:16], "big") & 0xFFF
+        members = self.vlan_members.get(vid, _ALL_PHYS)
         if self.vlan_aware and not (src_bits & members):
             # Frame arrived on a port outside its VLAN: drop at ingress.
             return Decision(tuser, drop=True, note="vlan_violation")
-        if self.learn and not parsed.src_mac.is_multicast:
-            self.mac_table.insert(self._fdb_key(parsed.src_mac.value, vid), src_bits)
-        assert parsed.dst_mac is not None
-        if not parsed.dst_mac.is_multicast:
-            key = self._fdb_key(parsed.dst_mac.value, vid)
+        # FDB keys are (VID, MAC); an unaware switch only has VID 0.
+        if self.learn and not header[6] & 1:  # I/G bit: group sources never
+            self.mac_table.insert(
+                (vid << 48) | int.from_bytes(header[6:12], "big"), src_bits)
+        if not header[0] & 1:
+            key = (vid << 48) | int.from_bytes(header[0:6], "big")
             hit = self.mac_table.lookup(key)
             if hit is not None:
                 if hit == src_bits:
                     # Destination is back out the ingress port: filter.
                     return Decision(tuser, drop=True, note="same_port_filter")
                 if hit & self.port_liveness:
-                    return Decision(
-                        SUME_TUSER.insert(tuser, "dst_port", hit), note="hit"
-                    )
+                    return Decision(with_tuser_dst_port(tuser, hit), note="hit")
                 # Primary port is dead: fall over to the precomputed
                 # backup next-hop, still inside this packet's walk.
                 backup = self.backup_table.lookup(key)
@@ -182,14 +185,13 @@ class LearningSwitchLookup(OutputPortLookup):
                     and backup != src_bits
                 ):
                     return Decision(
-                        SUME_TUSER.insert(tuser, "dst_port", backup),
-                        note="frr_reroute",
+                        with_tuser_dst_port(tuser, backup), note="frr_reroute"
                     )
                 return Decision(tuser, drop=True, note="frr_blackhole")
-        flood = all_phys_ports_mask(exclude=src_bits) & members & self.port_liveness
+        flood = _ALL_PHYS & ~src_bits & members & self.port_liveness
         if flood == 0:
             return Decision(tuser, drop=True, note="no_flood_targets")
-        return Decision(SUME_TUSER.insert(tuser, "dst_port", flood), note="flood")
+        return Decision(with_tuser_dst_port(tuser, flood), note="flood")
 
     def resources(self) -> Resources:
         return (
@@ -214,7 +216,7 @@ class SwitchLiteLookup(OutputPortLookup):
         return READS_NOTHING
 
     def decide(self, header: bytes, tuser: int) -> Decision:
-        src = SUME_TUSER.extract(tuser, "src_port")
+        src = tuser_src_port(tuser)
         mapping = {
             PHYS_PORT_BITS[0]: PHYS_PORT_BITS[1],
             PHYS_PORT_BITS[1]: PHYS_PORT_BITS[0],
@@ -228,7 +230,7 @@ class SwitchLiteLookup(OutputPortLookup):
         dst = mapping.get(src)
         if dst is None:
             return Decision(tuser, drop=True, note="unknown_source")
-        return Decision(SUME_TUSER.insert(tuser, "dst_port", dst), note="crossed")
+        return Decision(with_tuser_dst_port(tuser, dst), note="crossed")
 
     def resources(self) -> Resources:
         return super().resources() + Resources(luts=60, ffs=40)

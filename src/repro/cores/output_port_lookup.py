@@ -18,7 +18,7 @@ from __future__ import annotations
 import sys
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from repro.core.axis import AxiStreamBeat, AxiStreamChannel
 from repro.core.metadata import NUM_PHYS_PORTS, all_phys_ports_mask, phys_port_bit
@@ -126,6 +126,8 @@ class OutputPortLookup(Module):
         self.counters: dict[str, int] = {}
         self.packets = 0
         self.drops = 0
+        #: The listener's list of counter names bumped (see :meth:`bump`).
+        self.journal: Optional[list[str]] = None
         #: One-hot liveness mask over the physical ports.  The MAC/PHY
         #: blocks report link state here; lookups that precompute backup
         #: next-hops (fast reroute) consult it inside ``decide()`` so a
@@ -157,7 +159,15 @@ class OutputPortLookup(Module):
         return READS_EVERYTHING
 
     def bump(self, counter: str) -> None:
+        """Move one of :attr:`counters`, and say so in the journal.
+
+        Every movement of :attr:`counters` on a forwarding path is this
+        call: who needs a hop's or a walk's counter effect hangs a list
+        on :attr:`journal` and reads the names off it — no dict diff.
+        """
         self.counters[counter] = self.counters.get(counter, 0) + 1
+        if self.journal is not None:
+            self.journal.append(counter)
 
     def set_port_state(self, index: int, up: bool) -> bool:
         """Mark physical port ``index`` up or down in the liveness mask.

@@ -24,9 +24,10 @@ from repro.core.axilite import RegisterFile
 from repro.core.axis import AxiStreamChannel
 from repro.core.metadata import (
     NUM_PHYS_PORTS,
-    SUME_TUSER,
     dma_port_bit,
     phys_port_bit,
+    tuser_src_port,
+    with_tuser_dst_port,
 )
 from repro.core.module import Resources, StateCell
 from repro.cores.cam import BinaryCam
@@ -131,11 +132,11 @@ class RouterLookup(OutputPortLookup):
     def _to_cpu(self, tuser: int, ingress: int, note: str) -> Decision:
         self.bump("to_cpu")
         return Decision(
-            SUME_TUSER.insert(tuser, "dst_port", dma_port_bit(ingress)), note=note
+            with_tuser_dst_port(tuser, dma_port_bit(ingress)), note=note
         )
 
     def decide(self, header: bytes, tuser: int) -> Decision:
-        src_bits = SUME_TUSER.extract(tuser, "src_port")
+        src_bits = tuser_src_port(tuser)
         ingress = self._ingress_index(src_bits)
         if ingress is None:
             return Decision(tuser, drop=True, note="unknown_source")
@@ -144,7 +145,7 @@ class RouterLookup(OutputPortLookup):
         # software has already made its forwarding decision.
         if src_bits & dma_port_bit(ingress):
             return Decision(
-                SUME_TUSER.insert(tuser, "dst_port", phys_port_bit(ingress)),
+                with_tuser_dst_port(tuser, phys_port_bit(ingress)),
                 note="from_cpu",
             )
 
@@ -202,7 +203,7 @@ class RouterLookup(OutputPortLookup):
             ip_start + 10: new_csum.to_bytes(2, "big"),
         }
         return Decision(
-            SUME_TUSER.insert(tuser, "dst_port", route.port_bits),
+            with_tuser_dst_port(tuser, route.port_bits),
             rewrites=rewrites,
             note="forwarded",
         )

@@ -21,9 +21,11 @@ consults before running ``opl.decide``:
   the cache directly).
 * **Counter-delta replay**: a decision is more than its outputs — the
   slow path bumps ``opl`` counters (including bumps *inside* decide(),
-  like the router's ``to_cpu``).  The fill captures the exact counter
-  delta and a hit replays it, so telemetry, register reads and the
-  fabric fingerprint are byte-identical with the cache on or off.
+  like the router's ``to_cpu``).  The fill listens to the deciding
+  hop's journal (``OutputPortLookup.bump`` names every counter it
+  moves) and a hit bumps the same names again, so telemetry, register
+  reads and the fabric fingerprint are byte-identical with the cache on
+  or off — and a miss copies no counter dict to find that out.
 * **Fault bypass**: when a fault session with armed data-path sites is
   attached to the device, the fast path steps aside entirely so
   per-packet fault draws and ``FaultReport`` fingerprints keep their
@@ -65,7 +67,7 @@ class MicroflowCache:
     """Exact-match decision cache for one device.
 
     ``entries`` maps ``(src_bit, header64, frame_len)`` to a frozen
-    ``(ports, rewrites, note, drop, counter_deltas)`` tuple; the
+    ``(ports, rewrites, note, drop, counters_bumped)`` tuple; the
     consulting pipeline owns the fill/replay logic, the cache owns
     bookkeeping and the generation the entries were filled under.
     """

@@ -48,7 +48,8 @@ cached walk, so cached and uncached deliveries are byte-identical).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
+from typing import NamedTuple
 
 #: The trailer magic, in the frame's last four bytes.
 MAGIC = b"INT1"
@@ -72,6 +73,10 @@ INT_MIN_FRAME_SIZE = 192
 #: zeroes it (legal for UDP over IPv4) so stamping keeps frames honest.
 _UDP_CSUM_OFFSET = 14 + 20 + 6
 
+#: The layout above: the header up to its reserved byte, and one slot.
+_HEADER = struct.Struct(">IIBBB")
+_HOP = struct.Struct(">HBBIBB")
+
 _F_RESPONSE = 0x01
 _F_OVERFLOW = 0x02
 _H_REROUTED = 0x01
@@ -81,8 +86,7 @@ class IntError(ValueError):
     """A frame too small for its trailer, or a malformed trailer."""
 
 
-@dataclass(frozen=True)
-class IntHop:
+class IntHop(NamedTuple):
     """One parsed hop record."""
 
     device_id: int
@@ -93,8 +97,7 @@ class IntHop:
     dead_ports: int  #: one-hot link-down port mask, only when rerouted
 
 
-@dataclass(frozen=True)
-class IntStack:
+class IntStack(NamedTuple):
     """A parsed trailer: the header plus the stamped hop records."""
 
     flow_id: int
@@ -204,33 +207,24 @@ def parse(frame: bytes) -> IntStack:
     """Parse a trailer into an :class:`IntStack` (receiver side)."""
     if not is_int_frame(frame):
         raise IntError("frame carries no INT trailer")
-    hop_count = frame[-8]
-    flags = frame[-7]
-    max_hops = frame[-6]
+    end = len(frame)
+    flow_id, seq, hop_count, flags, max_hops = _HEADER.unpack_from(
+        frame, end - HEADER_BYTES)
     if not 1 <= max_hops <= 0xFF or hop_count > max_hops:
         raise IntError(
             f"malformed INT trailer: {hop_count} hops in a "
             f"{max_hops}-slot stack"
         )
-    if len(frame) < trailer_bytes(max_hops):
+    base = end - trailer_bytes(max_hops)
+    if base < 0:
         raise IntError("frame shorter than its own INT trailer")
-    base = len(frame) - HEADER_BYTES - max_hops * HOP_BYTES
-    hops = []
-    for i in range(hop_count):
-        at = base + i * HOP_BYTES
-        hops.append(IntHop(
-            device_id=int.from_bytes(frame[at:at + 2], "big"),
-            ingress=frame[at + 2],
-            egress=frame[at + 3],
-            timestamp=int.from_bytes(frame[at + 4:at + 8], "big"),
-            rerouted=bool(frame[at + 8] & _H_REROUTED),
-            dead_ports=frame[at + 9],
-        ))
     return IntStack(
-        flow_id=int.from_bytes(frame[-16:-12], "big"),
-        seq=int.from_bytes(frame[-12:-8], "big"),
-        response=bool(flags & _F_RESPONSE),
-        overflow=bool(flags & _F_OVERFLOW),
-        max_hops=max_hops,
-        hops=tuple(hops),
+        flow_id, seq, bool(flags & _F_RESPONSE), bool(flags & _F_OVERFLOW),
+        max_hops,
+        tuple([
+            IntHop(device_id, ingress, egress, timestamp,
+                   bool(hop_flags & _H_REROUTED), dead_ports)
+            for device_id, ingress, egress, timestamp, hop_flags, dead_ports
+            in _HOP.iter_unpack(frame[base:base + hop_count * HOP_BYTES])
+        ]),
     )

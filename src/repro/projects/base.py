@@ -24,10 +24,10 @@ from repro.core.axis import AxiStreamChannel, StreamPacket
 from repro.core.metadata import (
     NUM_DMA_PORTS,
     NUM_PHYS_PORTS,
-    SUME_TUSER,
     dma_port_bit,
     pack_tuser_len_src,
     phys_port_bit,
+    tuser_dst_port,
 )
 from repro.core.module import Module
 from repro.cores.input_arbiter import InputArbiter
@@ -73,6 +73,10 @@ class PortRef:
 ALL_PORTS: tuple[PortRef, ...] = tuple(
     [PortRef("phys", i) for i in range(NUM_PHYS_PORTS)]
     + [PortRef("dma", i) for i in range(NUM_DMA_PORTS)]
+)
+#: TUSER ``dst_port`` bits -> the ports they name, in ``ALL_PORTS`` order.
+PORTS_BY_DST_BITS: tuple[tuple[PortRef, ...], ...] = tuple(
+    tuple(p for p in ALL_PORTS if bits & p.bit) for bits in range(256)
 )
 
 
@@ -239,9 +243,12 @@ class ReferencePipeline(Module):
         (:mod:`repro.fastpath`) short-circuits repeated (port, header)
         pairs between table mutations; the E18 suite pins that the
         cache changes no observable — outputs, counters, fingerprints.
+        A miss costs the decision plus one journaled hop: the entry's
+        replay list is the counter names ``opl.bump`` journaled.
         """
         cache = self.fastpath
-        if not cache.enabled or not self.opl.CACHEABLE:
+        opl = self.opl
+        if not cache.enabled or not opl.CACHEABLE:
             outputs, decision = self._forward_slow(frame, src)
             return self._int_stamp_outputs(outputs, src, decision.note)
         if self.datapath_faults is not None and session_has_datapath_sites(
@@ -250,7 +257,7 @@ class ReferencePipeline(Module):
             cache.bypasses += 1
             outputs, decision = self._forward_slow(frame, src)
             return self._int_stamp_outputs(outputs, src, decision.note)
-        generation = self.state_generation()
+        generation = opl.state.generation
         cache.validate(generation)
         key = (src.bit, frame[:64], len(frame))
         entry = cache.entries.get(key)
@@ -260,30 +267,28 @@ class ReferencePipeline(Module):
                 self._replay_cached(entry, frame), src, entry[2]
             )
         cache.misses += 1
-        counters_before = dict(self.opl.counters)
-        outputs, decision = self._forward_slow(frame, src)
-        if self.state_generation() != generation:
-            # decide() itself mutated table state (e.g. a learning
-            # switch's first sighting of this source MAC): the frozen
-            # decision could differ from a re-decide, so skip the fill.
-            # The next identical packet re-learns as a no-op and fills.
-            return self._int_stamp_outputs(outputs, src, decision.note)
-        deltas: dict[str, int] = {}
-        for name, count in self.opl.counters.items():
-            delta = count - counters_before.get(name, 0)
-            if delta:
-                deltas[name] = delta
-        # The note bump is replayed explicitly on hits; keep only the
-        # bumps decide() made internally (e.g. the router's "to_cpu").
-        deltas[decision.note] = deltas.get(decision.note, 0) - 1
-        dst_bits = SUME_TUSER.extract(decision.tuser, "dst_port")
-        cache.store(key, (
-            tuple(p for p in self.ports if dst_bits & p.bit),
-            tuple((off, bytes(rep)) for off, rep in decision.rewrites.items()),
-            decision.note,
-            decision.drop,
-            tuple((n, d) for n, d in deltas.items() if d),
-        ))
+        # Listen to this hop alone — bumps inside decide() (the router's
+        # "to_cpu"), then the note — and hand what it journaled on to
+        # whoever was listening already (a recording walk).
+        listener, opl.journal = opl.journal, []
+        try:
+            outputs, decision = self._forward_slow(frame, src)
+        finally:
+            bumped, opl.journal = opl.journal, listener
+        if listener is not None:
+            listener += bumped
+        # If decide() itself mutated table state (e.g. a learning
+        # switch's first sighting of this source MAC) the frozen
+        # decision could differ from a re-decide, so skip the fill: the
+        # next identical packet re-learns as a no-op and fills.
+        if opl.state.generation == generation:
+            cache.store(key, (
+                PORTS_BY_DST_BITS[tuser_dst_port(decision.tuser)],
+                tuple((off, bytes(rep)) for off, rep in decision.rewrites.items()),
+                decision.note,
+                decision.drop,
+                tuple(bumped),
+            ))
         return self._int_stamp_outputs(outputs, src, decision.note)
 
     def _int_stamp_outputs(
@@ -310,34 +315,34 @@ class ReferencePipeline(Module):
         ]
 
     def _forward_slow(self, frame: bytes, src: PortRef):
-        """The uncached decision path; returns (outputs, decision)."""
-        tuser = pack_tuser_len_src(len(frame), src.bit)
-        decision = self.opl.decide(frame[:64], tuser)
-        self.opl.bump(decision.note)
-        self.opl.packets += 1
+        """The uncached decision path; returns (outputs, decision).
+
+        Copies nothing it does not change: every output shares the
+        injected ``frame`` unless the decision rewrites it.
+        """
+        opl = self.opl
+        decision = opl.decide(frame[:64], pack_tuser_len_src(len(frame), src.bit))
+        opl.bump(decision.note)
+        opl.packets += 1
         if decision.drop:
-            self.opl.drops += 1
+            opl.drops += 1
             return [], decision
-        data = bytearray(frame)
-        for offset, replacement in decision.rewrites.items():
-            data[offset : offset + len(replacement)] = replacement
-        dst_bits = SUME_TUSER.extract(decision.tuser, "dst_port")
-        out = []
-        for port in self.ports:
-            if dst_bits & port.bit:
-                out.append((port, bytes(data)))
-        return out, decision
+        if decision.rewrites:
+            data = bytearray(frame)
+            for offset, replacement in decision.rewrites.items():
+                data[offset : offset + len(replacement)] = replacement
+            frame = bytes(data)
+        ports = PORTS_BY_DST_BITS[tuser_dst_port(decision.tuser)]
+        return [(port, frame) for port in ports], decision
 
     def _replay_cached(
         self, entry: tuple, frame: bytes
     ) -> list[tuple[PortRef, bytes]]:
         """Re-apply a frozen decision: counters, rewrites, fan-out."""
-        ports, rewrites, note, drop, deltas = entry
+        ports, rewrites, _note, drop, bumped = entry
         opl = self.opl
-        counters = opl.counters
-        for name, delta in deltas:
-            counters[name] = counters.get(name, 0) + delta
-        counters[note] = counters.get(note, 0) + 1
+        for name in bumped:
+            opl.bump(name)
         opl.packets += 1
         if drop:
             opl.drops += 1

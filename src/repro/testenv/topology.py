@@ -5,7 +5,9 @@
 number of project instances together by their physical ports and
 propagates packets hop by hop using each device's behavioural
 forwarding — with per-device CPU slow paths, edge-host attachment and a
-hop limit standing in for TTL on L2 storms.
+hop limit standing in for TTL on L2 storms.  The cabling is kept as one
+small port table per device (port → exit attachment, peer, link state):
+a hop indexes it, and so does every graph and link-state query.
 
 The model is transaction-level: one injected packet is carried to
 quiescence before the next (the same semantics as the ``hw`` harness
@@ -20,10 +22,12 @@ observable per injection (and cumulatively via
 **One path cache, two entry points.**  Between table mutations, the
 entire hop walk of an injection is a pure function of (entry attachment,
 frame): the network memoizes finished walks — deliveries, losses and the
-per-device counter deltas they caused — in one ``(device, port, frame)``
-table.  A walk is only cached when it touched no CPU handler, no device
-with armed data-path faults or a lookup that is not ``CACHEABLE``, and
-mutated no table; replays apply the recorded counter deltas so
+per-device counter deltas they caused, read off the journal each visited
+lookup keeps while the walk listens
+(:meth:`~repro.cores.output_port_lookup.OutputPortLookup.bump`) — in one
+``(device, port, frame)`` table.  A walk is only cached when it touched
+no CPU handler, no device with armed data-path faults or a lookup that
+is not ``CACHEABLE``, and mutated no table; replays apply the recorded counter deltas so
 per-device statistics (and the fabric fingerprint built from them) are
 byte-identical cached or not.
 
@@ -94,6 +98,7 @@ from functools import partial
 from itertools import starmap
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
+from repro.core.metadata import NUM_PHYS_PORTS
 from repro.cores.output_port_lookup import (
     READS_EVERYTHING,
     READS_NOTHING,
@@ -167,8 +172,9 @@ class _CachedWalk:
     The loss fields are named as :class:`InjectionResult` names them, so
     a walk doubles as one packet's outcome template
     (:meth:`Network.inject_batch` returns it as such).  ``ops`` carries
-    each touched device's counter delta
-    ``(opl, packets, drops, ((counter, delta), ...))``; the site tuples
+    each visited device's counter delta
+    ``(opl, packets, drops, ((counter, delta), ...))`` — the names its
+    journal collected during the walk, counted; the site tuples
     localize where the walk's losses happened, ``((device, port), ...)``.
     ``template`` marks a recorded *frame-preserving* walk of a frame
     with no INT trailer: every copy it forwarded or delivered is
@@ -263,13 +269,13 @@ class Network:
         self.hop_limit = hop_limit
         self._devices: dict[str, ReferencePipeline] = {}
         self._cpu: dict[str, CpuHandler] = {}
-        self._links: dict[Attachment, Attachment] = {}
         self.deliveries: list[Delivery] = []
         self.dropped_hop_limit = 0
         self.dropped_link_down = 0
         self.forwarded_hops = 0
-        #: Ports whose cable currently has link down (both ends present).
-        self._down_ports: set[Attachment] = set()
+        #: The port tables: per device, for physical port ``i``,
+        #: ``(exit Attachment, peer Attachment or None, link is up)``.
+        self._ports: dict[str, list[tuple]] = {}
         # Path cache (see the module docstring for the invariants).
         self.path_cache_enabled = True
         self._path_cache: dict[tuple, _CachedWalk] = {}
@@ -319,6 +325,8 @@ class Network:
                 self._reads = (None if reads.mask == READS_EVERYTHING.mask
                                else reads)
         self._devices[name] = project
+        self._ports[name] = [(Attachment(name, PortRef("phys", i)), None, True)
+                             for i in range(NUM_PHYS_PORTS)]
         self._dirty.update(self._devices)  # the graph changed: flush all
         if cpu_handler is not None:
             self._cpu[name] = cpu_handler
@@ -336,22 +344,19 @@ class Network:
         for end in (a, b):
             if end.device not in self._devices:
                 raise TopologyError(f"unknown device {end.device!r}")
-            if end in self._links:
+            if self._ports[end.device][end.port.index][1] is not None:
                 raise TopologyError(f"port {end} already cabled")
         if a == b:
             raise TopologyError("cannot cable a port to itself")
-        self._links[a] = b
-        self._links[b] = a
+        self._ports[a_device][a_port] = (a, b, True)
+        self._ports[b_device][b_port] = (b, a, True)
         self._dirty.update(self._devices)  # the graph changed: flush all
 
     def edge_ports(self, device: str) -> list[PortRef]:
         """The device's un-cabled physical ports (host attachment points)."""
         self.device(device)
-        return [
-            PortRef("phys", i)
-            for i in range(4)
-            if Attachment(device, PortRef("phys", i)) not in self._links
-        ]
+        return [exit_at.port for exit_at, peer, _ in self._ports[device]
+                if peer is None]
 
     # ------------------------------------------------------------------
     # Graph introspection (what the fabric builders walk)
@@ -364,16 +369,19 @@ class Network:
         """``{local_port: (peer_device, peer_port)}`` for one device."""
         self.device(device)
         return {
-            attachment.port.index: (peer.device, peer.port.index)
-            for attachment, peer in self._links.items()
-            if attachment.device == device
+            index: (peer.device, peer.port.index)
+            for index, (_, peer, _) in enumerate(self._ports[device])
+            if peer is not None
         }
 
     def links(self) -> Iterator[tuple[Attachment, Attachment]]:
         """Every cable once, ends ordered by (device, port)."""
-        for a, b in self._links.items():
-            if (a.device, a.port.index) < (b.device, b.port.index):
-                yield a, b
+        for rows in self._ports.values():
+            for a, b, _ in rows:
+                if b is None:
+                    continue  # an edge port
+                if (a.device, a.port.index) < (b.device, b.port.index):
+                    yield a, b
 
     def int_directory(self) -> dict[int, str]:
         """INT device id → device name (the stamp receiver's rosetta)."""
@@ -402,42 +410,30 @@ class Network:
         Returns True if any cable's state changed; raises
         :class:`TopologyError` when the devices share no cable.
         """
-        cables = [
-            (a, b)
-            for a, b in self._links.items()
-            if a.device == a_device and b.device == b_device
-        ]
-        if not cables:
-            self.device(a_device)
-            self.device(b_device)
-            raise TopologyError(f"no cable between {a_device!r} and {b_device!r}")
         changed = False
-        for a, b in cables:
-            was_down = a in self._down_ports
-            if up != was_down:
+        for a, b, was_up in self._cables(a_device, b_device):
+            if up == was_up:
                 continue  # already in the requested state
             changed = True
-            for end in (a, b):
-                if up:
-                    self._down_ports.discard(end)
-                else:
-                    self._down_ports.add(end)
+            for end, peer in ((a, b), (b, a)):
+                self._ports[end.device][end.port.index] = (end, peer, up)
                 self._devices[end.device].set_port_state(end.port.index, up)
                 self._dirty.add(end.device)
         return changed
 
     def link_is_up(self, a_device: str, b_device: str) -> bool:
         """Whether every cable between the two devices has link."""
-        cables = [
-            a
-            for a, b in self._links.items()
-            if a.device == a_device and b.device == b_device
-        ]
+        return all(up for _, _, up in self._cables(a_device, b_device))
+
+    def _cables(self, a_device: str, b_device: str) -> list[tuple]:
+        """``a_device``'s port-table rows that are cabled to ``b_device``."""
+        self.device(a_device)
+        cables = [row for row in self._ports[a_device]
+                  if row[1] is not None and row[1].device == b_device]
         if not cables:
-            self.device(a_device)
             self.device(b_device)
             raise TopologyError(f"no cable between {a_device!r} and {b_device!r}")
-        return all(a not in self._down_ports for a in cables)
+        return cables
 
     # ------------------------------------------------------------------
     # Traffic
@@ -690,114 +686,124 @@ class Network:
             self.path_shared += 1
         return walk
 
+    @staticmethod
+    def _cpu_detour(project: ReferencePipeline, cpu: CpuHandler, outputs):
+        """Punt a hop's DMA copies to the device's software.
+
+        The handler sees every copy before any reply is forwarded; each
+        reply then re-enters the device through its DMA queue, and what
+        the device makes of it stands where the copy stood.
+        """
+        handled = []
+        for out_port, out_frame in outputs:
+            if out_port.kind == "dma":
+                handled += [(PortRef("dma", egress), reply) for egress, reply
+                            in cpu(out_frame, out_port.index)]
+            else:
+                handled.append((out_port, out_frame))
+        outputs = []
+        for out_port, out_frame in handled:
+            if out_port.kind == "dma":
+                outputs += project.forward_behavioural(out_frame, out_port)
+            else:
+                outputs.append((out_port, out_frame))
+        return outputs
+
     def _walk(
         self, device: str, port: int, frame: bytes, record: bool
     ) -> tuple[InjectionResult, Optional[_CachedWalk]]:
         """The slow hop walk; optionally records a replayable walk.
 
-        Recording returns ``None`` (uncacheable) when the walk invoked a
-        CPU handler (arbitrary software state), touched a device with
+        Each hop is one ``forward_behavioural`` and one port-table row
+        per output; deliveries, losses and ``forwarded_hops`` are booked
+        once, at the end.  Recording hangs a journal on each lookup as
+        the walk first reaches it and counts the names into
+        :attr:`_CachedWalk.ops` — no counter dict is copied or diffed.
+        It returns ``None`` (uncacheable) when the walk punted a copy to
+        a CPU handler (arbitrary software state), touched a device with
         an armed data-path fault session (whose draws must stay
         per-packet) or one whose lookup is not ``CACHEABLE`` (hidden
         per-packet state).
         """
-        first = len(self.deliveries)
-        drops_before = self.dropped_hop_limit
-        link_down_before = self.dropped_link_down
-        forwarded_before = self.forwarded_hops
         cacheable = record
         # An INT frame is stamped at every hop: it neither makes nor
         # takes a template (the four tail bytes are the whole test, so
         # the INT-only hot path pays no call for it).
         template = record and frame[-4:] != _INT_MAGIC
+        devices, tables, cpus = self._devices, self._ports, self._cpu
+        hop_limit = self.hop_limit
+        delivered: list[Delivery] = []
         link_down_sites: list[tuple[str, int]] = []
         hop_limit_sites: list[tuple[str, int]] = []
-        snapshots: dict[str, tuple] = {}
+        forwarded = 0
+        #: device -> (opl, its packets and drops on arrival, its journal)
+        visited: dict[str, tuple] = {}
         work: deque[tuple[Attachment, bytes, int]] = deque(
-            [(Attachment(device, PortRef("phys", port)), frame, 0)]
+            [(Attachment(device, PortRef("phys", port)), frame, 1)]
         )
-        while work:
-            at, data, hops = work.popleft()
-            project = self.device(at.device)
-            if record and at.device not in snapshots:
-                snapshots[at.device] = (
-                    project.opl, project.opl.packets, project.opl.drops,
-                    dict(project.opl.counters),
-                )
-                if (project.datapath_faults is not None
-                        or not project.opl.CACHEABLE):
-                    cacheable = False
-            outputs = project.forward_behavioural(data, at.port)
-            handled: list[tuple[PortRef, bytes]] = []
-            for out_port, out_frame in outputs:
-                if out_port.kind == "dma":
-                    cpu = self._cpu.get(at.device)
-                    if cpu is None:
-                        continue  # no software attached: punted = dropped
-                    cacheable = False
-                    for egress, reply in cpu(out_frame, out_port.index):
-                        handled.append((PortRef("dma", egress), reply))
-                else:
-                    handled.append((out_port, out_frame))
-            # Re-run CPU-injected frames through the same device.
-            requeued = []
-            for out_port, out_frame in handled:
-                if out_port.kind == "dma":
-                    requeued.extend(
-                        project.forward_behavioural(out_frame, out_port)
-                    )
-                else:
-                    requeued.append((out_port, out_frame))
-            for out_port, out_frame in requeued:
-                if out_port.kind != "phys":
-                    continue
-                if template and out_frame != frame:
-                    template = False  # rewritten on the way
-                self.forwarded_hops += 1
-                exit_at = Attachment(at.device, out_port)
-                peer = self._links.get(exit_at)
-                if peer is None:
-                    self.deliveries.append(Delivery(exit_at, out_frame, hops + 1))
-                    continue
-                if exit_at in self._down_ports:
-                    # The copy went out onto a cable with link down: it
-                    # vanishes on the wire, never reaching the peer.
-                    self.dropped_link_down += 1
-                    link_down_sites.append((at.device, out_port.index))
-                    continue
-                if hops + 1 >= self.hop_limit:
-                    self.dropped_hop_limit += 1
-                    hop_limit_sites.append((at.device, out_port.index))
-                    continue
-                work.append((peer, out_frame, hops + 1))
+        self.device(device)  # every later one is a port-table peer
+        try:
+            while work:
+                at, data, hops = work.popleft()
+                name = at.device
+                project = devices[name]
+                if record and name not in visited:
+                    opl = project.opl
+                    opl.journal = journal = []
+                    visited[name] = (opl, opl.packets, opl.drops, journal)
+                    if (project.datapath_faults is not None
+                            or not opl.CACHEABLE):
+                        cacheable = False
+                outputs = project.forward_behavioural(data, at.port)
+                if name in cpus and any(p.kind == "dma" for p, _ in outputs):
+                    cacheable = False  # software state: arbitrary
+                    outputs = self._cpu_detour(project, cpus[name], outputs)
+                ports = tables[name]
+                for out_port, out_frame in outputs:
+                    if out_port.kind != "phys":
+                        continue  # punted with no software attached: dropped
+                    if template and out_frame != frame:
+                        template = False  # rewritten on the way
+                    forwarded += 1
+                    exit_at, peer, up = ports[out_port.index]
+                    if peer is None:
+                        delivered.append(Delivery(exit_at, out_frame, hops))
+                    elif not up:
+                        # The copy went out onto a cable with link down:
+                        # it vanishes on the wire, never reaching the peer.
+                        link_down_sites.append((name, out_port.index))
+                    elif hops >= hop_limit:
+                        hop_limit_sites.append((name, out_port.index))
+                    else:
+                        work.append((peer, out_frame, hops + 1))
+        finally:
+            for opl, _, _, _ in visited.values():
+                opl.journal = None
         result = InjectionResult(
-            self.deliveries[first:],
-            dropped_hop_limit=self.dropped_hop_limit - drops_before,
-            dropped_link_down=self.dropped_link_down - link_down_before,
-            hop_limit_sites=tuple(hop_limit_sites),
-            link_down_sites=tuple(link_down_sites),
+            delivered, len(hop_limit_sites), len(link_down_sites),
+            tuple(hop_limit_sites), tuple(link_down_sites),
         )
+        self.deliveries += delivered
+        self.dropped_hop_limit += result.dropped_hop_limit
+        self.dropped_link_down += result.dropped_link_down
+        self.forwarded_hops += forwarded
         if not cacheable:
             return result, None
         ops = []
-        for opl, packets, drops, counters in snapshots.values():
-            d_packets = opl.packets - packets
-            d_drops = opl.drops - drops
-            deltas = tuple(
-                (name, count - counters.get(name, 0))
-                for name, count in opl.counters.items()
-                if count != counters.get(name, 0)
-            )
-            if d_packets or d_drops or deltas:
-                ops.append((opl, d_packets, d_drops, deltas))
+        for opl, packets, drops, journal in visited.values():
+            deltas: dict[str, int] = {}
+            for counter in journal:
+                deltas[counter] = deltas.get(counter, 0) + 1
+            ops.append((opl, opl.packets - packets, opl.drops - drops,
+                        tuple(deltas.items())))
         walk = _CachedWalk(
             deliveries=tuple(_WalkDelivery(d.at, d.frame, d.hops)
-                             for d in result),
+                             for d in delivered),
             dropped_hop_limit=result.dropped_hop_limit,
             dropped_link_down=result.dropped_link_down,
-            forwarded=self.forwarded_hops - forwarded_before,
+            forwarded=forwarded,
             ops=tuple(ops),
-            deps=_WalkDeps(tuple(snapshots)),
+            deps=_WalkDeps(tuple(visited)),
             link_down_sites=result.link_down_sites,
             hop_limit_sites=result.hop_limit_sites,
             template=template,
@@ -931,14 +937,11 @@ class Network:
             work = deque([start])
             while work:
                 name = work.popleft()
-                for local_port, (peer, _) in self.neighbors(name).items():
-                    if peer in seen:
+                for _, peer, up in self._ports[name]:
+                    if peer is None or not up or peer.device in seen:
                         continue
-                    if Attachment(name, PortRef("phys", local_port)) \
-                            in self._down_ports:
-                        continue
-                    seen.add(peer)
-                    work.append(peer)
+                    seen.add(peer.device)
+                    work.append(peer.device)
             out[start] = frozenset(seen)
         return out
 
@@ -984,13 +987,11 @@ class Network:
 
     def describe(self) -> str:
         lines = [f"network: {len(self._devices)} devices, "
-                 f"{len(self._links) // 2} links"]
+                 f"{len(list(self.links()))} links"]
         for name, project in sorted(self._devices.items()):
-            cabled = [
-                f"{attachment.port}->{self._links[attachment].device}"
-                for attachment in self._links
-                if attachment.device == name
-            ]
+            cabled = [f"{exit_at.port}->{peer.device}"
+                      for exit_at, peer, _ in self._ports[name]
+                      if peer is not None]
             lines.append(f"  {name} ({type(project).__name__}): "
                          f"{', '.join(sorted(cabled)) or 'no links'}")
         return "\n".join(lines)

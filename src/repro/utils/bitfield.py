@@ -154,3 +154,19 @@ class BitField:
             )
         cleared = word & ~(mask(field.width) << field.offset)
         return cleared | (value << field.offset)
+
+    def accessors(self, name: str):
+        """Compile :meth:`extract` and :meth:`insert` for one field:
+        ``(read(word), write(word, value))``, the layout resolved once
+        (for per-packet callers); ``write`` raises as :meth:`insert`."""
+        field = self._fields[name]
+        offset, width, field_mask = field.offset, field.width, mask(field.width)
+
+        def write(word: int, value: int) -> int:
+            if value < 0 or value > field_mask:
+                raise ValueError(
+                    f"value {value:#x} does not fit field {name!r} ({width} bits)"
+                )
+            return word & ~(field_mask << offset) | (value << offset)
+
+        return (lambda word: (word >> offset) & field_mask), write

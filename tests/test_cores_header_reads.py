@@ -14,7 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.axis import AxiStreamChannel
-from repro.core.metadata import SUME_TUSER, dma_port_bit, phys_port_bit
+from repro.core.metadata import (
+    SUME_TUSER,
+    all_phys_ports_mask,
+    dma_port_bit,
+    phys_port_bit,
+)
+from repro.cores.header_parser import parse_headers
 from repro.cores.lookups import (
     LearningSwitchLookup,
     NicLookup,
@@ -26,11 +32,13 @@ from repro.cores.output_port_lookup import (
     HEADER_WINDOW,
     READS_EVERYTHING,
     READS_NOTHING,
+    Decision,
     HeaderReads,
     OutputPortLookup,
     header_bytes,
 )
 from repro.cores.router_lookup import RouterLookup
+from repro.packet.addresses import MacAddr
 from repro.projects.firewall import FirewallLookup
 
 #: A small MAC pool so draws hit, miss, collide and go multicast.
@@ -45,13 +53,13 @@ def make(cls, **kwargs) -> OutputPortLookup:
     return cls("opl", AxiStreamChannel("s"), AxiStreamChannel("m"), **kwargs)
 
 
-def switch(vlan_aware: bool, learn: bool, backups: bool,
-           port_down: bool) -> LearningSwitchLookup:
+def switch(vlan_aware: bool, learn: bool, backups: bool, port_down: bool,
+           cls: type = LearningSwitchLookup) -> LearningSwitchLookup:
     """A switch that knows ``KNOWN[i]`` on port ``i`` (VIDs 0 and 7)."""
-    opl = make(LearningSwitchLookup, vlan_aware=vlan_aware, learn=learn)
+    opl = make(cls, vlan_aware=vlan_aware, learn=learn)
     for vid in ((0, 7) if vlan_aware else (0,)):
         for port, mac in enumerate(KNOWN):
-            key = opl._fdb_key(int.from_bytes(mac, "big"), vid)
+            key = (vid << 48) | int.from_bytes(mac, "big")
             opl.mac_table.insert(key, phys_port_bit(port))
             if backups:
                 opl.backup_table.insert(key, phys_port_bit((port + 1) % 4))
@@ -211,3 +219,136 @@ class TestTheDefaultReadsEverything:
         reads = HeaderReads(header_bytes(0, 6), FRAME_LENGTH) | READS_NOTHING
         assert reads.key(bytes(60)) != reads.key(bytes(61))
         assert (READS_NOTHING | READS_EVERYTHING) == READS_EVERYTHING
+
+
+# ----------------------------------------------------------------------
+# decide() on the raw bytes == the parsing decide() it replaced
+# ----------------------------------------------------------------------
+class ParsingLearningSwitchLookup(LearningSwitchLookup):
+    """The oracle: ``decide()`` as it stood while it parsed the header
+    into ``MacAddr`` objects first — kept verbatim."""
+
+    def _fdb_key(self, mac_value: int, vid: int) -> int:
+        return (vid << 48) | mac_value if self.vlan_aware else mac_value
+
+    def decide(self, header: bytes, tuser: int) -> Decision:
+        parsed = parse_headers(header)
+        src_bits = SUME_TUSER.extract(tuser, "src_port")
+        if parsed.src_mac is None:
+            return Decision(tuser, drop=True, note="runt")
+        vid = (parsed.vlan_vid or 0) if self.vlan_aware else 0
+        members = self.vlan_members.get(vid, all_phys_ports_mask())
+        if self.vlan_aware and not (src_bits & members):
+            # Frame arrived on a port outside its VLAN: drop at ingress.
+            return Decision(tuser, drop=True, note="vlan_violation")
+        if self.learn and not parsed.src_mac.is_multicast:
+            self.mac_table.insert(self._fdb_key(parsed.src_mac.value, vid), src_bits)
+        assert parsed.dst_mac is not None
+        if not parsed.dst_mac.is_multicast:
+            key = self._fdb_key(parsed.dst_mac.value, vid)
+            hit = self.mac_table.lookup(key)
+            if hit is not None:
+                if hit == src_bits:
+                    # Destination is back out the ingress port: filter.
+                    return Decision(tuser, drop=True, note="same_port_filter")
+                if hit & self.port_liveness:
+                    return Decision(
+                        SUME_TUSER.insert(tuser, "dst_port", hit), note="hit"
+                    )
+                # Primary port is dead: fall over to the precomputed
+                # backup next-hop, still inside this packet's walk.
+                backup = self.backup_table.lookup(key)
+                if (
+                    backup is not None
+                    and backup & self.port_liveness
+                    and backup != src_bits
+                ):
+                    return Decision(
+                        SUME_TUSER.insert(tuser, "dst_port", backup),
+                        note="frr_reroute",
+                    )
+                return Decision(tuser, drop=True, note="frr_blackhole")
+        flood = all_phys_ports_mask(exclude=src_bits) & members & self.port_liveness
+        if flood == 0:
+            return Decision(tuser, drop=True, note="no_flood_targets")
+        return Decision(SUME_TUSER.insert(tuser, "dst_port", flood), note="flood")
+
+
+def decided(opl: LearningSwitchLookup, frame: bytes, port: int) -> tuple:
+    """One ``decide()``: the whole :class:`Decision`, and everything it
+    left behind — counters, both CAMs' books, FDB, generation."""
+    tuser = SUME_TUSER.pack(len=len(frame), src_port=phys_port_bit(port))
+    decision = opl.decide(frame[:HEADER_WINDOW], tuser)
+    return (decision, dict(opl.counters), list(opl.mac_table),
+            opl.state_generation(),
+            [(cam.lookups, cam.hits, cam.insertions, cam.evictions)
+             for cam in (opl.mac_table, opl.backup_table)])
+
+
+class TestDecideOnRawBytes:
+    @settings(max_examples=250, deadline=None)
+    @given(config=st.tuples(*[st.booleans()] * 4), members=st.booleans(),
+           traffic=st.lists(st.tuples(ethernet_frames(), st.integers(0, 3)),
+                            min_size=1, max_size=4))
+    def test_same_decisions_same_books(self, config, members, traffic):
+        """Over the :data:`SWITCH_GRID` configurations — and VLAN 0's
+        members set or not, which an *unaware* switch consults too."""
+        vlan_aware, learn, backups, port_down = config
+        pair = []
+        for cls in (LearningSwitchLookup, ParsingLearningSwitchLookup):
+            opl = switch(vlan_aware, learn, backups, port_down, cls)
+            if members:
+                opl.set_vlan_members(0, phys_port_bit(0) | phys_port_bit(3))
+            pair.append(opl)
+        # In sequence: what one frame taught decides the next.
+        for frame, port in traffic:
+            new, old = (decided(opl, frame, port) for opl in pair)
+            assert new == old, (frame.hex(), port)
+
+    def test_no_address_object_is_built(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("a learning-switch hop built a MacAddr")
+
+        monkeypatch.setattr(MacAddr, "__post_init__", built)
+        opl = switch(True, True, True, True)
+        tagged = KNOWN[1] + KNOWN[0] + b"\x81\x00\x00\x07\x08\x00" + bytes(46)
+        assert decided(opl, tagged, 0)[0].note == "hit"
+
+    def test_the_shapes_by_name(self):
+        """The boundaries the property is for, spelled out once — each
+        is a named mutant of the byte reads: (aware?, frame) -> note,
+        destination bits."""
+        l2 = KNOWN[1] + KNOWN[0]
+        vid7 = l2 + b"\x81\x00\x00\x07\x08\x00" + bytes(46)
+        everyone = sum(phys_port_bit(i) for i in range(4))
+        cases = {
+            "13 bytes are a runt": (False, l2 + b"\x08", "runt", 0),
+            "14 are not": (False, l2 + b"\x08\x00", "hit", phys_port_bit(1)),
+            # VID 7 spans ports 0 and 1 only; VID 0 everything.  A tag
+            # cut at 17 bytes is VID 0: known there, so a hit — as VID 7
+            # it would be a hit too, so look the unknown MAC up instead.
+            "a truncated tag is untagged":
+                (True, (bytes.fromhex("02000000dead") + vid7[6:])[:17],
+                 "flood", everyone & ~phys_port_bit(0)),
+            "a whole tag confines the flood":
+                (True, (bytes.fromhex("02000000dead") + vid7[6:])[:18],
+                 "flood", phys_port_bit(1)),
+            "an unaware switch ignores the tag":
+                (False, bytes.fromhex("02000000dead") + vid7[6:],
+                 "flood", everyone & ~phys_port_bit(0)),
+            "a group destination floods": (
+                False, b"\x01\x00\x5e\x00\x00\x01" + l2[6:] + b"\x08\x00",
+                "flood", everyone & ~phys_port_bit(0)),
+        }
+        for name, (aware, frame, note, dst_bits) in cases.items():
+            decision = decided(switch(aware, False, False, False), frame, 0)[0]
+            assert (decision.note, SUME_TUSER.extract(
+                decision.tuser, "dst_port")) == (note, dst_bits), name
+
+    def test_an_unaware_switch_still_asks_for_vlan_zero_members(self):
+        opl = switch(False, False, False, False)
+        opl.set_vlan_members(0, phys_port_bit(0) | phys_port_bit(3))
+        unknown = bytes.fromhex("02000000dead") + KNOWN[0] + b"\x08\x00"
+        decision = decided(opl, unknown, 0)[0]
+        assert SUME_TUSER.extract(decision.tuser, "dst_port") \
+            == phys_port_bit(3)

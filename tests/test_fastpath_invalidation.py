@@ -18,15 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.testenv.topology as topology_module
-from repro.core.metadata import phys_port_bit
+from repro.core.metadata import SUME_TUSER, dma_port_bit, phys_port_bit
 from repro.cores.lpm import LpmEntry
+from repro.cores.output_port_lookup import Decision, OutputPortLookup
 from repro.fabric import get_topology
 from repro.fabric.topo import FabricTopology, Host
 from repro.faults import get_plan, inject
 from repro.int import encode_template
 from repro.packet.addresses import Ipv4Addr, MacAddr
 from repro.packet.generator import make_udp_frame
-from repro.projects.base import OPL_REG_BASE
+from repro.projects.base import OPL_REG_BASE, ReferencePipeline
 from repro.projects.blueswitch import (
     ActionOutput,
     BlueSwitchPipeline,
@@ -419,6 +420,166 @@ def test_eviction_from_under_a_derivation_keeps_the_index_whole(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# A walk's counter effect: the hop journal == the snapshot-and-diff it
+# replaced
+# ----------------------------------------------------------------------
+def snapshot_and_diff_ops(snapshots: dict) -> list:
+    """``_walk``'s ``ops`` derivation as it stood before the journal —
+    each device's books copied on arrival, diffed at the end — kept
+    verbatim as the oracle."""
+    ops = []
+    for opl, packets, drops, counters in snapshots.values():
+        d_packets = opl.packets - packets
+        d_drops = opl.drops - drops
+        deltas = tuple(
+            (name, count - counters.get(name, 0))
+            for name, count in opl.counters.items()
+            if count != counters.get(name, 0)
+        )
+        if d_packets or d_drops or deltas:
+            ops.append((opl, d_packets, d_drops, deltas))
+    return ops
+
+
+def per_device(ops) -> dict:
+    """``ops`` as a multiset per device (each device once)."""
+    books = {id(opl): (packets, drops, dict(deltas))
+             for opl, packets, drops, deltas in ops}
+    assert len(books) == len(ops)
+    return books
+
+
+def hold_walks_to_the_oracle(net: Network) -> list:
+    """Check every walk ``net`` records from here on against the
+    oracle; returns the (growing) list of the walks checked."""
+    slow_walk, checked = net._walk, []
+
+    def walk_and_check(device, port, frame, record):
+        # Copied up front for every device: one not visited diffs to
+        # nothing, one visited did not move before its first hop.
+        snapshots = {
+            name: (project.opl, project.opl.packets, project.opl.drops,
+                   dict(project.opl.counters))
+            for name, project in net._devices.items()}
+        result, walk = slow_walk(device, port, frame, record)
+        assert all(project.opl.journal is None
+                   for project in net._devices.values())
+        if walk is not None:
+            oracle = snapshot_and_diff_ops(snapshots)
+            assert per_device(walk.ops) == per_device(oracle)
+            assert {id(net.device(name).opl) for name in walk.deps.devices} \
+                == set(per_device(oracle))
+            checked.append(walk)
+        return result, walk
+
+    net._walk = walk_and_check
+    return checked
+
+
+def test_ops_of_a_walk_that_mixes_device_cache_hits_and_misses():
+    """s2 changes, s1 does not: the re-walk replays s1's frozen
+    decision and decides afresh at s2 — both must reach the journal."""
+    net = programmed_fabric()
+    checked = hold_walks_to_the_oracle(net)
+    injection = ("s1", 0, encode_template(flow_of_pair(1, size=256), 1))
+    net.inject(*injection)
+    net.device("s2").install_backup_mac(mac(2), 2)
+    net.inject(*injection)
+    stats = net.fastpath_stats()
+    assert (stats["device_hits"], stats["device_misses"]) == (1, 3)
+    assert [per_device(walk.ops) for walk in checked] == [
+        {id(net.device(name).opl): (1, 0, {"hit": 1})
+         for name in ("s1", "s2")}] * 2
+
+
+def test_ops_carry_the_bump_inside_decide():
+    """The router bumps ``to_cpu`` itself, on top of the decision's
+    note — on the deciding hop and on its device-cache replay."""
+    net = router_fabric()
+    checked = hold_walks_to_the_oracle(net)
+    frame = make_udp_frame(mac(9), MacAddr(0x02_53_55_4D_45_00), ip(9),
+                           ROUTED_TO, size=96, ttl=1).pack()
+    net.inject("r1", 0, frame)
+    net.device("r1").attach_datapath_faults(None)  # tells, bumps nothing:
+    # the walk goes, r1's own cache stays
+    net.inject("r1", 0, frame)
+    assert net.fastpath_stats()["device_hits"] == 1
+    assert [per_device(walk.ops) for walk in checked] == [
+        {id(net.device("r1").opl): (1, 0, {"to_cpu": 1, "ttl_expired": 1})}
+    ] * 2
+    assert net.device("r1").opl.counters == {"to_cpu": 2, "ttl_expired": 2}
+
+
+def test_ops_of_a_flood_that_visits_a_device_twice():
+    topology = ring()
+    net = topology.network
+    checked = hold_walks_to_the_oracle(net)
+    for name in net.device_names():
+        net.device(name).mac_table.clear()
+    result = net.inject("s0", 0, topology.probe_frame("h0", "h2"))
+    (walk,) = checked
+    assert result.dropped_hop_limit == 2  # both directions, all the way
+    assert all(packets > 1 and deltas == {"flood": packets}
+               for packets, _, deltas in per_device(walk.ops).values())
+
+
+class PuntAndForward(OutputPortLookup):
+    """From the wire: out ports 1 and 3 *and* up DMA queues 0 and 2.
+    From DMA queue ``q``: out port ``q``."""
+
+    def __init__(self, name, s_axis, m_axis, log):
+        super().__init__(name, s_axis, m_axis)
+        self.log = log
+
+    def decide(self, header, tuser):
+        src = SUME_TUSER.extract(tuser, "src_port")
+        self.log.append(("decide", src))
+        dst = (src >> 1 if src & 0xAA else
+               phys_port_bit(1) | phys_port_bit(3)
+               | dma_port_bit(0) | dma_port_bit(2))
+        return Decision(SUME_TUSER.insert(tuser, "dst_port", dst), note="ok")
+
+
+def test_a_cpu_handler_hop_is_uncacheable_and_keeps_its_order():
+    """Software sees every DMA copy before any reply is forwarded, and
+    each reply's outputs stand where its copy stood — after the
+    device's own wire copies, in queue order."""
+    log: list = []
+
+    def software(frame: bytes, queue: int) -> list:
+        log.append(("cpu", queue))
+        return [(queue, b"reply %d a" % queue),
+                (queue + 1, b"reply %d b" % queue)]
+
+    net = Network()
+    net.add_device("d", ReferencePipeline(
+        "d", lambda name, s, m: PuntAndForward(name, s, m, log)),
+        cpu_handler=software)
+    checked = hold_walks_to_the_oracle(net)
+    decides = [("decide", phys_port_bit(0)), ("cpu", 0), ("cpu", 2),
+               *[("decide", dma_port_bit(q)) for q in range(4)]]
+    # The second time round the device cache replays all five decisions.
+    for expected in (decides, [("cpu", 0), ("cpu", 2)]):
+        del log[:]
+        result = net.inject("d", 0, b"frame")
+        assert [(d.at.port.index, d.frame) for d in result] == [
+            (1, b"frame"), (3, b"frame"),
+            (0, b"reply 0 a"), (1, b"reply 0 b"),
+            (2, b"reply 2 a"), (3, b"reply 2 b")]
+        assert log == expected
+    assert not checked and net.path_bypasses == 2 and net.path_entries == 0
+    assert (net.device("d").opl.packets, net.forwarded_hops) == (10, 12)
+
+
+def test_software_that_is_never_punted_to_does_not_cost_the_walk():
+    """Uncacheable only if a DMA copy actually went up."""
+    net = programmed_fabric()
+    net._cpu["s1"] = lambda frame, queue: []
+    net.inject("s1", 0, flow_of_pair(1))
+    assert (net.path_entries, net.path_bypasses) == (1, 0)
+
+
+# ----------------------------------------------------------------------
 # The differential: cached network == uncached twin, whatever happens
 # ----------------------------------------------------------------------
 def _loop(length: int, learning: bool, hop_limit: int) -> FabricTopology:
@@ -467,6 +628,8 @@ class _Twin:
         self.topology = build()
         self.net = self.topology.network
         self.net.set_fastpath(fastpath)
+        if fastpath:
+            hold_walks_to_the_oracle(self.net)
         self.armed: dict[str, object] = {}
 
     def mutate(self, step: str, x: int, y: int) -> None:

@@ -3,7 +3,9 @@ injection, fabric fingerprint identity, telemetry and the CLI face."""
 
 from __future__ import annotations
 
+import cProfile
 import json
+import pstats
 
 import pytest
 
@@ -11,7 +13,7 @@ from repro.cores.lookups import SwitchLiteLookup
 from repro.cores.output_queues import QueueConfig
 from repro.fabric import get_topology, get_workload, run_sharded
 from repro.fabric.scheduler import flow_frame, int_frame, run_flows
-from repro.fabric.workload import WorkloadSpec, generate_flows
+from repro.fabric.workload import Flow, WorkloadSpec, generate_flows
 from repro.faults import get_plan, inject
 from repro.host.nfmon import main as nfmon_main
 from repro.int import INT_MIN_FRAME_SIZE, encode_template
@@ -548,6 +550,37 @@ class TestProbeFastpath:
             == net.fastpath_stats()["path_dropped"] == 3
         assert snap['fastpath_events_total{device="net",'
                     'event="invalidation"}'] == 1
+
+
+# ----------------------------------------------------------------------
+# The slow walk itself, without a clock
+# ----------------------------------------------------------------------
+def test_one_cold_int_walk_stays_under_its_call_ceiling():
+    """One recorded Abilene h0 → h9 INT walk (5 hops) with every device
+    cache cleared makes 233 Python calls (3.11; measured x 1.1 is the
+    ceiling) — it made 457 while a hop parsed addresses into objects,
+    read TUSER through the generic ``BitField``, built an attachment
+    per output and copied and diffed ``opl.counters`` twice.  Coming
+    back over the ceiling means one of those is back."""
+    topology = get_topology("abilene").build()
+    topology.learn()
+    topology.install_backups()
+    net, names = topology.network, topology.host_names()
+    entry = topology.hosts[names[0]]
+    frame = int_frame(topology, Flow(
+        flow_id=1, src=names[0], dst=names[9], frame_size=256, packets=1,
+        response_packets=0, start_tick=0, gap_ticks=1, int_enabled=True))
+    profile = cProfile.Profile()
+    for profiled in (False, True):  # once to warm, once to count
+        for name in net.device_names():
+            net.device(name).fastpath.clear()
+        if profiled:
+            profile.enable()
+        result, walk = net._walk(entry.device, entry.port, frame, record=True)
+        profile.disable()
+        assert [d.hops for d in result] == [5] and len(walk.ops) == 5
+    calls = pstats.Stats(profile).total_calls - 1  # less the disable()
+    assert calls < 258, f"{calls} calls for one cold 5-hop INT walk"
 
 
 # ----------------------------------------------------------------------

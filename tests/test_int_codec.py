@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.int import (
     INT_MIN_FRAME_SIZE,
     IntError,
+    IntHop,
+    IntStack,
     MAX_INT_HOPS,
     encode_template,
     is_int_frame,
@@ -15,7 +18,15 @@ from repro.int import (
     stamp,
     trailer_bytes,
 )
-from repro.int.codec import HEADER_BYTES, HEADER_WINDOW, HOP_BYTES, MAGIC
+from repro.int.codec import (
+    _F_OVERFLOW,
+    _F_RESPONSE,
+    _H_REROUTED,
+    HEADER_BYTES,
+    HEADER_WINDOW,
+    HOP_BYTES,
+    MAGIC,
+)
 
 from .conftest import udp_frame
 
@@ -146,3 +157,93 @@ class TestParseErrors:
         data[-8] = MAX_INT_HOPS + 1  # hop_count > max_hops
         with pytest.raises(IntError):
             parse(bytes(data))
+
+
+# ----------------------------------------------------------------------
+# parse() by struct == the slice-by-slice loop it replaced
+# ----------------------------------------------------------------------
+def parse_by_slices(frame: bytes) -> IntStack:
+    """The oracle: ``parse`` as it stood, one slice per field — kept
+    verbatim."""
+    if not is_int_frame(frame):
+        raise IntError("frame carries no INT trailer")
+    hop_count = frame[-8]
+    flags = frame[-7]
+    max_hops = frame[-6]
+    if not 1 <= max_hops <= 0xFF or hop_count > max_hops:
+        raise IntError(
+            f"malformed INT trailer: {hop_count} hops in a "
+            f"{max_hops}-slot stack"
+        )
+    if len(frame) < trailer_bytes(max_hops):
+        raise IntError("frame shorter than its own INT trailer")
+    base = len(frame) - HEADER_BYTES - max_hops * HOP_BYTES
+    hops = []
+    for i in range(hop_count):
+        at = base + i * HOP_BYTES
+        hops.append(IntHop(
+            device_id=int.from_bytes(frame[at:at + 2], "big"),
+            ingress=frame[at + 2],
+            egress=frame[at + 3],
+            timestamp=int.from_bytes(frame[at + 4:at + 8], "big"),
+            rerouted=bool(frame[at + 8] & _H_REROUTED),
+            dead_ports=frame[at + 9],
+        ))
+    return IntStack(
+        flow_id=int.from_bytes(frame[-16:-12], "big"),
+        seq=int.from_bytes(frame[-12:-8], "big"),
+        response=bool(flags & _F_RESPONSE),
+        overflow=bool(flags & _F_OVERFLOW),
+        max_hops=max_hops,
+        hops=tuple(hops),
+    )
+
+
+def outcome(parser, frame: bytes):
+    try:
+        return parser(frame)
+    except IntError as error:
+        return str(error)
+
+
+class TestParseMatchesTheSliceLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(max_hops=st.integers(1, 10), response=st.booleans(),
+           flow_id=st.integers(0, 2**32 - 1), seq=st.integers(0, 2**32 - 1),
+           stamps=st.lists(st.tuples(
+               st.integers(0, 0xFFFF), st.integers(0, 0xFF),
+               st.integers(0, 3), st.integers(0, 2**31), st.booleans(),
+               st.integers(0, 0xF)), max_size=12))
+    def test_on_stamped_stacks(self, max_hops, response, flow_id, seq, stamps):
+        """0 … ``max_hops`` stamps and past it (the overflow flag),
+        rerouted hops with their dead-port masks."""
+        frame = set_seq(encode_template(
+            udp_frame(size=256), flow_id, response=response,
+            max_hops=max_hops), seq)
+        for device, ingress, egress, latency, rerouted, dead in stamps:
+            frame = stamp(frame, device, ingress, egress, latency=latency,
+                          rerouted=rerouted, dead_ports=dead)
+            stack = parse(frame)
+            assert stack == parse_by_slices(frame)
+            assert repr(stack) == repr(parse_by_slices(frame))
+        assert parse(frame).overflow == (len(stamps) > max_hops)
+        assert len(parse(frame).hops) == min(len(stamps), max_hops)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.binary(max_size=40), st.integers(0, 255), st.integers(0, 255),
+           st.integers(0, 255))
+    def test_on_malformed_tails(self, body, hop_count, flags, max_hops):
+        """Every refusal, word for word: no magic, too short for a
+        header, more hops than slots, no slots, a stack longer than
+        the frame."""
+        tail = bytes(8) + bytes([hop_count, flags, max_hops, 0]) + MAGIC
+        for frame in (body, body + MAGIC, body + tail):
+            assert outcome(parse, frame) == outcome(parse_by_slices, frame)
+
+    def test_the_parsed_records_keep_their_fields(self):
+        hop = IntHop(1, 2, 3, 4, True, 5)
+        assert repr(hop) == ("IntHop(device_id=1, ingress=2, egress=3, "
+                             "timestamp=4, rerouted=True, dead_ports=5)")
+        assert hop == IntHop(device_id=1, ingress=2, egress=3, timestamp=4,
+                             rerouted=True, dead_ports=5)
+        assert IntStack(1, 2, False, False, 8, (hop,)).latencies() == (4,)

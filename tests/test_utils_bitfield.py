@@ -126,3 +126,28 @@ class TestExtractInsert:
     def test_insert_then_extract(self, word, value):
         word &= mask(32)
         assert self.BF.extract(self.BF.insert(word, "a", value), "a") == value
+
+    @pytest.mark.parametrize("name", ["a", "b", "c"])
+    @given(word=st.integers(0, mask(32)), value=st.integers(-2, mask(12) + 2))
+    def test_compiled_accessors_are_extract_and_insert(self, name, word, value):
+        """Same values, same refusals — message and all."""
+        read, write = self.BF.accessors(name)
+        assert read(word) == self.BF.extract(word, name)
+        try:
+            expected = self.BF.insert(word, name, value)
+        except ValueError as error:
+            with pytest.raises(ValueError) as refused:
+                write(word, value)
+            assert str(refused.value) == str(error)
+        else:
+            assert write(word, value) == expected
+
+    def test_the_tuser_port_accessors(self):
+        from repro.core.metadata import (
+            SUME_TUSER, tuser_dst_port, tuser_src_port, with_tuser_dst_port)
+        word = SUME_TUSER.pack(len=1500, src_port=0x04, dst_port=0x41, user=9)
+        assert (tuser_src_port(word), tuser_dst_port(word)) == (0x04, 0x41)
+        assert with_tuser_dst_port(word, 0x10) \
+            == SUME_TUSER.insert(word, "dst_port", 0x10)
+        with pytest.raises(ValueError, match="does not fit field 'dst_port'"):
+            with_tuser_dst_port(word, 0x100)
