@@ -9,17 +9,11 @@ FRR-on vs FRR-off over identical scripted schedules) and re-runs a
   no-FRR run bleeds for the whole outage window.
 * **Identity**: the ``SweepReport`` fingerprint is byte-identical
   across reruns and shard counts.
-
-Besides the per-node history the ``bench_recorder`` fixture keeps, the
-same-shaped record is appended to ``BENCH_frr.json`` so the CI guard
-(and trend tooling) has a stable name to read.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from repro.frr import run_sweep
 
@@ -34,12 +28,11 @@ def test_e19_frr_sweep(benchmark):
         started = time.perf_counter()
         full = run_sweep(TOPOLOGY)
         full_wall = time.perf_counter() - started
-        started = time.perf_counter()
         sliced = run_sweep(TOPOLOGY, max_links=RESWEEP_LINKS,
                            shards=2, parallel=False)
-        return full, full_wall, sliced, time.perf_counter() - started
+        return full, full_wall, sliced
 
-    full, full_wall, sliced, sliced_wall = benchmark.pedantic(
+    full, full_wall, sliced = benchmark.pedantic(
         sweep, rounds=1, iterations=1
     )
 
@@ -78,16 +71,3 @@ def test_e19_frr_sweep(benchmark):
         "sweep_wall_s": round(full_wall, 3),
         "fingerprint": full.fingerprint(),
     })
-    path = Path(__file__).parent / "BENCH_frr.json"
-    history = json.loads(path.read_text()) if path.exists() else []
-    history.append({
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "node": "benchmarks/test_bench_frr.py::test_e19_frr_sweep",
-        "mean_s": full_wall,
-        "min_s": min(full_wall, sliced_wall),
-        "max_s": max(full_wall, sliced_wall),
-        "stddev_s": 0.0,
-        "rounds": 1,
-        "extra_info": dict(benchmark.extra_info),
-    })
-    path.write_text(json.dumps(history, indent=2) + "\n")

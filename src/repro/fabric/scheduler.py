@@ -555,8 +555,8 @@ def flow_frame(
 
     A pure function of (topology hosts, flow, direction): every packet
     of a direction is byte-identical, which is what lets the scheduler
-    build it once per flow instead of per packet — and what the E18
-    bench micro-asserts against a fresh ``make_udp_frame`` build.
+    build it once per flow instead of per packet (held to a fresh
+    ``make_udp_frame`` build by ``test_flow_frame_matches_fresh_build``).
     Frames of one (src host, dst host, size) differ in two ports and
     the checksum: ``make_udp_frame`` runs once per such class and
     topology instance, and each flow's frame is that one re-targeted.

@@ -16,28 +16,23 @@ disjoint (concatenate, sort by ``flow_id``), per-device forwarded
 counts, fault counters and hop histograms are order-independent sums.
 So ``run_sharded(spec, wl, shards=N).fingerprint()`` is byte-identical
 for every ``N`` — the invariant the fabric test suite and the CI smoke
-job pin — while wall-clock throughput scales with cores.
+job pin.
 
-Workers run under the **supervised executor**
-(:mod:`repro.fabric.supervisor`): per-shard deadlines and heartbeats,
-seeded crash chaos, bounded retries with exponential backoff, an inline
-fallback when the budget is exhausted, merge-boundary integrity checks,
-and checkpoint/resume.  A crashed worker costs a retry, never the run —
-and never a bit of the fingerprint.  ``supervised=False`` keeps the old
-bare-pool path as the A/B reference the E21 overhead bench compares
-against.
+Worker processes run under :mod:`repro.fabric.supervisor`, the only
+process path: a crashed worker costs a retry, never the run — and never
+a bit of the fingerprint.
 
 ``parallel=False`` (or ``shards=1``) runs the same partition/merge path
-in-process — the reference the process paths are checked against, and
+in-process — the reference the process path is checked against, and
 the fallback when worker processes are unavailable (e.g. a daemonic
-parent process).  Neither it nor the bare pool can honour ``chaos=`` or
-``checkpoint=``; asking is a ``ValueError``, not a silent clean run.
+parent process).  It cannot honour ``chaos=`` or ``checkpoint=``;
+asking is a ``ValueError``, not a silent clean run.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+import time
 from collections import Counter
 from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
@@ -55,10 +50,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 def _pool_size(shards: int) -> int:
     """Concurrent worker cap: ``min(shards, cores)``.
 
-    ``Pool(processes=shards)`` used to fork one process per shard even
-    with shards ≫ cores — pure page-table churn with zero extra
-    parallelism.  Shard *partitioning* stays at ``shards`` (it is part
-    of the determinism contract); only process concurrency is capped.
+    More processes than cores is page-table churn with no extra
+    parallelism.  Shard *partitioning* stays at ``shards`` (part of the
+    determinism contract); only process concurrency is capped.
     """
     return max(1, min(shards, os.cpu_count() or 1))
 
@@ -113,11 +107,11 @@ def merge_reports(reports: list[FabricReport], shards: int) -> FabricReport:
     """Fold shard reports into the run report, deterministically.
 
     Records concatenate (flow partitions are disjoint) and sort by flow
-    id; every aggregate is an order-independent sum.  Shard wall-clock
-    times overlap, so ``elapsed_s`` takes the slowest shard.  The head
-    check refuses reports whose run identity *or* execution config
-    differ (:data:`_HEAD_FIELDS`); overlapping partitions are refused
-    by the duplicate-flow-id check.
+    id; every aggregate is an order-independent sum — ``elapsed_s``
+    too, engine seconds that :func:`run_sharded` replaces with the
+    run's wall-clock.  The head check refuses reports whose run
+    identity *or* execution config differ (:data:`_HEAD_FIELDS`);
+    overlapping partitions are refused by the duplicate-flow-id check.
     """
     if not reports:
         raise ValueError("nothing to merge")
@@ -144,7 +138,7 @@ def merge_reports(reports: list[FabricReport], shards: int) -> FabricReport:
         head,
         records=sorted(records, key=lambda r: r.flow_id),
         shards=shards,
-        elapsed_s=max(r.elapsed_s for r in reports),
+        elapsed_s=sum(r.elapsed_s for r in reports),
         # int_summary is an observable (data), not run config, so it is
         # merged rather than head-checked: shards that carried no INT
         # flow report None and drop out of the fold.
@@ -162,7 +156,6 @@ def run_sharded(
     shards: int = 1,
     parallel: bool = True,
     flows: Optional[list[Flow]] = None,
-    supervised: bool = True,
     chaos: Optional[FaultPlan] = None,
     checkpoint: Optional[str | os.PathLike] = None,
     supervisor: Optional["SupervisorOptions"] = None,
@@ -186,11 +179,13 @@ def run_sharded(
     chaos schedule, which the ``-m shard`` suite pins.  ``checkpoint``
     names a directory where accepted shard reports persist as they
     land; rerunning with the same arguments resumes from the surviving
-    shards.  Both need the supervised process path and are a
-    ``ValueError`` without it: the inline path (``parallel=False``) has
-    no workers to crash, and the bare pool (``supervised=False``, the
-    E21 A/B reference) predates supervision.
+    shards.  Both need the process path and are a ``ValueError`` with
+    ``parallel=False``: the inline path has no workers to crash.
+
+    The report's ``elapsed_s`` is this call's wall-clock on every path,
+    set-up and merge included: what a caller timing the call would read.
     """
+    started = time.perf_counter()
     config = RunConfig(**options)
     if shards < 1:
         raise ValueError("shards must be >= 1")
@@ -203,32 +198,23 @@ def run_sharded(
     wanted = [name for name, value in
               (("chaos=", chaos), ("checkpoint=", checkpoint))
               if value is not None]
-    if wanted and not (parallel and supervised):
-        path = ("supervised=False (the bare pool)" if parallel
-                else "parallel=False (the inline path)")
+    if wanted and not parallel:
         raise ValueError(
-            f"{', '.join(wanted)} cannot be honoured with {path}: only "
-            "the supervised process path has workers to crash and "
-            "checkpoints to write"
+            f"{', '.join(wanted)} cannot be honoured with parallel=False "
+            "(the inline path): only the supervised process path has "
+            "workers to crash and checkpoints to write"
         )
-    if parallel and supervised and (shards > 1 or wanted):
+    if parallel and (shards > 1 or wanted):
         from repro.fabric.supervisor import run_supervised
 
-        return run_supervised(
+        report = run_supervised(
             spec, workload, plan, shards=shards, flows=flows,
             config=config, chaos=chaos, checkpoint=checkpoint,
             options=supervisor,
         )
-    jobs = [(spec, workload, plan, flows, config, shards, index)
-            for index in range(shards)]
-    if shards == 1:
-        return _run_shard(*jobs[0])
-    if parallel:
-        # The legacy bare pool: no deadlines, no retries, no integrity
-        # checks — one worker crash aborts the run.  Kept as the E21
-        # supervision-overhead reference.
-        with multiprocessing.Pool(processes=_pool_size(shards)) as pool:
-            reports = pool.starmap(_run_shard, jobs)
     else:
-        reports = [_run_shard(*job) for job in jobs]
-    return merge_reports(reports, shards)
+        reports = [_run_shard(spec, workload, plan, flows, config, shards,
+                              index) for index in range(shards)]
+        report = reports[0] if shards == 1 else merge_reports(reports, shards)
+    report.elapsed_s = time.perf_counter() - started
+    return report

@@ -1,10 +1,9 @@
 """Supervised shard execution: deadlines, heartbeats, retries, checkpoints.
 
-The bare ``Pool.starmap`` executor had one failure mode: total.  A
-crashed, hung or OOM-killed worker aborted the whole fabric run with
-nothing salvaged.  This module replaces it with a **supervisor** that
-treats partial failure as the common case and still never changes what
-the run computes:
+A plain process pool has one failure mode: total.  A crashed, hung or
+OOM-killed worker aborts the whole fabric run with nothing salvaged.
+This module is a **supervisor** that treats partial failure as the
+common case and still never changes what the run computes:
 
 * every shard runs in its own worker process under a wall-clock
   **deadline** and a **heartbeat** (a worker whose heartbeats stop is
@@ -403,12 +402,12 @@ def run_supervised(
 ) -> FabricReport:
     """Run a sharded fabric workload under supervision and merge.
 
-    The drop-in supervised equivalent of the bare pool: same partition
-    (``flow_id % shards``), same merge, same fingerprint — plus worker
-    deadlines/heartbeats, seeded ``chaos``, bounded retries with the
-    inline fallback, and optional ``checkpoint`` (a directory) for
-    resume.  The merged report carries the supervision ledger in
-    ``report.supervision``.
+    The process path behind :func:`~repro.fabric.shard.run_sharded`:
+    the inline path's partition (``flow_id % shards``), merge and
+    fingerprint — plus worker deadlines/heartbeats, seeded ``chaos``,
+    bounded retries with the inline fallback, and optional
+    ``checkpoint`` (a directory) for resume.  The merged report carries
+    the supervision ledger in ``report.supervision``.
     """
     from repro.fabric.shard import _pool_size, _run_shard, merge_reports
 

@@ -27,9 +27,9 @@ observable:
 
 Telemetry lives in :func:`repro.telemetry.probes.probe_fastpath`;
 ``nf-mon fabric`` prints the same stats (and ``--no-fastpath`` turns
-the whole subsystem off for A/B runs — the E18 bench asserts the
-fingerprints agree and the cache side is >=3x faster; ``--no-batch``
-keeps the caches but sends every packet through the per-packet entry).
+the whole subsystem off for A/B runs — the ``-m fastpath`` suite
+asserts the fingerprints agree; ``--no-batch`` keeps the caches but
+sends every packet through the per-packet entry).
 """
 
 from repro.fastpath.cache import (

@@ -189,14 +189,12 @@ def cmd_fabric(args: argparse.Namespace) -> int:
             shards=args.shards, parallel=not args.inline,
             fastpath=not args.no_fastpath,
             batch=args.batch,
-            supervised=not args.bare_pool,
             chaos=chaos, checkpoint=args.checkpoint,
         )
     except ValueError as exc:
         # Unknown topology/workload/plan preset, shards > flows, a
         # checkpoint written by a different run, or --checkpoint /
-        # --chaos-shards on a path with no supervised workers
-        # (--inline, --bare-pool) — operator error.
+        # --chaos-shards with --inline (no workers) — operator error.
         print(str(exc), file=sys.stderr)
         return 2
     if args.format == "json":
@@ -544,9 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     fabric.add_argument("--checkpoint", default=None, metavar="DIR",
                         help="persist accepted shard reports here and "
                              "resume from survivors on rerun")
-    fabric.add_argument("--bare-pool", action="store_true",
-                        help="bypass the supervised executor (legacy "
-                             "bare pool; the E21 overhead reference)")
     fabric.add_argument("--format", choices=("table", "json"),
                         default="table")
     fabric.add_argument("--per-flow", action="store_true",

@@ -813,8 +813,8 @@ class Network:
     # -- fast-path control & stats --------------------------------------
     def set_fastpath(self, enabled: bool) -> None:
         """Enable/disable the path cache and every device's microflow
-        cache in one switch — the A/B toggle the E18 bench and
-        ``nf-mon fabric --no-fastpath`` use."""
+        cache in one switch — the A/B toggle behind
+        ``RunConfig.fastpath`` and ``nf-mon fabric --no-fastpath``."""
         self.path_cache_enabled = enabled
         if not enabled:
             self._path_cache.clear()

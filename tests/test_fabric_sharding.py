@@ -7,6 +7,8 @@ be byte-identical whether a run uses 1, 2 or 4 shards — with real
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.fabric import (
@@ -89,6 +91,33 @@ class TestShardInvariance:
         listed = run_sharded(spec, workload, shards=4, parallel=False,
                              flows=flows)
         assert not asked and listed.signature() == whole.signature()
+
+
+class TestElapsed:
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_elapsed_is_the_callers_wall(self, shards, monkeypatch):
+        """``packets_per_second`` is the throughput a caller timing the
+        call would compute: inline shards run one after another, and
+        each engine's own timer starts after build, learn and prewarm,
+        so neither the slowest shard nor their sum is the run's wall."""
+        from repro.fabric import shard
+
+        engine_seconds = []
+
+        def recording(*job, run_shard=shard._run_shard):
+            report = run_shard(*job)
+            engine_seconds.append(report.elapsed_s)
+            return report
+
+        monkeypatch.setattr(shard, "_run_shard", recording)
+        started = time.perf_counter()
+        report = run_sharded(get_topology("abilene"),
+                             get_workload("uniform-small"),
+                             shards=shards, parallel=False)
+        wall = time.perf_counter() - started
+        assert len(engine_seconds) == shards
+        assert sum(engine_seconds) <= report.elapsed_s <= wall
+        assert report.packets_per_second <= 1.5 * report.attempted / wall
 
 
 class TestMerge:

@@ -246,13 +246,13 @@ class TestPoolAndMergeGuards:
             run_sharded(get_topology(TOPO), workload,
                         shards=workload.flows + 1)
 
-    @pytest.mark.parametrize("path", [
-        {"parallel": False}, {"supervised": False}])
+    @pytest.mark.parametrize("path", [{"parallel": False}])
     @pytest.mark.parametrize("wanted", ["chaos", "checkpoint"])
     def test_unsupervised_paths_refuse_chaos_and_checkpoint(
             self, path, wanted, tmp_path):
-        """Neither path starts supervised workers, so neither may take
-        the request and silently run clean / write nothing."""
+        """The inline path — the one path left that starts no supervised
+        workers — may not take the request and silently run clean /
+        write nothing."""
         asked = {"chaos": get_plan("shard-killer", seed=0),
                  "checkpoint": tmp_path / "ckpt"}[wanted]
         (conflict,) = path
@@ -261,6 +261,13 @@ class TestPoolAndMergeGuards:
             run_sharded(get_topology(TOPO), get_workload(WORKLOAD),
                         shards=2, **path, **{wanted: asked})
         assert not (tmp_path / "ckpt").exists()
+
+    def test_the_supervisor_is_the_only_process_executor(self):
+        """The switch went with the pool it selected: it is now an
+        unknown run option like any other."""
+        with pytest.raises(TypeError, match="supervised"):
+            run_sharded(get_topology(TOPO), get_workload(WORKLOAD),
+                        shards=2, supervised=False)
 
 
 class TestShardFaultPlan:
@@ -357,8 +364,8 @@ class TestNfmonShardCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["supervision"]["checkpoint_hits"] == 2
 
-    def test_bare_pool_still_works(self, capsys):
+    def test_the_unsupervised_pool_flag_is_gone(self, capsys):
         from repro.host.nfmon import main as nfmon_main
 
-        assert nfmon_main(self._base() + ["--bare-pool"]) == 0
-        assert "supervision:" not in capsys.readouterr().out
+        assert nfmon_main(self._base() + ["--bare-pool"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

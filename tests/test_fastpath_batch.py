@@ -207,6 +207,7 @@ class TestEngineFingerprint:
         on = runs[True, True, DEFAULT_MAX_INFLIGHT, 1]
         assert on.batch["segment_packets"] > 0
         assert on.batch["replayed_packets"] > 0
+        assert on.batch["splits"] == 0  # nothing mutated, nothing split
         # batch needs the flow cache; without it the tier stands down
         uncached = runs[False, True, DEFAULT_MAX_INFLIGHT, 1]
         assert uncached.batch.get("replayed_packets", 0) == 0

@@ -19,7 +19,8 @@ pytestmark = pytest.mark.int
 def _run(topo="leaf-spine", workload="uniform-int", seed=7, **kwargs):
     topology = get_topology(topo)
     spec = get_workload(workload).with_seed(seed)
-    return run_sharded(topology, spec, parallel=False, **kwargs)
+    kwargs.setdefault("parallel", False)
+    return run_sharded(topology, spec, **kwargs)
 
 
 class TestFabricIntegration:
@@ -43,6 +44,9 @@ class TestFabricIntegration:
         base = _run().signature()
         assert _run(shards=3).signature() == base
         assert _run(fastpath=False).signature() == base
+        assert _run(shards=3, fastpath=False).signature() == base
+        # worker processes: the summaries cross a pipe before the merge
+        assert _run(shards=2, parallel=True).signature() == base
 
     def test_int_all_promotes_every_flow(self):
         report = _run(workload="uniform-small", int_all=True)
