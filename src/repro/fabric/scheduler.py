@@ -330,13 +330,6 @@ class LinkSchedule:
         """Canonical identity string, part of the run fingerprint."""
         return ";".join(f"{a}~{b}[{d},{u})" for a, b, d, u in self.events)
 
-    def down(self, a: str, b: str, epoch: int) -> bool:
-        pair = frozenset((a, b))
-        return any(
-            frozenset((ea, eb)) == pair and d <= epoch < u
-            for ea, eb, d, u in self.events
-        )
-
     def pairs(self) -> list[tuple[str, str]]:
         """The device pairs this schedule touches, canonically ordered."""
         return sorted({tuple(sorted((a, b))) for a, b, _, _ in self.events})
@@ -367,9 +360,10 @@ class RunConfig:
     #: microflow caches) off — the A/B switch; only ``report.fastpath``
     #: and the wall clock move.
     fastpath: bool = True
-    #: ``False`` turns coalesced dispatch (counted replay of cached
-    #: walks through ``inject_batch``) off — ``nf-mon fabric
-    #: --no-batch``; only ``report.batch`` and the wall clock move.
+    #: ``False`` turns coalesced dispatch (a flow's consecutive packets
+    #: carried as one run: wire outcomes pre-drawn, survivors replayed
+    #: through ``inject_batch``) off — ``nf-mon fabric --no-batch``;
+    #: only ``report.batch`` and the wall clock move.
     batch: bool = True
     #: Install the precomputed loop-free backup next-hops after
     #: :meth:`~repro.fabric.topo.FabricTopology.learn`.
@@ -670,17 +664,14 @@ class FlowEngine:
         self._shards = shards
         self._wire_faults = plan is not None and plan.link is not None
         # Coalescing eligibility: the fast path must exist (no cache,
-        # nothing to replay), per-packet wire draws must not (a
-        # plan.link spec makes every packet a fresh RNG decision), and
-        # an attached clock means an interactive observer who expects
-        # per-event time — coalescing is for the drain loops only.
-        self._batch = bool(
-            config.batch and config.fastpath and clock is None
-            and not self._wire_faults
-        )
+        # nothing to replay), and an attached clock means an interactive
+        # observer who expects per-event time — coalescing is for the
+        # drain loops only.  Wire faults do not bar it: a run's draws
+        # all come from its own flow's session (see :meth:`_send`).
+        self._batch = bool(config.batch and config.fastpath and clock is None)
         #: The engine's share of ``report.batch`` (see :meth:`_batch_stats`).
         self._coalesced = dict.fromkeys(
-            ("segments", "segment_packets", "splits"), 0)
+            ("segments", "segment_packets", "splits", "wire_lost"), 0)
         # Span cap: with the flap oracle disarmed and link state static
         # for the whole run, no per-epoch oracle can change its answer
         # mid-segment — segments may span flap epochs and cover a flow
@@ -713,7 +704,9 @@ class FlowEngine:
         self._dispatched = 0
         self._report: Optional[FabricReport] = None
         self._admit()
-        if self._batch:
+        # Under wire faults a direction whose request is lost is never
+        # sent: its walk is paid for when (and if) its first run flies.
+        if self._batch and not self._wire_faults:
             self._prewarm()
         self._started = time.perf_counter()
 
@@ -779,7 +772,7 @@ class FlowEngine:
         if self.clock is not None:
             self.clock.advance_to(event.tick)
         self._link_ctl.apply(event.tick // FLAP_EPOCH_TICKS)
-        n = self._send(event, n)
+        self._send(event, n)
         if n > 1:
             self._coalesced["segments"] += 1
             self._coalesced["segment_packets"] += n
@@ -795,23 +788,27 @@ class FlowEngine:
             self._admit()
         return n
 
-    def _send(self, event: _Cursor, n: int) -> int:
-        """Carry the event's packet — or, for ``n > 1``, the coalesced
-        run of ``n`` consecutive packets it heads; returns how many
-        events that settled.
+    def _send(self, event: _Cursor, n: int) -> None:
+        """Carry the run of ``n`` consecutive packets the event heads
+        (``n == 1``: the event's own packet) until every one is settled.
 
-        A coalesced run is only offered under the engine's eligibility
-        gate: every per-epoch oracle answers the same for all ``n``
-        packets (:meth:`_segment_span`) and the plan has no per-packet
-        wire draws.  It replays through
+        A run is only offered where every per-epoch oracle answers the
+        same for all ``n`` packets (:meth:`_segment_span`).  Its wire
+        outcomes are drawn first, all ``n`` in packet order from the
+        flow's own session — the stream ``n`` single sends would draw,
+        since nothing else draws from it in between — and never again:
+        each loss is booked at its own epoch, and the survivors are
+        carried.  They replay through
         :meth:`~repro.testenv.topology.Network.inject_batch`; when that
-        declines (an invalidation flushed the walk) the run is *split*:
-        this call carries one packet the per-packet way — warming the
-        walk — and the flow's next event offers the rest again.
+        declines (no walk yet, or a mutation dropped it) the run is
+        *split*: the head goes through ``inject``, which walks and
+        stores, and the rest is offered again at once — it replays the
+        walk the head just stored, or (an uncacheable walk) the run
+        goes on packet by packet.
         """
         flow, record = event.flow, event.record
         if event.is_response and record.delivered == 0:
-            return n  # the request never arrived: there is no RPC to answer
+            return  # the request never arrived: there is no RPC to answer
         hosts = self.topology.hosts
         src = hosts[flow.dst if event.is_response else flow.src]
         dst = hosts[flow.src if event.is_response else flow.dst]
@@ -824,72 +821,91 @@ class FlowEngine:
             record.lost_flap += n
             event.session.counters["flap_lost_frames"] += n
             self._loss_by_epoch[epoch] += n
-            return n
-        if self._wire_faults:  # bars coalescing: n == 1
-            counters = event.session.counters
+            return
+        seq = event.pkt_index
+        left = range(seq, seq + n)  # the sequences still to carry
+        if self._wire_faults:
+            session = event.session
+            counters = session.counters
             retransmits = counters.get("link_retransmits", 0)
-            on_wire = event.session.link_transfer()
+            on_wire = [True] * n
+            wire_lost = 0
+            for j in range(n):
+                if not session.link_transfer():
+                    on_wire[j] = False
+                    wire_lost += 1
+                    self._loss_by_epoch[
+                        (tick + j * flow.gap_ticks) // FLAP_EPOCH_TICKS] += 1
             record.retransmits += (
                 counters.get("link_retransmits", 0) - retransmits)
-            if not on_wire:
-                record.attempted += 1
-                record.lost_wire += 1
-                self._loss_by_epoch[epoch] += 1
-                return 1
+            if wire_lost:
+                record.attempted += wire_lost
+                record.lost_wire += wire_lost
+                self._coalesced["wire_lost"] += wire_lost
+                n -= wire_lost
+                if not n:
+                    return
+                left = [s for s in left if on_wire[s - seq]]
         frame = self._frame(flow, event.is_response)
         network = self.topology.network
-        seq = event.pkt_index
         telemetered = flow.int_enabled  # the collector exists iff any is
-        walk = (network.inject_batch(src.device, src.port, frame, n)
-                if n > 1 else None)
-        if walk is not None:
-            outcome, deliveries = walk, walk.deliveries
-        else:
-            if n > 1:  # no valid walk to replay: split the run
+        walk = None
+        if n > 1:
+            walk = network.inject_batch(src.device, src.port, frame, n)
+            if walk is None:
                 self._coalesced["splits"] += 1
-                n = 1
-            outcome = deliveries = network.inject(
-                src.device, src.port, frame,
-                int_seq=seq if telemetered else None,
-            )
-        # One packet's outcome, counted n times.
-        record.attempted += n
-        lost = outcome.dropped_hop_limit + outcome.dropped_link_down
-        if lost:
-            record.dropped_hop_limit += outcome.dropped_hop_limit * n
-            record.lost_link += outcome.dropped_link_down * n
-        hit = False
-        for delivery in deliveries:
-            at, hops = delivery.at, delivery.hops
-            if at.device == dst.device and at.port.index == dst.port:
-                hit = True
-                record.delivered += n
-                # A walk the class shares names no frame: ours went through.
-                record.bytes_delivered += len(delivery.frame or frame) * n
-                record.hops_total += hops * n
-                if hops > record.hops_max:
-                    record.hops_max = hops
-                self._hops_hist[hops] += n
+        while True:
+            if walk is not None:
+                outcome, deliveries, m = walk, walk.deliveries, n
             else:
-                record.misdelivered += n
-        if not hit and not lost:
-            record.blackholed += n
-            lost = 1
-        if lost or telemetered:
-            # A run may span flap epochs (the epoch-free case): loss and
-            # INT evidence are booked at each packet's own epoch.
-            gap = flow.gap_ticks
-            epochs = [(tick + j * gap) // FLAP_EPOCH_TICKS for j in range(n)]
+                outcome = deliveries = network.inject(
+                    src.device, src.port, frame,
+                    int_seq=left[0] if telemetered else None,
+                )
+                # The rest replays the walk the head stored: one outcome.
+                m = n if n > 1 and network.inject_batch(
+                    src.device, src.port, frame, n - 1) is not None else 1
+            # One packet's outcome, counted m times.
+            record.attempted += m
+            lost = outcome.dropped_hop_limit + outcome.dropped_link_down
             if lost:
-                for packet_epoch in epochs:
-                    self._loss_by_epoch[packet_epoch] += lost
-            if telemetered:
-                seqs = range(seq, seq + n)
-                self.collector.sent_batch(
-                    flow.flow_id, event.is_response, seqs, epochs, outcome)
-                for delivery in deliveries:
-                    self.collector.deliver_batch(delivery.frame, seqs)
-        return n
+                record.dropped_hop_limit += outcome.dropped_hop_limit * m
+                record.lost_link += outcome.dropped_link_down * m
+            hit = False
+            for delivery in deliveries:
+                at, hops = delivery.at, delivery.hops
+                if at.device == dst.device and at.port.index == dst.port:
+                    hit = True
+                    record.delivered += m
+                    # A walk the class shares names no frame: ours went through.
+                    record.bytes_delivered += len(delivery.frame or frame) * m
+                    record.hops_total += hops * m
+                    if hops > record.hops_max:
+                        record.hops_max = hops
+                    self._hops_hist[hops] += m
+                else:
+                    record.misdelivered += m
+            if not hit and not lost:
+                record.blackholed += m
+                lost = 1
+            if lost or telemetered:
+                # A run may span flap epochs (the epoch-free case): loss and
+                # INT evidence are booked at each packet's own epoch.
+                seqs, gap = left[:m], flow.gap_ticks
+                epochs = [(tick + (s - seq) * gap) // FLAP_EPOCH_TICKS
+                          for s in seqs]
+                if lost:
+                    for packet_epoch in epochs:
+                        self._loss_by_epoch[packet_epoch] += lost
+                if telemetered:
+                    self.collector.sent_batch(
+                        flow.flow_id, event.is_response, seqs, epochs, outcome)
+                    for delivery in deliveries:
+                        self.collector.deliver_batch(delivery.frame, seqs)
+            if m == n:
+                return
+            n -= 1
+            left = left[1:]
 
     def _segment_span(self, event: _Cursor) -> int:
         """How many consecutive packets this event may coalesce.
@@ -1035,11 +1051,14 @@ class FlowEngine:
     def _batch_stats(self) -> dict[str, int]:
         """``report.batch``: the network's
         :meth:`~repro.testenv.topology.Network.batch_stats` plus the
-        engine's own three.  ``segments`` / ``segment_packets`` —
+        engine's own four.  ``segments`` / ``segment_packets`` —
         dispatches that settled more than one event, and the events
         they settled; ``splits`` — coalesced runs ``inject_batch``
-        declined, i.e. (every walk being prewarmed at set-up) runs an
-        invalidation cut short."""
+        declined: runs an invalidation cut short and, under wire faults
+        (no prewarm), the first of each walk; ``wire_lost`` — packets a
+        wire fault settled before injection, which with
+        ``replayed_packets`` and the path cache's hits and misses (and
+        flap losses) accounts for every packet attempted."""
         return {**self.topology.network.batch_stats(), **self._coalesced}
 
     def snapshot(self) -> dict:

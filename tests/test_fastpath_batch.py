@@ -25,6 +25,7 @@ from repro.fabric import DEFAULT_MAX_INFLIGHT, get_topology, run_sharded
 from repro.fabric.scheduler import FlowEngine, LinkSchedule, run_flows
 from repro.fabric.workload import WorkloadSpec
 from repro.faults import CtrlFaultSpec, FaultPlan, LinkStateSpec, get_plan
+from repro.faults import inject as arm_faults
 from repro.host.nfmon import main as nfmon_main
 from repro.projects.reference_switch import ReferenceSwitch
 from repro.testenv.topology import Network
@@ -185,13 +186,19 @@ class TestEngineFingerprint:
         return run_flows(get_topology("leaf-spine").build(),
                          self.WORKLOAD, kw.pop("plan", None), **kw)
 
-    def test_outcome_neutral_grid_is_one_run(self):
+    @pytest.mark.parametrize(
+        "plan_name", (None, "lossy-link", "black-hole", "flaky-fabric"))
+    def test_outcome_neutral_grid_is_one_run(self, plan_name):
         """``fastpath``, ``batch``, ``max_inflight`` and the shard count
         decide how a run executes, never what it computes: every point
         of the grid reproduces the per-packet reference's fingerprint,
-        per-flow records and loss curve."""
+        per-flow records and loss curve — on clean wires, under
+        retransmitted loss (``lossy-link``), under permanent loss that
+        gates responses (``black-hole``) and under loss plus edge flaps
+        (``flaky-fabric``)."""
         spec = get_topology("leaf-spine")
-        reference = run_sharded(spec, self.WORKLOAD,
+        plan = plan_name and get_plan(plan_name, seed=4)
+        reference = run_sharded(spec, self.WORKLOAD, plan,
                                 fastpath=False, batch=False)
         runs = {}
         for point in itertools.product(
@@ -199,25 +206,52 @@ class TestEngineFingerprint:
                 (1, 2, 4)):
             fastpath, batch, max_inflight, shards = point
             run = runs[point] = run_sharded(
-                spec, self.WORKLOAD, shards=shards, parallel=False,
+                spec, self.WORKLOAD, plan, shards=shards, parallel=False,
                 fastpath=fastpath, batch=batch, max_inflight=max_inflight)
             assert run.fingerprint() == reference.fingerprint(), point
             assert run.records == reference.records, point
             assert run.loss_by_epoch == reference.loss_by_epoch, point
+            assert run.fault_counters == reference.fault_counters, point
         on = runs[True, True, DEFAULT_MAX_INFLIGHT, 1]
         assert on.batch["segment_packets"] > 0
         assert on.batch["replayed_packets"] > 0
-        assert on.batch["splits"] == 0  # nothing mutated, nothing split
+        if plan is None:  # prewarmed, nothing mutated: nothing split
+            assert on.batch["splits"] == 0
         # batch needs the flow cache; without it the tier stands down
         uncached = runs[False, True, DEFAULT_MAX_INFLIGHT, 1]
         assert uncached.batch.get("replayed_packets", 0) == 0
 
-    def test_datapath_plan_disables_the_tier_but_not_identity(self):
+    def test_the_tier_engages_only_for_walks_that_avoid_armed_devices(self):
+        """A walk through a device with an armed data-path session is
+        never cached, so its flows go packet by packet — inside the one
+        dispatch that drew their wire outcomes — while flows that stay
+        clear of it still replay.  Every leaf-to-leaf path crosses
+        spine0; same-leaf flows cross no spine."""
         plan = get_plan("flaky-fabric", seed=3)
-        on = self._run(plan=plan)
-        off = self._run(plan=plan, batch=False)
-        assert on.fingerprint() == off.fingerprint()
-        assert on.batch.get("replayed_packets", 0) == 0
+
+        def run(armed, **kw):
+            topology = get_topology("leaf-spine").build()
+            for name in armed:
+                arm_faults(plan, project=topology.network.device(name))
+            return run_flows(topology, self.WORKLOAD, plan, **kw)
+
+        everywhere = get_topology("leaf-spine").build().network.device_names()
+        clear, spine, all_armed = (
+            run(armed) for armed in ((), ("spine0",), everywhere))
+        for on, armed in ((clear, ()), (spine, ("spine0",)),
+                          (all_armed, everywhere)):
+            off = run(armed, batch=False)
+            assert on.fingerprint() == off.fingerprint() \
+                == clear.fingerprint()
+            assert on.fastpath["path_bypasses"] \
+                == off.fastpath["path_bypasses"]
+        assert clear.fastpath["path_bypasses"] == 0
+        assert 0 < spine.batch["replayed_packets"] \
+            < clear.batch["replayed_packets"]
+        assert all_armed.batch["replayed_packets"] == 0
+        assert all_armed.fastpath["path_bypasses"] \
+            == all_armed.attempted - all_armed.batch["wire_lost"] \
+            - all_armed._total("lost_flap")
 
     def test_flap_plan_keeps_batching_within_epochs(self):
         plan = FaultPlan("flap-only", seed=9,
@@ -271,7 +305,7 @@ class TestEngineFingerprint:
 
     def test_the_link_controller_answers_as_the_schedule_does(self):
         """The controller indexes the windows by canonical pair once;
-        ``LinkSchedule.down`` stays the specification."""
+        the schedule's own events stay the specification."""
         topology = get_topology("abilene").build()
         links = [(a, b) for a, _, b, _ in topology.links()[:3]]
         schedule = LinkSchedule(tuple(  # ends reversed, windows abutting
@@ -282,8 +316,10 @@ class TestEngineFingerprint:
                             link_schedule=schedule)
         for epoch in (0, 5, 2, *range(16)):  # absolute, in any order
             engine._link_ctl.apply(epoch)
+            dark = {frozenset(event[:2]) for event in schedule.events
+                    if event[2] <= epoch < event[3]}
             assert [topology.network.link_is_up(a, b) for a, b in links] \
-                == [not schedule.down(a, b, epoch) for a, b in links]
+                == [frozenset(link) not in dark for link in links]
 
     def test_shards_sum_what_the_cuts_dropped(self):
         schedule = LinkSchedule(events=(("spine0", "leaf0", 1, 4),))
@@ -335,16 +371,22 @@ class TestEngineFingerprint:
         assert on.loss_by_epoch == off.loss_by_epoch == slow.loss_by_epoch
         assert on.fingerprint() == off.fingerprint() == slow.fingerprint()
 
-    def test_wire_faults_keep_the_run_per_packet(self):
-        """Per-packet wire draws bar coalescing: every packet takes the
-        per-packet entry of the path cache, none the counted one."""
+    def test_wire_faults_coalesce_with_one_fingerprint(self):
+        """Per-packet wire draws do not bar coalescing: a run's draws
+        are made up front, in packet order, and the survivors take the
+        counted entry — only each walk's first packet (there is no
+        prewarm under wire faults) takes the per-packet one."""
         plan = get_plan("lossy-link", seed=4)
         on = self._run(plan=plan)
         off = self._run(plan=plan, batch=False)
-        assert on.batch["segments"] == 0
-        assert on.batch["replayed_packets"] == 0
-        assert on.fastpath["path_hits"] > 0
         assert on.fingerprint() == off.fingerprint()
+        assert on._total("retransmits") > 0
+        assert on.batch["segments"] > 0
+        assert on.batch["prewarmed"] == 0
+        assert on.batch["replayed_packets"] > on.attempted // 2
+        assert on.batch["replayed_packets"] + on.fastpath["path_misses"] \
+            + on.fastpath["path_hits"] == on.attempted  # nothing lost for good
+        assert off.batch["segments"] == off.batch["replayed_packets"] == 0
 
     def test_shard_reports_carry_summed_batch_stats(self):
         spec = get_topology("leaf-spine")
