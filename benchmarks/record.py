@@ -6,8 +6,8 @@
 Runs ``bench/run.py --trace 0`` once per workload — the instrument the
 pipeline judges — and keeps what it printed: the five end-to-end
 metrics, the fingerprint, ``correct``.  Rows compare only within one
-machine (``nproc``, ``python``); ``commit`` ends in ``-dirty`` when the
-row was measured before its commit existed.
+machine (``nproc``, ``python``).  A row is measured before its commit
+exists, so it names the commit it was measured on top of: ``parent``.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ WORKLOADS = ("elephants", "mice", "lossy", "churn")
 SEED = 1  # the seed every fingerprint quoted in the docs belongs to
 
 
-def build_row(outputs: dict[str, str], commit: str) -> dict:
+def build_row(outputs: dict[str, str], parent: str) -> dict:
     """One row from each workload's ``bench/run.py`` stdout: the
     contract object is the last line, the fingerprint has its own."""
     results = {name: json.loads(text.splitlines()[-1])
                for name, text in outputs.items()}
     return {
-        "commit": commit,
+        "parent": parent,
         "date": time.strftime("%Y-%m-%d", time.gmtime()),
         "seed": SEED,
         "nproc": os.cpu_count(),
@@ -56,10 +56,10 @@ def main() -> None:
              name, "--seed", str(SEED), "--trace", "0"],
             capture_output=True, text=True, check=True).stdout
         for name in WORKLOADS}
-    commit = subprocess.run(
-        ["git", "describe", "--always", "--dirty"], cwd=ROOT,
+    parent = subprocess.run(
+        ["git", "rev-parse", "--short", "HEAD"], cwd=ROOT,
         capture_output=True, text=True, check=True).stdout.strip()
-    row = build_row(outputs, commit)
+    row = build_row(outputs, parent)
     series = json.loads(SERIES.read_text()) if SERIES.exists() else []
     SERIES.write_text(json.dumps(series + [row], indent=2) + "\n")
     print(json.dumps(row, indent=2))

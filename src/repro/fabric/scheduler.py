@@ -794,7 +794,7 @@ class FlowEngine:
 
         A run is only offered where every per-epoch oracle answers the
         same for all ``n`` packets (:meth:`_segment_span`).  Its wire
-        outcomes are drawn first, all ``n`` in packet order from the
+        outcomes are drawn first, in one ``link_transfers(n)`` on the
         flow's own session — the stream ``n`` single sends would draw,
         since nothing else draws from it in between — and never again:
         each loss is booked at its own epoch, and the survivors are
@@ -825,27 +825,23 @@ class FlowEngine:
         seq = event.pkt_index
         left = range(seq, seq + n)  # the sequences still to carry
         if self._wire_faults:
-            session = event.session
-            counters = session.counters
+            counters = event.session.counters
             retransmits = counters.get("link_retransmits", 0)
-            on_wire = [True] * n
-            wire_lost = 0
-            for j in range(n):
-                if not session.link_transfer():
-                    on_wire[j] = False
-                    wire_lost += 1
-                    self._loss_by_epoch[
-                        (tick + j * flow.gap_ticks) // FLAP_EPOCH_TICKS] += 1
+            wire_lost = event.session.link_transfers(n)
             record.retransmits += (
                 counters.get("link_retransmits", 0) - retransmits)
             if wire_lost:
-                record.attempted += wire_lost
-                record.lost_wire += wire_lost
-                self._coalesced["wire_lost"] += wire_lost
-                n -= wire_lost
+                for j in wire_lost:
+                    self._loss_by_epoch[
+                        (tick + j * flow.gap_ticks) // FLAP_EPOCH_TICKS] += 1
+                record.attempted += len(wire_lost)
+                record.lost_wire += len(wire_lost)
+                self._coalesced["wire_lost"] += len(wire_lost)
+                n -= len(wire_lost)
                 if not n:
                     return
-                left = [s for s in left if on_wire[s - seq]]
+                gone = {seq + j for j in wire_lost}
+                left = [s for s in left if s not in gone]
         frame = self._frame(flow, event.is_response)
         network = self.topology.network
         telemetered = flow.int_enabled  # the collector exists iff any is

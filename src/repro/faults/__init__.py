@@ -17,6 +17,10 @@ Quickstart::
 
     result = run_test(my_test, "sim", faults=get_plan("lossy-link", seed=7))
     print(result.fault_report.counters)
+
+The harness and the fabric engine both settle their wire through one
+call, ``FaultSession.link_transfers(n)`` — ``n`` transfers, retransmits
+counted, lost indices returned; ``link_attempt()`` is a single attempt.
 """
 
 from repro.faults.errors import (

@@ -35,6 +35,7 @@ import hashlib
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 SITES = (
@@ -106,6 +107,14 @@ class LinkFaultSpec:
             raise ValueError("max_burst must be >= 1")
         if self.max_attempts <= self.max_burst:
             raise ValueError("max_attempts must exceed max_burst or no retry can win")
+
+    @cached_property
+    def bands(self) -> tuple[float, float, float]:
+        """Upper edges of a draw's 'lose', 'drop' and 'corrupt' bands
+        ('deliver' from the last one up).  Summed once, in one order:
+        every classifier of a draw compares against these floats."""
+        lose_drop = self.lose_rate + self.drop_rate
+        return self.lose_rate, lose_drop, lose_drop + self.corrupt_rate
 
 
 @dataclass(frozen=True)
@@ -306,7 +315,9 @@ class FaultSession:
     """Runtime state of one plan execution: per-site RNGs, bursts, counters.
 
     All draws are deterministic functions of ``(plan.seed, site, draw
-    index)``; consulting one site never perturbs another.
+    index)``; consulting one site never perturbs another.  The wire's
+    entry is :meth:`link_transfers` (a run of transfers, retransmission
+    included, in one call); :meth:`link_attempt` is one attempt of one.
     """
 
     def __init__(self, plan: FaultPlan):
@@ -334,51 +345,85 @@ class FaultSession:
 
     # -- link ----------------------------------------------------------
     def link_attempt(self) -> str:
-        """One wire transfer attempt: 'deliver' | 'drop' | 'corrupt' | 'lose'."""
+        """One wire transfer attempt: 'deliver' | 'drop' | 'corrupt' | 'lose'.
+
+        The single-attempt entry, for :meth:`mangle_wire`; transfers
+        (attempts until settled) go through :meth:`link_transfers`."""
         spec = self.plan.link
         if spec is None:
             return "deliver"
+        lose_below, drop_below, corrupt_below = spec.bands
         r = self._rng["link"].random()
-        if r < spec.lose_rate:
+        if r < lose_below:  # leaves the burst count standing
             outcome = "lose"
-        elif r < spec.lose_rate + spec.drop_rate:
-            outcome = "drop"
-        elif r < spec.lose_rate + spec.drop_rate + spec.corrupt_rate:
-            outcome = "corrupt"
-        else:
-            outcome = "deliver"
-        if outcome in ("drop", "corrupt"):
-            if self._burst["link"] >= spec.max_burst:
-                outcome = "deliver"
-            else:
-                self._burst["link"] += 1
-        if outcome == "deliver":
+        elif r >= corrupt_below or self._burst["link"] >= spec.max_burst:
+            outcome = "deliver"  # by the draw, or forced by the burst cap
             self._burst["link"] = 0
+        else:
+            outcome = "drop" if r < drop_below else "corrupt"
+            self._burst["link"] += 1
         self.counters[f"link_{outcome}"] += 1
         if outcome != "deliver":
             self._notify("link", outcome)
         return outcome
 
-    def link_transfer(self) -> bool:
-        """A full transfer with retransmission: True iff eventually delivered.
+    def link_transfers(self, n: int) -> list[int]:
+        """``n`` transfers with retransmission; returns the indices lost.
 
-        Models the harness contract: up to ``max_attempts`` tries, each
-        drop/corrupt answered by a counted retransmit.  Returns False
-        only on permanent loss ('lose', or an exhausted budget — which
-        the burst cap makes impossible unless the plan allows loss).
+        Models the harness contract: up to ``max_attempts`` tries each,
+        every drop/corrupt answered by a counted retransmit; lost only
+        to 'lose' (or an exhausted budget — which the burst cap makes
+        impossible).  Draw for draw it is :meth:`link_attempt` in that
+        loop, the burst count and counters held in locals and written
+        back once: however a run is cut into calls, same session.
         """
         spec = self.plan.link
         if spec is None:
-            return True
-        for attempt in range(spec.max_attempts):
-            outcome = self.link_attempt()
-            if outcome == "deliver":
-                self.counters["link_retransmits"] += attempt
-                return True
-            if outcome == "lose":
-                break
-        self.counters["link_lost"] += 1
-        return False
+            return []
+        random = self._rng["link"].random
+        lose_below, drop_below, corrupt_below = spec.bands
+        max_burst, attempts = spec.max_burst, range(spec.max_attempts)
+        burst, notify = self._burst["link"], self.on_fault
+        drops = corrupts = loses = retransmits = 0
+        lost: list[int] = []
+        for index in range(n):
+            for attempt in attempts:
+                r = random()
+                if r < lose_below:
+                    loses += 1
+                    lost.append(index)
+                    if notify is not None:
+                        notify("link", "lose")
+                    break
+                if r >= corrupt_below or burst >= max_burst:
+                    burst = 0
+                    retransmits += attempt
+                    break
+                burst += 1
+                if r < drop_below:
+                    drops += 1
+                    outcome = "drop"
+                else:
+                    corrupts += 1
+                    outcome = "corrupt"
+                if notify is not None:
+                    notify("link", outcome)
+            else:
+                lost.append(index)
+        self._burst["link"] = burst
+        counters, lost_count = self.counters, len(lost)
+        if lost_count < n:  # a first-try delivery still creates the key
+            counters["link_deliver"] += n - lost_count
+            counters["link_retransmits"] += retransmits
+        for key, count in (("link_drop", drops), ("link_corrupt", corrupts),
+                           ("link_lose", loses), ("link_lost", lost_count)):
+            if count:
+                counters[key] += count
+        return lost
+
+    def link_transfer(self) -> bool:
+        """One transfer: True iff eventually delivered."""
+        return not self.link_transfers(1)
 
     def mangle_wire(self, on_wire: bytes) -> Optional[bytes]:
         """MAC tx-mangle hook: corrupt (bit flip) or drop (None) a frame."""

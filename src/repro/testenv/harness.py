@@ -238,14 +238,9 @@ def _apply_link_faults(
     both targets share — so a ``sim`` and an ``hw`` run of the same test
     under the same seed fault, retransmit and lose *identically*.
     """
-    delivered: list[Stimulus] = []
-    lost: list[int] = []
-    for index, stim in enumerate(stimuli):
-        if session.link_transfer():
-            delivered.append(stim)
-        else:
-            lost.append(index)
-    return delivered, lost
+    lost = session.link_transfers(len(stimuli))
+    gone = set(lost)
+    return [s for i, s in enumerate(stimuli) if i not in gone], lost
 
 
 def _count_harness_traffic(

@@ -30,7 +30,8 @@ def test_a_row_holds_twenty_cells_and_four_fingerprints():
     assert row["fingerprints"] == {name: name.encode().hex()
                                    for name in WORKLOADS}
     assert row["correct"] is True
-    assert (row["commit"], row["seed"]) == ("abc1234", SEED)
+    # Measured before its own commit exists: the row names its parent.
+    assert (row["parent"], row["seed"]) == ("abc1234", SEED)
     assert {"date", "nproc", "python"} <= set(row)
     json.dumps(row)  # the series is a JSON file
 

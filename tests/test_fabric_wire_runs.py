@@ -29,6 +29,7 @@ from repro.fabric.workload import Flow
 from repro.faults import FaultPlan, LinkFaultSpec, get_plan
 from repro.faults import inject as arm_faults
 from repro.telemetry import TelemetrySession, probe_faults
+from tests.test_faults_plan import reference_link_transfer
 
 pytestmark = [pytest.mark.fabric, pytest.mark.fastpath]
 
@@ -37,7 +38,10 @@ class PerPacketOracle(FlowEngine):
     """The reference: one ``_send`` per packet, one wire draw per
     ``_send`` — the method as it stood while an armed ``plan.link``
     barred coalescing, kept verbatim (it returned the events it
-    settled; with ``batch=False`` that is always the one)."""
+    settled; with ``batch=False`` that is always the one) but for its
+    wire draw, which goes to the per-attempt reference kept in
+    ``test_faults_plan`` rather than to ``link_transfers``, the kernel
+    the engine under test draws through."""
 
     def __init__(self, *args, **options):
         super().__init__(*args, **options, batch=False)
@@ -62,7 +66,7 @@ class PerPacketOracle(FlowEngine):
         if self._wire_faults:  # bars coalescing: n == 1
             counters = event.session.counters
             retransmits = counters.get("link_retransmits", 0)
-            on_wire = event.session.link_transfer()
+            on_wire = reference_link_transfer(event.session)
             record.retransmits += (
                 counters.get("link_retransmits", 0) - retransmits)
             if not on_wire:

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.faults import (
     DmaFaultSpec,
@@ -20,6 +20,57 @@ from repro.faults import (
 from repro.faults.plan import SITES
 
 pytestmark = pytest.mark.faults
+
+
+# ----------------------------------------------------------------------
+# The per-attempt reference.  ``FaultSession.link_attempt`` and
+# ``link_transfer`` as they stood before ``link_transfers(n)`` became
+# the one retransmit loop in ``src/`` — bodies verbatim (hence ``self``),
+# kept here so that neither these tests nor
+# ``test_fabric_wire_runs.PerPacketOracle`` come to rest on the kernel
+# they check.
+# ----------------------------------------------------------------------
+def reference_link_attempt(self) -> str:
+    """One wire transfer attempt: 'deliver' | 'drop' | 'corrupt' | 'lose'."""
+    spec = self.plan.link
+    if spec is None:
+        return "deliver"
+    r = self._rng["link"].random()
+    if r < spec.lose_rate:
+        outcome = "lose"
+    elif r < spec.lose_rate + spec.drop_rate:
+        outcome = "drop"
+    elif r < spec.lose_rate + spec.drop_rate + spec.corrupt_rate:
+        outcome = "corrupt"
+    else:
+        outcome = "deliver"
+    if outcome in ("drop", "corrupt"):
+        if self._burst["link"] >= spec.max_burst:
+            outcome = "deliver"
+        else:
+            self._burst["link"] += 1
+    if outcome == "deliver":
+        self._burst["link"] = 0
+    self.counters[f"link_{outcome}"] += 1
+    if outcome != "deliver":
+        self._notify("link", outcome)
+    return outcome
+
+
+def reference_link_transfer(self) -> bool:
+    """A full transfer with retransmission: True iff eventually delivered."""
+    spec = self.plan.link
+    if spec is None:
+        return True
+    for attempt in range(spec.max_attempts):
+        outcome = reference_link_attempt(self)
+        if outcome == "deliver":
+            self.counters["link_retransmits"] += attempt
+            return True
+        if outcome == "lose":
+            break
+    self.counters["link_lost"] += 1
+    return False
 
 
 class TestDeterminism:
@@ -269,3 +320,206 @@ class TestLinkStateSite:
         assert plan.link_state is not None
         assert plan.link_state.down_rate > 0
         assert plan.seed == 11
+
+
+# ----------------------------------------------------------------------
+# link_transfers(n): the counted entry against the per-attempt reference
+# ----------------------------------------------------------------------
+class Scripted:
+    """A link RNG that plays back the draws a test wrote down."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self) -> float:
+        return self.draws.pop(0)
+
+    def getstate(self):
+        return tuple(self.draws)
+
+
+def wire_state(session, fired) -> dict:
+    """Everything a wire draw can leave behind on a session."""
+    return {"counters": dict(session.counters),  # zero-valued keys included
+            "burst": session._burst["link"],
+            "rng": session._rng["link"].getstate(),
+            "fired": fired}
+
+
+def settle(plan, ops, draws=None, reference=False):
+    """Run ``ops`` — an int ``n``: settle ``n`` transfers; ``None``: one
+    ``mangle_wire`` — on a fresh session, through ``link_transfers`` or
+    (``reference``) one per-attempt transfer at a time.  Returns the
+    transfers lost, numbered across the whole run, and the wire state."""
+    session = plan.session()
+    if draws is not None:
+        session._rng["link"] = Scripted(draws)
+    if reference:  # mangle_wire draws its attempt from the reference too
+        session.link_attempt = lambda: reference_link_attempt(session)
+    fired = []
+    session.on_fault = lambda site, outcome: fired.append((site, outcome))
+    lost, done = [], 0
+    for n in ops:
+        if n is None:
+            session.mangle_wire(bytes(64))
+        elif reference:
+            lost += [done + j for j in range(n)
+                     if not reference_link_transfer(session)]
+        else:
+            lost += [done + j for j in session.link_transfers(n)]
+        done += n or 0
+    return lost, wire_state(session, fired)
+
+
+@st.composite
+def link_specs(draw) -> LinkFaultSpec:
+    """All three rates (``lose_rate > 0`` among them), up to certainty."""
+    rates = draw(st.one_of(
+        st.tuples(*[st.sampled_from((0.0, 0.05, 0.2, 0.33))] * 3),
+        st.sampled_from(((1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.4, 0.3, 0.3),
+                         (0.0, 0.0, 1.0), (0.45, 0.0, 0.55)))))
+    max_burst = draw(st.integers(1, 5))
+    return LinkFaultSpec(*rates, max_burst=max_burst,
+                         max_attempts=draw(st.integers(max_burst + 1, 9)))
+
+
+class TestCountedEntryEqualsPerAttempt:
+    @settings(max_examples=300, deadline=None)
+    @given(spec=link_specs(), seed=st.integers(0, 2**32),
+           chunks=st.lists(st.integers(0, 12), max_size=12))
+    def test_any_spec_any_chunking(self, spec, seed, chunks):
+        """However a run's transfers are cut into ``link_transfers``
+        calls (1s and 0s included), the session ends where one
+        per-attempt transfer at a time leaves it."""
+        plan = FaultPlan("drawn", seed, link=spec)
+        expected = settle(plan, chunks, reference=True)
+        assert settle(plan, chunks) == expected
+        assert settle(plan, [sum(chunks)]) == expected
+        assert settle(plan, [1] * sum(chunks)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=link_specs(), seed=st.integers(0, 2**32),
+           ops=st.lists(st.one_of(st.none(), st.integers(0, 6)), max_size=16))
+    def test_interleaved_with_mangle_wire_keeps_the_stream(
+            self, spec, seed, ops):
+        """A MAC hook and a retransmit loop on one session share the
+        burst count and the stream: ``link_attempt`` between two calls
+        sees, and leaves, what the reference does."""
+        plan = FaultPlan("drawn", seed, link=spec)
+        assert settle(plan, ops) == settle(plan, ops, reference=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=link_specs(), seed=st.integers(0, 2**32),
+           attempts=st.integers(0, 60))
+    def test_the_single_attempt_entry_is_the_reference_attempt(
+            self, spec, seed, attempts):
+        """``link_attempt`` reads its bands off the spec, as the kernel
+        does; outcome for outcome it is still the reference."""
+        plan = FaultPlan("drawn", seed, link=spec)
+        session, reference = plan.session(), plan.session()
+        assert [session.link_attempt() for _ in range(attempts)] == [
+            reference_link_attempt(reference) for _ in range(attempts)]
+        assert wire_state(session, None) == wire_state(reference, None)
+
+    def test_link_transfer_is_the_run_of_one(self):
+        plan = get_plan("black-hole", seed=3)
+        session, reference = plan.session(), plan.session()
+        assert [session.link_transfer() for _ in range(200)] == [
+            reference_link_transfer(reference) for _ in range(200)]
+        assert wire_state(session, None) == wire_state(reference, None)
+
+    def test_no_link_spec_no_draws(self):
+        session = FaultPlan("quiet").session()
+        assert session.link_transfers(5) == []
+        assert session.link_transfer()
+        assert not session._rng and not session.counters
+
+
+#: One draw from each band of :data:`BANDED`, by name.
+LOSE, DROP, CORRUPT, OK = 0.1, 0.3, 0.6, 0.9
+BANDED = FaultPlan("banded", link=LinkFaultSpec(
+    drop_rate=0.3, corrupt_rate=0.3, lose_rate=0.2,
+    max_burst=2, max_attempts=4))
+
+
+class TestNamedKernelMutants:
+    """Each test names the wrong ``link_transfers`` it is there to
+    catch, on the shortest scripted draw sequence that tells it from
+    the reference."""
+
+    def check(self, draws, chunks):
+        run = settle(BANDED, chunks, draws)
+        assert run == settle(BANDED, chunks, draws, reference=True)
+        assert run[1]["rng"] == ()  # the script was exactly enough
+        return run
+
+    def test_the_burst_count_is_carried_into_the_next_call(self):
+        """Mutant: ``burst = 0`` at kernel entry.  Only a transfer that
+        ends in 'lose' leaves a burst standing (a delivery resets it),
+        so this one is invisible to every plan with ``lose_rate == 0``
+        — ``lossy-link``, ``chaos`` — and to single-call runs.  Two
+        faults then a loss end the first call at the cap; the second
+        call's drop-band draw is forced through at attempt 0."""
+        lost, state = self.check([DROP, CORRUPT, LOSE, DROP], [1, 1])
+        assert lost == [0]
+        assert state["counters"]["link_drop"] == 1  # not the forced one
+        assert state["counters"]["link_retransmits"] == 0
+
+    def test_a_forced_delivery_resets_the_burst_count(self):
+        """Mutant: the cap forces delivery but leaves the count at the
+        cap, so every later fault is forced through as well."""
+        lost, state = self.check([DROP, CORRUPT, DROP, DROP, OK], [2])
+        assert lost == [] and state["burst"] == 0
+        assert state["counters"]["link_drop"] == 2  # 1st and 4th draw
+        assert state["counters"]["link_retransmits"] == 2 + 1
+
+    def test_a_lost_transfers_attempts_are_not_retransmits(self):
+        """Mutant: the attempts before a 'lose' leak into
+        ``link_retransmits`` (the reference adds them on delivery
+        only)."""
+        lost, state = self.check([DROP, LOSE, OK], [2])
+        assert lost == [0]
+        assert state["counters"]["link_retransmits"] == 0
+
+    def test_the_lose_band_lies_below_the_drop_band(self):
+        """Mutant: bands permuted — 'drop' tested first, 'lose' after
+        it.  A draw under ``lose_rate`` is a permanent loss, not a
+        retransmittable drop."""
+        lost, state = self.check([LOSE, DROP, OK], [2])
+        assert lost == [0]
+        assert state["counters"] == {
+            "link_lose": 1, "link_lost": 1, "link_drop": 1,
+            "link_deliver": 1, "link_retransmits": 1}
+
+    def test_the_hook_fires_per_fault_that_fired_in_draw_order(self):
+        """Mutants: ``on_fault`` fired for the forced delivery (it is a
+        delivery: nothing fired), or skipped for 'lose'."""
+        _, state = self.check([DROP, CORRUPT, DROP, LOSE, OK], [1, 2])
+        assert state["fired"] == [
+            ("link", "drop"), ("link", "corrupt"), ("link", "lose")]
+
+    def test_a_first_try_delivery_creates_the_retransmits_key(self):
+        """Mutant: ``link_retransmits`` flushed only when non-zero.
+        The reference adds ``attempt == 0`` to the Counter, which
+        creates the key — and ``fault_counters`` is fingerprint
+        payload — while a run with no delivery must not create it."""
+        _, state = self.check([OK], [1])
+        assert state["counters"] == {"link_deliver": 1, "link_retransmits": 0}
+        _, state = self.check([LOSE], [1])
+        assert state["counters"] == {"link_lose": 1, "link_lost": 1}
+
+    def test_an_exhausted_budget_loses_the_transfer(self):
+        """No mutant is drawn here: ``LinkFaultSpec`` insists on
+        ``max_attempts > max_burst``, and a burst count never exceeds
+        the cap, so some attempt of every transfer is forced through
+        (or 'lose' ends it first) — the branch is unreachable from any
+        spec that validates.  It is kept equal to the reference all
+        the same; only a forged spec gets there."""
+        spec = LinkFaultSpec(drop_rate=1.0, max_burst=3, max_attempts=4)
+        object.__setattr__(spec, "max_attempts", 2)
+        plan = FaultPlan("forged", seed=5, link=spec)
+        lost, state = settle(plan, [3, 2])
+        assert (lost, state) == settle(plan, [3, 2], reference=True)
+        assert lost == [0, 2, 4]  # drop drop | drop forced | drop drop | ...
+        assert state["counters"]["link_lost"] == 3
+        assert state["counters"]["link_retransmits"] == 1 + 1
