@@ -798,13 +798,14 @@ class FlowEngine:
         flow's own session — the stream ``n`` single sends would draw,
         since nothing else draws from it in between — and never again:
         each loss is booked at its own epoch, and the survivors are
-        carried.  They replay through
-        :meth:`~repro.testenv.topology.Network.inject_batch`; when that
-        declines (no walk yet, or a mutation dropped it) the run is
-        *split*: the head goes through ``inject``, which walks and
-        stores, and the rest is offered again at once — it replays the
-        walk the head just stored, or (an uncacheable walk) the run
-        goes on packet by packet.
+        carried.  With ``batch`` on they replay through
+        :meth:`~repro.testenv.topology.Network.inject_batch`, a lone
+        packet too; when that declines (no walk yet, or a mutation
+        dropped it) the run is *split*: the head goes through
+        ``inject``, which walks and stores, and the rest is offered
+        again at once — it replays the walk the head just stored, or
+        (an uncacheable walk) the run goes on packet by packet.  The
+        per-packet reference (``batch=False``) only ever ``inject``s.
         """
         flow, record = event.flow, event.record
         if event.is_response and record.delivered == 0:
@@ -846,7 +847,7 @@ class FlowEngine:
         network = self.topology.network
         telemetered = flow.int_enabled  # the collector exists iff any is
         walk = None
-        if n > 1:
+        if self._batch:
             walk = network.inject_batch(src.device, src.port, frame, n)
             if walk is None:
                 self._coalesced["splits"] += 1
@@ -1049,12 +1050,13 @@ class FlowEngine:
         :meth:`~repro.testenv.topology.Network.batch_stats` plus the
         engine's own four.  ``segments`` / ``segment_packets`` —
         dispatches that settled more than one event, and the events
-        they settled; ``splits`` — coalesced runs ``inject_batch``
-        declined: runs an invalidation cut short and, under wire faults
-        (no prewarm), the first of each walk; ``wire_lost`` — packets a
-        wire fault settled before injection, which with
-        ``replayed_packets`` and the path cache's hits and misses (and
-        flap losses) accounts for every packet attempted."""
+        they settled; ``splits`` — runs (one packet or more)
+        ``inject_batch`` declined: runs an invalidation cut short and,
+        under wire faults (no prewarm), the first of each walk;
+        ``wire_lost`` — packets a wire fault settled before injection,
+        which with ``replayed_packets``, the path cache's misses (and
+        hits: none with ``batch`` on) and flap losses accounts for
+        every packet attempted."""
         return {**self.topology.network.batch_stats(), **self._coalesced}
 
     def snapshot(self) -> dict:

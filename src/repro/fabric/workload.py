@@ -33,7 +33,8 @@ semantics rather than one-way streams.
 
 from __future__ import annotations
 
-import random
+import _random
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Optional
@@ -130,14 +131,6 @@ class Flow:
         return self.frame_size * self.packets
 
 
-def _start_tick(spec: WorkloadSpec, index: int, rng: random.Random) -> int:
-    if spec.pattern == "uniform":
-        return rng.randrange(spec.window_ticks)
-    # bursty and incast: synchronized waves every burst_gap ticks.
-    waves = max(1, spec.window_ticks // spec.burst_gap)
-    return (index % waves) * spec.burst_gap
-
-
 def generate_flows(
     hosts: list[str], spec: WorkloadSpec,
     ids: Optional[Iterable[int]] = None,
@@ -151,45 +144,52 @@ def generate_flows(
     expands just the flows named, each as the full expansion has it.
     What does not vary with the flow (the seed's rendered prefix, the
     generator object, each host's peers) is set up once; every draw is
-    the one a fresh ``random.Random(derive_seed(...))`` would make.
+    the one a fresh ``random.Random(derive_seed(...))`` would make,
+    made without its Python layers: ``choice`` / ``randint`` /
+    ``randrange`` are ``below`` (CPython's ``_randbelow``), ``choices``
+    a bisect of ``random() * total``.
     """
     if len(hosts) < 2:
         raise ValueError("workload needs at least two hosts")
     flow_seed = seed_stream(spec.seed, "flow")
-    rng = random.Random()
+    rng = _random.Random()
+    seed, bits, uniform = rng.seed, rng.getrandbits, rng.random
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
     peers = {host: [h for h in hosts if h != host] for host in hosts}
+    n_hosts, n_peers = len(hosts), len(hosts) - 1
+    # bursty and incast: synchronized waves every burst_gap ticks.
+    waves = max(1, spec.window_ticks // spec.burst_gap)
+    size_total, size_hi = float(_SIZE_CUM_WEIGHTS[-1]), len(_SIZE_CHOICES) - 1
     flows: list[Flow] = []
     for i in range(spec.flows) if ids is None else ids:
-        rng.seed(flow_seed(i))
+        seed(flow_seed(i))
         if spec.pattern == "incast":
             # One rotating sink per wave; everyone else fans in.
-            wave = i % max(1, spec.window_ticks // spec.burst_gap)
-            dst = hosts[wave % len(hosts)]
-            src = rng.choice(peers[dst])
+            dst = hosts[i % waves % n_hosts]
+            src = peers[dst][below(n_peers)]
         else:
-            src = rng.choice(hosts)
-            dst = rng.choice(peers[src])
-        packets = rng.randint(1, spec.packets_per_flow)
-        responds = rng.random() < spec.response_ratio
-        frame_size = rng.choices(
-            _SIZE_CHOICES, cum_weights=_SIZE_CUM_WEIGHTS)[0]
-        response_packets = rng.randint(1, packets) if responds else 0
-        start_tick = _start_tick(spec, i, rng)
-        gap_ticks = rng.randint(1, 4)
+            src = hosts[below(n_hosts)]
+            dst = peers[src][below(n_peers)]
+        packets = 1 + below(spec.packets_per_flow)
+        responds = uniform() < spec.response_ratio
+        frame_size = _SIZE_CHOICES[bisect(
+            _SIZE_CUM_WEIGHTS, uniform() * size_total, 0, size_hi)]
+        response_packets = 1 + below(packets) if responds else 0
+        start_tick = (below(spec.window_ticks) if spec.pattern == "uniform"
+                      else i % waves * spec.burst_gap)
+        gap_ticks = 1 + below(4)
         # Drawn last so int_ratio == 0 consumes no RNG and every
         # pre-INT flow list is regenerated bit-for-bit.
-        int_enabled = bool(spec.int_ratio) and rng.random() < spec.int_ratio
-        flows.append(Flow(
-            flow_id=i,
-            src=src,
-            dst=dst,
-            frame_size=frame_size,
-            packets=packets,
-            response_packets=response_packets,
-            start_tick=start_tick,
-            gap_ticks=gap_ticks,
-            int_enabled=int_enabled,
-        ))
+        int_enabled = bool(spec.int_ratio) and uniform() < spec.int_ratio
+        flows.append(Flow(i, src, dst, frame_size, packets, response_packets,
+                          start_tick, gap_ticks, int_enabled))
     return flows
 
 

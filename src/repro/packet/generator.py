@@ -9,6 +9,7 @@ the classic 7:4:1 of 64/576/1518-byte frames used across the industry for
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -21,11 +22,14 @@ from repro.packet.ethernet import (
     MIN_FRAME_SIZE,
     EthernetFrame,
 )
-from repro.packet.ipv4 import Ipv4Packet
-from repro.packet.udp import UdpDatagram
 
 #: (size_with_fcs, weight) — the standard simple IMIX.
 IMIX_MIX: tuple[tuple[int, int], ...] = ((64, 7), (576, 4), (1518, 1))
+
+#: make_udp_frame's option-less IPv4 header and UDP header, in one.
+_IPV4_UDP = struct.Struct("!BBHHHBBHIIHHHH")
+_UDP_OVERHEAD = 14 + 20 + 8 + 4  # eth + ipv4 + udp + fcs
+_UDP_AT = 14 + 20  # make_udp_frame: untagged Ethernet, option-less IPv4
 
 
 def _rng(seed_or_rng: int | random.Random | None) -> random.Random:
@@ -45,18 +49,29 @@ def make_udp_frame(
     ttl: int = 64,
     fill: bytes = b"\xa5",
 ) -> EthernetFrame:
-    """A UDP/IPv4/Ethernet frame padded to ``size`` bytes on the wire
-    (including FCS).  ``size`` below the protocol minimum raises."""
-    overhead = 14 + 20 + 8 + 4  # eth + ipv4 + udp + fcs
-    if size < max(overhead, MIN_FRAME_SIZE):
-        raise ValueError(f"frame size {size} too small for UDP/IPv4 ({overhead}B min)")
-    payload_len = size - overhead
-    udp = UdpDatagram(sport, dport, fill * payload_len)
-    ip = Ipv4Packet(src_ip, dst_ip, 17, udp.pack(src_ip, dst_ip), ttl=ttl)
-    return EthernetFrame(dst_mac, src_mac, ETHERTYPE_IPV4, ip.pack())
-
-
-_UDP_AT = 14 + 20  # make_udp_frame: untagged Ethernet, option-less IPv4
+    """A UDP/IPv4/Ethernet frame of ``size`` bytes on the wire (FCS
+    included), its payload ``fill`` (one byte) repeated; a field out of
+    range raises.  One ``struct`` pack, both checksums arithmetic: 2**16
+    is 1 modulo 0xFFFF, so an address adds to a word sum as its value."""
+    payload_len = size - _UDP_OVERHEAD
+    if not MIN_FRAME_SIZE - _UDP_OVERHEAD <= payload_len <= 0xFFFF - 28:
+        raise ValueError(f"frame size {size} out of range for UDP/IPv4")
+    if not (0 <= sport <= 0xFFFF and 0 <= dport <= 0xFFFF):
+        raise ValueError(f"port out of range: {sport}, {dport}")
+    if not 0 <= ttl <= 0xFF:
+        raise ValueError(f"TTL out of range: {ttl}")
+    if len(fill) != 1:
+        raise ValueError(f"fill must be one byte, got {fill!r}")
+    src, dst, udp_len = src_ip.value, dst_ip.value, payload_len + 8
+    ip_sum = 0x4500 + udp_len + 20 + (ttl << 8 | 17) + src + dst
+    # The payload's words: fill twice each, then fill and 0 if odd.
+    words = fill[0] * (0x101 * (payload_len >> 1) + 0x100 * (payload_len & 1))
+    udp_sum = src + dst + 17 + 2 * udp_len + sport + dport + words
+    headers = _IPV4_UDP.pack(
+        0x45, 0, udp_len + 20, 0, 0, ttl, 17, -ip_sum % 0xFFFF, src, dst,
+        sport, dport, udp_len, -udp_sum % 0xFFFF or 0xFFFF)  # RFC 768
+    return EthernetFrame(dst_mac, src_mac, ETHERTYPE_IPV4,
+                         headers + fill * payload_len)
 
 
 def retarget_udp_frame(packed: bytes, sport: int, dport: int) -> bytes:

@@ -74,17 +74,20 @@ shares one dependency record, so they leave together.
 INT frames never touch the class table, and a fabric in which some
 lookup reads the whole header window has no classes to share.
 
+* :meth:`Network.inject_batch` is the counted entry, and the fabric
+  engine's only one with ``batch`` on, a single packet included: replay
+  a valid walk ``count`` times in one pass (deltas applied as
+  ``count * delta``) and hand back the frozen walk as the per-packet
+  outcome template — no per-packet objects, and (deliberately) no
+  entries in the :attr:`deliveries` log, which is a debugging aid, not
+  a fingerprinted observable.  It never walks: with no valid walk it
+  returns ``None`` and the caller falls back to one :meth:`inject`,
+  which warms the walk for the next attempt.
 * :meth:`Network.inject` is the per-packet entry: replay a valid walk
   or take the slow walk and store it (:meth:`Network.inject_many` is
-  that in a loop).
-* :meth:`Network.inject_batch` is the counted entry: replay a valid walk
-  ``count`` times in one pass (deltas applied as ``count * delta``) and
-  hand back the frozen walk as the per-packet outcome template — no
-  per-packet objects, and (deliberately) no entries in the
-  :attr:`deliveries` log, which is a debugging aid, not a fingerprinted
-  observable.  It never walks: with no valid walk it returns ``None``
-  and the caller falls back to one :meth:`inject`, which warms the walk
-  for the next attempt.
+  that in a loop).  The engine sends through it what the counted entry
+  declined and, with ``batch=False`` (the per-packet reference), every
+  packet; :meth:`Network.pingall` and the shell's ``inject`` use it.
 
 ``set_fastpath(False)`` turns the path cache *and* every device's
 microflow cache off for A/B runs.
@@ -465,7 +468,9 @@ class Network:
         Returns an :class:`InjectionResult`: the deliveries this
         injection produced (also appended to :attr:`deliveries`) plus the
         count of copies the hop limit truncated, so storm clamping is
-        accounted rather than silent.
+        accounted rather than silent.  The fabric engine sends a run's
+        head here when :meth:`inject_batch` declines it, and with
+        ``batch=False`` every packet.
 
         While the path cache is enabled, a memoized walk for the same
         (device, port, frame) — or the one its class shares, recorded
@@ -896,8 +901,10 @@ class Network:
         """Aggregate flow-cache counters: path cache + device caches.
 
         ``path_misses`` counts slow walks taken, ``path_shared`` the
-        walks derived from another frame's instead; a derived walk that
-        :meth:`inject` goes on to replay is a ``path_hits`` as well.
+        walks derived from another frame's instead; ``path_hits`` the
+        walks :meth:`inject` replays (a derived one too): the per-packet
+        reference's and callers' outside the engine — with ``batch`` on
+        the engine replays through :meth:`inject_batch` instead.
         ``path_revalidated`` counts the suspect walks (a device they
         visited changed) kept after their re-check, ``path_invalidations``
         the walks dropped — failing it, or with the graph — and

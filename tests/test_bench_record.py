@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import json
 
-from benchmarks.record import SEED, WORKLOADS, build_row
+from benchmarks import record
+from benchmarks.record import (
+    SEED,
+    WORKLOADS,
+    build_paired_row,
+    build_row,
+)
 
 METRICS = ("pps_wall", "cpu_us_per_pkt", "pycalls_per_pkt", "setup_s",
            "peak_rss_mb")
@@ -40,3 +46,77 @@ def test_one_wrong_workload_marks_the_row():
     outputs = {name: _stdout(name, correct=name != "lossy")
                for name in WORKLOADS}
     assert build_row(outputs, "abc1234")["correct"] is False
+
+
+def test_a_single_run_row_rests_on_no_pairs():
+    row = build_row({name: _stdout(name) for name in WORKLOADS}, "abc1234")
+    assert row["pairs"] == 0
+
+
+def test_every_row_in_the_series_says_how_many_pairs_it_rests_on():
+    for row in json.loads(record.SERIES.read_text()):
+        assert row["pairs"] == 0 or "paired" in row
+
+
+def _run(pps: float, calls: float, fingerprint: str = "ab12",
+         correct: bool = True) -> str:
+    values = {"pps_wall": pps, "cpu_us_per_pkt": 1e6 / pps,
+              "pycalls_per_pkt": calls, "setup_s": 0.05, "peak_rss_mb": 30.0}
+    contract = {"correct": correct, "attempted": 4, "failed": 0,
+                "metrics": {m: {"value": v, "unit": "x"}
+                            for m, v in values.items()}}
+    return f"  fingerprint  {fingerprint}\n{json.dumps(contract)}\n"
+
+
+class TestPairedRow:
+    #: Four pairs of ``mice``: the change wins three on throughput.
+    PPS = ((50.0, 60.0), (52.0, 59.0), (51.0, 50.0), (49.0, 61.0))
+
+    def _row(self, **change):
+        outputs = {"mice": [(_run(before, 99.7), _run(after, 77.2, **change))
+                            for before, after in self.PPS]}
+        return build_paired_row(outputs, "abc1234")
+
+    def test_each_side_has_its_quartiles_and_the_pairs_are_counted(self):
+        row = self._row()
+        assert row["pairs"] == 4 and row["correct"] is True
+        pps = row["paired"]["mice"]["pps_wall"]
+        assert pps["parent"] == [49.75, 50.5, 51.25]
+        assert pps["change"] == [56.75, 59.5, 60.25]
+        assert pps["change_ahead"] == "3/4"
+        # A lower-is-better metric is won by going down.
+        assert row["paired"]["mice"]["cpu_us_per_pkt"]["change_ahead"] == "3/4"
+        assert row["paired"]["mice"]["pycalls_per_pkt"] == {
+            "parent": [99.7] * 3, "change": [77.2] * 3, "change_ahead": "4/4"}
+        assert row["paired"]["mice"]["setup_s"]["change_ahead"] == "0/4"
+        # The series reads ``metrics`` the same way for every row.
+        assert row["metrics"]["mice"]["pps_wall"] == 59.5
+        assert row["fingerprints"] == {"mice": "ab12"}
+        assert {"parent", "date", "seed", "nproc", "python"} <= set(row)
+        json.dumps(row)
+
+    def test_a_moved_fingerprint_or_a_wrong_run_marks_the_row(self):
+        assert self._row(fingerprint="cd34")["correct"] is False
+        assert self._row(correct=False)["correct"] is False
+
+
+def test_the_sides_swap_order_every_pair(tmp_path, monkeypatch):
+    """``--against``: one worktree of REV, runs alternating first."""
+    calls, git = [], []
+    monkeypatch.setattr(record, "SERIES", tmp_path / "series.json")
+    monkeypatch.setattr(record, "_git",
+                        lambda *args: git.append(args) or "abc1234")
+
+    def bench(tree, name):
+        calls.append("change" if tree == record.ROOT else "parent")
+        return _run(50.0 + len(calls), 80.0)
+
+    monkeypatch.setattr(record, "_bench", bench)
+    record.main(["--against", "HEAD~1", "--pairs", "3"])
+    assert calls == ["parent", "change", "change", "parent",
+                     "parent", "change"] * len(WORKLOADS)
+    assert [args[:2] for args in git[1:]] == [("worktree", "add"),
+                                              ("worktree", "remove")]
+    (row,) = json.loads(record.SERIES.read_text())
+    assert (row["parent"], row["pairs"]) == ("abc1234", 3)
+    assert list(row["paired"]) == list(WORKLOADS)

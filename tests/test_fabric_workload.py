@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
 from hashlib import sha256
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fabric import (
     WORKLOADS,
@@ -12,6 +15,8 @@ from repro.fabric import (
     generate_flows,
     get_workload,
 )
+from repro.fabric.workload import PATTERNS, Flow
+from repro.faults import derive_seed
 
 pytestmark = pytest.mark.fabric
 
@@ -94,6 +99,83 @@ class TestExpansionIsPinned:
                 ) == [f for f in whole if f.flow_id % shards == index]
         assert generate_flows(self.HOSTS, spec, [5, 2]) == [whole[5], whole[2]]
         assert generate_flows(self.HOSTS, spec, []) == []
+
+
+def reference_flows(hosts, spec, ids=None):
+    """``generate_flows`` as it stood while every flow drew through a
+    fresh ``random.Random(derive_seed(seed, "flow", i))`` and its
+    ``choice`` / ``randint`` / ``choices`` / ``randrange``, kept
+    verbatim: the oracle for the inlined draws."""
+    if len(hosts) < 2:
+        raise ValueError("workload needs at least two hosts")
+    flows = []
+    for i in range(spec.flows) if ids is None else ids:
+        rng = random.Random(derive_seed(spec.seed, "flow", i))
+        if spec.pattern == "incast":
+            # One rotating sink per wave; everyone else fans in.
+            wave = i % max(1, spec.window_ticks // spec.burst_gap)
+            dst = hosts[wave % len(hosts)]
+            src = rng.choice([h for h in hosts if h != dst])
+        else:
+            src = rng.choice(hosts)
+            dst = rng.choice([h for h in hosts if h != src])
+        packets = rng.randint(1, spec.packets_per_flow)
+        responds = rng.random() < spec.response_ratio
+        frame_size = rng.choices(
+            (64, 128, 256, 576, 1024, 1518),
+            cum_weights=tuple(accumulate((7, 4, 3, 3, 2, 1))))[0]
+        response_packets = rng.randint(1, packets) if responds else 0
+        if spec.pattern == "uniform":
+            start_tick = rng.randrange(spec.window_ticks)
+        else:
+            waves = max(1, spec.window_ticks // spec.burst_gap)
+            start_tick = (i % waves) * spec.burst_gap
+        gap_ticks = rng.randint(1, 4)
+        int_enabled = bool(spec.int_ratio) and rng.random() < spec.int_ratio
+        flows.append(Flow(
+            flow_id=i, src=src, dst=dst, frame_size=frame_size,
+            packets=packets, response_packets=response_packets,
+            start_tick=start_tick, gap_ticks=gap_ticks,
+            int_enabled=int_enabled,
+        ))
+    return flows
+
+
+@st.composite
+def workload_specs(draw) -> WorkloadSpec:
+    return WorkloadSpec(
+        draw(st.sampled_from(PATTERNS)),
+        flows=draw(st.integers(1, 40)),
+        seed=draw(st.integers(0, 2**64)),
+        packets_per_flow=draw(st.integers(1, 130)),
+        window_ticks=draw(st.integers(1, 5000)),
+        burst_gap=draw(st.integers(1, 70)),
+        response_ratio=draw(st.sampled_from((0.0, 0.25, 0.5, 1.0))),
+        int_ratio=draw(st.sampled_from((0.0, 0.3))),
+    )
+
+
+class TestEqualsAFreshGeneratorPerFlow:
+    @settings(max_examples=150, deadline=None)
+    @given(spec=workload_specs(), n_hosts=st.integers(2, 20),
+           data=st.data())
+    def test_any_spec_any_slice(self, spec, n_hosts, data):
+        hosts = [f"h{i}" for i in range(n_hosts)]
+        assert generate_flows(hosts, spec) == reference_flows(hosts, spec)
+        ids = data.draw(st.lists(st.integers(0, spec.flows - 1)))
+        assert generate_flows(hosts, spec, ids) \
+            == reference_flows(hosts, spec, ids)
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    @pytest.mark.parametrize("int_ratio", (0.0, 0.3))
+    def test_every_pattern_with_and_without_int(self, pattern, int_ratio):
+        """Packet bounds at and between powers of two, where a wrong
+        ``bit_length`` would move the rejection draws."""
+        for ppf in (1, 2, 3, 4, 96, 1024):
+            spec = WorkloadSpec(pattern, flows=60, seed=ppf,
+                                packets_per_flow=ppf, window_ticks=4096,
+                                int_ratio=int_ratio)
+            assert generate_flows(HOSTS, spec) == reference_flows(HOSTS, spec)
 
 
 class TestPatterns:

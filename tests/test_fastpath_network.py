@@ -394,8 +394,25 @@ class TestFabricFingerprintInvariance:
         assert on.fingerprint() == off.fingerprint()
         assert [r.signature() for r in on.records] == \
                [r.signature() for r in off.records]
-        assert on.fastpath["path_hits"] > 0
+        assert on.fastpath["path_entries"] > 0
         assert sum(off.fastpath.values()) == 0
+
+    def test_batch_on_replays_every_packet_and_batch_off_none(self):
+        """With ``batch`` on the engine offers every run to the counted
+        entry, single packets included: a clean prewarmed run replays
+        all of it and takes no per-packet hit.  ``batch=False`` is the
+        per-packet reference and never reaches the counted entry."""
+        spec = get_topology("leaf-spine")
+        on = run_flows(spec.build(), self.WORKLOAD)
+        off = run_flows(spec.build(), self.WORKLOAD, batch=False)
+        assert on.fingerprint() == off.fingerprint()
+        # Some packets flew alone, outside any coalesced segment.
+        assert on.batch["segment_packets"] < on.attempted
+        assert on.batch["replayed_packets"] == on.attempted
+        assert on.fastpath["path_hits"] == 0
+        assert off.batch["replayed_packets"] == off.batch["cold_misses"] == 0
+        assert off.fastpath["path_hits"] + off.fastpath["path_misses"] \
+            == off.attempted
 
     def test_under_flaky_fabric_plan(self):
         on, off = self._pair(get_plan("flaky-fabric", seed=3))

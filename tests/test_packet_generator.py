@@ -1,11 +1,11 @@
 """Workload generators: determinism, well-formedness, distributions."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.packet.addresses import Ipv4Addr, MacAddr
 from repro.packet.arp import ArpPacket
-from repro.packet.ethernet import EthernetFrame, MIN_FRAME_SIZE
+from repro.packet.ethernet import ETHERTYPE_IPV4, EthernetFrame, MIN_FRAME_SIZE
 from repro.packet.generator import (
     TrafficSpec,
     make_arp_request,
@@ -44,8 +44,73 @@ class TestMakeUdpFrame:
         frame = make_udp_frame(MAC_A, MAC_B, IP_A, IP_B, ttl=3, size=100)
         assert Ipv4Packet.parse(frame.payload).ttl == 3
 
+    @pytest.mark.parametrize("fill", (b"ab", b"", b"\x00\x00\x00"))
+    def test_fill_must_be_one_byte(self, fill):
+        """A longer fill once built a frame of the wrong size (64 bytes
+        asked, 78 packed for ``b"ab"``), an empty one a frame whose IP
+        length disagreed with its padding."""
+        with pytest.raises(ValueError, match="fill"):
+            make_udp_frame(MAC_A, MAC_B, IP_A, IP_B, size=64, fill=fill)
 
+    @pytest.mark.parametrize("sport, dport", ((-1, 5), (5, 0x10000),
+                                              (0x10000, 5), (5, -1)))
+    def test_ports_out_of_range_raise_value_error(self, sport, dport):
+        with pytest.raises(ValueError, match="port"):
+            make_udp_frame(MAC_A, MAC_B, IP_A, IP_B, sport, dport)
+
+    @pytest.mark.parametrize("ttl", (-1, 256))
+    def test_ttl_out_of_range_raises_value_error(self, ttl):
+        with pytest.raises(ValueError, match="TTL"):
+            make_udp_frame(MAC_A, MAC_B, IP_A, IP_B, ttl=ttl)
+
+    @pytest.mark.parametrize("size", (63, 0xFFFF + 19, 10**6))
+    def test_size_out_of_range_raises_value_error(self, size):
+        """Below the Ethernet minimum, or past what the IPv4 total
+        length field holds (65,553 bytes on the wire, FCS included)."""
+        with pytest.raises(ValueError, match="size"):
+            make_udp_frame(MAC_A, MAC_B, IP_A, IP_B, size=size)
+        assert len(make_udp_frame(MAC_A, MAC_B, IP_A, IP_B,
+                                  size=0xFFFF + 18).pack()) == 0xFFFF + 14
+
+
+def composed_udp_frame(src_mac, dst_mac, src_ip, dst_ip, sport=10000,
+                       dport=20000, size=256, ttl=64, fill=b"\xa5"):
+    """``make_udp_frame`` as it stood when it packed each layer through
+    its own class, kept verbatim (returning the packed bytes): the
+    oracle the one-``struct`` build is held to."""
+    overhead = 14 + 20 + 8 + 4  # eth + ipv4 + udp + fcs
+    if size < max(overhead, MIN_FRAME_SIZE):
+        raise ValueError(f"frame size {size} too small for UDP/IPv4 ({overhead}B min)")
+    payload_len = size - overhead
+    udp = UdpDatagram(sport, dport, fill * payload_len)
+    ip = Ipv4Packet(src_ip, dst_ip, 17, udp.pack(src_ip, dst_ip), ttl=ttl)
+    return EthernetFrame(dst_mac, src_mac, ETHERTYPE_IPV4, ip.pack()).pack()
+
+
+macs = st.builds(MacAddr, st.integers(0, 2**48 - 1))
+ips = st.builds(Ipv4Addr, st.integers(0, 2**32 - 1))
 ports = st.integers(0, 0xFFFF)
+
+
+class TestMakeUdpFrameEqualsTheComposition:
+    @settings(max_examples=300)
+    @given(macs, macs, ips, ips, ports, ports, st.integers(64, 1518),
+           st.integers(0, 255), st.binary(min_size=1, max_size=1),
+           st.booleans())
+    def test_byte_equal(self, src_mac, dst_mac, src_ip, dst_ip, sport,
+                        dport, size, ttl, fill, fold):
+        """Drawn over every field.  With ``fold`` the destination port
+        is the one that makes the UDP word sum a multiple of 0xFFFF:
+        the computed checksum is 0, and RFC 768 sends it as 0xFFFF."""
+        args = (src_mac, dst_mac, src_ip, dst_ip, sport)
+        if fold:
+            zeroed = composed_udp_frame(*args, 0, size, ttl, fill)
+            dport = int.from_bytes(zeroed[40:42], "big") % 0xFFFF
+        expected = composed_udp_frame(*args, dport, size, ttl, fill)
+        if fold:
+            assert expected[40:42] == b"\xff\xff"
+        assert make_udp_frame(*args, dport, size, ttl, fill).pack() \
+            == expected
 
 
 class TestRetargetUdpFrame:
