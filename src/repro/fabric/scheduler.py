@@ -889,8 +889,12 @@ class FlowEngine:
                 # A run may span flap epochs (the epoch-free case): loss and
                 # INT evidence are booked at each packet's own epoch.
                 seqs, gap = left[:m], flow.gap_ticks
-                epochs = [(tick + (s - seq) * gap) // FLAP_EPOCH_TICKS
-                          for s in seqs]
+                first = (tick + (seqs[0] - seq) * gap) // FLAP_EPOCH_TICKS
+                if first == (tick + (seqs[-1] - seq) * gap) // FLAP_EPOCH_TICKS:
+                    epochs = [first] * m
+                else:
+                    epochs = [(tick + (s - seq) * gap) // FLAP_EPOCH_TICKS
+                              for s in seqs]
                 if lost:
                     for packet_epoch in epochs:
                         self._loss_by_epoch[packet_epoch] += lost

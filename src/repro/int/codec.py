@@ -78,7 +78,9 @@ _HEADER = struct.Struct(">IIBBB")
 _HOP = struct.Struct(">HBBIBB")
 
 _F_RESPONSE = 0x01
-_F_OVERFLOW = 0x02
+#: The header flag a full stack sets; with the slots and the hop-count
+#: byte it is the *hop stack*, all a walk writes into a trailer.
+OVERFLOW = 0x02
 _H_REROUTED = 0x01
 
 
@@ -183,10 +185,10 @@ def stamp(
     hop_count = frame[-8]
     max_hops = frame[-6]
     if hop_count >= max_hops:
-        if frame[-7] & _F_OVERFLOW:
+        if frame[-7] & OVERFLOW:
             return frame
         data = bytearray(frame)
-        data[-7] |= _F_OVERFLOW
+        data[-7] |= OVERFLOW
         return bytes(data)
     slot = len(frame) - HEADER_BYTES - (max_hops - hop_count) * HOP_BYTES
     prev_ts = 0
@@ -219,7 +221,7 @@ def parse(frame: bytes) -> IntStack:
     if base < 0:
         raise IntError("frame shorter than its own INT trailer")
     return IntStack(
-        flow_id, seq, bool(flags & _F_RESPONSE), bool(flags & _F_OVERFLOW),
+        flow_id, seq, bool(flags & _F_RESPONSE), bool(flags & OVERFLOW),
         max_hops,
         tuple([
             IntHop(device_id, ingress, egress, timestamp,

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Optional
 
-from repro.int.codec import parse
+from repro.int.codec import HEADER_BYTES, HOP_BYTES, IntError, parse
 
 
 def _merge_counter(total: Counter, part: dict) -> None:
@@ -64,13 +64,24 @@ def merge_int_summaries(parts: list[Optional[dict]]) -> Optional[dict]:
 
 
 class _FlowDirState:
-    """TX/RX ledger for one (flow_id, direction) stream."""
+    """TX/RX ledger for one (flow_id, direction) stream.
 
-    __slots__ = ("sent", "received", "last_path", "last_seq")
+    The TX side is kept by run, as the engine sends: one ``(seqs,
+    epochs, sites)`` entry per :meth:`IntCollector.sent_batch` call,
+    ``sites`` the run's shared ``(link_down_sites, hop_limit_sites)``.
+    While every run starts above the high-water mark ``top``, no
+    sequence was sent twice and ``count`` is the sequences sent;
+    ``count`` is ``None`` once a run went back, and the summary then
+    keeps each sequence's last send.
+    """
+
+    __slots__ = ("runs", "count", "top", "received", "last_path",
+                 "last_seq")
 
     def __init__(self) -> None:
-        #: seq -> (epoch, link_down_sites, hop_limit_sites)
-        self.sent: dict[int, tuple[int, tuple, tuple]] = {}
+        self.runs: list[tuple] = []
+        self.count: Optional[int] = 0
+        self.top = -1
         self.received: set[int] = set()
         #: device-name path of the highest delivered seq so far
         self.last_path: tuple[str, ...] = ()
@@ -84,6 +95,12 @@ class IntCollector:
     the cable map used to turn a rerouting device's dead-port mask into
     a failed-link label.  Both are pure functions of the topology, so
     every shard replica resolves identically.
+
+    A stamp stack is parsed once: everything a delivery books that the
+    stamps decide is a *fold plan*, memoized on the trailer less its
+    flow id and sequence (the slots, the hop-count, flags and
+    ``max_hops`` bytes and the magic), so one plan serves every flow
+    and packet that took the same path.
     """
 
     def __init__(self, network: Any):
@@ -94,6 +111,9 @@ class IntCollector:
             for port, (peer, _) in network.neighbors(device).items():
                 self._cables[(device, port)] = "~".join(sorted((device, peer)))
         self._flows: dict[tuple[int, bool], _FlowDirState] = {}
+        #: stack bytes -> (path label, path, latency labels, rerouting
+        #: devices, rerouted links, stamps, overflow, response)
+        self._plans: dict[tuple[bytes, bytes], tuple] = {}
         self.stamps = 0
         self.overflows = 0
         self.reroutes: Counter = Counter()        # device name
@@ -112,6 +132,28 @@ class IntCollector:
             state = self._flows[key] = _FlowDirState()
         return state
 
+    def _plan(self, frame: bytes, key: tuple[bytes, bytes]) -> tuple:
+        """Parse a stamp stack not seen before into its fold plan."""
+        stack = parse(frame)  # a frame with no (sound) trailer raises
+        path, labels, reroutes, links = [], [], [], []
+        prev_ts = 0
+        for hop in stack.hops:
+            name = self._device_name(hop.device_id)
+            path.append(name)
+            labels.append(f"{name}:{hop.timestamp - prev_ts}")
+            prev_ts = hop.timestamp
+            if hop.rerouted:
+                reroutes.append(name)
+                for index in range(8):
+                    if hop.dead_ports & (1 << index):
+                        label = self._cables.get((name, index))
+                        if label is not None:
+                            links.append(label)
+        plan = self._plans[key] = (
+            ">".join(path), tuple(path), labels, reroutes, links,
+            len(stack.hops), stack.overflow, stack.response)
+        return plan
+
     # ------------------------------------------------------------------
     # Observation points (the scheduler's two calls per INT packet)
     # ------------------------------------------------------------------
@@ -124,60 +166,66 @@ class IntCollector:
                    epochs, result: Any) -> None:
         """Record a coalesced run of transmitted packets (S27).
 
-        All ``seqs`` share one injection outcome (the coalescing
-        eligibility contract), so each gets the same drop-site evidence
-        — but a run may span flap epochs, so ``epochs`` carries one
-        entry per sequence.
+        All ``seqs`` (ascending, as a flow direction sends them) share
+        one injection outcome (the coalescing eligibility contract), so
+        each gets the same drop-site evidence — but a run may span flap
+        epochs, so ``epochs`` carries one entry per sequence.  The run
+        is booked as one ledger entry.
         """
-        down_sites = tuple(getattr(result, "link_down_sites", ()))
-        limit_sites = tuple(getattr(result, "hop_limit_sites", ()))
-        sent = self._state(flow_id, response).sent
-        for seq, epoch in zip(seqs, epochs):
-            sent[seq] = (epoch, down_sites, limit_sites)
+        state = self._state(flow_id, response)
+        if not seqs:
+            return
+        state.runs.append((seqs, epochs, (
+            tuple(getattr(result, "link_down_sites", ())),
+            tuple(getattr(result, "hop_limit_sites", ())))))
+        if state.count is not None:
+            if seqs[0] > state.top:
+                state.count += len(seqs)
+                state.top = seqs[-1]
+            else:
+                state.count = None  # sent again: the last send stands
 
     def deliver(self, frame: bytes) -> None:
         """Parse one delivered frame's stamps into the ledgers."""
-        stack = parse(frame)
-        self._fold(stack, (stack.seq,))
+        self.deliver_batch(frame, (int.from_bytes(frame[-12:-8], "big"),))
 
     def deliver_batch(self, frame: bytes, seqs) -> None:
         """Fold a coalesced run of deliveries of one stamped template.
 
         A run delivers ``len(seqs)`` packets that differ only in the
-        4-byte sequence field, so the stamps parse once and every
-        stamp-derived counter moves by ``len(seqs)`` — byte-identical
-        to :meth:`deliver` per packet with the sequence substituted,
-        since no counter here is sequence-dependent.
+        4-byte sequence field, and no counter here is
+        sequence-dependent, so every stamp-derived counter moves by
+        ``len(seqs)`` at once along the stack's fold plan — parsed the
+        first time the stack is seen — byte-identical to
+        :meth:`deliver` per packet with the sequence substituted.  The
+        flow id and direction come from the trailer header.
         """
-        if seqs:
-            self._fold(parse(frame), seqs)
-
-    def _fold(self, stack, seqs) -> None:
-        """Book one parsed stamp stack as delivered once per sequence."""
+        if not seqs:
+            return
+        try:
+            key = (frame[-HEADER_BYTES - HOP_BYTES * frame[-6]:-HEADER_BYTES],
+                   frame[-8:])
+        except IndexError:
+            raise IntError("frame carries no INT trailer") from None
+        plan = self._plans.get(key) or self._plan(frame, key)
         n = len(seqs)
-        state = self._state(stack.flow_id, stack.response)
-        if stack.overflow:
+        path, hops, labels, reroutes, links, stamps, overflow, response = plan
+        state = self._state(int.from_bytes(frame[-16:-12], "big"), response)
+        self.stamps += stamps * n
+        if overflow:
             self.overflows += n
-        self.stamps += len(stack.hops) * n
-        path = []
-        prev_ts = 0
-        for hop in stack.hops:
-            name = self._device_name(hop.device_id)
-            path.append(name)
-            self.hop_latency[f"{name}:{hop.timestamp - prev_ts}"] += n
-            prev_ts = hop.timestamp
-            if hop.rerouted:
-                self.reroutes[name] += n
-                for index in range(8):
-                    if hop.dead_ports & (1 << index):
-                        label = self._cables.get((name, index))
-                        if label is not None:
-                            self.reroute_links[label] += n
-        self.paths[">".join(path)] += n
+        hop_latency = self.hop_latency
+        for label in labels:
+            hop_latency[label] += n
+        for name in reroutes:
+            self.reroutes[name] += n
+        for label in links:
+            self.reroute_links[label] += n
+        self.paths[path] += n
         top = max(seqs)
         if top >= state.last_seq:
             state.last_seq = top
-            state.last_path = tuple(path)
+            state.last_path = hops
         state.received.update(seqs)
 
     # ------------------------------------------------------------------
@@ -193,24 +241,38 @@ class IntCollector:
         loss_by_epoch: Counter = Counter()
         packets = delivered = 0
         for state in self._flows.values():
-            packets += len(state.sent)
-            delivered += len(state.received & set(state.sent))
-            for seq, (epoch, down_sites, limit_sites) in state.sent.items():
-                if seq in state.received:
+            received, runs = state.received, state.runs
+            if state.count is None:  # a sequence sent twice: its last send
+                last = {}
+                for seqs, epochs, sites in runs:
+                    for seq, epoch in zip(seqs, epochs):
+                        last[seq] = (epoch, sites)
+                runs = [((seq,), (epoch,), sites)
+                        for seq, (epoch, sites) in last.items()]
+                packets += len(last)
+            else:
+                packets += state.count
+            for seqs, epochs, (down_sites, limit_sites) in runs:
+                if received.issuperset(seqs):
+                    delivered += len(seqs)
                     continue
-                lost += 1
-                loss_by_epoch[str(epoch)] += 1
-                if down_sites:
-                    lost_link_down += 1
-                    for device, port in down_sites:
-                        drop_sites[f"{device}:{port}"] += 1
-                elif limit_sites:
-                    lost_hop_limit += 1
-                    for device, port in limit_sites:
-                        drop_sites[f"{device}:{port}"] += 1
-                else:
-                    blackholes += 1
-                    blackhole_paths[">".join(state.last_path) or "?"] += 1
+                for seq, epoch in zip(seqs, epochs):
+                    if seq in received:
+                        delivered += 1
+                        continue
+                    lost += 1
+                    loss_by_epoch[str(epoch)] += 1
+                    if down_sites:
+                        lost_link_down += 1
+                        for device, port in down_sites:
+                            drop_sites[f"{device}:{port}"] += 1
+                    elif limit_sites:
+                        lost_hop_limit += 1
+                        for device, port in limit_sites:
+                            drop_sites[f"{device}:{port}"] += 1
+                    else:
+                        blackholes += 1
+                        blackhole_paths[">".join(state.last_path) or "?"] += 1
         return {
             "flows": len({flow_id for flow_id, _ in self._flows}),
             "packets": packets,

@@ -60,18 +60,31 @@ network ORs the declarations of its devices.  Beside the exact table
 sits a *class* table keyed ``(device, port, frame bits under that mask,
 frame length as far as any lookup tells)``.  It holds a walk only when
 the walk was *frame-preserving* — cacheable as above and every copy it
-forwarded or delivered byte-equal to the injected frame, so no rewrite
-and no INT stamp: then each lookup on the way saw exactly the injected
-frame, would decide the same for any frame of the class and hand that
-one on unchanged too.  The class's entry is that walk with no frame in
-its deliveries (``None`` there means "what you injected"), so it *is*
-the walk of every frame of the class: on an exact-key miss a class hit
+forwarded or delivered byte-equal to the injected frame, so no rewrite:
+then each lookup on the way saw exactly the injected frame, would
+decide the same for any frame of the class and hand that one on
+unchanged too.  The class's entry is that walk with no frame in its
+deliveries (``None`` there means "what you injected"), so it *is* the
+walk of every frame of the class: on an exact-key miss a class hit
 stores that one object under the exact key too and carries on as a hit
 (``path_shared`` counts these) — a table entry per derived key, not a
 walk object, and no bytes of one flow to hand to another.  The slow
 walk runs for the first frame of a class only, and every key of a class
 shares one dependency record, so they leave together.
-INT frames never touch the class table, and a fabric in which some
+
+**INT frames share by host pair too.**  Every hop stamps an INT frame,
+but only into its *hop stack* (the slots, the hop-count byte and the
+overflow bit, :mod:`repro.int.codec`), outside the header window, and
+what it stamps is a function of the path alone.  So the walk of an
+*unstamped* INT frame is a template when every copy equals the
+injected frame outside the hop stack; its class key adds the trailer
+geometry (``max_hops``), so plain and INT frames of one pair never
+share a walk.  The class entry keeps each delivered copy's recorded
+stamp bytes and nothing else — no headers, flow id, sequence or
+direction bit of the flow that walked — and a derived key gets a walk
+object of its own whose deliveries are the caller's frame with those
+stamps spliced in.  A frame already stamped, or a runt that merely
+ends in the magic, keeps to the exact table.  A fabric in which some
 lookup reads the whole header window has no classes to share.
 
 * :meth:`Network.inject_batch` is the counted entry, and the fabric
@@ -108,7 +121,11 @@ from repro.cores.output_port_lookup import (
     READS_NOTHING,
     HeaderReads,
 )
+from repro.int.codec import HEADER_BYTES as _INT_HEADER
+from repro.int.codec import HEADER_WINDOW as _INT_WINDOW
+from repro.int.codec import HOP_BYTES as _INT_HOP
 from repro.int.codec import MAGIC as _INT_MAGIC
+from repro.int.codec import OVERFLOW as _INT_OVERFLOW
 from repro.int.codec import set_seq as _int_set_seq
 from repro.projects.base import PortRef, ReferencePipeline
 
@@ -122,6 +139,35 @@ DEFAULT_HOP_LIMIT = 64
 
 #: Bound on memoized hop walks per network (FIFO eviction).
 PATH_CACHE_CAPACITY = 8192
+
+
+def _int_region(frame: bytes) -> Optional[int]:
+    """Where an *unstamped* INT frame's hop slots start, else ``None``.
+
+    Unstamped: no hop counted, no overflow flag, and the whole trailer
+    clear of the header window the lookups read.  Only such a frame's
+    walk can serve another frame's: every stamp it collects lands in
+    the hop stack (the slots, the hop-count byte and the overflow bit),
+    and what is stamped there is a function of the path alone.
+    """
+    if len(frame) < _INT_HEADER or frame[-8] or frame[-7] & _INT_OVERFLOW:
+        return None
+    slots = len(frame) - _INT_HEADER - frame[-6] * _INT_HOP
+    return slots if slots >= _INT_WINDOW else None
+
+
+def _splice_stack(frame: bytes, slots: int, stack: bytes) -> bytes:
+    """``frame`` with a recorded hop stack written into it.
+
+    ``stack`` is what a class's walk stamped into one delivered copy:
+    its filled slots, then its hop-count and flags bytes.  Of the flags
+    only the overflow bit is the walk's; the rest (the direction bit)
+    stay ``frame``'s own.
+    """
+    filled = len(stack) - 2
+    return (frame[:slots] + stack[:filled] + frame[slots + filled:-8]
+            + bytes((stack[-2], frame[-7] | stack[-1] & _INT_OVERFLOW))
+            + frame[-6:])
 
 
 @dataclass(frozen=True)
@@ -144,7 +190,9 @@ class Delivery:
 class _WalkDelivery(NamedTuple):
     """A :class:`Delivery` frozen into a cached walk (same field names,
     so one loop can account either); ``frame`` is ``None`` in the walk
-    a class shares — the copy delivered is whichever frame went in."""
+    a class shares — the copy delivered is whichever frame went in —
+    and in an INT class's entry the stamp bytes the copy collected
+    (see :func:`_splice_stack`), never handed out as they stand."""
 
     at: Attachment
     frame: Optional[bytes]
@@ -185,10 +233,11 @@ class _CachedWalk:
     ``(opl, packets, drops, ((counter, delta), ...))`` — the names its
     journal collected during the walk, counted; the site tuples
     localize where the walk's losses happened, ``((device, port), ...)``.
-    ``template`` marks a recorded *frame-preserving* walk of a frame
-    with no INT trailer: every copy it forwarded or delivered is
-    byte-equal to the injected frame, so less those frames it is the
-    walk of every frame of the class (see the module docstring) and
+    ``template`` marks a recorded *frame-preserving* walk: every copy
+    it forwarded or delivered is byte-equal to the injected frame — an
+    unstamped INT frame's: equal outside the hop stack — so less those
+    frames (an INT walk: less all but their stamps) it is the walk of
+    every frame of the class (see the module docstring) and
     :meth:`Network._store` enters that twin in the class table.
     ``deps`` is the slow walk's dependency record, and the twin's.
     """
@@ -697,10 +746,16 @@ class Network:
         if walk.template and self._reads is not None:
             device, port, frame = key
             deps.class_key = (device, port, *self._reads.key(frame))
-            # The class's walk names no frame: no flow's bytes to hand out.
+            slots = None
+            if frame[-4:] == _INT_MAGIC:  # unstamped, or no template
+                slots = _int_region(frame)
+                deps.class_key += (frame[-6],)
+            # The class's walk names no frame, no flow's bytes to hand
+            # out: an INT class keeps what each copy got stamped only.
             self._class_cache[deps.class_key] = _CachedWalk(
-                tuple(_WalkDelivery(d.at, None, d.hops)
-                      for d in walk.deliveries),
+                tuple(_WalkDelivery(d.at, None if slots is None else (
+                    d.frame[slots:slots + _INT_HOP * d.frame[-8]]
+                    + d.frame[-8:-6]), d.hops) for d in walk.deliveries),
                 walk.dropped_hop_limit, walk.dropped_link_down,
                 walk.forwarded, walk.ops, deps,
                 walk.link_down_sites, walk.hop_limit_sites,
@@ -709,30 +764,49 @@ class Network:
     def _derive(self, key: tuple) -> Optional[_CachedWalk]:
         """On an exact-key miss, enter the key under its class's walk.
 
-        The class table holds one frame-preserving walk per ``(device,
-        port, what the lookups read of the frame)``.  Every lookup on
-        the way decides for this frame as it did for the recorded one
-        and hands it on unchanged, and the class's walk names no frame:
-        it is this frame's walk as it stands.  The same object is
-        stored under the exact key and counted in :attr:`path_shared`;
-        the caller carries on as if the exact lookup had hit.
+        The class table holds one walk per ``(device, port, what the
+        lookups read of the frame)`` that preserved its frame outside
+        the INT hop stack.  Every lookup on the way decides for this
+        frame as it did for the recorded one and hands it on as it
+        did, so the class's walk is this frame's walk.  A plain class's
+        names no frame and is stored under the exact key as it stands;
+        an INT class's deliveries are this frame with each copy's
+        recorded stamps spliced in (a walk object per key, sharing the
+        rest).  Either counts in :attr:`path_shared`, and the caller
+        carries on as if the exact lookup had hit.
         """
         device, port, frame = key
+        slots = None
         if frame[-4:] == _INT_MAGIC:
-            return None  # every hop stamps it: never frame-preserving
+            slots = _int_region(frame)
+            if slots is None:
+                return None  # stamped already, or a runt: its own walk
         # A new device flushes every walk, so the declarations a filled
         # class table was keyed under still stand (and allow sharing).
         class_key = (device, port, *self._reads.key(frame))
-        walk = self._class_cache.get(class_key)
-        if self._suspect and walk is not None and walk.deps in self._suspect:
-            walk = self._recheck(walk)
-        if walk is not None:
-            self._store(key, walk)
-            if walk.deps.class_key is None:
-                # Evicted from under its own store: live again, class too.
-                walk.deps.class_key = class_key
-                self._class_cache[class_key] = walk
-            self.path_shared += 1
+        if slots is not None:
+            class_key += (frame[-6],)  # never a plain frame's class
+        shared = self._class_cache.get(class_key)
+        if (self._suspect and shared is not None
+                and shared.deps in self._suspect):
+            shared = self._recheck(shared)
+        if shared is None:
+            return None
+        walk = shared
+        if slots is not None:
+            walk = _CachedWalk(
+                tuple(_WalkDelivery(d.at, _splice_stack(frame, slots, d.frame),
+                                    d.hops) for d in shared.deliveries),
+                shared.dropped_hop_limit, shared.dropped_link_down,
+                shared.forwarded, shared.ops, shared.deps,
+                shared.link_down_sites, shared.hop_limit_sites,
+            )
+        self._store(key, walk)
+        if shared.deps.class_key is None:
+            # Evicted from under its own store: live again, class too.
+            shared.deps.class_key = class_key
+            self._class_cache[class_key] = shared
+        self.path_shared += 1
         return walk
 
     @staticmethod
@@ -775,11 +849,16 @@ class Network:
         per-packet) or one whose lookup is not ``CACHEABLE`` (hidden
         per-packet state).
         """
-        cacheable = record
-        # An INT frame is stamped at every hop: it neither makes nor
-        # takes a template (the four tail bytes are the whole test, so
-        # the INT-only hot path pays no call for it).
-        template = record and frame[-4:] != _INT_MAGIC
+        cacheable = template = record
+        # An INT frame is stamped at every hop: its walk is a template
+        # when the copies equal it outside the hop stack, from ``slots``
+        # to the trailer header at ``header`` plus two header bits, and
+        # only an unstamped frame's can be.
+        slots = None
+        if record and frame[-4:] == _INT_MAGIC:
+            slots = _int_region(frame)
+            template = slots is not None
+            header = len(frame) - _INT_HEADER
         devices, cpus, hop_limit = self._devices, self._cpu, self.hop_limit
         tables, link_up = self._ports, self._link_up
         delivered: list[Delivery] = []
@@ -813,7 +892,12 @@ class Network:
                 for out_port, out_frame in outputs:
                     if out_port.kind != "phys":
                         continue  # punted with no software attached: dropped
-                    if template and out_frame != frame:
+                    if template and out_frame != frame and (
+                            slots is None
+                            or out_frame[:slots] != frame[:slots]
+                            or out_frame[header:-8] != frame[header:-8]
+                            or (out_frame[-7] ^ frame[-7]) & ~_INT_OVERFLOW
+                            or out_frame[-6:] != frame[-6:]):
                         template = False  # rewritten on the way
                     forwarded += 1
                     exit_at, peer = ports[out_port.index]

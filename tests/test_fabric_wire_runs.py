@@ -130,11 +130,20 @@ class PerPacketOracle(FlowEngine):
         return n
 
 
+def sent_per_sequence(state) -> dict:
+    """A flow direction's run ledger read back per sequence — however
+    the sends were cut into runs: ``seq -> (epoch, drop sites)``, the
+    last send standing."""
+    return {seq: (epoch, sites) for seqs, epochs, sites in state.runs
+            for seq, epoch in zip(seqs, epochs)}
+
+
 def observed(engine: FlowEngine) -> dict:
     """Everything a finished run shows, the collector's books included."""
     report = engine.report()
     ledgers = None if engine.collector is None else {
-        key: (state.sent, state.received, state.last_seq, state.last_path)
+        key: (sent_per_sequence(state), state.received, state.last_seq,
+              state.last_path)
         for key, state in engine.collector._flows.items()}
     return {
         "fingerprint": report.fingerprint(),

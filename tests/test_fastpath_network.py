@@ -281,20 +281,63 @@ class TestWalkSharing:
         assert fast.path_misses == 1
         assert fast.path_shared == len(frames) * 2 - 1
 
-    def test_int_frames_neither_make_nor_take_a_template(self):
-        """Every hop stamps an INT frame, so its walk belongs to its own
-        bytes — also next to plain flows of the same host pair."""
+    def test_int_frames_of_one_host_pair_share_one_walk(self):
+        """Every hop stamps an INT frame, but only in its hop stack: the
+        pair's next INT flows take the first one's walk, each with its
+        own bytes — flow id, size, direction bit, sequence — and the
+        recorded stamps spliced in."""
+        fast, slow = programmed_fabric(), programmed_fabric()
+        slow.set_fastpath(False)
+        telemetered = [
+            encode_template(flow_of_pair(i, size=size), flow_id=i,
+                            response=response)
+            for i, size, response in ((3, 256, False), (4, 512, True),
+                                      (5, 1500, False))]
+        for seq, frame in enumerate(telemetered + telemetered[1:2]):
+            for net in (fast, slow):
+                net.inject("s1", 0, frame, int_seq=seq)
+        assert observables(fast) == observables(slow)
+        assert fast.path_misses == 1
+        assert fast.path_shared == 2  # the second and third INT flows
+        walk = fast.inject_batch("s1", 0, telemetered[1], 3)
+        assert walk.deliveries[0].frame == slow.inject(
+            "s1", 0, telemetered[1])[0].frame
+
+    def test_plain_and_int_frames_keep_their_own_walks(self):
+        """A plain frame never takes the pair's INT walk, nor an INT
+        frame the plain one, nor one INT geometry another's."""
         fast, slow = programmed_fabric(), programmed_fabric()
         slow.set_fastpath(False)
         plain = [flow_of_pair(i, size=256) for i in (1, 2)]
         telemetered = [encode_template(flow_of_pair(i, size=256), flow_id=i)
                        for i in (3, 4)]
-        for frame in (telemetered[0], plain[0], telemetered[1], plain[1]):
+        short_stack = encode_template(flow_of_pair(6, size=256), flow_id=6,
+                                      max_hops=1)
+        for frame in (telemetered[0], plain[0], telemetered[1], plain[1],
+                      short_stack):
             for net in (fast, slow):
                 net.inject("s1", 0, frame, int_seq=1)
         assert observables(fast) == observables(slow)
-        assert fast.path_shared == 1  # the second plain flow, nothing else
+        # One walk each for plain, 8-slot INT and 1-slot INT frames.
         assert fast.path_misses == 3
+        assert fast.path_shared == 2
+        assert [d.frame for d in fast.inject("s1", 0, plain[1])] == [plain[1]]
+
+    def test_a_stamped_or_runt_int_frame_keeps_its_own_walk(self):
+        """Only an unstamped trailer makes or takes a shared walk: a
+        stamped frame, or a runt that merely ends in the magic, walks
+        for its own bytes — and neither raises."""
+        fast, slow = programmed_fabric(), programmed_fabric()
+        slow.set_fastpath(False)
+        template = encode_template(flow_of_pair(3, size=256), flow_id=3)
+        stamped = fast.inject("s1", 0, template)[0].frame
+        slow.inject("s1", 0, template)
+        runt = template[:2] + b"INT1"
+        for frame in (stamped, runt, stamped, runt):
+            for net in (fast, slow):
+                net.inject("s1", 0, frame, int_seq=2)
+        assert observables(fast) == observables(slow)
+        assert (fast.path_misses, fast.path_shared) == (3, 0)
 
     def test_a_rewritten_walk_is_no_template(self):
         """A lookup may read nothing and still write: its walk's copies

@@ -19,7 +19,7 @@ from repro.int import (
     trailer_bytes,
 )
 from repro.int.codec import (
-    _F_OVERFLOW,
+    OVERFLOW,
     _F_RESPONSE,
     _H_REROUTED,
     HEADER_BYTES,
@@ -193,7 +193,7 @@ def parse_by_slices(frame: bytes) -> IntStack:
         flow_id=int.from_bytes(frame[-16:-12], "big"),
         seq=int.from_bytes(frame[-12:-8], "big"),
         response=bool(flags & _F_RESPONSE),
-        overflow=bool(flags & _F_OVERFLOW),
+        overflow=bool(flags & OVERFLOW),
         max_hops=max_hops,
         hops=tuple(hops),
     )
