@@ -128,11 +128,13 @@ class FabricReport:
     device_blackholed: dict[str, int] = field(default_factory=dict)
     shards: int = 1
     elapsed_s: float = 0.0
-    #: Flow-cache statistics (hits/misses/... per cache layer).  Like
-    #: ``shards`` and ``elapsed_s`` these are *operational* data, not
-    #: observables: hit counts depend on how the run was partitioned
-    #: (each shard's caches start cold), so they stay out of
-    #: :meth:`signature` and the fingerprint.
+    #: Flow-cache statistics (hits/misses/... per cache layer): what
+    #: this run's engines moved on their replicas.  Like ``shards`` and
+    #: ``elapsed_s`` these are *operational* data, not observables: hit
+    #: counts depend on how the run was partitioned and on what an
+    #: earlier partition left warm on a shared replica (a worker's
+    #: starts cold), so they stay out of :meth:`signature` and the
+    #: fingerprint.
     fastpath: dict[str, int] = field(default_factory=dict)
     #: Receiver-side INT summary (:meth:`repro.int.IntCollector.summary`)
     #: when any carried flow was INT-enabled, else ``None``.  Pure
@@ -147,9 +149,10 @@ class FabricReport:
     #: invocations can never silently merge.
     config: RunConfig = field(default_factory=lambda: RunConfig())
     #: Counted-replay statistics (walks stored, packets replayed,
-    #: invalidation splits, coalesced segments).  Operational like
-    #: ``fastpath`` — segment shapes depend on partitioning — so they
-    #: are Counter-merged across shards and stay out of the signature.
+    #: invalidation splits, coalesced segments), again what this run's
+    #: engines moved.  Operational like ``fastpath`` — segment shapes
+    #: and warm starts depend on partitioning — so they are
+    #: Counter-merged across shards and stay out of the signature.
     batch: dict[str, int] = field(default_factory=dict)
     #: The supervised executor's ledger (attempts, retries, inline
     #: fallbacks, checkpoint hits …) for the merged run.  Operational
@@ -635,8 +638,12 @@ class FlowEngine:
         **options,
     ):
         config = RunConfig(**options)
+        network = topology.network
+        #: The replica's cache statistics before this engine touched it:
+        #: the report carries what this engine's run moved.
+        self._stats_base = (network.fastpath_stats(), network.batch_stats())
         if not config.fastpath:
-            topology.network.set_fastpath(False)
+            network.set_fastpath(False)
         topology.learn()
         if config.frr:
             topology.install_backups()
@@ -1041,7 +1048,8 @@ class FlowEngine:
             device_blackholed=self.topology.device_counters("frr_blackhole"),
             shards=self._shards,
             elapsed_s=time.perf_counter() - self._started,
-            fastpath=self.topology.network.fastpath_stats(),
+            fastpath=_moved(self.topology.network.fastpath_stats(),
+                            self._stats_base[0]),
             int_summary=(self.collector.summary()
                          if self.collector is not None else None),
             config=self.config,
@@ -1060,8 +1068,10 @@ class FlowEngine:
         ``wire_lost`` — packets a wire fault settled before injection,
         which with ``replayed_packets``, the path cache's misses (and
         hits: none with ``batch`` on) and flap losses accounts for
-        every packet attempted."""
-        return {**self.topology.network.batch_stats(), **self._coalesced}
+        every packet attempted.  The network's share is what this
+        engine moved (see :func:`_moved`)."""
+        return {**_moved(self.topology.network.batch_stats(),
+                         self._stats_base[1]), **self._coalesced}
 
     def snapshot(self) -> dict:
         """A live mid-run view: totals so far, never memoized.
@@ -1089,6 +1099,17 @@ class FlowEngine:
             "flows_total": len(self._pending),
             **totals,
         }
+
+
+def _moved(stats: dict[str, int], base: dict[str, int]) -> dict[str, int]:
+    """What a replica's cache statistics moved since ``base``.
+
+    On a fresh replica that is the absolute count.  On a replica that
+    carries several partitions in turn the partitions' shares sum to
+    the replica's totals — the resident gauges (``path_entries``,
+    ``entries``, ``device_entries``) telescope to the end-of-run count.
+    """
+    return {name: value - base[name] for name, value in stats.items()}
 
 
 def run_flows(

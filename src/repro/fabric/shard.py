@@ -25,8 +25,16 @@ a bit of the fingerprint.
 ``parallel=False`` (or ``shards=1``) runs the same partition/merge path
 in-process — the reference the process path is checked against, and
 the fallback when worker processes are unavailable (e.g. a daemonic
-parent process).  It cannot honour ``chaos=`` or ``checkpoint=``;
-asking is a ``ValueError``, not a silent clean run.
+parent process).  It builds *one* replica and carries the partitions on
+it in turn, each inside :meth:`~repro.testenv.topology.Network.sandbox`,
+which restores every fingerprinted counter: ``learn()`` and
+``install_backups()`` are idempotent and each engine restores the links
+it cut, so a partition starts from a fresh build's observables — and
+from the walks the partitions before it left in the caches.  Workers
+(and the supervisor's inline fallback) carry theirs through the same
+:func:`_carry_partition` on a replica of their own.  It cannot honour
+``chaos=`` or ``checkpoint=``; asking is a ``ValueError``, not a silent
+clean run.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
 from repro.fabric.scheduler import FabricReport, RunConfig, run_flows
-from repro.fabric.topo import FabricSpec
+from repro.fabric.topo import FabricSpec, FabricTopology
 from repro.fabric.workload import Flow, WorkloadSpec, generate_flows
 from repro.faults import FaultPlan
 from repro.int import merge_int_summaries
@@ -66,11 +74,24 @@ def _run_shard(
     shards: int,
     index: int,
 ) -> FabricReport:
-    """One worker's slice: rebuild the fabric, carry flows ≡ index (mod
-    shards) — of the caller's ``flows``, else of the workload's, of
-    which only that slice is expanded.  Module-level so worker
-    processes can pickle it."""
-    topology = spec.build()
+    """One worker's slice, on a replica of its own.  Module-level so
+    worker processes can pickle it."""
+    return _carry_partition(spec.build(), workload, plan, flows, config,
+                            shards, index)
+
+
+def _carry_partition(
+    topology: FabricTopology,
+    workload: WorkloadSpec,
+    plan: Optional[FaultPlan],
+    flows: Optional[list[Flow]],
+    config: RunConfig,
+    shards: int,
+    index: int,
+) -> FabricReport:
+    """Carry flows ≡ index (mod shards) on ``topology`` — of the
+    caller's ``flows``, else of the workload's, of which only that slice
+    is expanded."""
     if flows is None and shards > 1:
         flows = generate_flows(topology.host_names(), workload,
                                range(index, workload.flows, shards))
@@ -168,10 +189,11 @@ def run_sharded(
     is handed.  With ``parallel=True`` and ``shards > 1`` the partitions
     run in worker processes (at most ``min(shards, cores)``
     concurrently) under the supervised executor; otherwise they run
-    sequentially in-process through the identical partition/merge path.
-    Either way the merged report's fingerprint equals the 1-shard run's
-    — and equals the run with ``fastpath=False`` (flow caches off),
-    since caches are per-replica and observationally inert.
+    sequentially in-process through the identical partition/merge path,
+    on one replica.  Either way the merged report's fingerprint equals
+    the 1-shard run's — and equals the run with ``fastpath=False`` (flow
+    caches off), since the caches are observationally inert, whether a
+    partition finds them cold or warm.
 
     ``chaos`` is a fault plan whose :class:`~repro.faults.ShardFaultSpec`
     seeds worker crash/hang/corrupt chaos per (shard, attempt).  It is
@@ -212,9 +234,16 @@ def run_sharded(
             config=config, chaos=chaos, checkpoint=checkpoint,
             options=supervisor,
         )
+    elif shards == 1:
+        report = _run_shard(spec, workload, plan, flows, config, 1, 0)
     else:
-        reports = [_run_shard(spec, workload, plan, flows, config, shards,
-                              index) for index in range(shards)]
-        report = reports[0] if shards == 1 else merge_reports(reports, shards)
+        topology, reports = spec.build(), []
+        for index in range(shards):
+            # Each partition leaves every fingerprinted counter as it
+            # found it; its engine restores the links it cut.
+            with topology.network.sandbox():
+                reports.append(_carry_partition(
+                    topology, workload, plan, flows, config, shards, index))
+        report = merge_reports(reports, shards)
     report.elapsed_s = time.perf_counter() - started
     return report

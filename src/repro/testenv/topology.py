@@ -51,6 +51,19 @@ anything turned dirty (a switch learned) is not stored.  Only a change
 to the graph itself (:meth:`Network.add_device`, :meth:`Network.link`)
 still flushes everything, at once.
 
+**A walk a cut dropped waits for the repair.**  Being a function of
+what it read, a dropped walk is good again once all of that reads as it
+did.  So when a re-check drops a record that held a class entry, that
+class walk is *parked* under its class key (at most :data:`PARK_DEPTH`
+per class, the oldest goes first).  A class miss with anything parked
+tries the class's parked walks, newest first: the first that holds
+again goes back into the class table and the index, and the lookup
+carries on as a hit (``path_revived`` counts these) — a repair costs no
+slow walk.  Only staleness parks: a walk evicted for capacity does not,
+and neither does an exact-only walk (a stamped INT frame's, a rewriting
+one's), which has no class entry.  A graph change and
+``set_fastpath(False)`` empty the park.
+
 **Walks are shared across frames the fabric cannot tell apart** (the
 microflow → megaflow step of Open vSwitch).  Every lookup declares what
 its ``decide()`` may read of a frame
@@ -139,6 +152,9 @@ DEFAULT_HOP_LIMIT = 64
 
 #: Bound on memoized hop walks per network (FIFO eviction).
 PATH_CACHE_CAPACITY = 8192
+
+#: Bound on the walks one class keeps parked (the oldest goes first).
+PARK_DEPTH = 8
 
 
 def _int_region(frame: bytes) -> Optional[int]:
@@ -349,6 +365,9 @@ class Network:
         self._dependents: dict[str, set[_WalkDeps]] = {}
         #: Records through a device gone dirty since their last check.
         self._suspect: set[_WalkDeps] = set()
+        #: Per class key, the class walks a re-check dropped, oldest
+        #: first: each comes back once everything it read holds again.
+        self._park: dict[tuple, list[_CachedWalk]] = {}
         #: What the devices' lookups read of a frame between them,
         #: OR-ed as they join; ``None`` once some lookup reads the whole
         #: window and no two frames share a class.
@@ -358,6 +377,7 @@ class Network:
         self.path_invalidations = 0
         self.path_dropped = 0
         self.path_revalidated = 0
+        self.path_revived = 0
         self.path_bypasses = 0
         self.path_shared = 0
         #: What :meth:`batch_stats` reports, less the resident count.
@@ -391,7 +411,7 @@ class Network:
         self._ports[name] = [(Attachment(name, PortRef("phys", i)), None)
                              for i in range(NUM_PHYS_PORTS)]
         self._link_up[name] = all_phys_ports_mask()
-        if self._path_cache:  # the graph changed: flush all
+        if self._path_cache or self._park:  # the graph changed: flush
             self._flush()
         if cpu_handler is not None:
             self._cpu[name] = cpu_handler
@@ -415,7 +435,7 @@ class Network:
             raise TopologyError("cannot cable a port to itself")
         self._ports[a_device][a_port] = (a, b)
         self._ports[b_device][b_port] = (b, a)
-        if self._path_cache:  # the graph changed: flush all
+        if self._path_cache or self._park:  # the graph changed: flush
             self._flush()
 
     def edge_ports(self, device: str) -> list[PortRef]:
@@ -548,7 +568,7 @@ class Network:
             if (self._suspect and walk is not None
                     and walk.deps in self._suspect):
                 walk = self._recheck(walk)
-            if walk is None and self._class_cache:
+            if walk is None and (self._class_cache or self._park):
                 walk = self._derive(key)
             if walk is not None:
                 self.path_hits += 1
@@ -599,7 +619,8 @@ class Network:
         of the same frame.  Returns ``None``, having carried nothing, when
         there is no valid walk to replay: the cache is off, neither the
         walk nor one to derive it from is resident (never walked, or
-        something it read has moved since), or it is uncacheable (CPU
+        something it read has moved since) or parked and holding
+        again, or it is uncacheable (CPU
         handlers, armed datapath faults, a lookup that is not
         ``CACHEABLE``).  The caller then injects one packet the
         per-packet way, which warms the walk for the next call.
@@ -619,7 +640,7 @@ class Network:
         walk = self._path_cache.get(key)
         if self._suspect and walk is not None and walk.deps in self._suspect:
             walk = self._recheck(walk)
-        if walk is None and self._class_cache:
+        if walk is None and (self._class_cache or self._park):
             walk = self._derive(key)
         if walk is None:
             self._batch["cold_misses"] += 1
@@ -662,7 +683,8 @@ class Network:
                 if key in cache and (cache[key].deps not in suspect
                                      or self._recheck(cache[key])):
                     continue
-                if self._class_cache and self._derive(key) is not None:
+                if ((self._class_cache or self._park)
+                        and self._derive(key) is not None):
                     warmed += 1
                     continue
                 # A dry walk is still a slow walk taken: it counts as a
@@ -690,11 +712,8 @@ class Network:
             self._suspect.update(self._dependents.get(device, ()))
         self._dirty.clear()
 
-    def _recheck(self, walk: _CachedWalk) -> Optional[_CachedWalk]:
-        """Keep a suspect walk if nothing it read has moved since; else
-        drop it with its derived keys and class entry."""
-        deps = walk.deps
-        self._suspect.discard(deps)
+    def _holds(self, deps: _WalkDeps) -> bool:
+        """Whether everything a walk read still reads as it did."""
         for name, (tables, mask, live, links) in zip(deps.devices, deps.reads):
             project = self._devices[name]
             opl = project.opl
@@ -702,17 +721,53 @@ class Network:
                     or opl.state.generation - opl.liveness_flips != tables
                     or (opl.port_liveness ^ live) & mask
                     or (self._link_up[name] ^ links) & mask):
-                self.path_invalidations += 1
-                self.path_dropped += self._drop(deps)
-                return None
-        self.path_revalidated += 1
-        return walk
+                return False
+        return True
+
+    def _recheck(self, walk: _CachedWalk) -> Optional[_CachedWalk]:
+        """Keep a suspect walk if nothing it read has moved since; else
+        drop it with its derived keys and class entry, and park that
+        class entry for when what it read holds again."""
+        deps = walk.deps
+        self._suspect.discard(deps)
+        if self._holds(deps):
+            self.path_revalidated += 1
+            return walk
+        self.path_invalidations += 1
+        class_key = deps.class_key
+        if class_key is not None:
+            parked = self._park.setdefault(class_key, [])
+            parked.append(self._class_cache[class_key])
+            if len(parked) > PARK_DEPTH:
+                del parked[0]
+        self.path_dropped += self._drop(deps)
+        return None
+
+    def _revive(self, class_key: tuple) -> Optional[_CachedWalk]:
+        """The newest of a class's parked walks that holds again, back
+        in the class table and the index; ``None`` if none does."""
+        parked = self._park.get(class_key, ())
+        for index in reversed(range(len(parked))):
+            walk = parked[index]
+            deps = walk.deps
+            if self._holds(deps):
+                del parked[index]
+                if not parked:
+                    del self._park[class_key]
+                deps.class_key = class_key
+                self._class_cache[class_key] = walk
+                for device in deps.devices:
+                    self._dependents.setdefault(device, set()).add(deps)
+                self.path_revived += 1
+                return walk
+        return None
 
     def _flush(self) -> None:
-        """Drop every walk at once."""
+        """Drop every walk at once, parked ones too."""
         records = set().union(*self._dependents.values())
         self.path_invalidations += len(records)
         self.path_dropped += sum(map(self._drop, records))
+        self._park.clear()
 
     def _drop(self, deps: _WalkDeps) -> int:
         """Forget one slow walk and the walks derived from it; returns
@@ -739,7 +794,9 @@ class Network:
         self._path_cache[key] = walk
         self._batch["compiled"] += 1
         deps = walk.deps
-        if not deps.keys:  # new — or just evicted from under a derivation
+        if not deps.keys and deps.class_key is None:
+            # Not indexed: new, or just evicted from under a derivation
+            # (a revived record was indexed with its class entry).
             for device in deps.devices:
                 self._dependents.setdefault(device, set()).add(deps)
         deps.keys.append(key)
@@ -790,6 +847,8 @@ class Network:
         if (self._suspect and shared is not None
                 and shared.deps in self._suspect):
             shared = self._recheck(shared)
+        if shared is None and self._park:
+            shared = self._revive(class_key)
         if shared is None:
             return None
         walk = shared
@@ -958,6 +1017,7 @@ class Network:
             self._class_cache.clear()
             self._dependents.clear()
             self._suspect.clear()
+            self._park.clear()
         for project in self._devices.values():
             cache = getattr(project, "fastpath", None)
             if cache is not None:
@@ -992,13 +1052,16 @@ class Network:
         ``path_revalidated`` counts the suspect walks (a device they
         visited changed) kept after their re-check, ``path_invalidations``
         the walks dropped — failing it, or with the graph — and
-        ``path_dropped`` the entries (exact and class table) they took."""
+        ``path_dropped`` the entries (exact and class table) they took;
+        ``path_revived`` the parked class walks that came back instead of
+        a slow walk, everything they read holding again (a repair)."""
         stats = {
             "path_hits": self.path_hits,
             "path_misses": self.path_misses,
             "path_invalidations": self.path_invalidations,
             "path_dropped": self.path_dropped,
             "path_revalidated": self.path_revalidated,
+            "path_revived": self.path_revived,
             "path_bypasses": self.path_bypasses,
             "path_shared": self.path_shared,
             "path_entries": self.path_entries,

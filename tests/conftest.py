@@ -86,3 +86,20 @@ def cycle_sim():
     from repro.core.simulator import Simulator
 
     return Simulator()
+
+
+@pytest.fixture
+def partitions(monkeypatch):
+    """Every partition report ``run_sharded`` makes in this test, in
+    order: the inline loop's on its shared replica, and a lone
+    partition's on its own."""
+    from repro.fabric import shard
+
+    reports = []
+
+    def recording(*job, carry=shard._carry_partition):
+        reports.append(carry(*job))
+        return reports[-1]
+
+    monkeypatch.setattr(shard, "_carry_partition", recording)
+    return reports

@@ -251,8 +251,8 @@ class TestNamedMutants:
 
     @pytest.mark.parametrize("splits, options", (
         pytest.param(2, {}, id="a cold walk"),
-        pytest.param(
-            4, {"link_schedule": LinkSchedule((("spine0", "leaf0", 1, 2),))},
+        pytest.param(  # the repair revives the walk the cut parked
+            3, {"link_schedule": LinkSchedule((("spine0", "leaf0", 1, 2),))},
             id="a cut and its repair"),
         pytest.param(2, {"armed": ("spine0",)}, id="an armed device"),
     ))
@@ -260,8 +260,9 @@ class TestNamedMutants:
             self, splits, options):
         """Mutant: re-draw the wire after a declined ``inject_batch``.
         Under wire faults nothing is prewarmed, so each direction's
-        first run is declined; with a scripted cut so are the runs that
-        follow the cut and the repair; through an armed device every
+        first run is declined; with a scripted cut so is the run that
+        follows the cut (the repair brings the parked walk back, no
+        split); through an armed device every
         offer is, and the run goes on packet by packet on the draws it
         already made."""
         flows = leaf_to_leaf(packets=48, gap_ticks=2, response_packets=48)

@@ -336,18 +336,12 @@ class TestEngineFingerprint:
             assert [topology.network.link_is_up(a, b) for a, b in links] \
                 == [frozenset(link) not in dark for link in links]
 
-    def test_shards_sum_what_the_cuts_dropped(self, monkeypatch):
-        """Each replica re-checks its own walks at each cut and repair;
-        the run reports the sum of what they kept and dropped."""
-        from repro.fabric import shard
-
-        replicas = []
-
-        def recording(*job, run_shard=shard._run_shard):
-            replicas.append(run_shard(*job))
-            return replicas[-1]
-
-        monkeypatch.setattr(shard, "_run_shard", recording)
+    def test_shards_sum_what_the_cuts_dropped(self, partitions):
+        """The inline partitions take turns on one replica, each going
+        through the cut and the repair; each partition's report counts
+        what its own engine kept, dropped and revived, and the run
+        reports their sum.  A later partition finds the walks an earlier
+        one parked: sharding the inline run costs no slow walk."""
         schedule = LinkSchedule(events=(("spine0", "leaf0", 1, 4),))
         workload = WorkloadSpec(flows=120, packets_per_flow=12, seed=0)
         spec = get_topology("leaf-spine")
@@ -355,14 +349,17 @@ class TestEngineFingerprint:
                                 link_schedule=schedule)
                     for shards in (1, 2))
         assert one.fingerprint() == two.fingerprint()
+        assert len(partitions) == 3  # the lone one, then the two
         for name in ("path_invalidations", "path_dropped",
-                     "path_revalidated"):
+                     "path_revalidated", "path_revived", "path_misses"):
             assert two.fastpath[name] == sum(
-                replica.fastpath[name] for replica in replicas[1:])
+                partition.fastpath[name] for partition in partitions[1:])
         for report in (one, two):
             assert report.fastpath["path_revalidated"] > 0
+            assert report.fastpath["path_revived"] > 0
             assert report.fastpath["path_dropped"] \
                 > report.fastpath["path_invalidations"] > 0
+        assert two.fastpath["path_misses"] <= one.fastpath["path_misses"]
 
     def test_int_flows_share_walks_through_cuts(self):
         """Every hop stamps an INT frame, but only in its hop stack: the
@@ -416,12 +413,21 @@ class TestEngineFingerprint:
             + on.fastpath["path_hits"] == on.attempted  # nothing lost for good
         assert off.batch["segments"] == off.batch["replayed_packets"] == 0
 
-    def test_shard_reports_carry_summed_batch_stats(self):
+    def test_shard_reports_carry_summed_batch_stats(self, partitions):
+        """Each partition on the shared replica books the packets its
+        own engine replayed — never the replica's running total — so
+        the merged ledger is the 1-shard run's."""
         spec = get_topology("leaf-spine")
         merged = run_sharded(spec, self.WORKLOAD, shards=4, parallel=False)
         single = run_sharded(spec, self.WORKLOAD, shards=1)
         assert merged.batch["replayed_packets"] == \
             single.batch["replayed_packets"]
+        assert merged.batch["replayed_packets"] <= merged.attempted
+        for partition in partitions[:4]:
+            assert partition.batch["replayed_packets"] == partition.attempted
+        assert merged.batch == {name: sum(p.batch[name]
+                                          for p in partitions[:4])
+                                for name in merged.batch}
         assert merged.config.batch is True
 
 

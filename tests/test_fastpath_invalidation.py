@@ -357,8 +357,11 @@ def test_arming_faults_after_warming_stops_the_replays():
         assert (stats["path_hits"], stats["path_bypasses"]) == (1, 2)
         assert stats["device_bypasses"] == 2  # s2 stepped aside per packet
         assert stats["path_dropped"] == 2     # the walk and its template
-    send(2)  # disarmed: the first walks and is stored, the second replays
-    assert (fast.path_hits, fast.path_bypasses) == (2, 2)
+    # Disarmed, s2 reads as it did when the walk was recorded: the walk
+    # the arming parked comes back, and both packets replay.
+    send(2)
+    assert (fast.path_hits, fast.path_bypasses, fast.path_misses) == (3, 2, 3)
+    assert fast.path_revived == 1
     assert observables(fast) == observables(slow)
 
 
@@ -378,7 +381,9 @@ def test_a_link_cut_drops_only_the_walks_across_its_cable():
     """Every walk through either end device is re-checked; only those
     that used the cable read a bit that moved.  The rest — a walk that
     only entered or left the fabric at an end device, or crossed it on
-    another port — replay, through the cut and through the repair."""
+    another port — replay, through the cut and through the repair.  And
+    the repair walks nothing: the walks the cut dropped were parked,
+    read as they did again, and come back (``path_revived``)."""
     fast, slow = _abilene(), _abilene()
     slow.network.set_fastpath(False)
     net = fast.network
@@ -412,12 +417,15 @@ def test_a_link_cut_drops_only_the_walks_across_its_cable():
     def cut_or_repair(up: bool) -> None:
         dropped, misses = net.path_dropped, net.path_misses
         invalidated, kept = net.path_invalidations, net.path_revalidated
+        revived = net.path_revived
         for fabric in (fast, slow):
             fabric.network.set_link_state(a, b, up)
-        # The counted entry declines exactly for the dropped keys...
+        # At the cut the counted entry declines exactly for the dropped
+        # keys; at the repair the walks the cut parked read as they did
+        # again, and it declines none...
         for pair, injection in injections.items():
             walk = net.inject_batch(*injection, 3)
-            assert (walk is None) == (pair in across), pair
+            assert (walk is None) == (pair in across and not up), pair
             for _ in range(3 if walk is not None else 0):
                 slow.network.inject(*injection)
         # ... one exact and one class entry for each walk across it; the
@@ -425,16 +433,22 @@ def test_a_link_cut_drops_only_the_walks_across_its_cable():
         assert net.path_invalidations - invalidated == len(across)
         assert net.path_dropped - dropped == 2 * len(across)
         assert net.path_revalidated - kept == len(near) - len(across)
-        assert net.path_entries == len(injections) - len(across)
-        # The others stayed resident and replay; these are re-walked.
+        assert net.path_revived - revived == (len(across) if up else 0)
+        assert net.path_entries \
+            == len(injections) - (0 if up else len(across))
+        # The others stayed resident and replay; these are re-walked at
+        # the cut, and at the repair replay their old paths.
         hits = net.path_hits
         for pair in sorted(set(injections) - across):
             assert visited(injections[pair]) == paths[pair]
         assert net.path_hits - hits == len(injections) - len(across)
         assert net.path_misses == misses
         for pair in sorted(across):
-            assert {a, b} & visited(injections[pair])
-        assert net.path_misses - misses == len(across)
+            path = visited(injections[pair])
+            assert path == paths[pair] if up else {a, b} & path
+        assert net.path_misses - misses == (0 if up else len(across))
+        assert net.path_hits - hits \
+            == len(injections) - (0 if up else len(across))
         assert observables(net)[1:] == observables(slow.network)[1:]
 
     cut_or_repair(False)

@@ -408,16 +408,24 @@ class TestWalkSharingInTheFabric:
             assert report.fastpath["path_misses"] <= host_pairs
         assert off.fastpath["path_shared"] == 0
 
-    def test_shards_sum_the_shared_walks(self):
+    def test_shards_sum_the_shared_walks(self, partitions):
+        """The inline partitions take turns on one replica: a later one
+        derives its flows from the classes an earlier one walked, so
+        the run walks each class once, however many shards."""
         spec = get_topology("fat-tree-4")
         workload = WorkloadSpec(flows=600, packets_per_flow=2, seed=5)
         one = run_sharded(spec, workload, shards=1)
         four = run_sharded(spec, workload, shards=4, parallel=False)
         assert one.fingerprint() == four.fingerprint()
-        # Each replica walks its own first frame of a class.
+        first, *later = partitions[1:]
+        for name in ("path_shared", "path_misses"):
+            assert four.fastpath[name] == first.fastpath[name] + sum(
+                partition.fastpath[name] for partition in later)
         assert four.fastpath["path_shared"] + four.fastpath["path_misses"] \
             == one.fastpath["path_shared"] + one.fastpath["path_misses"]
-        assert 0 < four.fastpath["path_shared"] < one.fastpath["path_shared"]
+        assert four.fastpath["path_misses"] <= one.fastpath["path_misses"]
+        assert all(partition.fastpath["path_misses"]
+                   < first.fastpath["path_misses"] for partition in later)
 
 
 # ----------------------------------------------------------------------
