@@ -470,18 +470,15 @@ class _LinkStateController:
                 tuple(sorted((a.device, b.device)))
                 for a, b in self._net.links()
             )
-        self._pairs = sorted(pairs)
+        #: The pairs whose link state this run may move (empty: none).
+        self.pairs = sorted(pairs)
         self._last: Optional[int] = None
 
-    @property
-    def active(self) -> bool:
-        return bool(self._pairs)
-
     def apply(self, epoch: int) -> None:
-        if not self._pairs or epoch == self._last:
+        if epoch == self._last:
             return
         self._last = epoch
-        for pair in self._pairs:
+        for pair in self.pairs:
             down = self._oracle.down(*pair, epoch) or any(
                 start <= epoch < end
                 for start, end in self._windows.get(pair, ()))
@@ -489,7 +486,7 @@ class _LinkStateController:
 
     def restore(self) -> None:
         """Bring every touched link back up (end-of-run tidiness)."""
-        for a, b in self._pairs:
+        for a, b in self.pairs:
             self._net.set_link_state(a, b, True)
 
 
@@ -679,21 +676,18 @@ class FlowEngine:
         #: The engine's share of ``report.batch`` (see :meth:`_batch_stats`).
         self._coalesced = dict.fromkeys(
             ("segments", "segment_packets", "splits", "wire_lost"), 0)
-        # Span cap: with the flap oracle disarmed and link state static
-        # for the whole run, no per-epoch oracle can change its answer
-        # mid-segment — segments may span flap epochs and cover a flow
-        # direction's whole remaining burst.  (Loss and INT epoch
+        # Span cap: with the flap oracle disarmed and no link whose
+        # state this run may move, no per-epoch oracle can change its
+        # answer mid-segment — segments may span flap epochs and cover
+        # a flow direction's whole remaining burst.  (Loss and INT epoch
         # attribution stay per-packet either way.)
         self._flap = _FlapOracle(plan)
-        self._epoch_free = (
-            not self._flap.enabled and config.link_schedule is None
-            and (plan is None or plan.link_state is None)
-        )
+        self._link_ctl = _LinkStateController(
+            topology, config.link_schedule, plan)
+        self._epoch_free = not self._flap.enabled and not self._link_ctl.pairs
         self.collector = (IntCollector(topology.network)
                           if any(f.int_enabled for f in flows) else None)
 
-        self._link_ctl = _LinkStateController(
-            topology, config.link_schedule, plan)
         self._rr = seed_stream(spec.seed, "rr")  # the cursors' tie-break
         #: With no plan no flow draws or counts a fault: all share this.
         self._null_session = FaultPlan("none").session()
@@ -778,7 +772,8 @@ class FlowEngine:
         n = self._segment_span(event) if coalesce else 1
         if self.clock is not None:
             self.clock.advance_to(event.tick)
-        self._link_ctl.apply(event.tick // FLAP_EPOCH_TICKS)
+        if not self._epoch_free:
+            self._link_ctl.apply(event.tick // FLAP_EPOCH_TICKS)
         self._send(event, n)
         if n > 1:
             self._coalesced["segments"] += 1
@@ -922,9 +917,10 @@ class FlowEngine:
         armed flap oracle or non-static link state the span is capped
         at the flap-epoch boundary: packet ``i`` of the segment sits at
         ``tick + i * gap_ticks``, and every per-epoch oracle must
-        answer the same for all of them.  In the epoch-free case
-        (no flap, links static) nothing can change mid-segment and the
-        span covers the whole remaining burst.
+        answer the same for all of them.  In the epoch-free case (no
+        flap, no link whose state the run may move: an empty schedule
+        or a zero cut rate moves none) nothing can change mid-segment
+        and the span covers the whole remaining burst.
         """
         gap = event.flow.gap_ticks
         if self._epoch_free or not gap:
@@ -1033,7 +1029,8 @@ class FlowEngine:
             return self._report
         while self._heap:
             self._dispatch(self._batch)
-        self._link_ctl.restore()
+        if not self._epoch_free:
+            self._link_ctl.restore()
         self._report = FabricReport(
             topology=self.topology.key,
             workload=self.spec.key,

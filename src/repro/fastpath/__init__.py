@@ -10,14 +10,17 @@ observable:
   invariants).
 * the **path cache** inside :class:`repro.testenv.topology.Network` —
   memoizes whole hop walks per (entry attachment, frame) for as long
-  as no device the walk visited has changed: the same bump marks the
-  device dirty on the network, and the next injection drops the walks
-  through dirty devices and no others.  One table, two entry
-  points: per-packet :meth:`Network.inject` and counted
-  :meth:`Network.inject_batch`, which replays a stored walk for *N
-  packets in one pass* with counter deltas applied as ``n * delta``.
-  A mutation drops the walks through its device, so a counted run
-  splits exactly where a per-packet run would re-walk.  Beside the exact
+  as what the walk read holds: the same bump marks the device dirty
+  on the network, the next lookup marks the walks through dirty
+  devices *suspect*, and a suspect walk is re-checked against what it
+  read when next found — kept if nothing moved, else dropped and (a
+  class walk) parked until a repair makes it hold again.  One lookup
+  (``Network._lookup``), three entry points: per-packet
+  :meth:`Network.inject`, counted :meth:`Network.inject_batch`, which
+  replays a stored walk for *N packets in one pass* with counter
+  deltas applied as ``n * delta``, and set-up :meth:`Network.warm_paths`.
+  A dropped walk declines the counted entry, so a counted run splits
+  exactly where a per-packet run would re-walk.  Beside the exact
   table, a **class table** shares one cold walk among all frames that
   agree on the header bits the fabric's lookups declare they read
   (:meth:`~repro.cores.output_port_lookup.OutputPortLookup.header_reads`)

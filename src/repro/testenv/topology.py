@@ -19,7 +19,7 @@ in-flight copies the hop limit truncated, so broadcast-storm clamping is
 observable per injection (and cumulatively via
 :attr:`Network.dropped_hop_limit`) instead of silently vanishing.
 
-**One path cache, two entry points.**  Between table mutations, the
+**One path cache, three entry points.**  Between table mutations, the
 entire hop walk of an injection is a pure function of (entry attachment,
 frame): the network memoizes finished walks — deliveries, losses and the
 per-device counter deltas they caused, read off the journal each visited
@@ -100,20 +100,30 @@ stamps spliced in.  A frame already stamped, or a runt that merely
 ends in the magic, keeps to the exact table.  A fabric in which some
 lookup reads the whole header window has no classes to share.
 
-* :meth:`Network.inject_batch` is the counted entry, and the fabric
-  engine's only one with ``batch`` on, a single packet included: replay
-  a valid walk ``count`` times in one pass (deltas applied as
-  ``count * delta``) and hand back the frozen walk as the per-packet
-  outcome template — no per-packet objects, and (deliberately) no
-  entries in the :attr:`deliveries` log, which is a debugging aid, not
-  a fingerprinted observable.  It never walks: with no valid walk it
-  returns ``None`` and the caller falls back to one :meth:`inject`,
-  which warms the walk for the next attempt.
-* :meth:`Network.inject` is the per-packet entry: replay a valid walk
-  or take the slow walk and store it (:meth:`Network.inject_many` is
-  that in a loop).  The engine sends through it what the counted entry
-  declined and, with ``batch=False`` (the per-packet reference), every
-  packet; :meth:`Network.pingall` and the shell's ``inject`` use it.
+**One lookup, three entry points.**  Each entry point looks a key up
+through :meth:`Network._lookup`, written once: mark the walks through
+dirty devices suspect, take the exact entry (re-checked if suspect),
+else enter the key under its class's walk (re-checked, or revived
+from the park), then replay the walk ``count`` times.  The entry points
+differ only in ``count`` and in what a miss costs:
+
+* :meth:`Network.inject` is the per-packet entry (``count`` 1): on a
+  miss it takes the slow walk and stores it.  The engine sends through
+  it what the counted entry declined and, with ``batch=False`` (the
+  per-packet reference), every packet; :meth:`Network.pingall` and the
+  shell's ``inject`` use it, and :meth:`Network.inject_many` is it in
+  a loop.
+* :meth:`Network.inject_batch` is the counted entry (``count`` n), and
+  the fabric engine's only one with ``batch`` on, a single packet
+  included: deltas applied as ``count * delta``, and the frozen walk
+  handed back as the per-packet outcome template — no per-packet
+  objects, and (deliberately) no entries in the :attr:`deliveries`
+  log, which is a debugging aid, not a fingerprinted observable.  It
+  never walks: on a miss it returns ``None`` and the caller falls back
+  to one :meth:`inject`, which warms the walk for the next attempt.
+* :meth:`Network.warm_paths` is the set-up entry (``count`` 0): on a
+  miss it takes a dry walk inside :meth:`Network.sandbox` and stores
+  it, so the engine's first counted offer already hits.
 
 ``set_fastpath(False)`` turns the path cache *and* every device's
 microflow cache off for A/B runs.
@@ -267,18 +277,6 @@ class _CachedWalk:
     link_down_sites: tuple = ()
     hop_limit_sites: tuple = ()
     template: bool = False
-
-    def replay(self, network: "Network", count: int) -> None:
-        """Move every counter as ``count`` identical injections would."""
-        for opl, packets, drops, deltas in self.ops:
-            opl.packets += packets * count
-            opl.drops += drops * count
-            counters = opl.counters
-            for name, delta in deltas:
-                counters[name] = counters.get(name, 0) + delta * count
-        network.dropped_hop_limit += self.dropped_hop_limit * count
-        network.dropped_link_down += self.dropped_link_down * count
-        network.forwarded_hops += self.forwarded * count
 
 
 class TopologyError(RuntimeError):
@@ -561,18 +559,10 @@ class Network:
         if not self.path_cache_enabled:
             result = self._walk(device, port, frame, record=False)[0]
         else:
-            if self._dirty:
-                self._mark_dirty()
             key = (device, port, frame)
-            walk = self._path_cache.get(key)
-            if (self._suspect and walk is not None
-                    and walk.deps in self._suspect):
-                walk = self._recheck(walk)
-            if walk is None and (self._class_cache or self._park):
-                walk = self._derive(key)
+            walk = self._lookup(key, 1)
             if walk is not None:
                 self.path_hits += 1
-                walk.replay(self, 1)
                 # Fresh deliveries: Delivery is mutable, the walk is shared.
                 result = InjectionResult(
                     starmap(Delivery, walk.deliveries),
@@ -634,20 +624,12 @@ class Network:
             raise ValueError("batch count must be >= 1")
         if not self.path_cache_enabled:
             return None
-        if self._dirty:
-            self._mark_dirty()
-        key = (device, port, frame)
-        walk = self._path_cache.get(key)
-        if self._suspect and walk is not None and walk.deps in self._suspect:
-            walk = self._recheck(walk)
-        if walk is None and (self._class_cache or self._park):
-            walk = self._derive(key)
+        walk = self._lookup((device, port, frame), count)
         if walk is None:
             self._batch["cold_misses"] += 1
             return None
         self._batch["replays"] += 1
         self._batch["replayed_packets"] += count
-        walk.replay(self, count)
         return walk
 
     def warm_paths(
@@ -666,44 +648,30 @@ class Network:
         moves a flow's warm-up cost out of the dispatch loop and into
         setup.
 
-        Returns the number of walks cached, walked or derived.  Stops
-        early if a walk mutates decision state (a learning device — the
-        same caveat as :meth:`sandbox`): anything turned dirty means
-        already-recorded walks may be stale.
+        Returns the number of walks it stored, walked or derived (an
+        exact hit stores nothing).  Stops early if a walk mutates
+        decision state (a learning device — the same caveat as
+        :meth:`sandbox`): anything turned dirty means already-recorded
+        walks may be stale.
         """
         if not self.path_cache_enabled:
             return 0
-        if self._dirty:
-            self._mark_dirty()
-        cache, suspect = self._path_cache, self._suspect
-        warmed = 0
+        compiled = self._batch["compiled"]
         with self.sandbox():
-            for device, port, frame in injections:
-                key = (device, port, frame)
-                if key in cache and (cache[key].deps not in suspect
-                                     or self._recheck(cache[key])):
-                    continue
-                if ((self._class_cache or self._park)
-                        and self._derive(key) is not None):
-                    warmed += 1
+            for key in injections:
+                if self._lookup(key, 0) is not None:
                     continue
                 # A dry walk is still a slow walk taken: it counts as a
                 # path miss (operational stats move, like pingall's).
                 self.path_misses += 1
-                _, walk = self._walk(device, port, frame, record=True)
+                _, walk = self._walk(*key, record=True)
                 if self._dirty:
                     break
                 if walk is not None:
                     self._store(key, walk)
-                    warmed += 1
+        warmed = self._batch["compiled"] - compiled  # walked or derived
         self._batch["prewarmed"] += warmed
         return warmed
-
-    def run(self, traffic: list[tuple[str, int, bytes]]) -> list[Delivery]:
-        """Inject a sequence of ``(device, port, frame)``; returns all
-        deliveries in order."""
-        self.inject_many(traffic)
-        return self.deliveries
 
     # -- the path cache -------------------------------------------------
     def _mark_dirty(self) -> None:
@@ -818,54 +786,84 @@ class Network:
                 walk.link_down_sites, walk.hop_limit_sites,
             )  # template=False: the class has its entry
 
-    def _derive(self, key: tuple) -> Optional[_CachedWalk]:
-        """On an exact-key miss, enter the key under its class's walk.
+    def _lookup(self, key: tuple, count: int) -> Optional[_CachedWalk]:
+        """The valid walk for ``key``, replayed ``count`` times; ``None``
+        if there is none.  Every entry point looks up through here.
 
-        The class table holds one walk per ``(device, port, what the
-        lookups read of the frame)`` that preserved its frame outside
-        the INT hop stack.  Every lookup on the way decides for this
-        frame as it did for the recorded one and hands it on as it
-        did, so the class's walk is this frame's walk.  A plain class's
-        names no frame and is stored under the exact key as it stands;
-        an INT class's deliveries are this frame with each copy's
-        recorded stamps spliced in (a walk object per key, sharing the
-        rest).  Either counts in :attr:`path_shared`, and the caller
+        First the walks through devices gone dirty are marked suspect.
+        The exact entry, if any, is re-checked when suspect.  On a miss
+        the key is entered under its class's walk.  The class table
+        holds one walk per ``(device, port, what the lookups read of
+        the frame)`` that preserved its frame outside the INT hop
+        stack.  Every lookup on the way decides for this frame as it
+        did for the recorded one and hands it on as it did, so the
+        class's walk is this frame's walk — once re-checked if suspect,
+        or revived from the park if the class has none.  A plain
+        class's names no frame and is stored under the exact key as it
+        stands; an INT class's deliveries are this frame with each
+        copy's recorded stamps spliced in (a walk object per key,
+        sharing the rest).  Either counts in :attr:`path_shared` and
         carries on as if the exact lookup had hit.
+
+        The replay moves every counter as ``count`` identical
+        injections would (``0``: a warm-up, nothing moves).  The class
+        step and the replay are written inline, not called: either
+        would be one more call per packet.
         """
-        device, port, frame = key
-        slots = None
-        if frame[-4:] == _INT_MAGIC:
-            slots = _int_region(frame)
-            if slots is None:
-                return None  # stamped already, or a runt: its own walk
-        # A new device flushes every walk, so the declarations a filled
-        # class table was keyed under still stand (and allow sharing).
-        class_key = (device, port, *self._reads.key(frame))
-        if slots is not None:
-            class_key += (frame[-6],)  # never a plain frame's class
-        shared = self._class_cache.get(class_key)
-        if (self._suspect and shared is not None
-                and shared.deps in self._suspect):
-            shared = self._recheck(shared)
-        if shared is None and self._park:
-            shared = self._revive(class_key)
-        if shared is None:
-            return None
-        walk = shared
-        if slots is not None:
-            walk = _CachedWalk(
-                tuple(_WalkDelivery(d.at, _splice_stack(frame, slots, d.frame),
-                                    d.hops) for d in shared.deliveries),
-                shared.dropped_hop_limit, shared.dropped_link_down,
-                shared.forwarded, shared.ops, shared.deps,
-                shared.link_down_sites, shared.hop_limit_sites,
-            )
-        self._store(key, walk)
-        if shared.deps.class_key is None:
-            # Evicted from under its own store: live again, class too.
-            shared.deps.class_key = class_key
-            self._class_cache[class_key] = shared
-        self.path_shared += 1
+        if self._dirty:
+            self._mark_dirty()
+        walk = self._path_cache.get(key)
+        if self._suspect and walk is not None and walk.deps in self._suspect:
+            walk = self._recheck(walk)
+        if walk is None:
+            if not (self._class_cache or self._park):
+                return None
+            device, port, frame = key
+            slots = None
+            if frame[-4:] == _INT_MAGIC:
+                slots = _int_region(frame)
+                if slots is None:
+                    return None  # stamped already, or a runt: its own walk
+            # A new device flushes every walk, so the declarations a
+            # filled class table was keyed under still stand (and allow
+            # sharing).
+            class_key = (device, port, *self._reads.key(frame))
+            if slots is not None:
+                class_key += (frame[-6],)  # never a plain frame's class
+            shared = self._class_cache.get(class_key)
+            if (self._suspect and shared is not None
+                    and shared.deps in self._suspect):
+                shared = self._recheck(shared)
+            if shared is None and self._park:
+                shared = self._revive(class_key)
+            if shared is None:
+                return None
+            walk = shared
+            if slots is not None:
+                walk = _CachedWalk(
+                    tuple(_WalkDelivery(
+                        d.at, _splice_stack(frame, slots, d.frame), d.hops)
+                        for d in shared.deliveries),
+                    shared.dropped_hop_limit, shared.dropped_link_down,
+                    shared.forwarded, shared.ops, shared.deps,
+                    shared.link_down_sites, shared.hop_limit_sites,
+                )
+            self._store(key, walk)
+            if shared.deps.class_key is None:
+                # Evicted from under its own store: live again, class too.
+                shared.deps.class_key = class_key
+                self._class_cache[class_key] = shared
+            self.path_shared += 1
+        if count:
+            for opl, packets, drops, deltas in walk.ops:
+                opl.packets += packets * count
+                opl.drops += drops * count
+                counters = opl.counters
+                for name, delta in deltas:
+                    counters[name] = counters.get(name, 0) + delta * count
+            self.dropped_hop_limit += walk.dropped_hop_limit * count
+            self.dropped_link_down += walk.dropped_link_down * count
+            self.forwarded_hops += walk.forwarded * count
         return walk
 
     @staticmethod

@@ -293,6 +293,31 @@ class TestEngineFingerprint:
         assert on.fingerprint() == off.fingerprint()
         assert on.batch["splits"] > 0
 
+    @pytest.mark.parametrize("plan, options", (
+        pytest.param(None, {"link_schedule": LinkSchedule(())},
+                     id="an empty schedule"),
+        pytest.param(FaultPlan("no-cuts", seed=5,
+                               link_state=LinkStateSpec(down_rate=0)),
+                     {}, id="a zero cut rate"),
+    ))
+    def test_link_state_that_cannot_move_is_epoch_free(self, plan, options):
+        """Mutant: decide "epoch-free" from whether a schedule or a cut
+        spec was passed, not from whether any link may move.  Neither
+        input moves a link, so bursts coalesce across flap epochs as on
+        a run with neither — the same segments — and the run still
+        fingerprints as the per-packet reference."""
+        workload = WorkloadSpec(flows=40, packets_per_flow=64, seed=3,
+                                window_ticks=64)
+        topo = get_topology("leaf-spine")
+        on = run_flows(topo.build(), workload, plan, **options)
+        off = run_flows(topo.build(), workload, plan, batch=False, **options)
+        bare = run_flows(topo.build(), workload)
+        assert on.fingerprint() == off.fingerprint()
+        assert on.records == off.records == bare.records
+        assert bare.batch["segments"] > 0
+        for name in ("segments", "segment_packets", "splits"):
+            assert on.batch[name] == bare.batch[name], name
+
     def test_link_cut_drops_the_shared_walks_across_it_too(self):
         """Twenty flows per host pair share walks; a walk shared across
         the cut (or the repair) would carry packets over a dark cable

@@ -387,6 +387,113 @@ class TestWalkSharing:
         assert stats["path_bypasses"] == 4
 
 
+# ----------------------------------------------------------------------
+# One lookup: the three entry points find the same walks
+# ----------------------------------------------------------------------
+def lookup_fabric() -> Network:
+    """:func:`programmed_fabric` plus host 3 on s1 port 1 (a walk that
+    never reaches the cable) and an unlinked NIC with host software."""
+    net = programmed_fabric()
+    net.device("s1").install_static_mac(mac(3), 1)
+    net.add_device("nic", ReferenceNic(),
+                   cpu_handler=lambda frame, queue: [(queue, frame)])
+    return net
+
+
+def stamped(frame: bytes) -> bytes:
+    """What host 2 receives of ``frame``: every hop's stamp on it."""
+    return programmed_fabric().inject("s1", 0, frame)[0].frame
+
+
+class TestOneLookup:
+    """``inject`` (count 1), ``inject_batch`` (count n) and
+    ``warm_paths`` (count 0) share one lookup; driven through the same
+    keys, cuts and repairs, they must find a valid walk for exactly the
+    same keys and leave the same walks resident, kept, dropped, parked
+    and revived.  A counted offer that finds none falls back to one
+    ``inject``, as the engine's does."""
+
+    PAIR = [flow_of_pair(sport) for sport in (1, 2, 3)]
+    #: Host 1 to host 3 and back: walks that never reach the cable.
+    LOCAL = make_udp_frame(mac(1), mac(3), ip(1), ip(3), sport=9,
+                           dport=7, size=96).pack()
+    BACK = [make_udp_frame(mac(3), mac(1), ip(3), ip(1), sport=sport,
+                           dport=7, size=96).pack() for sport in (1, 2)]
+    #: Host 2 to host 1, across the cable the other way.
+    REPLY = [make_udp_frame(mac(2), mac(1), ip(2), ip(1), sport=sport,
+                            dport=7, size=96).pack() for sport in (1, 2)]
+    INT = [encode_template(flow_of_pair(sport, size=256), flow_id=sport)
+           for sport in (4, 5)]
+    STAMPED = [stamped(frame) for frame in INT]
+    NIC = flow_of_pair(6)
+
+    #: ``(step, argument, found)``: a send's expected outcome, or a cut
+    #: (``False``) or repair (``True``) of the s1~s2 cable.
+    SCRIPT = (
+        ("send", ("s1", 0, PAIR[0]), False),     # cold: walked
+        ("send", ("s1", 0, PAIR[0]), True),      # an exact hit
+        ("send", ("s1", 0, PAIR[1]), True),      # derived from its class
+        ("send", ("s1", 0, LOCAL), False),
+        ("send", ("s1", 1, BACK[0]), False),
+        ("send", ("s2", 1, REPLY[0]), False),
+        ("send", ("s1", 0, STAMPED[0]), False),
+        ("send", ("s1", 0, STAMPED[0]), True),   # exact-only, but exact
+        ("send", ("s1", 0, STAMPED[1]), False),  # no class to share
+        ("send", ("nic", 1, NIC), False),        # host software: never
+        ("send", ("nic", 1, NIC), False),        # cached
+        ("link", False, None),
+        ("send", ("s1", 0, LOCAL), True),        # exact suspect, kept
+        ("send", ("s1", 1, BACK[1]), True),      # class suspect, kept
+        ("send", ("s1", 0, PAIR[0]), False),     # exact suspect, dropped
+        ("send", ("s2", 1, REPLY[1]), False),    # class suspect, dropped
+        ("send", ("s1", 0, PAIR[1]), True),      # the dark walk's class
+        ("link", True, None),
+        ("send", ("s1", 0, PAIR[2]), True),      # revived by the repair
+        ("send", ("s1", 0, PAIR[0]), True),
+        ("send", ("s2", 1, REPLY[1]), True),     # revived too
+        ("send", ("s1", 0, INT[0]), False),
+        ("send", ("s1", 0, INT[1]), True),       # the INT class's walk
+    )
+
+    @staticmethod
+    def _found(entry: str, net: Network, key: tuple) -> bool:
+        misses = net.path_misses
+        if entry == "inject":
+            net.inject(*key)
+        elif entry == "inject_batch":
+            if net.inject_batch(*key, 3) is None:
+                net.inject(*key)
+                return False
+        else:
+            net.warm_paths([key])
+        return net.path_misses == misses
+
+    def test_every_entry_point_finds_the_same_walks(self):
+        entries = ("inject", "inject_batch", "warm_paths")
+        nets = {entry: lookup_fabric() for entry in entries}
+        for index, (step, argument, found) in enumerate(self.SCRIPT):
+            if step == "link":
+                for net in nets.values():
+                    net.set_link_state("s1", "s2", argument)
+                continue
+            got = {entry: self._found(entry, net, argument)
+                   for entry, net in nets.items()}
+            assert got == dict.fromkeys(entries, found), f"step {index}"
+        states = {
+            entry: ({name: value for name, value
+                     in net.fastpath_stats().items()
+                     if name not in ("path_hits", "path_bypasses")},
+                    set(net._path_cache), set(net._class_cache),
+                    {key: len(parked) for key, parked in net._park.items()})
+            for entry, net in nets.items()}
+        assert states["inject"] == states["inject_batch"] \
+            == states["warm_paths"]
+        stats = states["inject"][0]
+        for name in ("path_shared", "path_revalidated", "path_invalidations",
+                     "path_revived"):
+            assert stats[name] > 0, name
+
+
 class TestWalkSharingInTheFabric:
     #: ~10 flows per ordered host pair of fat-tree-4, IMIX sizes.
     MICE = WorkloadSpec(flows=2400, packets_per_flow=2, seed=5,
