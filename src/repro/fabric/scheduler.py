@@ -12,8 +12,10 @@ ingredients make that true:
 * every flow opens its own fault session via
   ``plan.derived("fabric", flow_id)`` — independent decision streams,
   not a shared sequential RNG that interleaving would reorder;
-* link-flap state is drawn per ``(host, epoch)`` from a derived seed —
-  a pure function, not a stateful schedule.
+* link state is a pure function of the epoch, not a stateful
+  schedule: edge flaps are drawn per ``(host, epoch)`` and cable cuts
+  per ``(link, epoch)`` from derived seeds, beside the scripted
+  windows, and one timeline answers all three.
 
 Because outcomes are order-independent, the *same* code path can run a
 subset of flows (``flow_filter``) in a worker process and the merged
@@ -35,7 +37,9 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import time
+from bisect import bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from hashlib import sha256
@@ -287,33 +291,6 @@ class FabricReport:
 
 
 # ----------------------------------------------------------------------
-# Flap state: a pure function of (plan.seed, host, epoch)
-# ----------------------------------------------------------------------
-class _FlapOracle:
-    """Answers "is this host's edge link down during this epoch?".
-
-    Each distinct ``(host, epoch)`` pair draws once from its own derived
-    seed, so the answer never depends on which flow asked first — the
-    property that keeps flap loss identical across shard counts.
-    """
-
-    def __init__(self, plan: Optional[FaultPlan]):
-        self._plan = plan
-        self._cache: dict[tuple[str, int], bool] = {}
-        self.enabled = (plan is not None and plan.ctrl is not None
-                        and plan.ctrl.flap_rate > 0)
-
-    def down(self, host: str, epoch: int) -> bool:
-        if not self.enabled:
-            return False
-        key = (host, epoch)
-        if key not in self._cache:
-            session = self._plan.derived("fabric-flap", host, epoch).session()
-            self._cache[key] = session.link_flap_faults()
-        return self._cache[key]
-
-
-# ----------------------------------------------------------------------
 # Fabric link state: scripted windows and seeded cuts, both pure
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -332,10 +309,6 @@ class LinkSchedule:
     def key(self) -> str:
         """Canonical identity string, part of the run fingerprint."""
         return ";".join(f"{a}~{b}[{d},{u})" for a, b, d, u in self.events)
-
-    def pairs(self) -> list[tuple[str, str]]:
-        """The device pairs this schedule touches, canonically ordered."""
-        return sorted({tuple(sorted((a, b))) for a, b, _, _ in self.events})
 
 
 @dataclass(frozen=True)
@@ -401,88 +374,103 @@ class RunConfig:
         return cls(**{**data, "link_schedule": schedule})
 
 
-class _LinkStateOracle:
-    """Answers "is this cable dark during this epoch?" from the seeded
-    ``link_down``/``link_up`` fault sites.
+class _LinkTimeline:
+    """A run's link state over time: edge flaps, scripted windows and
+    seeded cable cuts, each a pure function of the epoch.
 
-    Each distinct ``(link, epoch)`` cut decision draws once from its own
-    derived seed (like :class:`_FlapOracle`), and a firing link stays
-    dark for a drawn number of epochs — so the answer for any epoch is a
-    pure function of ``(plan.seed, link, epoch)``, independent of which
-    flow asked first or how the run was sharded.
+    Edge flaps are drawn once per ``(host, epoch)`` (:meth:`flap`, the
+    sender's question) and seeded cuts once per ``(link, epoch)`` from
+    the ``link_down``/``link_up`` fault sites, a firing cut staying
+    dark for a drawn number of epochs — each from its own derived seed,
+    so no answer depends on which flow asked first or how the run was
+    sharded.  The schedule's windows are folded once, per canonical
+    cable pair and for the whole schedule, into sorted *flips*: the
+    epochs where a window opens or closes.  Nothing is expanded per
+    epoch.
     """
 
-    def __init__(self, plan: Optional[FaultPlan]):
+    def __init__(self, plan: Optional[FaultPlan],
+                 schedule: Optional[LinkSchedule], network):
         self._plan = plan
-        spec = plan.link_state if plan is not None else None
-        self._spec = spec
-        self.enabled = spec is not None and spec.down_rate > 0
+        self._net = network
+        ctrl, cuts = ((plan.ctrl, plan.link_state) if plan is not None
+                      else (None, None))
+        #: Whether :meth:`flap` may answer True.
+        self.flapping = ctrl is not None and ctrl.flap_rate > 0
+        self._cut_spec = (cuts if cuts is not None and cuts.down_rate > 0
+                          else None)
+        self._flaps: dict[tuple[str, int], bool] = {}
         self._cuts: dict[tuple[str, str, int], int] = {}
-
-    def _cut_epochs(self, a: str, b: str, e0: int) -> int:
-        """How many epochs the cut starting at ``e0`` lasts (0 = none)."""
-        key = (a, b, e0)
-        if key not in self._cuts:
-            session = self._plan.derived("fabric-link", a, b, e0).session()
-            if session.link_down_faults():
-                self._cuts[key] = max(1, session.link_down_epochs())
-            else:
-                self._cuts[key] = 0
-        return self._cuts[key]
-
-    def down(self, a: str, b: str, epoch: int) -> bool:
-        if not self.enabled:
-            return False
-        a, b = sorted((a, b))
-        lookback = self._spec.max_down_epochs
-        return any(
-            self._cut_epochs(a, b, e0) > epoch - e0
-            for e0 in range(max(0, epoch - lookback + 1), epoch + 1)
-        )
-
-
-class _LinkStateController:
-    """Keeps the network's link state in step with the packet's epoch.
-
-    Applied per event from the event's *own* epoch — an absolute,
-    idempotent assignment, never a relative toggle — so late-admitted
-    flows whose ticks sit before the current heap front still see
-    exactly the state their epoch prescribes, in any shard.
-    """
-
-    def __init__(
-        self,
-        topology: FabricTopology,
-        schedule: Optional["LinkSchedule"],
-        plan: Optional[FaultPlan],
-    ):
-        self._net = topology.network
-        self._oracle = _LinkStateOracle(plan)
-        #: The schedule's dark windows by canonical pair, indexed once:
-        #: :meth:`apply` asks for every pair at every epoch change.
-        self._windows: dict[tuple[str, str], list[tuple[int, int]]] = {}
+        #: The cable pairs this run may move (empty: none), each with
+        #: its windows' sorted starts and sorted ends: the windows that
+        #: hold the cable dark at an epoch are the starts at or before
+        #: it less the ends at or before it.
+        self.pairs: dict[tuple[str, str], tuple[list, list]] = {}
+        flips = set()
         for a, b, start, end in schedule.events if schedule else ():
-            self._windows.setdefault(
-                tuple(sorted((a, b))), []).append((start, end))
-        pairs = set(self._windows)
-        if self._oracle.enabled:
-            pairs.update(
-                tuple(sorted((a.device, b.device)))
-                for a, b in self._net.links()
-            )
-        #: The pairs whose link state this run may move (empty: none).
-        self.pairs = sorted(pairs)
-        self._last: Optional[int] = None
+            starts, ends = self.pairs.setdefault(
+                tuple(sorted((a, b))), ([], []))
+            if start < end:  # an empty window never opens
+                insort(starts, start)
+                insort(ends, end)
+                flips.update((start, end))
+        self._flips = sorted(flips)
+        for a, b in network.links() if self._cut_spec is not None else ():
+            # A cable's ends come ordered by device: the pair is canonical.
+            self.pairs.setdefault((a.device, b.device), ([], []))
+        self._per_epoch = self.flapping or self._cut_spec is not None
+        #: The interval held before the first :meth:`apply`: all time
+        #: when nothing can move, else none — the first event applies.
+        self.before = ((0, 0) if self.pairs or self._per_epoch
+                       else (-math.inf, math.inf))
 
-    def apply(self, epoch: int) -> None:
-        if epoch == self._last:
-            return
-        self._last = epoch
-        for pair in self.pairs:
-            down = self._oracle.down(*pair, epoch) or any(
-                start <= epoch < end
-                for start, end in self._windows.get(pair, ()))
-            self._net.set_link_state(*pair, not down)
+    def flap(self, host: str, epoch: int) -> bool:
+        """Whether ``host``'s edge link is down during ``epoch``."""
+        key = (host, epoch)
+        if key not in self._flaps:
+            session = self._plan.derived("fabric-flap", host, epoch).session()
+            self._flaps[key] = session.link_flap_faults()
+        return self._flaps[key]
+
+    def _cut(self, a: str, b: str, epoch: int) -> bool:
+        """Whether a seeded cut starting at most ``max_down_epochs``
+        back still holds the canonical pair's cable dark at ``epoch``."""
+        lookback = self._cut_spec.max_down_epochs
+        for e0 in range(max(0, epoch - lookback + 1), epoch + 1):
+            length = self._cuts.get((a, b, e0))
+            if length is None:
+                session = self._plan.derived("fabric-link", a, b, e0).session()
+                length = self._cuts[a, b, e0] = (
+                    max(1, session.link_down_epochs())
+                    if session.link_down_faults() else 0)
+            if length > epoch - e0:
+                return True
+        return False
+
+    def apply(self, tick: int) -> tuple[float, float]:
+        """Set every cable the run may move to its state at ``tick``'s
+        epoch, and return the half-open tick interval around ``tick``
+        over which no answer of this timeline can change.
+
+        An absolute, idempotent assignment, never a relative toggle, so
+        a late-admitted flow whose tick sits before the heap front still
+        sees exactly its own epoch's state, in any shard.  The interval
+        is one epoch while a flap or cut oracle is armed, else the
+        stretch between the flips around ``tick`` — all time when
+        nothing can move.
+        """
+        epoch = tick // FLAP_EPOCH_TICKS
+        for (a, b), (starts, ends) in self.pairs.items():
+            dark = bisect_right(starts, epoch) > bisect_right(ends, epoch) or (
+                self._cut_spec is not None and self._cut(a, b, epoch))
+            self._net.set_link_state(a, b, not dark)
+        if self._per_epoch:
+            start = epoch * FLAP_EPOCH_TICKS
+            return start, start + FLAP_EPOCH_TICKS
+        flips = self._flips
+        i = bisect_right(flips, epoch)
+        return (flips[i - 1] * FLAP_EPOCH_TICKS if i else -math.inf,
+                flips[i] * FLAP_EPOCH_TICKS if i < len(flips) else math.inf)
 
     def restore(self) -> None:
         """Bring every touched link back up (end-of-run tidiness)."""
@@ -676,15 +664,10 @@ class FlowEngine:
         #: The engine's share of ``report.batch`` (see :meth:`_batch_stats`).
         self._coalesced = dict.fromkeys(
             ("segments", "segment_packets", "splits", "wire_lost"), 0)
-        # Span cap: with the flap oracle disarmed and no link whose
-        # state this run may move, no per-epoch oracle can change its
-        # answer mid-segment — segments may span flap epochs and cover
-        # a flow direction's whole remaining burst.  (Loss and INT epoch
-        # attribution stay per-packet either way.)
-        self._flap = _FlapOracle(plan)
-        self._link_ctl = _LinkStateController(
-            topology, config.link_schedule, plan)
-        self._epoch_free = not self._flap.enabled and not self._link_ctl.pairs
+        self._links = _LinkTimeline(plan, config.link_schedule, network)
+        #: The tick interval over which the timeline's answers hold: an
+        #: event outside it applies the timeline, a span ends at its end.
+        self._steady = self._links.before
         self.collector = (IntCollector(topology.network)
                           if any(f.int_enabled for f in flows) else None)
 
@@ -769,11 +752,12 @@ class FlowEngine:
         carried, so a coalesced event never reaches the heap.
         """
         event = heapq.heappop(self._heap)[-1]
-        n = self._segment_span(event) if coalesce else 1
         if self.clock is not None:
             self.clock.advance_to(event.tick)
-        if not self._epoch_free:
-            self._link_ctl.apply(event.tick // FLAP_EPOCH_TICKS)
+        start, end = self._steady
+        if not start <= event.tick < end:  # a late flow can step back
+            self._steady = self._links.apply(event.tick)
+        n = self._segment_span(event) if coalesce else 1
         self._send(event, n)
         if n > 1:
             self._coalesced["segments"] += 1
@@ -794,8 +778,8 @@ class FlowEngine:
         """Carry the run of ``n`` consecutive packets the event heads
         (``n == 1``: the event's own packet) until every one is settled.
 
-        A run is only offered where every per-epoch oracle answers the
-        same for all ``n`` packets (:meth:`_segment_span`).  Its wire
+        A run is only offered where the link timeline answers the same
+        for all ``n`` packets (:meth:`_segment_span`).  Its wire
         outcomes are drawn first, in one ``link_transfers(n)`` on the
         flow's own session — the stream ``n`` single sends would draw,
         since nothing else draws from it in between — and never again:
@@ -817,7 +801,7 @@ class FlowEngine:
         dst = hosts[flow.src if event.is_response else flow.dst]
         tick = event.tick
         epoch = tick // FLAP_EPOCH_TICKS
-        if self._flap.enabled and self._flap.down(src.name, epoch):
+        if self._links.flapping and self._links.flap(src.name, epoch):
             # An armed flap oracle caps a run to one epoch, so booking
             # the whole run at its head's epoch is exact.
             record.attempted += n
@@ -888,8 +872,8 @@ class FlowEngine:
                 record.blackholed += m
                 lost = 1
             if lost or telemetered:
-                # A run may span flap epochs (the epoch-free case): loss and
-                # INT evidence are booked at each packet's own epoch.
+                # A run may span epochs where nothing flips: loss and INT
+                # evidence are booked at each packet's own epoch.
                 seqs, gap = left[:m], flow.gap_ticks
                 first = (tick + (seqs[0] - seq) * gap) // FLAP_EPOCH_TICKS
                 if first == (tick + (seqs[-1] - seq) * gap) // FLAP_EPOCH_TICKS:
@@ -913,20 +897,19 @@ class FlowEngine:
     def _segment_span(self, event: _Cursor) -> int:
         """How many consecutive packets this event may coalesce.
 
-        The remaining packets of the event's flow direction.  With an
-        armed flap oracle or non-static link state the span is capped
-        at the flap-epoch boundary: packet ``i`` of the segment sits at
-        ``tick + i * gap_ticks``, and every per-epoch oracle must
-        answer the same for all of them.  In the epoch-free case (no
-        flap, no link whose state the run may move: an empty schedule
-        or a zero cut rate moves none) nothing can change mid-segment
-        and the span covers the whole remaining burst.
+        The remaining packets of the event's flow direction that fall
+        inside the steady interval: packet ``i`` of the segment sits at
+        ``tick + i * gap_ticks``, and the link timeline must answer the
+        same for all of them.  The interval is one epoch under an armed
+        flap or cut oracle, runs to the next window flip under a
+        schedule alone, and is all time when nothing can move (an
+        empty schedule or a zero cut rate moves nothing) — then the
+        span covers the whole remaining burst.
         """
-        gap = event.flow.gap_ticks
-        if self._epoch_free or not gap:
-            return event.left  # gap 0: the whole direction shares a tick
-        epoch_end = (event.tick // FLAP_EPOCH_TICKS + 1) * FLAP_EPOCH_TICKS
-        return min(event.left, (epoch_end - 1 - event.tick) // gap + 1)
+        room = self._steady[1] - event.tick
+        if room > (event.left - 1) * event.flow.gap_ticks:
+            return event.left  # gap 0 too: the whole direction shares a tick
+        return (room - 1) // event.flow.gap_ticks + 1
 
     # -- introspection -------------------------------------------------
     @property
@@ -1029,8 +1012,7 @@ class FlowEngine:
             return self._report
         while self._heap:
             self._dispatch(self._batch)
-        if not self._epoch_free:
-            self._link_ctl.restore()
+        self._links.restore()
         self._report = FabricReport(
             topology=self.topology.key,
             workload=self.spec.key,

@@ -101,12 +101,6 @@ class FabricTopology:
     def host_names(self) -> list[str]:
         return sorted(self.hosts, key=lambda n: self.hosts[n].mac.value)
 
-    def host_by_mac(self, mac: MacAddr) -> Host | None:
-        for host in self.hosts.values():
-            if host.mac == mac:
-                return host
-        return None
-
     # ------------------------------------------------------------------
     # Link enumeration (what the E19 sweep driver iterates)
     # ------------------------------------------------------------------

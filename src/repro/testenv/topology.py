@@ -1184,10 +1184,6 @@ class Network:
         return out
 
     # ------------------------------------------------------------------
-    def delivered_at(self, device: str, port: int) -> list[bytes]:
-        want = Attachment(device, PortRef("phys", port))
-        return [d.frame for d in self.deliveries if d.at == want]
-
     def describe(self) -> str:
         lines = [f"network: {len(self._devices)} devices, "
                  f"{len(list(self.links()))} links"]

@@ -55,7 +55,7 @@ class PerPacketOracle(FlowEngine):
         dst = hosts[flow.src if event.is_response else flow.dst]
         tick = event.tick
         epoch = tick // FLAP_EPOCH_TICKS
-        if self._flap.enabled and self._flap.down(src.name, epoch):
+        if self._links.flapping and self._links.flap(src.name, epoch):
             # An armed flap oracle caps a run to one epoch, so booking
             # the whole run at its head's epoch is exact.
             record.attempted += n

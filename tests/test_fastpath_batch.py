@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fabric import DEFAULT_MAX_INFLIGHT, get_topology, run_sharded
-from repro.fabric.scheduler import FlowEngine, LinkSchedule, run_flows
+from repro.fabric.scheduler import (
+    FLAP_EPOCH_TICKS, FlowEngine, LinkSchedule, _LinkTimeline, run_flows)
 from repro.fabric.workload import WorkloadSpec
 from repro.faults import CtrlFaultSpec, FaultPlan, LinkStateSpec, get_plan
 from repro.faults import inject as arm_faults
@@ -199,20 +202,28 @@ class TestEngineFingerprint:
         return run_flows(get_topology("leaf-spine").build(),
                          self.WORKLOAD, kw.pop("plan", None), **kw)
 
-    @pytest.mark.parametrize(
-        "plan_name", (None, "lossy-link", "black-hole", "flaky-fabric"))
-    def test_outcome_neutral_grid_is_one_run(self, plan_name):
+    @pytest.mark.parametrize("plan_name, schedule", (
+        (None, None), ("lossy-link", None), ("black-hole", None),
+        ("flaky-fabric", None), ("frr-chaos", None),
+        (None, LinkSchedule((("spine0", "leaf0", 2, 5),
+                             ("leaf1", "spine1", 4, 7)))),
+    ), ids=("None", "lossy-link", "black-hole", "flaky-fabric", "frr-chaos",
+            "link-schedule"))
+    def test_outcome_neutral_grid_is_one_run(self, plan_name, schedule):
         """``fastpath``, ``batch``, ``max_inflight`` and the shard count
         decide how a run executes, never what it computes: every point
         of the grid reproduces the per-packet reference's fingerprint,
         per-flow records and loss curve — on clean wires, under
         retransmitted loss (``lossy-link``), under permanent loss that
-        gates responses (``black-hole``) and under loss plus edge flaps
-        (``flaky-fabric``)."""
+        gates responses (``black-hole``), under loss plus edge flaps
+        (``flaky-fabric``), under seeded cable cuts (``frr-chaos``) and
+        under scripted windows.  At ``max_inflight=1`` a late-admitted
+        flow's first tick can lie before the interval the link timeline
+        last answered for: it must be applied again."""
         spec = get_topology("leaf-spine")
         plan = plan_name and get_plan(plan_name, seed=4)
-        reference = run_sharded(spec, self.WORKLOAD, plan,
-                                fastpath=False, batch=False)
+        reference = run_sharded(spec, self.WORKLOAD, plan, fastpath=False,
+                                batch=False, link_schedule=schedule)
         runs = {}
         for point in itertools.product(
                 (True, False), (True, False), (1, DEFAULT_MAX_INFLIGHT),
@@ -220,7 +231,8 @@ class TestEngineFingerprint:
             fastpath, batch, max_inflight, shards = point
             run = runs[point] = run_sharded(
                 spec, self.WORKLOAD, plan, shards=shards, parallel=False,
-                fastpath=fastpath, batch=batch, max_inflight=max_inflight)
+                fastpath=fastpath, batch=batch, max_inflight=max_inflight,
+                link_schedule=schedule)
             assert run.fingerprint() == reference.fingerprint(), point
             assert run.records == reference.records, point
             assert run.loss_by_epoch == reference.loss_by_epoch, point
@@ -228,7 +240,7 @@ class TestEngineFingerprint:
         on = runs[True, True, DEFAULT_MAX_INFLIGHT, 1]
         assert on.batch["segment_packets"] > 0
         assert on.batch["replayed_packets"] > 0
-        if plan is None:  # prewarmed, nothing mutated: nothing split
+        if plan is None and schedule is None:  # prewarmed, nothing mutated
             assert on.batch["splits"] == 0
         # batch needs the flow cache; without it the tier stands down
         uncached = runs[False, True, DEFAULT_MAX_INFLIGHT, 1]
@@ -299,13 +311,16 @@ class TestEngineFingerprint:
         pytest.param(FaultPlan("no-cuts", seed=5,
                                link_state=LinkStateSpec(down_rate=0)),
                      {}, id="a zero cut rate"),
+        pytest.param(None, {"link_schedule": LinkSchedule(
+            (("spine0", "leaf0", 40, 44),))}, id="a window after the run"),
     ))
     def test_link_state_that_cannot_move_is_epoch_free(self, plan, options):
         """Mutant: decide "epoch-free" from whether a schedule or a cut
-        spec was passed, not from whether any link may move.  Neither
-        input moves a link, so bursts coalesce across flap epochs as on
-        a run with neither — the same segments — and the run still
-        fingerprints as the per-packet reference."""
+        spec was passed, not from whether any link may move.  No input
+        moves a link during the run (the run's last packet sits in
+        epoch 11, before the window opens), so bursts coalesce across
+        flap epochs as on a run with neither — the same segments — and
+        the run still fingerprints as the per-packet reference."""
         workload = WorkloadSpec(flows=40, packets_per_flow=64, seed=3,
                                 window_ticks=64)
         topo = get_topology("leaf-spine")
@@ -343,23 +358,90 @@ class TestEngineFingerprint:
         assert on.fastpath["path_misses"] < 81 and on.batch["splits"] < 39
         assert per_packet.fastpath["path_misses"] < 69
 
-    def test_the_link_controller_answers_as_the_schedule_does(self):
-        """The controller indexes the windows by canonical pair once;
-        the schedule's own events stay the specification."""
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_the_link_timeline_answers_as_the_schedule_and_the_seeds_do(
+            self, data):
+        """The timeline against a reference written from the schedule's
+        own events and from the seeded cuts' ``fabric-link`` draws,
+        expanded forward from every start epoch: the cable state after
+        any ``apply``, in any tick order, and the interval it returns —
+        it holds the tick, no window opens or closes strictly inside
+        it, and it is one epoch while an oracle is armed, the stretch
+        between two window edges under a schedule alone and all time
+        when nothing can move."""
         topology = get_topology("abilene").build()
-        links = [(a, b) for a, _, b, _ in topology.links()[:3]]
-        schedule = LinkSchedule(tuple(  # ends reversed, windows abutting
-            (b, a, 1 + i + 4 * k, 3 + i + 4 * k)
-            for i, (a, b) in enumerate(links) for k in range(3)))
-        assert schedule.pairs() == sorted(links)
-        engine = FlowEngine(topology, WorkloadSpec(flows=1),
-                            link_schedule=schedule)
-        for epoch in (0, 5, 2, *range(16)):  # absolute, in any order
-            engine._link_ctl.apply(epoch)
-            dark = {frozenset(event[:2]) for event in schedule.events
-                    if event[2] <= epoch < event[3]}
-            assert [topology.network.link_is_up(a, b) for a, b in links] \
-                == [frozenset(link) not in dark for link in links]
+        network, host = topology.network, topology.host_names()[0]
+        links = sorted((a.device, b.device) for a, b in network.links())
+        events = data.draw(st.lists(st.tuples(
+            st.sampled_from(links[:4]), st.booleans(),  # ends reversed
+            st.integers(0, 12), st.integers(-2, 6)), max_size=6))
+        schedule = LinkSchedule(tuple(
+            ((b, a) if swap else (a, b)) + (start, start + length)
+            for (a, b), swap, start, length in events))
+        cut_rate = data.draw(st.sampled_from((0, 0.2)))
+        flap_rate = data.draw(st.sampled_from((0, 0.3)))
+        plan = FaultPlan(
+            "timeline", seed=data.draw(st.integers(0, 999)),
+            link_state=LinkStateSpec(down_rate=cut_rate, max_down_epochs=3),
+            ctrl=CtrlFaultSpec(flap_rate=flap_rate) if flap_rate else None)
+        ticks = data.draw(st.lists(
+            st.integers(0, 20 * FLAP_EPOCH_TICKS), min_size=1, max_size=12))
+
+        dark = [(frozenset(event[:2]), event[2], event[3])
+                for event in schedule.events]
+        if cut_rate:
+            for a, b in links:
+                for e0 in range(max(ticks) // FLAP_EPOCH_TICKS + 1):
+                    session = plan.derived("fabric-link", a, b, e0).session()
+                    if session.link_down_faults():
+                        length = max(1, session.link_down_epochs())
+                        dark.append((frozenset((a, b)), e0, e0 + length))
+        edges = {edge for *_, down, up in schedule.events if down < up
+                 for edge in (down, up)}  # an empty window never opens
+        timeline = _LinkTimeline(plan, schedule, network)
+        try:
+            for tick in ticks:
+                start, end = timeline.apply(tick)
+                epoch = tick // FLAP_EPOCH_TICKS
+                assert [network.link_is_up(a, b) for a, b in links] == [
+                    not any(pair == {a, b} and down <= epoch < up
+                            for pair, down, up in dark)
+                    for a, b in links], tick
+                assert start <= tick < end
+                assert not any(start < edge * FLAP_EPOCH_TICKS < end
+                               for edge in edges)
+                if cut_rate or flap_rate:
+                    assert (start, end) == (epoch * FLAP_EPOCH_TICKS,
+                                            (epoch + 1) * FLAP_EPOCH_TICKS)
+                else:  # bounded only by window edges
+                    assert {start, end} <= {edge * FLAP_EPOCH_TICKS
+                                             for edge in edges} | {
+                        -math.inf, math.inf}
+                if flap_rate:
+                    assert timeline.flap(host, epoch) == plan.derived(
+                        "fabric-flap", host, epoch).session() \
+                        .link_flap_faults()
+        finally:
+            timeline.restore()
+        assert timeline.flapping == bool(flap_rate)
+        if not (events or cut_rate or flap_rate):
+            assert timeline.before == (-math.inf, math.inf)
+
+    def test_the_report_brings_every_moved_link_back_up(self):
+        """A run that ends inside a window leaves its cable dark until
+        the report, which restores every cable the run may move — the
+        replica is handed on (the next inline partition prewarms on
+        it) with the links it was built with."""
+        topology = get_topology("leaf-spine").build()
+        network = topology.network
+        engine = FlowEngine(topology, self.WORKLOAD, link_schedule=(
+            LinkSchedule((("spine0", "leaf0", 2, 1000),))))
+        engine.run()
+        assert not network.link_is_up("spine0", "leaf0")
+        engine.report()
+        assert all(network.link_is_up(a.device, b.device)
+                   for a, b in network.links())
 
     def test_shards_sum_what_the_cuts_dropped(self, partitions):
         """The inline partitions take turns on one replica, each going
