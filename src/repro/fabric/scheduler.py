@@ -250,45 +250,6 @@ class FabricReport:
                                sorted(self.records, key=lambda r: r.flow_id)]
         return out
 
-    # -- telemetry -----------------------------------------------------
-    def feed(self, registry) -> None:
-        """Publish the run's stats into a telemetry MetricsRegistry.
-
-        All fabric series are cycle-independent (they describe delivered
-        work, not pipeline timing), so they join the sim/hw parity set.
-        """
-        outcomes = registry.counter(
-            "fabric_packets_total",
-            "Fabric packets by final outcome",
-            labelnames=("outcome",),
-        )
-        for name in ("delivered", *LOSS_FIELDS, "misdelivered"):
-            count = self._total(name)
-            if count:
-                outcomes.labels(name).inc(count)
-        registry.counter(
-            "fabric_bytes_delivered_total", "Payload bytes delivered",
-        ).inc(self._total("bytes_delivered"))
-        registry.counter(
-            "fabric_flows_total", "Flows carried by fabric runs",
-        ).inc(len(self.records))
-        forwarded = registry.counter(
-            "fabric_device_forwarded_total",
-            "Packets each fabric device forwarded",
-            labelnames=("device",),
-        )
-        for device, count in sorted(self.device_forwarded.items()):
-            if count:
-                forwarded.labels(device).inc(count)
-        hops = registry.histogram(
-            "fabric_delivery_hops",
-            "Device hops per delivered packet",
-            buckets=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0),
-            cycle_dependent=False,
-        )
-        for hop, count in sorted(self.hops_hist.items()):
-            hops.observe(float(hop), count)
-
 
 # ----------------------------------------------------------------------
 # Fabric link state: scripted windows and seeded cuts, both pure

@@ -315,14 +315,16 @@ class ShellSession:
     def metrics(self) -> dict[str, float]:
         """The run's telemetry series, as a registry snapshot.
 
-        A finished run feeds its full report; an active run publishes
+        A finished run publishes its full report through
+        :func:`~repro.telemetry.probe_fabric`; an active run publishes
         its live progress counters under the same namespace.
         """
-        from repro.telemetry.registry import MetricsRegistry
+        from repro.telemetry import TelemetrySession, probe_fabric
 
-        registry = MetricsRegistry()
+        session = TelemetrySession()
+        registry = session.registry
         if self._report is not None:
-            self._report.feed(registry)
+            probe_fabric(self._report, session)
         elif self.engine is not None:
             snap = self.engine.snapshot()
             progress = registry.counter(

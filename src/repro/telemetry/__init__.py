@@ -11,9 +11,9 @@ and this package gives every layer one uniform way to be measured:
 * :class:`TraceRecorder` — a bounded flight recorder of typed events
   stamped in the executing target's clock domain (sim cycles / wall ns),
   exportable as Chrome ``trace_event`` JSON;
-* :class:`PipelineProbes` / :class:`ProbedChannel` and the
-  ``probe_dma`` / ``probe_driver`` / ``probe_faults`` hooks — passive,
-  interface-preserving observation of a live design;
+* :class:`PipelineProbes` and the ``probe_dma`` / ``probe_driver`` /
+  ``probe_faults`` hooks — passive, interface-preserving observation of
+  a live design;
 * :class:`TelemetrySession` — one run's registry+trace pair, snapshotted
   into a :class:`TelemetrySnapshot` whose cycle-independent subset must
   agree between the ``sim`` and ``hw`` targets.
@@ -24,7 +24,7 @@ Quickstart::
 
     result = run_test(my_test, "sim", telemetry=True)
     print(result.telemetry.counters["port_packets_out{port=\\"nf1\\"}"])
-    # or from the shell:  nf-mon dump --project reference_switch
+    # or from the shell:  nf-mon dump --scenario switch_learn_and_forward
 """
 
 from repro.telemetry.registry import (
@@ -36,7 +36,6 @@ from repro.telemetry.registry import (
 )
 from repro.telemetry.probes import (
     PipelineProbes,
-    ProbedChannel,
     probe_dma,
     probe_driver,
     probe_fabric,
@@ -57,7 +56,6 @@ __all__ = [
     "MetricsRegistry",
     "TelemetryError",
     "PipelineProbes",
-    "ProbedChannel",
     "probe_dma",
     "probe_driver",
     "probe_fabric",

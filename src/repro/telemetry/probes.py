@@ -8,6 +8,11 @@ event-driven side uses the same optional hook-attribute pattern the
 fault layer established (``DmaEngine.telemetry_hook``,
 ``NetFpgaDriver.event_hook``, ``FaultSession.on_fault``).
 
+Every series is declared one of two ways: :func:`_mirror` binds a live
+counter a module already keeps, :func:`_tally` publishes a finished
+run's post-hoc count (the histograms and the fault-hook counter are the
+only series observed by hand).
+
 Cost discipline: the registry mirrors live counters through snapshot-time
 callbacks (:meth:`~repro.telemetry.registry.Counter.bind`), so arming
 telemetry adds **zero** per-cycle cost for plain counting.  The only
@@ -20,9 +25,12 @@ fires trace events and latency observations only on change — measured at
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Optional
+from functools import partial
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.telemetry.registry import MetricsRegistry
     from repro.telemetry.session import TelemetrySession
 
 #: Cycles between occupancy gauge samples on the Chrome counter track.
@@ -32,45 +40,38 @@ OCCUPANCY_SAMPLE_CYCLES = 64
 LATENCY_BUCKETS = (2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 256, 512)
 
 
-class ProbedChannel:
-    """A passive per-cycle watcher over one AXI4-Stream channel.
+def _mirror(registry: "MetricsRegistry", kind: str, name: str, help: str,
+            read: Callable[[Any], float], over: Iterable[tuple[tuple, Any]],
+            labelnames: tuple[str, ...] = (),
+            cycle_dependent: bool = True) -> None:
+    """Register one family and bind each child to ``read(source)``.
 
-    Wraps (without replacing) a channel: packet-boundary transfers become
-    trace events and the channel's lifetime counters become registry
-    series.  ``observe(cycle)`` is the hot path; everything else is
-    arm-time setup.
+    ``over`` yields ``(label values, source)`` pairs; every child reads
+    its own source at snapshot time, never per cycle.
     """
+    family = getattr(registry, kind)(name, help, labelnames=labelnames,
+                                     cycle_dependent=cycle_dependent)
+    for values, source in over:
+        family.labels(*values).bind(partial(read, source))
 
-    __slots__ = ("channel", "name", "event_kind", "_trace", "_last_packets")
 
-    def __init__(self, channel: Any, name: str, event_kind: str, session):
-        self.channel = channel
-        self.name = name
-        self.event_kind = event_kind
-        self._trace = session.trace
-        self._last_packets = channel.packets_transferred
-        counters = session.registry.counter(
-            "chan_packets_total", "packets across a probed channel",
-            labelnames=("chan",), cycle_dependent=True,
-        )
-        counters.labels(name).bind(lambda c=channel: c.packets_transferred)
-        session.registry.counter(
-            "chan_beats_total", "beats across a probed channel",
-            labelnames=("chan",), cycle_dependent=True,
-        ).labels(name).bind(lambda c=channel: c.beats_transferred)
-        session.registry.counter(
-            "chan_stall_cycles_total", "valid-but-not-ready cycles",
-            labelnames=("chan",), cycle_dependent=True,
-        ).labels(name).bind(lambda c=channel: c.stall_cycles)
+def _tally(registry: "MetricsRegistry", name: str, help: str,
+           label: Optional[str], counts: dict,
+           keep_zero: bool = False) -> None:
+    """Publish a finished run's ``{label value: count}`` tally.
 
-    def observe(self, cycle: int) -> bool:
-        """True when a packet completed on this channel this cycle."""
-        packets = self.channel.packets_transferred
-        if packets == self._last_packets:
-            return False
-        self._last_packets = packets
-        self._trace.emit(self.event_kind, self.name, ts=cycle)
-        return True
+    A tally describes delivered work, not pipeline timing, so it is
+    cycle-independent and joins the sim/hw parity set.  A zero count
+    publishes no child unless ``keep_zero``; with ``label=None`` the
+    family is unlabelled and ``counts`` holds its one value under
+    ``None``.
+    """
+    labelnames = (label,) if label else ()
+    family = registry.counter(name, help, labelnames=labelnames,
+                              cycle_dependent=False)
+    for value, count in counts.items():
+        if count or keep_zero:
+            (family.labels(value) if label else family).inc(count)
 
 
 class PipelineProbes:
@@ -92,50 +93,44 @@ class PipelineProbes:
         self.occupancy_sample_cycles = occupancy_sample_cycles
         registry = session.registry
 
-        # rx_/tx_ prefixes match the StatsCollector's channel labels and
-        # keep the per-direction registry children distinct.
-        self._rx = [
-            ProbedChannel(project.rx[p], f"rx_{p}", "packet_in", session)
-            for p in project.ports
-        ]
-        self._tx = [
-            ProbedChannel(project.tx[p], f"tx_{p}", "packet_out", session)
-            for p in project.ports
-        ]
-        self._arb_out = ProbedChannel(
-            project.opl.s_axis, "arb_to_opl", "arbiter_grant", session
-        )
-        self._opl_out = ProbedChannel(
-            project.oq.s_axis, "opl_to_oq", "queue_enq", session
-        )
-        # Hot-path mirrors of the probes above: mutable scan records
+        # Every probed channel by name: rx_/tx_ prefixes match the
+        # StatsCollector's channel labels and keep the per-direction
+        # registry children distinct.
+        rx = [(f"rx_{p}", project.rx[p]) for p in project.ports]
+        tx = [(f"tx_{p}", project.tx[p]) for p in project.ports]
+        self._arb_chan = project.opl.s_axis
+        self._oplout_chan = project.oq.s_axis
+        channels = [*rx, *tx, ("arb_to_opl", self._arb_chan),
+                    ("opl_to_oq", self._oplout_chan)]
+        for name, help, attr in (
+            ("chan_packets_total", "packets across a probed channel",
+             "packets_transferred"),
+            ("chan_beats_total", "beats across a probed channel",
+             "beats_transferred"),
+            ("chan_stall_cycles_total", "valid-but-not-ready cycles",
+             "stall_cycles"),
+        ):
+            _mirror(registry, "counter", name, help, attrgetter(attr),
+                    [((n,), c) for n, c in channels], ("chan",))
+        # Hot-path scan records over the same channels: mutable
         # ``[channel, last_packets, name, oq_index]`` so the per-cycle
         # scan is plain attribute compares — no per-channel method calls,
         # no enumerate tuples.
-        self._rx_scan = [
-            [p.channel, p.channel.packets_transferred, p.name] for p in self._rx
-        ]
+        self._rx_scan = [[c, c.packets_transferred, n] for n, c in rx]
         self._tx_scan = [
-            [p.channel, p.channel.packets_transferred, p.name, i]
-            for i, p in enumerate(self._tx)
+            [c, c.packets_transferred, n, i] for i, (n, c) in enumerate(tx)
         ]
-        self._arb_chan = self._arb_out.channel
         self._arb_last = self._arb_chan.packets_transferred
-        self._oplout_chan = self._opl_out.channel
         self._oplout_last = self._oplout_chan.packets_transferred
 
         # Arbiter grant attribution: which input won the last packet.
         arbiter = project.arbiter
         self._arbiter = arbiter
         self._grants_last = list(arbiter.packets_in)
-        grant_counter = registry.counter(
-            "arbiter_grants_total", "packet grants per ingress port",
-            labelnames=("port",), cycle_dependent=True,
-        )
-        for i, port in enumerate(project.ports):
-            grant_counter.labels(str(port)).bind(
-                lambda a=arbiter, i=i: a.packets_in[i]
-            )
+        _mirror(registry, "counter", "arbiter_grants_total",
+                "packet grants per ingress port",
+                lambda i: arbiter.packets_in[i],
+                [((p,), i) for i, p in enumerate(project.ports)], ("port",))
 
         # Output queues: per-port admission ledger + occupancy gauges.
         oq = project.oq
@@ -143,49 +138,38 @@ class PipelineProbes:
         self._port_names = [str(p) for p in project.ports]
         self._oq_enq_last = [ps.enqueued for ps in oq.ports]
         self._oq_drop_last = [ps.dropped for ps in oq.ports]
-        for label, attr in (
-            ("oq_enqueued_total", "enqueued"),
-            ("oq_dequeued_total", "dequeued"),
-            ("oq_dropped_total", "dropped"),
-            ("oq_ecn_marked_total", "ecn_marked"),
-        ):
-            fam = registry.counter(
-                label, f"output-queue {attr} packets per port",
-                labelnames=("port",), cycle_dependent=True,
-            )
-            for name, ps in zip(self._port_names, oq.ports):
-                fam.labels(name).bind(lambda p=ps, a=attr: getattr(p, a))
-        occupancy = registry.gauge(
-            "oq_occupancy_bytes", "buffered bytes per egress port",
-            labelnames=("port",), cycle_dependent=True,
-        )
-        watermark = registry.gauge(
-            "oq_high_watermark_bytes", "peak buffered bytes per egress port",
-            labelnames=("port",), cycle_dependent=True,
-        )
-        for name, ps in zip(self._port_names, oq.ports):
-            occupancy.labels(name).bind(lambda p=ps: sum(p.occupancy))
-            watermark.labels(name).bind(lambda p=ps: p.high_watermark)
+        ports = [((n,), ps) for n, ps in zip(self._port_names, oq.ports)]
+        for attr in ("enqueued", "dequeued", "dropped", "ecn_marked"):
+            _mirror(registry, "counter", f"oq_{attr}_total",
+                    f"output-queue {attr} packets per port",
+                    attrgetter(attr), ports, ("port",))
+        _mirror(registry, "gauge", "oq_occupancy_bytes",
+                "buffered bytes per egress port",
+                lambda p: sum(p.occupancy), ports, ("port",))
+        _mirror(registry, "gauge", "oq_high_watermark_bytes",
+                "peak buffered bytes per egress port",
+                attrgetter("high_watermark"), ports, ("port",))
 
         # OPL decision ledger mirrored from the core's own counters.
-        registry.counter(
-            "opl_packets_total", "packets through the output-port lookup",
-            cycle_dependent=True,
-        ).bind(lambda o=project.opl: o.packets)
-        registry.counter(
-            "opl_drops_total", "packets dropped by the lookup decision",
-            cycle_dependent=True,
-        ).bind(lambda o=project.opl: o.drops)
+        opl = [((), project.opl)]
+        _mirror(registry, "counter", "opl_packets_total",
+                "packets through the output-port lookup",
+                attrgetter("packets"), opl)
+        _mirror(registry, "counter", "opl_drops_total",
+                "packets dropped by the lookup decision",
+                attrgetter("drops"), opl)
 
         # Latency probes: OPL transit and per-port queue wait.
         self._opl_latency = registry.histogram(
-            "opl_latency_cycles", "arbiter-egress to OQ-ingress packet latency",
+            "opl_latency_cycles",
+            "arbiter-egress to OQ-ingress packet latency",
             buckets=LATENCY_BUCKETS, cycle_dependent=True,
         ).labels()
         self._opl_inflight: deque[int] = deque()
         wait = registry.histogram(
             "oq_wait_cycles", "enqueue-to-egress wait per port",
-            labelnames=("port",), buckets=LATENCY_BUCKETS, cycle_dependent=True,
+            labelnames=("port",), buckets=LATENCY_BUCKETS,
+            cycle_dependent=True,
         )
         self._oq_wait = [wait.labels(name) for name in self._port_names]
         self._oq_entered: list[deque[int]] = [deque() for _ in oq.ports]
@@ -198,9 +182,9 @@ class PipelineProbes:
         """Observe one settled cycle; called via ``Simulator.add_cycle_hook``.
 
         The common case — no packet boundary anywhere this cycle — must
-        stay a flat loop of integer compares over the hot-path mirrors,
-        which is why the :class:`ProbedChannel` objects are not consulted
-        here (they exist for arm-time registry wiring).
+        stay a flat loop of integer compares over the scan records; the
+        channels' registry series are snapshot-time bindings, never read
+        here.
         """
         emit = self.trace.emit
 
@@ -278,6 +262,8 @@ class PipelineProbes:
             callback(cycle)
 
 
+
+
 # ----------------------------------------------------------------------
 # Event-driven ("hw"-domain) probes: board, driver, faults
 # ----------------------------------------------------------------------
@@ -288,17 +274,19 @@ def probe_dma(dma: Any, session: "TelemetrySession") -> None:
     (stamped with the engine's simulated event time); ring depth and
     frame totals become registry series, snapshot-backed as always.
     """
-    registry = session.registry
-    registry.counter("dma_tx_frames_total", "frames the engine transmitted",
-                     cycle_dependent=True).bind(lambda d=dma: d.tx_frames)
-    registry.counter("dma_rx_frames_total", "frames the engine received",
-                     cycle_dependent=True).bind(lambda d=dma: d.rx_frames)
-    registry.counter("dma_msi_total", "MSI interrupts fired",
-                     cycle_dependent=True).bind(lambda d=dma: d.msi_fired)
-    registry.gauge("dma_tx_ring_occupancy", "posted TX descriptors pending"
-                   ).bind(lambda d=dma: d.tx_ring.occupancy)
-    registry.gauge("dma_rx_ring_space", "free RX descriptors posted"
-                   ).bind(lambda d=dma: d.rx_ring.occupancy)
+    for kind, name, help, attr in (
+        ("counter", "dma_tx_frames_total", "frames the engine transmitted",
+         "tx_frames"),
+        ("counter", "dma_rx_frames_total", "frames the engine received",
+         "rx_frames"),
+        ("counter", "dma_msi_total", "MSI interrupts fired", "msi_fired"),
+        ("gauge", "dma_tx_ring_occupancy", "posted TX descriptors pending",
+         "tx_ring.occupancy"),
+        ("gauge", "dma_rx_ring_space", "free RX descriptors posted",
+         "rx_ring.occupancy"),
+    ):
+        _mirror(session.registry, kind, name, help, attrgetter(attr),
+                [((), dma)])
     trace = session.trace
     event_for = {
         "doorbell": "dma_doorbell",
@@ -316,22 +304,20 @@ def probe_dma(dma: Any, session: "TelemetrySession") -> None:
 def probe_driver(driver: Any, session: "TelemetrySession") -> None:
     """Mirror a host driver's self-healing ledger and recovery events."""
     registry = session.registry
-    recovery = registry.counter(
-        "driver_recovery_total", "driver self-healing repairs by kind",
-        labelnames=("kind",), cycle_dependent=True,
-    )
-    for name in driver.recovery.as_dict():
-        recovery.labels(name).bind(
-            lambda d=driver, n=name: getattr(d.recovery, n)
-        )
-    registry.counter("driver_mmio_reads_total", "MMIO register reads",
-                     cycle_dependent=True).bind(lambda d=driver: d.mmio_reads)
-    registry.counter("driver_mmio_writes_total", "MMIO register writes",
-                     cycle_dependent=True).bind(lambda d=driver: d.mmio_writes)
-    registry.counter("driver_tx_frames_total", "frames handed to the TX ring",
-                     cycle_dependent=True).bind(lambda d=driver: d.tx_sent)
-    registry.counter("driver_rx_frames_total", "frames harvested from the RX ring",
-                     cycle_dependent=True).bind(lambda d=driver: d.rx_received)
+    _mirror(registry, "counter", "driver_recovery_total",
+            "driver self-healing repairs by kind",
+            lambda n: getattr(driver.recovery, n),
+            [((n,), n) for n in driver.recovery.as_dict()], ("kind",))
+    for name, help, attr in (
+        ("driver_mmio_reads_total", "MMIO register reads", "mmio_reads"),
+        ("driver_mmio_writes_total", "MMIO register writes", "mmio_writes"),
+        ("driver_tx_frames_total", "frames handed to the TX ring",
+         "tx_sent"),
+        ("driver_rx_frames_total", "frames harvested from the RX ring",
+         "rx_received"),
+    ):
+        _mirror(registry, "counter", name, help, attrgetter(attr),
+                [((), driver)])
     trace = session.trace
 
     def hook(event: str) -> None:
@@ -361,13 +347,37 @@ def probe_fabric(report: Any, session: "TelemetrySession") -> None:
     """Publish a finished fabric run into a telemetry session.
 
     Fabric runs are transaction-level and post-hoc: there is no hot loop
-    to hook, so the probe simply feeds the
+    to hook, so the probe tallies the
     :class:`~repro.fabric.FabricReport`'s order-independent aggregates
-    into the registry (all ``cycle_dependent=False`` — they describe
-    delivered work, so they join the sim/hw parity set) and emits one
-    trace span per run for the timeline view.
+    (per-outcome packets, payload bytes, flows, per-device forwarding
+    and the delivery-hop histogram — all ``cycle_dependent=False``: they
+    describe delivered work, so they join the sim/hw parity set) and
+    emits one trace span per run for the timeline view.
     """
-    report.feed(session.registry)
+    from repro.fabric.scheduler import LOSS_FIELDS
+
+    registry = session.registry
+    records = report.records
+
+    def total(field: str) -> int:
+        return sum(getattr(r, field) for r in records)
+
+    _tally(registry, "fabric_packets_total", "Fabric packets by final outcome",
+           "outcome", {name: total(name) for name in
+                       ("delivered", *LOSS_FIELDS, "misdelivered")})
+    _tally(registry, "fabric_bytes_delivered_total", "Payload bytes delivered",
+           None, {None: total("bytes_delivered")}, keep_zero=True)
+    _tally(registry, "fabric_flows_total", "Flows carried by fabric runs",
+           None, {None: len(records)}, keep_zero=True)
+    _tally(registry, "fabric_device_forwarded_total",
+           "Packets each fabric device forwarded", "device",
+           report.device_forwarded)
+    hops = registry.histogram(
+        "fabric_delivery_hops", "Device hops per delivered packet",
+        buckets=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0), cycle_dependent=False,
+    )
+    for hop, count in sorted(report.hops_hist.items()):
+        hops.observe(float(hop), count)
     session.trace.emit(
         "fabric_run",
         f"{report.topology}:{report.workload}@{report.shards}",
@@ -389,27 +399,16 @@ def probe_int(report: Any, session: "TelemetrySession") -> None:
     if not isinstance(summary, dict):
         return
     registry = session.registry
-    outcomes = registry.counter(
-        "int_packets_total", "INT packets by receiver-observed outcome",
-        labelnames=("outcome",), cycle_dependent=False,
-    )
-    for outcome in ("packets", "delivered", "lost", "blackholes",
-                    "overflows"):
-        count = summary.get(outcome, 0)
-        if count:
-            outcomes.labels(outcome).inc(count)
-    reroutes = registry.counter(
-        "int_reroutes_total", "FRR-flagged stamps per rerouting device",
-        labelnames=("device",), cycle_dependent=False,
-    )
-    for device, count in summary.get("reroutes", {}).items():
-        reroutes.labels(device).inc(count)
-    links = registry.counter(
-        "int_reroute_links_total", "reroutes attributed to a failed link",
-        labelnames=("link",), cycle_dependent=False,
-    )
-    for link, count in summary.get("reroute_links", {}).items():
-        links.labels(link).inc(count)
+    _tally(registry, "int_packets_total",
+           "INT packets by receiver-observed outcome", "outcome",
+           {outcome: summary.get(outcome, 0) for outcome in
+            ("packets", "delivered", "lost", "blackholes", "overflows")})
+    _tally(registry, "int_reroutes_total",
+           "FRR-flagged stamps per rerouting device", "device",
+           summary.get("reroutes", {}), keep_zero=True)
+    _tally(registry, "int_reroute_links_total",
+           "reroutes attributed to a failed link", "link",
+           summary.get("reroute_links", {}), keep_zero=True)
     latency = registry.histogram(
         "int_hop_latency_cycles", "per-hop latency from stamp deltas",
         labelnames=("device",),
@@ -418,9 +417,7 @@ def probe_int(report: Any, session: "TelemetrySession") -> None:
     )
     for key, count in summary.get("hop_latency", {}).items():
         device, _, cycles = key.rpartition(":")
-        child = latency.labels(device)
-        for _ in range(count):
-            child.observe(float(cycles))
+        latency.labels(device).observe(float(cycles), count)
 
 
 def probe_fastpath(network: Any, session: "TelemetrySession") -> None:
@@ -435,35 +432,26 @@ def probe_fastpath(network: Any, session: "TelemetrySession") -> None:
     being waived from it.
     """
     registry = session.registry
-    events = registry.counter(
-        "fastpath_events_total", "flow-cache lookups by outcome",
-        labelnames=("device", "event"), cycle_dependent=False,
-    )
-    entries = registry.gauge(
-        "fastpath_entries", "entries resident per flow cache",
-        labelnames=("device",), cycle_dependent=False,
-    )
-    for name in network.device_names():
-        cache = getattr(network.device(name), "fastpath", None)
-        if cache is None:
-            continue
-        for event, attr in (("hit", "hits"), ("miss", "misses"),
-                            ("invalidation", "invalidations"),
-                            ("bypass", "bypasses")):
-            events.labels(name, event).bind(
-                lambda c=cache, a=attr: getattr(c, a)
-            )
-        entries.labels(name).bind(lambda c=cache: len(c.entries))
-    for event, attr in (("hit", "path_hits"), ("miss", "path_misses"),
-                        ("invalidation", "path_invalidations"),
-                        ("dropped", "path_dropped"),
-                        ("revalidated", "path_revalidated"),
-                        ("bypass", "path_bypasses"),
-                        ("shared", "path_shared")):
-        events.labels("net", event).bind(
-            lambda n=network, a=attr: getattr(n, a)
-        )
-    entries.labels("net").bind(lambda n=network: n.path_entries)
+    caches = [((name,), cache) for name in network.device_names()
+              if (cache := getattr(network.device(name), "fastpath", None))
+              is not None]
+    events = [((name, event), (cache, attr)) for (name,), cache in caches
+              for event, attr in (("hit", "hits"), ("miss", "misses"),
+                                  ("invalidation", "invalidations"),
+                                  ("bypass", "bypasses"))]
+    events += [(("net", event), (network, attr)) for event, attr in (
+        ("hit", "path_hits"), ("miss", "path_misses"),
+        ("invalidation", "path_invalidations"), ("dropped", "path_dropped"),
+        ("revalidated", "path_revalidated"), ("revived", "path_revived"),
+        ("bypass", "path_bypasses"), ("shared", "path_shared"))]
+    _mirror(registry, "counter", "fastpath_events_total",
+            "flow-cache lookups by outcome", lambda pair: getattr(*pair),
+            events, ("device", "event"), cycle_dependent=False)
+    _mirror(registry, "gauge", "fastpath_entries",
+            "entries resident per flow cache",
+            lambda c: c.path_entries if c is network else len(c.entries),
+            [*caches, (("net",), network)], ("device",),
+            cycle_dependent=False)
 
 
 def probe_shard(report: Any, session: "TelemetrySession") -> None:
@@ -482,13 +470,8 @@ def probe_shard(report: Any, session: "TelemetrySession") -> None:
     supervision = getattr(report, "supervision", None)
     if not supervision:
         return
-    events = session.registry.counter(
-        "shard_events_total", "shard supervisor events by kind",
-        labelnames=("event",), cycle_dependent=False,
-    )
-    for event, count in sorted(supervision.items()):
-        if count:
-            events.labels(event).inc(count)
+    _tally(session.registry, "shard_events_total",
+           "shard supervisor events by kind", "event", supervision)
     session.trace.emit(
         "shard_supervised",
         f"{report.topology}:{report.workload}@{report.shards}",
@@ -506,30 +489,21 @@ def probe_frr(network: Any, session: "TelemetrySession") -> None:
     function of (traffic, tables, link state), so sim and hw runs of the
     same scenario must agree — the FRR ledger joins the parity set.
     """
-    registry = session.registry
-    reroutes = registry.counter(
-        "frr_reroutes_total", "packets forwarded via the backup next-hop",
-        labelnames=("device",), cycle_dependent=False,
-    )
-    blackholed = registry.counter(
-        "frr_blackholed_total", "packets dropped with primary down, no backup",
-        labelnames=("device",), cycle_dependent=False,
-    )
-    liveness = registry.gauge(
-        "frr_port_liveness", "one-hot bitmap of live physical ports",
-        labelnames=("device",), cycle_dependent=False,
-    )
-    for name in network.device_names():
-        opl = getattr(network.device(name), "opl", None)
-        if opl is None:
-            continue
-        reroutes.labels(name).bind(
-            lambda o=opl: o.counters.get("frr_reroute", 0)
-        )
-        blackholed.labels(name).bind(
-            lambda o=opl: o.counters.get("frr_blackhole", 0)
-        )
-        liveness.labels(name).bind(lambda o=opl: o.port_liveness)
+    opls = [((name,), opl) for name in network.device_names()
+            if (opl := getattr(network.device(name), "opl", None))
+            is not None]
+    for kind, name, help, read in (
+        ("counter", "frr_reroutes_total",
+         "packets forwarded via the backup next-hop",
+         lambda o: o.counters.get("frr_reroute", 0)),
+        ("counter", "frr_blackholed_total",
+         "packets dropped with primary down, no backup",
+         lambda o: o.counters.get("frr_blackhole", 0)),
+        ("gauge", "frr_port_liveness", "one-hot bitmap of live physical ports",
+         attrgetter("port_liveness")),
+    ):
+        _mirror(session.registry, kind, name, help, read, opls, ("device",),
+                cycle_dependent=False)
 
 
 #: The control plane's reconciliation/supervision ledger, mirrored into
@@ -563,18 +537,17 @@ def probe_resilience(plane: Any, session: "TelemetrySession") -> None:
     hook-attribute pattern as the driver and fault probes.
     """
     registry = session.registry
-    ledger = registry.counter(
-        "resilience_total", "control-plane reconciliation/supervision events",
-        labelnames=("event",),
-    )
-    for name in RESILIENCE_COUNTERS:
-        ledger.labels(name).bind(lambda p=plane, n=name: p.counters.get(n, 0))
-    registry.gauge(
-        "resilience_degraded", "1 while the breaker holds the plane degraded",
-    ).bind(lambda p=plane: 1 if p.degraded else 0)
-    registry.gauge(
-        "resilience_queued_mutations", "mutations parked awaiting recovery",
-    ).bind(lambda p=plane: len(p.queue))
+    _mirror(registry, "counter", "resilience_total",
+            "control-plane reconciliation/supervision events",
+            lambda n: plane.counters.get(n, 0),
+            [((n,), n) for n in RESILIENCE_COUNTERS], ("event",),
+            cycle_dependent=False)
+    _mirror(registry, "gauge", "resilience_degraded",
+            "1 while the breaker holds the plane degraded",
+            lambda p: 1 if p.degraded else 0, [((), plane)])
+    _mirror(registry, "gauge", "resilience_queued_mutations",
+            "mutations parked awaiting recovery",
+            lambda p: len(p.queue), [((), plane)])
     trace = session.trace
     clock = trace.clock
 

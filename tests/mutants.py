@@ -1,0 +1,209 @@
+"""Named mutants: a re-runnable catalogue of bugs the suite must catch.
+
+Each :class:`Mutant` names one source file under ``src/``, an exact
+snippet in it, the snippet's replacement and the tests that must fail
+once the replacement is made.  The runner copies ``src/`` to a
+temporary directory, applies one mutant there, and runs only that
+mutant's tests against the copy; it never edits the checkout.
+
+    PYTHONPATH=src python -m tests.mutants
+
+A mutant is *caught* when every test it names fails.  The run fails
+when any mutant survives, when a named test already fails on the
+unmutated tree, or when a snippet no longer occurs exactly once — a
+refactor that moves the code must move the catalogue entry with it.
+A test or grid may be deleted only while this catalogue still reports
+every mutant caught.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCHEDULER = "repro/fabric/scheduler.py"
+PROBES = "repro/telemetry/probes.py"
+
+BATCH = "tests/test_fastpath_batch.py::TestEngineFingerprint::"
+GRID = BATCH + "test_outcome_neutral_grid_is_one_run"
+TIMELINE = (BATCH + "test_the_link_timeline_answers_as_the_schedule_"
+            "and_the_seeds_do")
+FEED = "tests/test_fabric_scheduler.py::TestTelemetryFeed::"
+PER_EPOCH = ("        self._per_epoch = "
+             "self.flapping or self._cut_spec is not None")
+GOLDEN = ("tests/test_telemetry_golden.py::"
+          "test_every_series_matches_the_golden_file")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to src/
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    # The link-state timeline (fabric/scheduler.py).
+    Mutant(
+        "dispatch re-applies link state only at or past the interval's end",
+        SCHEDULER,
+        "        if not start <= event.tick < end:",
+        "        if event.tick >= end:",
+        (GRID + "[flaky-fabric]", GRID + "[link-schedule]"),
+    ),
+    Mutant(
+        "flips are taken from window starts only",
+        SCHEDULER,
+        "                flips.update((start, end))",
+        "                flips.add(start)",
+        (TIMELINE, BATCH + "test_shards_sum_what_the_cuts_dropped",
+         "tests/test_fabric_config.py::"
+         "test_signature_reads_frr_and_schedule_from_the_config"),
+    ),
+    Mutant(
+        "the per-epoch interval is one epoch too long",
+        SCHEDULER,
+        "            return start, start + FLAP_EPOCH_TICKS",
+        "            return start, start + 2 * FLAP_EPOCH_TICKS",
+        (GRID + "[flaky-fabric]", GRID + "[frr-chaos]",
+         BATCH + "test_flap_plan_keeps_batching_within_epochs",
+         "tests/test_fabric_wire_runs.py::TestCoalescedEqualsPerPacket::"
+         "test_every_attempted_packet_is_accounted_for[flaky-fabric]"),
+    ),
+    Mutant(
+        "the flip interval is one epoch too long",
+        SCHEDULER,
+        "                flips[i] * FLAP_EPOCH_TICKS if i < len(flips)",
+        "                (flips[i] + 1) * FLAP_EPOCH_TICKS if i < len(flips)",
+        (GRID + "[link-schedule]", TIMELINE,
+         "tests/test_fabric_wire_runs.py::TestNamedMutants::"
+         "test_a_declined_replay_does_not_redraw_the_wire"
+         "[a cut and its repair]"),
+    ),
+    Mutant(
+        "an armed seeded-cut oracle gets the schedule's interval",
+        SCHEDULER,
+        PER_EPOCH,
+        "        self._per_epoch = self.flapping",
+        (TIMELINE,),
+    ),
+    Mutant(
+        "an armed flap oracle is ignored when the interval is chosen",
+        SCHEDULER,
+        PER_EPOCH,
+        "        self._per_epoch = self._cut_spec is not None",
+        (GRID + "[flaky-fabric]",
+         BATCH + "test_flap_plan_keeps_batching_within_epochs", TIMELINE),
+    ),
+    Mutant(
+        "the report skips bringing moved links back up",
+        SCHEDULER,
+        "        self._links.restore()\n",
+        "",
+        (BATCH + "test_the_report_brings_every_moved_link_back_up",),
+    ),
+    Mutant(
+        "the seeded-cut oracle is asked for epoch 0 at every epoch",
+        SCHEDULER,
+        'derived("fabric-link", a, b, e0)',
+        'derived("fabric-link", a, b, 0)',
+        (TIMELINE,),
+    ),
+    # One way to mirror a counter (telemetry/probes.py).
+    Mutant(
+        "a tally publishes its zero counts",
+        PROBES,
+        "        if count or keep_zero:",
+        "        if True:",
+        (GOLDEN, FEED + "test_outcome_series_sum_to_attempted"),
+    ),
+    Mutant(
+        "chan_packets_total is bound to beats_transferred",
+        PROBES,
+        '"packets across a probed channel",\n'
+        '             "packets_transferred"),',
+        '"packets across a probed channel",\n'
+        '             "beats_transferred"),',
+        (GOLDEN, "tests/test_telemetry_probes.py::TestPipelineProbes::"
+                 "test_channel_counters_mirror_the_channels"),
+    ),
+    Mutant(
+        "probe_fabric skips the delivery-hops histogram",
+        PROBES,
+        "        hops.observe(float(hop), count)",
+        "        pass",
+        (GOLDEN, FEED + "test_hop_histogram_is_fed_once_per_bucket"),
+    ),
+)
+
+
+def _pytest(src: Path, tests) -> tuple[int, set[str], str]:
+    """Run ``tests`` against the package tree ``src``; returns the exit
+    code, the node ids that failed and the output."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+         *tests],
+        cwd=ROOT, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src),
+             "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    failed = {line[len("FAILED "):].split(" - ", 1)[0]
+              for line in proc.stdout.splitlines()
+              if line.startswith("FAILED ")}
+    return proc.returncode, failed, proc.stdout + proc.stderr
+
+
+def _failed(test: str, failed: set[str]) -> bool:
+    return any(node == test or node.startswith(test + "[") for node in failed)
+
+
+def main() -> int:
+    code, _, out = _pytest(ROOT / "src",
+                           sorted({t for m in MUTANTS for t in m.tests}))
+    if code != 0:
+        print(out)
+        print("the named tests must pass on the unmutated tree",
+              file=sys.stderr)
+        return 1
+    bad = 0
+    for mutant in MUTANTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "src"
+            shutil.copytree(ROOT / "src", src,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            target = src / mutant.path
+            text = target.read_text()
+            if text.count(mutant.snippet) != 1:
+                print(f"STALE     {mutant.name}: snippet occurs "
+                      f"{text.count(mutant.snippet)} times in "
+                      f"src/{mutant.path}:\n{mutant.snippet}")
+                bad += 1
+                continue
+            target.write_text(text.replace(mutant.snippet,
+                                           mutant.replacement))
+            started = time.perf_counter()
+            _, failed, _ = _pytest(src, mutant.tests)
+        missed = [t for t in mutant.tests if not _failed(t, failed)]
+        verdict = "SURVIVED" if missed else "caught"
+        print(f"{verdict:9} {mutant.name} "
+              f"({len(mutant.tests) - len(missed)}/{len(mutant.tests)} "
+              f"named tests failed, {time.perf_counter() - started:.1f} s)")
+        for test in missed:
+            print(f"          passed: {test}")
+        bad += bool(missed)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants caught")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

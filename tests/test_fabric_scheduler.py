@@ -168,7 +168,7 @@ class TestTelemetryFeed:
                             blackholed=4, dropped_hop_limit=5)
         report = FabricReport("t", "w", 0, records=[record])
         session = TelemetrySession("sim")
-        report.feed(session.registry)
+        probe_fabric(report, session)
         outcomes = {
             key: value for key, value in session.registry.snapshot().items()
             if key.startswith("fabric_packets_total{")
@@ -184,7 +184,7 @@ class TestTelemetryFeed:
         report = _run(topo="leaf-spine")
         assert len(report.hops_hist) > 1
         counted, single = TelemetrySession("sim"), TelemetrySession("sim")
-        report.feed(counted.registry)
+        probe_fabric(report, counted)
         hops = single.registry.histogram(
             "fabric_delivery_hops", "Device hops per delivered packet",
             buckets=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0),
@@ -193,7 +193,7 @@ class TestTelemetryFeed:
             for _ in range(count):
                 hops.observe(float(hop))
         report.hops_hist = {}
-        report.feed(single.registry)  # every other series, the same way
+        probe_fabric(report, single)  # every other series, the same way
         assert counted.registry.to_prometheus() \
             == single.registry.to_prometheus()
         assert counted.registry.to_json() == single.registry.to_json()
@@ -201,7 +201,7 @@ class TestTelemetryFeed:
     def test_feed_device_series(self):
         report = _run(topo="star-3")
         session = TelemetrySession("sim")
-        report.feed(session.registry)
+        probe_fabric(report, session)
         snapshot = session.registry.snapshot()
         for device, count in report.device_forwarded.items():
             if count:

@@ -726,6 +726,23 @@ class TestProbeFastpath:
         assert snap['fastpath_events_total{device="net",'
                     'event="invalidation"}'] == 1
 
+    def test_every_path_counter_has_a_series(self):
+        """Each ``path_*`` counter of ``fastpath_stats()`` (the
+        ``path_entries`` gauge aside) is mirrored by its own ``net``
+        event series: give every counter a distinct value and find each
+        value among the series."""
+        net = programmed_fabric()
+        session = TelemetrySession("sim")
+        probe_fastpath(net, session)
+        counters = [key for key in net.fastpath_stats()
+                    if key.startswith("path_") and key != "path_entries"]
+        for value, key in enumerate(counters, start=101):
+            setattr(net, key, value)
+        mirrored = sorted(
+            value for series, value in session.registry.snapshot().items()
+            if series.startswith('fastpath_events_total{device="net",'))
+        assert mirrored == list(range(101, 101 + len(counters)))
+
 
 # ----------------------------------------------------------------------
 # The slow walk itself, without a clock
