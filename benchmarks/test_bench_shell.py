@@ -38,8 +38,8 @@ def _soak(warp: bool):
     topology = get_topology(TOPOLOGY).build()
     clock = VirtualClock(warp=warp)
     started = time.perf_counter()
-    engine = FlowEngine(topology, WORKLOAD, clock=clock)
-    engine.run()
+    engine = FlowEngine(topology, WORKLOAD, batch=False)
+    clock.pace(engine)
     report = engine.report()
     return report, clock, time.perf_counter() - started
 

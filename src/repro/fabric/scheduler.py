@@ -281,8 +281,8 @@ class RunConfig:
     identity, the report) hands over the config whole, and
     :class:`FlowEngine` is the one place its fields are read.  Not
     options: ``plan``, ``flows`` and ``shards`` travel beside
-    ``(spec, workload)`` as the run's *identity*; ``clock`` and
-    ``flow_filter`` are per-engine and unpicklable.
+    ``(spec, workload)`` as the run's *identity*; ``flow_filter`` is
+    per-engine and unpicklable.
 
     Only ``frr``, ``link_schedule`` and ``int_all`` can move an outcome;
     ``max_inflight``, ``fastpath`` and ``batch`` never do — with
@@ -525,10 +525,9 @@ def int_frame(
     """The sequence-zero INT *template* frame for one flow direction.
 
     The flow's frame size is raised to :data:`INT_MIN_FRAME_SIZE` when
-    needed so the trailer sits clear of the 64-byte header window; the
-    per-packet sequence number is substituted into deliveries by
-    ``inject(int_seq=...)``, never into this template, so the whole
-    flow shares one path-cache key.
+    needed so the trailer sits clear of the 64-byte header window.
+    Every packet of the flow sends this one template, so the whole flow
+    shares one path-cache key.
     """
     base = flow_frame(
         topology, flow, is_response,
@@ -542,13 +541,15 @@ class FlowEngine:
 
     This is :func:`run_flows` opened up: the same setup, the same event
     order, the same dispatch — but instead of one closed ``while heap``
-    loop the engine exposes :meth:`step` / :meth:`run_until` /
-    :meth:`run`, and an optional :class:`~repro.shell.clock.VirtualClock`
-    owns how virtual time passes between events.  Batch callers never
-    see the difference: ``run_flows`` constructs an engine with no clock
-    and immediately drains it, so the shell's interactive path and the
-    sharded/fastpath batch path are *one code path* and the
-    :class:`FabricReport` fingerprint is identical by construction.
+    loop the engine exposes :meth:`step` (one event) and :meth:`run`
+    (drain), and :attr:`next_tick` says when the next event is due.
+    The engine keeps no time of its own: the shell's
+    :meth:`VirtualClock.pace <repro.shell.clock.VirtualClock.pace>`
+    advances its clock to ``next_tick`` before each ``step``, while
+    ``run_flows`` drains the engine at once — so the shell's
+    interactive path and the sharded/fastpath batch path are *one code
+    path* and the :class:`FabricReport` fingerprint is identical by
+    construction.
 
     The heap is a k-way merge: one ``(tick, rr, flow_id, is_response,
     pkt_index, cursor)`` tuple per live flow, re-pushed at the flow's
@@ -558,9 +559,8 @@ class FlowEngine:
 
     Control never changes outcomes.  Pausing, stepping one event at a
     time, or warping over idle cycles only decides *when* the next heap
-    event dispatches relative to wall clock; the heap order — and with
-    it every fingerprinted observable — is fixed by
-    ``(topology, workload, seed, plan)`` alone.
+    event dispatches; the heap order — and with it every fingerprinted
+    observable — is fixed by ``(topology, workload, seed, plan)`` alone.
 
     ``flow_filter`` selects the subset of generated flows this engine
     carries (the sharded executor passes ``flow_id % shards == index``);
@@ -580,7 +580,6 @@ class FlowEngine:
         flow_filter: Optional[Callable[[Flow], bool]] = None,
         flows: Optional[list[Flow]] = None,
         shards: int = 1,
-        clock=None,
         **options,
     ):
         config = RunConfig(**options)
@@ -610,18 +609,15 @@ class FlowEngine:
 
         self.topology = topology
         self.spec = spec
-        self.clock = clock
         self.config = config
         self._plan = plan
         self._max_inflight = config.max_inflight
         self._shards = shards
         self._wire_faults = plan is not None and plan.link is not None
         # Coalescing eligibility: the fast path must exist (no cache,
-        # nothing to replay), and an attached clock means an interactive
-        # observer who expects per-event time — coalescing is for the
-        # drain loops only.  Wire faults do not bar it: a run's draws
+        # nothing to replay).  Wire faults do not bar it: a run's draws
         # all come from its own flow's session (see :meth:`_send`).
-        self._batch = bool(config.batch and config.fastpath and clock is None)
+        self._batch = config.batch and config.fastpath
         #: The engine's share of ``report.batch`` (see :meth:`_batch_stats`).
         self._coalesced = dict.fromkeys(
             ("segments", "segment_packets", "splits", "wire_lost"), 0)
@@ -713,8 +709,6 @@ class FlowEngine:
         carried, so a coalesced event never reaches the heap.
         """
         event = heapq.heappop(self._heap)[-1]
-        if self.clock is not None:
-            self.clock.advance_to(event.tick)
         start, end = self._steady
         if not start <= event.tick < end:  # a late flow can step back
             self._steady = self._links.apply(event.tick)
@@ -803,9 +797,7 @@ class FlowEngine:
                 outcome, deliveries, m = walk, walk.deliveries, n
             else:
                 outcome = deliveries = network.inject(
-                    src.device, src.port, frame,
-                    int_seq=left[0] if telemetered else None,
-                )
+                    src.device, src.port, frame)
                 # The rest replays the walk the head stored: one outcome.
                 m = n if n > 1 and network.inject_batch(
                     src.device, src.port, frame, n - 1) is not None else 1
@@ -880,14 +872,6 @@ class FlowEngine:
         return not self._heap
 
     @property
-    def now(self) -> int:
-        """The engine's virtual time: the clock's if one is attached,
-        else the tick of the next undispatched event."""
-        if self.clock is not None:
-            return self.clock.now
-        return self.next_tick or 0
-
-    @property
     def next_tick(self) -> Optional[int]:
         """The tick of the next event, or ``None`` when finished."""
         return self._heap[0][0] if self._heap else None
@@ -910,54 +894,19 @@ class FlowEngine:
         return self._dispatched
 
     # -- stepping surface ----------------------------------------------
-    def step(self, events: int = 1) -> int:
-        """Dispatch up to ``events`` heap events; returns how many ran."""
-        if events < 1:
-            raise ValueError("step count must be >= 1")
-        done = 0
-        while done < events and self._heap:
-            done += self._dispatch()
-        return done
-
-    def run_until(
-        self,
-        tick: Optional[int] = None,
-        predicate: Optional[Callable[["FlowEngine"], bool]] = None,
-    ) -> int:
-        """Dispatch until virtual time reaches ``tick`` and/or
-        ``predicate(engine)`` holds; returns events dispatched.
-
-        With a ``tick`` bound, every event scheduled at or before it is
-        carried and the attached clock (if any) is advanced to exactly
-        ``tick`` afterwards, so idle tail cycles pass too.  A predicate
-        is re-checked after every event; it stops the run early.
-        """
-        if tick is None and predicate is None:
-            raise ValueError("run_until needs a tick or a predicate")
-        done = 0
-        while self._heap:
-            if predicate is not None and predicate(self):
-                break
-            if tick is not None and self._heap[0][0] > tick:
-                break
-            done += self._dispatch()
-        if (tick is not None and self.clock is not None
-                and (predicate is None or not predicate(self))):
-            self.clock.advance_to(tick)
-        return done
+    def step(self) -> int:
+        """Dispatch the next heap event, uncoalesced; returns how many
+        ran (0 once finished)."""
+        return self._dispatch() if self._heap else 0
 
     def run(self) -> int:
-        """Dispatch until finished — or until the clock is paused.
+        """Dispatch until finished; returns events dispatched.
 
-        This is the batch loop: with no clock (or an unpaused one) it
-        drains the heap exactly as :func:`run_flows` always did — and
-        where coalescing is eligible, consecutive same-flow events
-        replay as one counted segment.
+        This is the batch loop: where coalescing is eligible,
+        consecutive same-flow events replay as one counted segment.
         """
         done = 0
         while self._heap:
-            if self.clock is not None and self.clock.paused:
-                break
             done += self._dispatch(self._batch)
         return done
 
@@ -965,14 +914,13 @@ class FlowEngine:
     def report(self) -> FabricReport:
         """Finish the run and build its :class:`FabricReport`.
 
-        Any undispatched events are drained first (ignoring pause — the
-        report is total by definition), touched links are restored, and
-        the result is memoized: asking twice returns the same object.
+        Any undispatched events are drained first (:meth:`run`), touched
+        links are restored, and the result is memoized: asking twice
+        returns the same object.
         """
         if self._report is not None:
             return self._report
-        while self._heap:
-            self._dispatch(self._batch)
+        self.run()
         self._links.restore()
         self._report = FabricReport(
             topology=self.topology.key,
@@ -1031,7 +979,6 @@ class FlowEngine:
             totals["lost"] += sum(getattr(r, name) for name in LOSS_FIELDS)
         return {
             "finished": self.finished,
-            "now": self.now,
             "next_tick": self.next_tick,
             "events_dispatched": self._dispatched,
             "pending_events": self.pending_events,
@@ -1060,8 +1007,8 @@ def run_flows(
 ) -> FabricReport:
     """Run a workload over a fabric; returns the :class:`FabricReport`.
 
-    A thin veneer: construct a :class:`FlowEngine` (same keywords, no
-    clock) and drain it — so batch runs and the interactive shell share
+    A thin veneer: construct a :class:`FlowEngine` (same keywords) and
+    drain it — so batch runs and the interactive shell share
     one code path and fingerprint identically.
     """
     return FlowEngine(topology, spec, plan, **engine_options).report()

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.packet.addresses import Ipv4Addr, MacAddr
 from repro.packet.generator import make_udp_frame
@@ -58,6 +58,37 @@ class Host:
     port: int
     mac: MacAddr
     ip: Ipv4Addr
+
+
+def bfs_tree(
+    net: Network, root: str, skip_pair: Optional[frozenset] = None
+) -> tuple[dict[str, int], dict[str, Optional[str]], dict[str, int]]:
+    """The forwarding tree toward ``root``: FIFO BFS over the device
+    graph, neighbors in sorted port order.
+
+    Returns ``(dist, parent, port)`` over every device reached:
+    ``dist`` counts hops to ``root``, ``parent`` is the next device
+    toward it (``None`` at ``root``) and ``port`` is the device's own
+    port toward its parent (``root`` has none).  ``skip_pair`` is an
+    unordered device pair whose cable(s) count as cut.  This is the one
+    walk :meth:`FabricTopology.learn` programs from, so fast reroute
+    and the E19 sweep reason about exactly the paths the FDBs pin.
+    """
+    dist: dict[str, int] = {root: 0}
+    parent: dict[str, Optional[str]] = {root: None}
+    port: dict[str, int] = {}
+    frontier = deque([root])
+    while frontier:
+        device = frontier.popleft()
+        for _, (peer, peer_port) in sorted(net.neighbors(device).items()):
+            if peer in dist or (skip_pair is not None
+                                and frozenset((device, peer)) == skip_pair):
+                continue
+            dist[peer] = dist[device] + 1
+            parent[peer] = device
+            port[peer] = peer_port
+            frontier.append(peer)
+    return dist, parent, port
 
 
 def _host(index: int, device: str, port: int) -> Host:
@@ -154,15 +185,8 @@ class FabricTopology:
         devices = net.device_names()
         if not devices:
             raise FabricError("fabric has no devices")
-        seen = {devices[0]}
-        frontier = deque(seen)
-        while frontier:
-            for _, (peer, _) in sorted(net.neighbors(frontier.popleft()).items()):
-                if peer not in seen:
-                    seen.add(peer)
-                    frontier.append(peer)
-        if len(seen) != len(devices):
-            missing = sorted(set(devices) - seen)
+        missing = sorted(set(devices) - bfs_tree(net, devices[0])[0].keys())
+        if missing:
             raise FabricError(f"fabric is partitioned; unreachable: {missing}")
 
     # ------------------------------------------------------------------
@@ -171,12 +195,12 @@ class FabricTopology:
     def learn(self) -> int:
         """Install the pinned FDB entries every switch needs.
 
-        For each host: BFS outward from its edge switch over the device
-        graph; every switch reached through link ``(d.p ↔ peer.q)``
-        learns "host is via my port q".  FIFO BFS with neighbors visited
-        in sorted port order makes the chosen path the deterministic
-        shortest one, so the programmed state — and therefore every
-        forwarding decision — is a pure function of the topology.
+        For each host: the :func:`bfs_tree` rooted at its edge switch;
+        every other switch learns "host is via my port toward my
+        parent".  FIFO BFS with neighbors visited in sorted port order
+        makes the chosen path the deterministic shortest one, so the
+        programmed state — and therefore every forwarding decision — is
+        a pure function of the topology.
 
         Idempotent; returns the number of entries installed.
         """
@@ -190,18 +214,10 @@ class FabricTopology:
             if not edge.install_static_mac(host.mac, host.port):
                 raise FabricError(f"FDB full installing {name} on {host.device}")
             installed += 1
-            seen = {host.device}
-            frontier = deque([host.device])
-            while frontier:
-                device = frontier.popleft()
-                for _, (peer, peer_port) in sorted(net.neighbors(device).items()):
-                    if peer in seen:
-                        continue
-                    seen.add(peer)
-                    if not net.device(peer).install_static_mac(host.mac, peer_port):
-                        raise FabricError(f"FDB full installing {name} on {peer}")
-                    installed += 1
-                    frontier.append(peer)
+            for peer, peer_port in bfs_tree(net, host.device)[2].items():
+                if not net.device(peer).install_static_mac(host.mac, peer_port):
+                    raise FabricError(f"FDB full installing {name} on {peer}")
+                installed += 1
         self._learned = True
         return installed
 

@@ -6,7 +6,8 @@ a *backup* port that is provably loop-free under the single failure it
 protects against: the switch's primary link toward that host.
 
 The candidate rules mirror IP fast-reroute's loop-free alternates,
-specialised to the unit-cost BFS trees ``learn()`` programs from.  Let
+specialised to the unit-cost BFS trees ``learn()`` programs from
+(:func:`~repro.fabric.topo.bfs_tree`).  Let
 ``v`` be the protecting switch, ``e`` the destination's edge switch,
 ``d(x)`` the BFS distance from ``x`` to ``e``, and ``w`` a neighbor of
 ``v`` reachable over a port other than the primary:
@@ -31,40 +32,12 @@ deployments live with.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-if TYPE_CHECKING:
-    from repro.fabric.topo import FabricTopology
-    from repro.testenv.topology import Network
+from repro.fabric.topo import FabricError, FabricTopology, bfs_tree
 
 
-def _bfs(
-    net: "Network", root: str, skip_pair: Optional[frozenset] = None
-) -> tuple[dict[str, int], dict[str, Optional[str]]]:
-    """BFS over the device graph, sorted-port order — learn()'s walk.
-
-    Returns ``(dist, parent)`` maps from ``root``.  ``skip_pair`` is an
-    unordered device pair whose cable(s) are treated as cut (the second,
-    post-failure BFS).
-    """
-    dist: dict[str, int] = {root: 0}
-    parent: dict[str, Optional[str]] = {root: None}
-    frontier = deque([root])
-    while frontier:
-        device = frontier.popleft()
-        for _, (peer, _) in sorted(net.neighbors(device).items()):
-            if skip_pair is not None and frozenset((device, peer)) == skip_pair:
-                continue
-            if peer in dist:
-                continue
-            dist[peer] = dist[device] + 1
-            parent[peer] = device
-            frontier.append(peer)
-    return dist, parent
-
-
-def compute_backups(topology: "FabricTopology") -> dict[tuple[str, str], int]:
+def compute_backups(topology: FabricTopology) -> dict[tuple[str, str], int]:
     """Pick a loop-free backup port per (switch, host) where one exists.
 
     Returns ``{(switch, host_name): backup_port_index}``.  Pure function
@@ -75,7 +48,7 @@ def compute_backups(topology: "FabricTopology") -> dict[tuple[str, str], int]:
     for name in topology.host_names():
         host = topology.hosts[name]
         root = host.device
-        dist, parent = _bfs(net, root)
+        dist, parent, _ = bfs_tree(net, root)
         for v in net.device_names():
             if v == root:
                 # The edge switch forwards onto the host's own edge
@@ -94,7 +67,7 @@ def compute_backups(topology: "FabricTopology") -> dict[tuple[str, str], int]:
                     candidates.append((0, dist[w], local))
                 elif parent.get(w) != v:
                     if second_dist is None:
-                        second_dist = _bfs(
+                        second_dist = bfs_tree(
                             net, root, frozenset((v, primary_peer))
                         )[0]
                     if w in second_dist:
@@ -104,14 +77,12 @@ def compute_backups(topology: "FabricTopology") -> dict[tuple[str, str], int]:
     return backups
 
 
-def install_backups(topology: "FabricTopology") -> int:
+def install_backups(topology: FabricTopology) -> int:
     """Write the computed backup column onto every switch.
 
     Returns the number of entries installed.  Raises if any switch's
     backup table rejects an entry (table full).
     """
-    from repro.fabric.topo import FabricError
-
     if not getattr(topology, "_learned", False):
         raise FabricError("install_backups() requires a learned topology")
     net = topology.network
@@ -126,7 +97,7 @@ def install_backups(topology: "FabricTopology") -> int:
     return installed
 
 
-def backup_coverage(topology: "FabricTopology") -> float:
+def backup_coverage(topology: FabricTopology) -> float:
     """Fraction of protectable (switch, host) pairs that got a backup.
 
     The denominator is every pair where the switch is not the host's

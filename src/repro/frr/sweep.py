@@ -37,9 +37,14 @@ from typing import Optional, Union
 
 from repro.fabric.scheduler import FLAP_EPOCH_TICKS, LinkSchedule
 from repro.fabric.shard import run_sharded
-from repro.fabric.topo import FabricSpec, FabricTopology, get_topology
+from repro.fabric.topo import (
+    FabricSpec,
+    FabricTopology,
+    bfs_tree,
+    get_topology,
+)
 from repro.fabric.workload import Flow, WorkloadSpec
-from repro.frr.backup import _bfs, compute_backups
+from repro.frr.backup import compute_backups
 
 #: Frame size used by sweep flows (mid-sized UDP, nothing special).
 SWEEP_FRAME_SIZE = 256
@@ -228,7 +233,7 @@ class SweepReport:
 def _forwarding_trees(topology: FabricTopology) -> dict[str, dict]:
     """Per destination host, the BFS parent map learn() programmed from."""
     return {
-        name: _bfs(topology.network, topology.hosts[name].device)[1]
+        name: bfs_tree(topology.network, topology.hosts[name].device)[1]
         for name in topology.host_names()
     }
 

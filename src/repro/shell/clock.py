@@ -8,9 +8,10 @@ compressible (skip the idle cycles between scheduled events so an
 hour-long soak replays in seconds, the way an event-driven simulator
 outruns a cycle-driven one).
 
-:class:`VirtualClock` is that owner.  The fabric scheduler's stepping
-engine calls :meth:`advance_to` before dispatching each event; the
-clock then either *walks* tick by tick (``warp=False`` — every cycle is
+:class:`VirtualClock` is that owner.  :meth:`pace` drives a fabric
+scheduler's stepping engine: it calls :meth:`advance_to` with the next
+event's tick before dispatching that event, and the clock then either
+*walks* tick by tick (``warp=False`` — every cycle is
 visited and every registered tick hook runs, the cycle-driven
 behaviour) or *warps* (``warp=True`` — idle cycles between events are
 skipped in O(1) and only accounted).  Either way the event order, and
@@ -20,21 +21,23 @@ passes, never what happens in it.  Tick hooks are observers (telemetry
 watches, progress meters) — they are *not* part of the determinism
 contract and are skipped over warped spans.
 
-``paused`` is advisory: a paused clock makes the engine's ``run()``
-yield control back to the caller (the shell's ``pause`` command); it
-never blocks ``step``/``run_until``, which are explicit user motion.
+``paused`` is advisory: the shell's ``run`` paces with a stop on it,
+so a pause (the ``pause`` command, or a tick hook) yields control back
+after the current event; it never blocks ``step``/``run-until``, which
+are explicit user motion.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 #: Signature of a tick hook: called with the cycle just entered.
 TickHook = Callable[[int], None]
 
 
 class VirtualClock:
-    """Owns a virtual cycle domain: pause, step, warp.
+    """Owns a virtual cycle domain: pause, step, warp — and paces a
+    fabric engine through it (:meth:`pace`).
 
     ``now`` is the current cycle.  ``ticks_walked`` counts cycles the
     clock visited one by one (hooks ran); ``ticks_warped`` counts idle
@@ -54,8 +57,8 @@ class VirtualClock:
     # Control surface (the shell's pause / resume / warp commands)
     # ------------------------------------------------------------------
     def pause(self) -> None:
-        """Ask the engine's free-running ``run()`` to yield after the
-        current event.  Explicit ``step``/``run_until`` still move."""
+        """Ask the shell's free-running ``run`` to yield after the
+        current event.  Explicit ``step``/``run-until`` still move."""
         self.paused = True
 
     def resume(self) -> None:
@@ -98,6 +101,21 @@ class VirtualClock:
                 for hook in self._hooks:
                     hook(self.now)
         return delta
+
+    def pace(self, engine, stop: Optional[Callable[[int], bool]] = None) -> int:
+        """Carry ``engine`` (a :class:`~repro.fabric.scheduler.FlowEngine`)
+        one event at a time, on this clock; returns events dispatched.
+
+        Before each event the clock advances to its tick.  Pacing ends
+        when the run is finished or ``stop(dispatched so far)`` holds,
+        checked before every event.  One event per step, never a
+        coalesced segment: every event's tick passes on the clock.
+        """
+        done = 0
+        while not engine.finished and not (stop is not None and stop(done)):
+            self.advance_to(engine.next_tick)
+            done += engine.step()
+        return done
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, int | bool]:

@@ -3,7 +3,9 @@
 A :class:`ShellSession` owns one live fabric — a built
 :class:`~repro.fabric.topo.FabricTopology`, an optional running
 :class:`~repro.fabric.scheduler.FlowEngine`, and the
-:class:`~repro.shell.clock.VirtualClock` that paces it.  The
+:class:`~repro.shell.clock.VirtualClock` that paces it: every command
+that moves the run (``step``, ``run``, ``run-until``, ``finish``) goes
+through :meth:`~repro.shell.clock.VirtualClock.pace`.  The
 line-oriented REPL (:mod:`repro.shell.repl`) is a thin front end: it
 parses words and calls these methods; everything it prints is rendered
 from the structured values returned here, so tests (and any other
@@ -56,7 +58,8 @@ def _one_hot_port(value: int) -> int:
 
 
 class ShellSession:
-    """One interactive emulation session over a live fabric."""
+    """One interactive emulation session over a live fabric, its run
+    paced through the session's own :class:`VirtualClock`."""
 
     def __init__(
         self,
@@ -77,7 +80,10 @@ class ShellSession:
         self.workload_name = workload
         self.seed = seed
         self.plan: Optional[FaultPlan] = None
-        self.config = RunConfig(frr=frr, int_all=int_all, fastpath=fastpath)
+        # The clock paces one event at a time: nothing to coalesce or
+        # prewarm for, so the engine injects every event on its own.
+        self.config = RunConfig(frr=frr, int_all=int_all, fastpath=fastpath,
+                                batch=False)
         self.build(topo, workload, seed)
         if plan is not None:
             self.faults_arm(plan)
@@ -133,14 +139,14 @@ class ShellSession:
                 "this fabric already carried a run; `build` a fresh one first"
             )
         self.engine = FlowEngine(
-            self.topology, self.workload, self.plan, clock=self.clock,
-            **vars(self.config),
-        )
+            self.topology, self.workload, self.plan, **vars(self.config))
         return self.status()
 
     def finish(self) -> dict:
-        """Drain whatever is left and close the run's report."""
+        """Drain whatever is left, on the clock, and close the run's
+        report."""
         engine = self._need_engine()
+        self.clock.pace(engine)
         self._report = engine.report()
         return self.stats()
 
@@ -179,14 +185,14 @@ class ShellSession:
         if events < 1:
             raise ShellError("step count must be >= 1")
         engine = self._need_engine()
-        dispatched = engine.step(events)
+        dispatched = self.clock.pace(engine, lambda done: done >= events)
         return {"dispatched": dispatched, **self.status()}
 
     def run(self) -> dict:
         """Dispatch until the run finishes or the clock is paused."""
         engine = self._need_engine()
         self.clock.resume()
-        dispatched = engine.run()
+        dispatched = self.clock.pace(engine, lambda _: self.clock.paused)
         return {"dispatched": dispatched, **self.status()}
 
     def run_until(self, tick: int) -> dict:
@@ -194,7 +200,8 @@ class ShellSession:
         if tick < 0:
             raise ShellError("run-until cycle must be >= 0")
         engine = self._need_engine()
-        dispatched = engine.run_until(tick=tick)
+        dispatched = self.clock.pace(engine, lambda _: engine.next_tick > tick)
+        self.clock.advance_to(tick)
         return {"dispatched": dispatched, **self.status()}
 
     # ------------------------------------------------------------------
@@ -214,7 +221,11 @@ class ShellSession:
             "finished": self._report is not None,
         }
         if self.engine is not None:
-            out["engine"] = self.engine.snapshot()
+            snap = self.engine.snapshot()
+            # The engine keeps no time: the clock's cycle is its ``now``,
+            # second in the section as it always printed.
+            out["engine"] = {"finished": snap["finished"],
+                             "now": self.clock.now, **snap}
             out["finished"] = self.engine.finished
         return out
 

@@ -31,6 +31,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SCHEDULER = "repro/fabric/scheduler.py"
 PROBES = "repro/telemetry/probes.py"
+TOPOLOGY = "repro/testenv/topology.py"
+CLOCK = "repro/shell/clock.py"
+SESSION = "repro/shell/session.py"
 
 BATCH = "tests/test_fastpath_batch.py::TestEngineFingerprint::"
 GRID = BATCH + "test_outcome_neutral_grid_is_one_run"
@@ -41,6 +44,12 @@ PER_EPOCH = ("        self._per_epoch = "
              "self.flapping or self._cut_spec is not None")
 GOLDEN = ("tests/test_telemetry_golden.py::"
           "test_every_series_matches_the_golden_file")
+PARKED = "tests/test_parked_walks.py::"
+SHELL = "tests/test_shell_session.py::"
+PACING = ("tests/test_shell_golden.py::"
+          "test_transcript_matches_the_golden_file[shell_pacing]")
+PAUSE = (SHELL + "TestFingerprintIdentity::"
+         "test_a_pausing_tick_hook_stops_run_after_that_cycles_event")
 
 
 @dataclass(frozen=True)
@@ -143,6 +152,97 @@ MUTANTS = (
         "        hops.observe(float(hop), count)",
         "        pass",
         (GOLDEN, FEED + "test_hop_histogram_is_fed_once_per_bucket"),
+    ),
+    # Parked walks and one replica (testenv/topology.py, fabric/shard.py).
+    Mutant(
+        "a parked walk's re-check skips the link bits",
+        TOPOLOGY,
+        "                    or (opl.port_liveness ^ live) & mask\n"
+        "                    or (self._link_up[name] ^ links) & mask):",
+        "                    or (opl.port_liveness ^ live) & mask):",
+        (PARKED + "TestNamedMutants::test_a_revival_reads_the_port_table_too",
+         "tests/test_fastpath_invalidation.py::"
+         "test_set_link_state_marks_both_ends_itself"),
+    ),
+    Mutant(
+        "a revived walk is not re-entered in the dependents index",
+        TOPOLOGY,
+        "                for device in deps.devices:\n"
+        "                    self._dependents.setdefault(device, set())"
+        ".add(deps)\n"
+        "                self.path_revived += 1",
+        "                self.path_revived += 1",
+        (PARKED + "TestNamedMutants::"
+                  "test_a_revived_walk_is_marked_by_the_next_cut",
+         PARKED + "TestParkedWalksOracle::test_a_repair_walks_nothing"),
+    ),
+    Mutant(
+        "a flush keeps the park",
+        TOPOLOGY,
+        "        self.path_dropped += sum(map(self._drop, records))\n"
+        "        self._park.clear()\n",
+        "        self.path_dropped += sum(map(self._drop, records))\n",
+        (PARKED + "TestNamedMutants::test_a_graph_change_empties_the_park",),
+    ),
+    Mutant(
+        "inline partitions run without a sandbox",
+        "repro/fabric/shard.py",
+        "            with topology.network.sandbox():",
+        "            if True:",
+        (PARKED + "TestOneReplica::test_each_partition_is_a_fresh_replicas_run",
+         "tests/test_fabric_sharding.py::TestShardInvariance::"
+         "test_inline_fingerprint_matches_single_process"),
+    ),
+    Mutant(
+        "the engine reports the replica's absolute cache statistics",
+        SCHEDULER,
+        "    return {name: value - base[name] for name, value in stats.items()}",
+        "    return dict(stats)",
+        (BATCH + "test_shards_sum_what_the_cuts_dropped",
+         BATCH + "test_shard_reports_carry_summed_batch_stats"),
+    ),
+    # The clock paces the engine (shell/clock.py, shell/session.py).
+    Mutant(
+        "pace dispatches without advancing the clock",
+        CLOCK,
+        "            self.advance_to(engine.next_tick)\n",
+        "",
+        (PACING, PAUSE,
+         "tests/test_fabric_event_order.py::TestOrderIsTheSpec::"
+         "test_run_until_stops_on_the_same_event"),
+    ),
+    Mutant(
+        "run-until does not idle the clock to its tick",
+        SESSION,
+        "        self.clock.advance_to(tick)\n",
+        "",
+        (PACING, SHELL + "TestLifecycle::test_run_until_advances_idle_tail"),
+    ),
+    Mutant(
+        "run ignores a pause",
+        SESSION,
+        "self.clock.pace(engine, lambda _: self.clock.paused)",
+        "self.clock.pace(engine)",
+        (PAUSE,),
+    ),
+    Mutant(
+        "finish reports without pacing the rest",
+        SESSION,
+        "        self.clock.pace(engine)\n"
+        "        self._report = engine.report()",
+        "        self._report = engine.report()",
+        (PACING,),
+    ),
+    # One pinned forwarding tree (fabric/topo.py).
+    Mutant(
+        "bfs_tree records the port at the parent's end",
+        "repro/fabric/topo.py",
+        "        for _, (peer, peer_port) in sorted(net.neighbors(device)"
+        ".items()):",
+        "        for peer_port, (peer, _) in sorted(net.neighbors(device)"
+        ".items()):",
+        ("tests/test_fabric_topology.py::TestFatTreeWiring::"
+         "test_every_fdb_port_is_the_bfs_tree_port",),
     ),
 )
 

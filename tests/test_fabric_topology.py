@@ -21,6 +21,8 @@ from repro.fabric import (
     oversubscription,
     star,
 )
+from repro.core.metadata import phys_port_bit
+from repro.fabric.topo import bfs_tree
 from repro.packet.generator import make_udp_frame
 
 pytestmark = pytest.mark.fabric
@@ -183,6 +185,23 @@ class TestFatTreeWiring:
         topo = fat_tree(k=4)
         assert topo.learn() > 0
         assert topo.learn() == 0
+
+    @pytest.mark.parametrize("preset", sorted(TOPOLOGIES))
+    def test_every_fdb_port_is_the_bfs_tree_port(self, preset):
+        """FRR and the E19 sweep reason about ``bfs_tree``; the FDBs
+        must pin exactly its ports, on every switch for every host."""
+        topo = get_topology(preset).build()
+        topo.learn()
+        net = topo.network
+        tables = {d: dict(net.device(d).mac_table) for d in net.device_names()}
+        for host in topo.hosts.values():
+            _, parent, port = bfs_tree(net, host.device)
+            assert sorted(port) == sorted(set(tables) - {host.device})
+            for device, local in port.items():  # the port faces the parent
+                assert net.neighbors(device)[local][0] == parent[device]
+            for device, table in tables.items():
+                want = host.port if device == host.device else port[device]
+                assert table[host.mac.value] == phys_port_bit(want)
 
 
 class TestValidation:

@@ -7,8 +7,8 @@ from __future__ import annotations
 import pytest
 
 from repro.fabric import FabricError, abilene, fat_tree
+from repro.fabric.topo import bfs_tree
 from repro.frr import backup_coverage, compute_backups, install_backups
-from repro.frr.backup import _bfs
 from repro.frr.sweep import _crossing_pairs, _forwarding_trees
 from repro.packet.generator import make_udp_frame
 
@@ -90,7 +90,7 @@ class TestComputeBackups:
         backups = compute_backups(topo)
         for (device, dst), backup_port in backups.items():
             root = topo.hosts[dst].device
-            dist, parent = _bfs(topo.network, root)
+            dist, parent, _ = bfs_tree(topo.network, root)
             peer, _ = topo.network.neighbors(device)[backup_port]
             assert dist[peer] <= dist[device] + 1
             if dist[peer] == dist[device] + 1:

@@ -56,6 +56,27 @@ class TestFingerprintIdentity:
         # Both clocks end on the same cycle regardless of pacing mode.
         assert walked.clock.now == warped.clock.now
 
+    def test_a_pausing_tick_hook_stops_run_after_that_cycles_event(self):
+        probe = ShellSession(seed=1, warp=False)
+        probe.start()
+        probe.run_until(40)
+        pause_at = probe.engine.next_tick  # the first event after cycle 40
+        session = ShellSession(seed=1, warp=False)
+
+        @session.clock.on_tick
+        def pause_there(cycle):
+            if cycle == pause_at:
+                session.pause()
+
+        session.start()
+        stopped = session.run()
+        assert stopped["dispatched"] == probe.engine.events_dispatched + 1
+        assert stopped["clock"]["now"] == pause_at
+        assert stopped["clock"]["paused"] and not stopped["finished"]
+        session.run()
+        assert session.engine.finished
+        assert session.fingerprint() == batch_fingerprint(seed=1)
+
     def test_finish_mid_run_drains_the_rest(self):
         session = ShellSession(seed=0)
         session.start()
@@ -88,7 +109,7 @@ class TestFingerprintIdentity:
                 session.warp(rng.choice((True, False)))
                 session.step(1)
             elif move == "until":
-                session.run_until(session.engine.now + rng.randint(1, 40))
+                session.run_until(session.clock.now + rng.randint(1, 40))
             else:
                 session.pause()  # a paused run() must not spin forever
                 session.run()
