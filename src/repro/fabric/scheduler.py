@@ -43,6 +43,7 @@ from bisect import bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from hashlib import sha256
+from itertools import chain
 from typing import Callable, Optional
 
 from repro.fabric.topo import FabricTopology
@@ -347,7 +348,13 @@ class _LinkTimeline:
     sharded.  The schedule's windows are folded once, per canonical
     cable pair and for the whole schedule, into sorted *flips*: the
     epochs where a window opens or closes.  Nothing is expanded per
-    epoch.
+    epoch.  Every scheduled pair must be cabled: a bad schedule is a
+    :class:`~repro.testenv.topology.TopologyError` here, before any
+    packet moves.
+
+    A walk's outcome holds until a cable it read flips, so under a
+    schedule alone a span ends at :meth:`reach`, the walk's own next
+    edge, not at the next flip on any scheduled cable.
     """
 
     def __init__(self, plan: Optional[FaultPlan],
@@ -362,6 +369,8 @@ class _LinkTimeline:
                           else None)
         self._flaps: dict[tuple[str, int], bool] = {}
         self._cuts: dict[tuple[str, str, int], int] = {}
+        #: Per set of cables :meth:`reach` was asked about, their flips.
+        self._edges: dict[frozenset, list[int]] = {}
         #: The cable pairs this run may move (empty: none), each with
         #: its windows' sorted starts and sorted ends: the windows that
         #: hold the cable dark at an epoch are the starts at or before
@@ -369,6 +378,7 @@ class _LinkTimeline:
         self.pairs: dict[tuple[str, str], tuple[list, list]] = {}
         flips = set()
         for a, b, start, end in schedule.events if schedule else ():
+            network.link_is_up(a, b)  # TopologyError unless a cable joins them
             starts, ends = self.pairs.setdefault(
                 tuple(sorted((a, b))), ([], []))
             if start < end:  # an empty window never opens
@@ -379,10 +389,12 @@ class _LinkTimeline:
         for a, b in network.links() if self._cut_spec is not None else ():
             # A cable's ends come ordered by device: the pair is canonical.
             self.pairs.setdefault((a.device, b.device), ([], []))
-        self._per_epoch = self.flapping or self._cut_spec is not None
+        #: Whether an armed flap or cut oracle holds every answer to
+        #: one epoch (else only the schedule's flips move anything).
+        self.per_epoch = self.flapping or self._cut_spec is not None
         #: The interval held before the first :meth:`apply`: all time
         #: when nothing can move, else none — the first event applies.
-        self.before = ((0, 0) if self.pairs or self._per_epoch
+        self.before = ((0, 0) if self.pairs or self.per_epoch
                        else (-math.inf, math.inf))
 
     def flap(self, host: str, epoch: int) -> bool:
@@ -425,13 +437,25 @@ class _LinkTimeline:
             dark = bisect_right(starts, epoch) > bisect_right(ends, epoch) or (
                 self._cut_spec is not None and self._cut(a, b, epoch))
             self._net.set_link_state(a, b, not dark)
-        if self._per_epoch:
+        if self.per_epoch:
             start = epoch * FLAP_EPOCH_TICKS
             return start, start + FLAP_EPOCH_TICKS
         flips = self._flips
         i = bisect_right(flips, epoch)
         return (flips[i - 1] * FLAP_EPOCH_TICKS if i else -math.inf,
                 flips[i] * FLAP_EPOCH_TICKS if i < len(flips) else math.inf)
+
+    def reach(self, cables: frozenset, tick: int) -> float:
+        """The first tick after ``tick``'s epoch at which a scripted
+        window opens or closes on one of ``cables`` (canonical pairs),
+        or ``inf`` if none ever does: a walk that read only those
+        cables answers the same until then.  Under a schedule alone."""
+        edges = self._edges.get(cables)
+        if edges is None:
+            edges = self._edges[cables] = sorted({
+                edge for pair in cables for edge in chain(*self.pairs.get(pair, ()))})
+        i = bisect_right(edges, tick // FLAP_EPOCH_TICKS)
+        return edges[i] * FLAP_EPOCH_TICKS if i < len(edges) else math.inf
 
     def restore(self) -> None:
         """Bring every touched link back up (end-of-run tidiness)."""
@@ -858,11 +882,25 @@ class FlowEngine:
         schedule alone, and is all time when nothing can move (an
         empty schedule or a zero cut rate moves nothing) — then the
         span covers the whole remaining burst.
+
+        A burst that crosses a flip under a schedule alone asks the
+        walk it will replay (looked up after :meth:`_LinkTimeline.apply`)
+        which cables it read, and runs on to the walk's own next edge
+        (:meth:`_LinkTimeline.reach`): a flip on a cable the walk never
+        read cannot change its outcome.  A cold miss keeps the flip.
         """
-        room = self._steady[1] - event.tick
-        if room > (event.left - 1) * event.flow.gap_ticks:
+        flow, tick = event.flow, event.tick
+        last = (event.left - 1) * flow.gap_ticks  # head to last packet, in ticks
+        room = self._steady[1] - tick
+        if room <= last and not self._links.per_epoch:
+            src = self.topology.hosts[flow.dst if event.is_response else flow.src]
+            cables = self.topology.network.cables_read(
+                src.device, src.port, self._frame(flow, event.is_response))
+            if cables is not None:
+                room = self._links.reach(cables, tick) - tick
+        if room > last:
             return event.left  # gap 0 too: the whole direction shares a tick
-        return (room - 1) // event.flow.gap_ticks + 1
+        return (room - 1) // flow.gap_ticks + 1
 
     # -- introspection -------------------------------------------------
     @property

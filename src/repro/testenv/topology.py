@@ -234,18 +234,23 @@ class _WalkDeps:
     has, per name in ``devices``, ``(table generation, the ports its
     decisions read or sent onto, liveness, link bits)`` (lookup and port
     table can disagree), which must still hold, with no data-path fault
-    session armed, for the walk to replay; ``keys`` are the record's
+    session armed, for the walk to replay; the three masks hold TUSER
+    ``port.bit`` values, not port indices.  ``keys`` are the record's
     exact-table keys, ``class_key`` its class-table key while the walk
-    serves as a template.
+    serves as a template, ``cables`` the canonical ``(device_a,
+    device_b)`` pairs behind the read port bits, filled on first ask
+    (:meth:`Network.cables_read`; the graph cannot change under a live
+    record, as a graph change flushes every walk).
     """
 
-    __slots__ = ("devices", "reads", "keys", "class_key")
+    __slots__ = ("devices", "reads", "keys", "class_key", "cables")
 
     def __init__(self, devices: tuple[str, ...], reads: tuple[tuple, ...]):
         self.devices = devices
         self.reads = reads
         self.keys: list[tuple] = []
         self.class_key: Optional[tuple] = None
+        self.cables: Optional[frozenset[tuple[str, str]]] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -672,6 +677,31 @@ class Network:
         warmed = self._batch["compiled"] - compiled  # walked or derived
         self._batch["prewarmed"] += warmed
         return warmed
+
+    def cables_read(self, device: str, port: int, frame: bytes,
+                    ) -> Optional[frozenset[tuple[str, str]]]:
+        """The cables the valid walk of ``(device, port, frame)`` read,
+        as canonical ``(device_a, device_b)`` pairs (ends ordered as
+        :meth:`links` orders them): until one of them changes state, the
+        walk's outcome cannot change.  ``None`` when there is no walk to
+        ask (a cold miss, or the cache is off and empty).
+
+        The walk is looked up as a warm-up looks it up (re-checked,
+        derived or revived, and replayed zero times), so ask after the
+        link state moved, never before.  A cable counts when the port
+        bit at either of its ends is in what that end's device read.
+        """
+        walk = self._lookup((device, port, frame), 0)
+        if walk is None:
+            return None
+        deps = walk.deps
+        if deps.cables is None:
+            deps.cables = frozenset({
+                tuple(sorted((name, peer.device)))
+                for name, (_, mask, _, _) in zip(deps.devices, deps.reads)
+                for exit_at, peer in self._ports[name]
+                if peer is not None and mask & exit_at.port.bit})
+        return deps.cables
 
     # -- the path cache -------------------------------------------------
     def _mark_dirty(self) -> None:

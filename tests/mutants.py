@@ -40,11 +40,12 @@ GRID = BATCH + "test_outcome_neutral_grid_is_one_run"
 TIMELINE = (BATCH + "test_the_link_timeline_answers_as_the_schedule_"
             "and_the_seeds_do")
 FEED = "tests/test_fabric_scheduler.py::TestTelemetryFeed::"
-PER_EPOCH = ("        self._per_epoch = "
+PER_EPOCH = ("        self.per_epoch = "
              "self.flapping or self._cut_spec is not None")
 GOLDEN = ("tests/test_telemetry_golden.py::"
           "test_every_series_matches_the_golden_file")
 PARKED = "tests/test_parked_walks.py::"
+SPANS = "tests/test_read_bounded_spans.py::TestSpans::"
 SHELL = "tests/test_shell_session.py::"
 PACING = ("tests/test_shell_golden.py::"
           "test_transcript_matches_the_golden_file[shell_pacing]")
@@ -103,14 +104,14 @@ MUTANTS = (
         "an armed seeded-cut oracle gets the schedule's interval",
         SCHEDULER,
         PER_EPOCH,
-        "        self._per_epoch = self.flapping",
+        "        self.per_epoch = self.flapping",
         (TIMELINE,),
     ),
     Mutant(
         "an armed flap oracle is ignored when the interval is chosen",
         SCHEDULER,
         PER_EPOCH,
-        "        self._per_epoch = self._cut_spec is not None",
+        "        self.per_epoch = self._cut_spec is not None",
         (GRID + "[flaky-fabric]",
          BATCH + "test_flap_plan_keeps_batching_within_epochs", TIMELINE),
     ),
@@ -127,6 +128,36 @@ MUTANTS = (
         'derived("fabric-link", a, b, e0)',
         'derived("fabric-link", a, b, 0)',
         (TIMELINE,),
+    ),
+    # Read-bounded spans (fabric/scheduler.py, testenv/topology.py).
+    Mutant(
+        "a cable counts only when its canonical first end read it",
+        TOPOLOGY,
+        "                if peer is not None and mask & exit_at.port.bit})",
+        "                if peer is not None and mask & exit_at.port.bit\n"
+        "                and name <= peer.device})",
+        (SPANS + "test_a_flow_splits_at_its_own_cables_first_edge",),
+    ),
+    Mutant(
+        "a port index is taken for its mask bit",
+        TOPOLOGY,
+        "                if peer is not None and mask & exit_at.port.bit})",
+        "                if peer is not None and mask & 1 << exit_at.port.index})",
+        (SPANS + "test_a_flow_splits_at_its_own_cables_first_edge",),
+    ),
+    Mutant(
+        "a span runs to the walk's last edge instead of its first",
+        SCHEDULER,
+        "        return edges[i] * FLAP_EPOCH_TICKS if i < len(edges)",
+        "        return edges[-1] * FLAP_EPOCH_TICKS if i < len(edges)",
+        (SPANS + "test_a_flow_splits_at_its_own_cables_first_edge",),
+    ),
+    Mutant(
+        "the cables are read off the record the flip made stale",
+        TOPOLOGY,
+        "        walk = self._lookup((device, port, frame), 0)",
+        "        walk = self._path_cache.get((device, port, frame))",
+        (SPANS + "test_a_detour_is_bounded_by_the_cables_it_reads_now",),
     ),
     # One way to mirror a counter (telemetry/probes.py).
     Mutant(
