@@ -13,16 +13,17 @@ observable:
   as what the walk read holds: the same bump marks the device dirty
   on the network, the next lookup marks the walks through dirty
   devices *suspect*, and a suspect walk is re-checked against what it
-  read when next found — kept if nothing moved, else dropped and (a
-  class walk) parked until a repair makes it hold again.  One lookup
+  read when next found — kept if nothing moved, else retired into its
+  class until a repair makes it hold again.  One lookup
   (``Network._lookup``), three entry points: per-packet
   :meth:`Network.inject`, counted :meth:`Network.inject_batch`, which
   replays a stored walk for *N packets in one pass* with counter
   deltas applied as ``n * delta``, and set-up :meth:`Network.warm_paths`.
-  A dropped walk declines the counted entry, so a counted run splits
-  exactly where a per-packet run would re-walk.  Beside the exact
-  table, a **class table** shares one cold walk among all frames that
-  agree on the header bits the fabric's lookups declare they read
+  A class with no walk that holds declines the counted entry, so a
+  counted run splits exactly where a per-packet run would re-walk.
+  The one table keys each flow by its **class**, which shares one cold
+  walk among all frames that agree on the header bits the fabric's
+  lookups declare they read
   (:meth:`~repro.cores.output_port_lookup.OutputPortLookup.header_reads`)
   — on a switched fabric, every flow of a host pair.  The device cache
   key stays exact; whether and when to fill it at all is the ROADMAP's

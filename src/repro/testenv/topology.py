@@ -40,50 +40,54 @@ subscribes) — one ``set.add`` per *mutation*.
 :meth:`Network.set_link_state` marks both cable ends the same way.
 Each slow walk records what it read at each device it visited (see
 :class:`_WalkDeps`) and an inverted index maps a device to the records
-of the resident walks through it (the tag-based revalidation Open
-vSwitch pairs with its megaflow cache).  An injection first asks "is
-anything dirty" — on a hit that is the whole validation, with no call
-into any device — and if so marks the walks through the dirty devices
-*suspect*; a suspect walk is re-checked when next looked up and
-dropped, from both tables, only if something it read moved: a link cut
-costs the walks that used the cable.  A slow walk during which
-anything turned dirty (a switch learned) is not stored.  Only a change
-to the graph itself (:meth:`Network.add_device`, :meth:`Network.link`)
-still flushes everything, at once.
+of the walks the table holds through it (the tag-based revalidation
+Open vSwitch pairs with its megaflow cache).  An injection first asks
+"is anything dirty" — on a hit that is the whole validation, with no
+call into any device — and if so marks the walks through the dirty
+devices *suspect*; a suspect walk is re-checked when next looked up and
+leaves service only if something it read moved: a link cut costs the
+walks that used the cable.  A slow walk during which anything turned
+dirty (a switch learned) is not stored.  Only a change to the graph
+itself (:meth:`Network.add_device`, :meth:`Network.link`) still forgets
+everything, at once.
 
-**A walk a cut dropped waits for the repair.**  Being a function of
-what it read, a dropped walk is good again once all of that reads as it
-did.  So when a re-check drops a record that held a class entry, that
-class walk is *parked* under its class key (at most :data:`PARK_DEPTH`
-per class, the oldest goes first).  A class miss with anything parked
-tries the class's parked walks, newest first: the first that holds
-again goes back into the class table and the index, and the lookup
-carries on as a hit (``path_revived`` counts these) — a repair costs no
-slow walk.  Only staleness parks: a walk evicted for capacity does not,
-and neither does an exact-only walk (a stamped INT frame's, a rewriting
-one's), which has no class entry.  A graph change and
-``set_fastpath(False)`` empty the park.
+**One table of walks per class** (Open vSwitch's megaflow cache, with
+its exact-match entries in front).  The table maps each key to its
+entry: a *class* of frames that no lookup can tell apart, which holds
+the walks it has met — at most :data:`PARK_DEPTH` retired ones beside
+the one that serves.  When the serving walk fails its re-check it
+retires (the newest retired is last) and the class chooses again,
+newest first: a retired walk that a mutation marked since is checked
+as the serving one was, and the first that holds serves again
+(``path_revived``); a walk whose check failed and that nothing has
+marked since is passed over without a call.  Being a function of what
+it read, a walk a cut retired is good again once all of that reads as
+it did, so a repair costs no slow walk.  Only if no walk holds is one
+walked and added to the class.  A key, once entered, stays: a cut
+drops nothing, and only capacity (FIFO over keys, the oldest key's
+whole class at once) or a graph change takes keys out.  A walk that
+serves one key only — a stamped INT frame's, a rewriting one's — is a
+class of one, filed under that key.
 
 **Walks are shared across frames the fabric cannot tell apart** (the
 microflow → megaflow step of Open vSwitch).  Every lookup declares what
 its ``decide()`` may read of a frame
 (:meth:`~repro.cores.output_port_lookup.OutputPortLookup.header_reads`:
 a learning switch the two MAC addresses, a router everything) and the
-network ORs the declarations of its devices.  Beside the exact table
-sits a *class* table keyed ``(device, port, frame bits under that mask,
-frame length as far as any lookup tells)``.  It holds a walk only when
-the walk was *frame-preserving* — cacheable as above and every copy it
-forwarded or delivered byte-equal to the injected frame, so no rewrite:
-then each lookup on the way saw exactly the injected frame, would
-decide the same for any frame of the class and hand that one on
-unchanged too.  The class's entry is that walk with no frame in its
-deliveries (``None`` there means "what you injected"), so it *is* the
-walk of every frame of the class: on an exact-key miss a class hit
-stores that one object under the exact key too and carries on as a hit
-(``path_shared`` counts these) — a table entry per derived key, not a
-walk object, and no bytes of one flow to hand to another.  The slow
-walk runs for the first frame of a class only, and every key of a class
-shares one dependency record, so they leave together.
+network ORs the declarations of its devices.  A class is keyed in the
+same table ``(device, port, frame bits under that mask, frame length as
+far as any lookup tells)``, and only a *frame-preserving* walk joins
+it — cacheable as above and every copy it forwarded or delivered
+byte-equal to the injected frame, so no rewrite: then each lookup on
+the way saw exactly the injected frame, would decide the same for any
+frame of the class and hand that one on unchanged too.  The class keeps
+that walk with no frame in its deliveries (``None`` there means "what
+you injected"), so it *is* the walk of every frame of the class: a
+plain frame's key is entered with its class as its whole entry and
+replays whatever walk serves it (``path_shared`` counts the keys that
+joined a walk they did not take) — no walk object per key, and no
+bytes of one flow to hand to another.  The slow walk runs for the
+first frame of a class only, each time no walk of the class holds.
 
 **INT frames share by host pair too.**  Every hop stamps an INT frame,
 but only into its *hop stack* (the slots, the hop-count byte and the
@@ -92,20 +96,21 @@ what it stamps is a function of the path alone.  So the walk of an
 *unstamped* INT frame is a template when every copy equals the
 injected frame outside the hop stack; its class key adds the trailer
 geometry (``max_hops``), so plain and INT frames of one pair never
-share a walk.  The class entry keeps each delivered copy's recorded
-stamp bytes and nothing else — no headers, flow id, sequence or
-direction bit of the flow that walked — and a derived key gets a walk
-object of its own whose deliveries are the caller's frame with those
-stamps spliced in.  A frame already stamped, or a runt that merely
-ends in the magic, keeps to the exact table.  A fabric in which some
-lookup reads the whole header window has no classes to share.
+share a walk.  The class keeps each delivered copy's recorded stamp
+bytes and nothing else — no headers, flow id, sequence or direction
+bit of the flow that walked — and an INT key's entry is its class, its
+hop-slot offset and one walk of its own whose deliveries are the key's
+frame with those stamps spliced in, spliced again only when the class
+serves another walk.  A frame already stamped, or a runt that merely
+ends in the magic, is a class of one.  A fabric in which some lookup
+reads the whole header window has no classes to share.
 
 **One lookup, three entry points.**  Each entry point looks a key up
 through :meth:`Network._lookup`, written once: mark the walks through
-dirty devices suspect, take the exact entry (re-checked if suspect),
-else enter the key under its class's walk (re-checked, or revived
-from the park), then replay the walk ``count`` times.  The entry points
-differ only in ``count`` and in what a miss costs:
+dirty devices suspect, take the key's entry (or enter the key under
+its class), take the walk its class serves (re-checked if suspect,
+chosen again if it fails), then replay it ``count`` times.  The entry
+points differ only in ``count`` and in what a miss costs:
 
 * :meth:`Network.inject` is the per-packet entry (``count`` 1): on a
   miss it takes the slow walk and stores it.  The engine sends through
@@ -160,10 +165,11 @@ CpuHandler = Callable[[bytes, int], list[tuple[int, bytes]]]
 #: to terminate a broadcast storm quickly.
 DEFAULT_HOP_LIMIT = 64
 
-#: Bound on memoized hop walks per network (FIFO eviction).
+#: Bound on the keys a network's path cache holds (FIFO eviction).
 PATH_CACHE_CAPACITY = 8192
 
-#: Bound on the walks one class keeps parked (the oldest goes first).
+#: Bound on the retired walks one class keeps (the least recently
+#: retired goes first).
 PARK_DEPTH = 8
 
 
@@ -180,6 +186,14 @@ def _int_region(frame: bytes) -> Optional[int]:
         return None
     slots = len(frame) - _INT_HEADER - frame[-6] * _INT_HOP
     return slots if slots >= _INT_WINDOW else None
+
+
+def _carrying(walk: "_CachedWalk", deliveries: tuple) -> "_CachedWalk":
+    """``walk`` with other deliveries (a class's twin, or an INT key's
+    splice of it), sharing the rest — its record too."""
+    return _CachedWalk(deliveries, walk.dropped_hop_limit,
+                       walk.dropped_link_down, walk.forwarded, walk.ops,
+                       walk.deps, walk.link_down_sites, walk.hop_limit_sites)
 
 
 def _splice_stack(frame: bytes, slots: int, stack: bytes) -> bytes:
@@ -228,32 +242,44 @@ class _WalkDelivery(NamedTuple):
 class _WalkDeps:
     """What one slow walk depends on: what it read at each device.
 
-    Shared by every walk derived from it (a derived key costs one list
-    append, not an index entry of its own) and indexed per device, so a
-    mutation finds exactly the records it may have stalled.  ``reads``
-    has, per name in ``devices``, ``(table generation, the ports its
-    decisions read or sent onto, liveness, link bits)`` (lookup and port
-    table can disagree), which must still hold, with no data-path fault
-    session armed, for the walk to replay; the three masks hold TUSER
-    ``port.bit`` values, not port indices.  ``keys`` are the record's
-    exact-table keys, ``class_key`` its class-table key while the walk
-    serves as a template, ``cables`` the canonical ``(device_a,
-    device_b)`` pairs behind the read port bits, filled on first ask
-    (:meth:`Network.cables_read`; the graph cannot change under a live
-    record, as a graph change flushes every walk).
+    Indexed per device, so a mutation finds exactly the records it may
+    have stalled; the twin a class keeps and every INT key's splice of
+    it share the walk's record.  ``reads`` has, per name in
+    ``devices``, ``(table generation, the ports its decisions read or
+    sent onto, liveness, link bits)`` (lookup and port table can
+    disagree), which must still hold, with no data-path fault session
+    armed, for the walk to replay; the three masks hold TUSER
+    ``port.bit`` values, not port indices.  ``cables`` are the
+    canonical ``(device_a, device_b)`` pairs behind the read port bits,
+    filled on first ask (:meth:`Network.cables_read`; the graph cannot
+    change under a held walk, as a graph change forgets every walk).
     """
 
-    __slots__ = ("devices", "reads", "keys", "class_key", "cables")
+    __slots__ = ("devices", "reads", "cables")
 
     def __init__(self, devices: tuple[str, ...], reads: tuple[tuple, ...]):
-        self.devices = devices
-        self.reads = reads
-        self.keys: list[tuple] = []
-        self.class_key: Optional[tuple] = None
-        self.cables: Optional[frozenset[tuple[str, str]]] = None
+        self.devices, self.reads, self.cables = devices, reads, None
 
 
-@dataclass(frozen=True, slots=True)
+class _WalkClass:
+    """The walks that serve one class of keys (see the module docstring).
+
+    ``walks`` are the walks the class has met: retired ones in the order
+    they retired, at most :data:`PARK_DEPTH` of them, then the one in
+    ``serving`` (``None`` while none holds).  ``key``
+    is the class key it is filed under, ``None`` for a class of one
+    (filed under its only key); ``keys`` are the exact keys entered
+    under it.
+    """
+
+    __slots__ = ("key", "keys", "walks", "serving")
+
+    def __init__(self, key: Optional[tuple]):
+        self.key = key
+        self.keys, self.walks, self.serving = [], [], None
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class _CachedWalk:
     """A finished injection, frozen for replay.
 
@@ -269,8 +295,8 @@ class _CachedWalk:
     unstamped INT frame's: equal outside the hop stack — so less those
     frames (an INT walk: less all but their stamps) it is the walk of
     every frame of the class (see the module docstring) and
-    :meth:`Network._store` enters that twin in the class table.
-    ``deps`` is the slow walk's dependency record, and the twin's.
+    :meth:`Network._store` files that twin under the class.  ``deps``
+    is the slow walk's dependency record, and the twin's.
     """
 
     deliveries: tuple[_WalkDelivery, ...]
@@ -357,32 +383,28 @@ class Network:
         self._link_up: dict[str, int] = {}
         # Path cache (see the module docstring for the invariants).
         self.path_cache_enabled = True
-        self._path_cache: dict[tuple, _CachedWalk] = {}
-        self._class_cache: dict[tuple, _CachedWalk] = {}
+        #: The one table: an exact key's entry is its class (an INT
+        #: key's: ``(class, hop-slot offset, its splice)``), a class key's
+        #: the class itself.
+        self._path_cache: dict[tuple, object] = {}
+        #: How many of the table's keys are class keys.
+        self._classes = 0
         #: Devices whose decision state (or cabling) moved since the
         #: last :meth:`_mark_dirty`; each device's state cell adds its
         #: name here, once per mutation.
         self._dirty: set[str] = set()
-        #: The inverted index: device -> records of the resident walks
-        #: that visited it.
+        #: The inverted index: device -> records of the walks the
+        #: classes hold (retired ones too) that visited it.
         self._dependents: dict[str, set[_WalkDeps]] = {}
         #: Records through a device gone dirty since their last check.
         self._suspect: set[_WalkDeps] = set()
-        #: Per class key, the class walks a re-check dropped, oldest
-        #: first: each comes back once everything it read holds again.
-        self._park: dict[tuple, list[_CachedWalk]] = {}
         #: What the devices' lookups read of a frame between them,
         #: OR-ed as they join; ``None`` once some lookup reads the whole
         #: window and no two frames share a class.
         self._reads: Optional[HeaderReads] = READS_NOTHING
-        self.path_hits = 0
-        self.path_misses = 0
-        self.path_invalidations = 0
-        self.path_dropped = 0
-        self.path_revalidated = 0
-        self.path_revived = 0
-        self.path_bypasses = 0
-        self.path_shared = 0
+        self.path_hits = self.path_misses = self.path_shared = 0
+        self.path_invalidations = self.path_dropped = 0
+        self.path_revalidated = self.path_revived = self.path_bypasses = 0
         #: What :meth:`batch_stats` reports, less the resident count.
         self._batch = dict.fromkeys(
             ("compiled", "replays", "replayed_packets", "cold_misses",
@@ -414,7 +436,7 @@ class Network:
         self._ports[name] = [(Attachment(name, PortRef("phys", i)), None)
                              for i in range(NUM_PHYS_PORTS)]
         self._link_up[name] = all_phys_ports_mask()
-        if self._path_cache or self._park:  # the graph changed: flush
+        if self._path_cache:  # the graph changed: flush
             self._flush()
         if cpu_handler is not None:
             self._cpu[name] = cpu_handler
@@ -438,7 +460,7 @@ class Network:
             raise TopologyError("cannot cable a port to itself")
         self._ports[a_device][a_port] = (a, b)
         self._ports[b_device][b_port] = (b, a)
-        if self._path_cache or self._park:  # the graph changed: flush
+        if self._path_cache:  # the graph changed: flush
             self._flush()
 
     def edge_ports(self, device: str) -> list[PortRef]:
@@ -612,13 +634,13 @@ class Network:
         the aggregate effect on per-device counters and loss accounting
         is byte-identical to ``count`` sequential :meth:`inject` calls
         of the same frame.  Returns ``None``, having carried nothing, when
-        there is no valid walk to replay: the cache is off, neither the
-        walk nor one to derive it from is resident (never walked, or
-        something it read has moved since) or parked and holding
-        again, or it is uncacheable (CPU
-        handlers, armed datapath faults, a lookup that is not
-        ``CACHEABLE``).  The caller then injects one packet the
-        per-packet way, which warms the walk for the next call.
+        there is no valid walk to replay: the cache is off, the key's
+        class holds no walk that still reads as it did (never walked,
+        or something every walk of it read has moved since), or the
+        walk is uncacheable (CPU handlers, armed datapath faults, a
+        lookup that is not ``CACHEABLE``).  The caller then injects one
+        packet the per-packet way, which warms the walk for the next
+        call.
 
         Counted replays do *not* append to the :attr:`deliveries` log —
         the log is a per-packet debugging aid, not a fingerprinted
@@ -645,19 +667,19 @@ class Network:
         Walks each ``(device, port, frame)`` once inside
         :meth:`sandbox` — every fingerprinted counter is restored, so
         warming carries no packet — and stores the cacheable walks.
-        A frame whose class already has a frame-preserving walk is not
-        walked at all: its walk is derived from that one, which is
-        neither a dry walk nor a path miss (``path_shared`` counts it).
+        A frame whose class already serves a frame-preserving walk is
+        not walked at all: its key joins that walk, which is neither a
+        dry walk nor a path miss (``path_shared`` counts it).
         A later :meth:`inject` or :meth:`inject_batch` of the same key
         then replays without ever taking the slow walk: this is what
         moves a flow's warm-up cost out of the dispatch loop and into
         setup.
 
-        Returns the number of walks it stored, walked or derived (an
-        exact hit stores nothing).  Stops early if a walk mutates
-        decision state (a learning device — the same caveat as
-        :meth:`sandbox`): anything turned dirty means already-recorded
-        walks may be stale.
+        Returns the number of keys it entered or walked again (a key
+        whose class serves a valid walk stores nothing).  Stops early
+        if a walk mutates decision state (a learning device — the same
+        caveat as :meth:`sandbox`): anything turned dirty means
+        already-recorded walks may be stale.
         """
         if not self.path_cache_enabled:
             return 0
@@ -674,7 +696,7 @@ class Network:
                     break
                 if walk is not None:
                     self._store(key, walk)
-        warmed = self._batch["compiled"] - compiled  # walked or derived
+        warmed = self._batch["compiled"] - compiled  # walked or joined
         self._batch["prewarmed"] += warmed
         return warmed
 
@@ -686,10 +708,11 @@ class Network:
         walk's outcome cannot change.  ``None`` when there is no walk to
         ask (a cold miss, or the cache is off and empty).
 
-        The walk is looked up as a warm-up looks it up (re-checked,
-        derived or revived, and replayed zero times), so ask after the
-        link state moved, never before.  A cable counts when the port
-        bit at either of its ends is in what that end's device read.
+        The walk is looked up as a warm-up looks it up (entered,
+        re-checked or chosen again, and replayed zero times), so ask
+        after the link state moved, never before.  A cable counts when
+        the port bit at either of its ends is in what that end's device
+        read.
         """
         walk = self._lookup((device, port, frame), 0)
         if walk is None:
@@ -722,168 +745,185 @@ class Network:
                 return False
         return True
 
-    def _recheck(self, walk: _CachedWalk) -> Optional[_CachedWalk]:
-        """Keep a suspect walk if nothing it read has moved since; else
-        drop it with its derived keys and class entry, and park that
-        class entry for when what it read holds again."""
-        deps = walk.deps
-        self._suspect.discard(deps)
-        if self._holds(deps):
-            self.path_revalidated += 1
-            return walk
-        self.path_invalidations += 1
-        class_key = deps.class_key
-        if class_key is not None:
-            parked = self._park.setdefault(class_key, [])
-            parked.append(self._class_cache[class_key])
-            if len(parked) > PARK_DEPTH:
-                del parked[0]
-        self.path_dropped += self._drop(deps)
-        return None
+    def _serve(self, cls: _WalkClass) -> Optional[_CachedWalk]:
+        """The walk that serves ``cls`` now, ``None`` if none holds.
 
-    def _revive(self, class_key: tuple) -> Optional[_CachedWalk]:
-        """The newest of a class's parked walks that holds again, back
-        in the class table and the index; ``None`` if none does."""
-        parked = self._park.get(class_key, ())
-        for index in reversed(range(len(parked))):
-            walk = parked[index]
+        Asked when the serving walk is suspect, or there is none.  The
+        class chooses among its walks newest first, the serving one (it
+        is kept last) before the retired ones: a walk that a mutation
+        marked since its last check is checked again, and the first that
+        holds serves, moved to the back; a serving walk that fails
+        retires where it stands, the newest retired, and a retired one
+        whose check failed and that nothing has marked since is passed
+        over without a call.
+        """
+        suspect, walks, serving = self._suspect, cls.walks, cls.serving
+        cls.serving = None
+        for walk in reversed(walks):
             deps = walk.deps
-            if self._holds(deps):
-                del parked[index]
-                if not parked:
-                    del self._park[class_key]
-                deps.class_key = class_key
-                self._class_cache[class_key] = walk
-                for device in deps.devices:
-                    self._dependents.setdefault(device, set()).add(deps)
-                self.path_revived += 1
-                return walk
+            if deps in suspect:
+                suspect.discard(deps)
+                if self._holds(deps):
+                    self.path_revalidated += 1
+                    if walk is not serving:
+                        self.path_revived += 1
+                        walks.remove(walk)
+                        walks.append(walk)
+                    cls.serving = walk
+                    return walk
+                self.path_invalidations += walk is serving
         return None
 
-    def _flush(self) -> None:
-        """Drop every walk at once, parked ones too."""
-        records = set().union(*self._dependents.values())
-        self.path_invalidations += len(records)
-        self.path_dropped += sum(map(self._drop, records))
-        self._park.clear()
-
-    def _drop(self, deps: _WalkDeps) -> int:
-        """Forget one slow walk and the walks derived from it; returns
-        the table entries that took.  The record is left empty, as new."""
+    def _unindex(self, deps: _WalkDeps) -> None:
         self._suspect.discard(deps)
         for device in deps.devices:
             self._dependents[device].discard(deps)
-        dropped = len(deps.keys)
-        for key in deps.keys:
-            del self._path_cache[key]
-        deps.keys.clear()
-        if deps.class_key is not None:
-            del self._class_cache[deps.class_key]
-            deps.class_key = None
-            dropped += 1
-        return dropped
+
+    def _evict(self, keep: Optional[_WalkClass], capacity: int) -> None:
+        """Take keys out, FIFO, until fewer than ``capacity`` are left:
+        the oldest key leaves with every key of its class, and the class
+        with its walks — unless it is ``keep``, the class a new key is
+        joining, which only goes to the back of the queue."""
+        cache = self._path_cache
+        while cache and len(cache) - self._classes >= capacity:
+            entry = next(iter(cache.values()))
+            cls = entry[0] if entry.__class__ is tuple else entry
+            for key in cls.keys:
+                del cache[key]
+            self.path_dropped += len(cls.keys)
+            cls.keys.clear()
+            if cls.key is not None:
+                del cache[cls.key]
+                if cls is keep:
+                    cache[cls.key] = cls
+                    continue
+                self._classes -= 1
+            self.path_invalidations += cls.serving is not None
+            for walk in cls.walks:
+                self._unindex(walk.deps)
+
+    def _flush(self) -> None:
+        """Forget every key and every walk at once."""
+        self._evict(None, 0)
 
     def _store(self, key: tuple, walk: _CachedWalk) -> None:
-        if len(self._path_cache) >= PATH_CACHE_CAPACITY:
-            # FIFO eviction: the oldest walk goes, and with it the rest
-            # of its record (every key in a record is resident, so the
-            # class table needs no bound of its own).
-            self._drop(next(iter(self._path_cache.values())).deps)
-        self._path_cache[key] = walk
+        """File a slow walk as the one that serves ``key``'s class.
+
+        A frame-preserving walk joins the class of the frames no lookup
+        tells from this one, as a twin that names no frame (an INT
+        class's: what each copy got stamped), and an INT key keeps the
+        walk itself as its splice.  Any other walk is a class of one,
+        filed under ``key`` (which leaves a shared class for it).  The
+        class keeps the walks it met, indexed, to :data:`PARK_DEPTH`
+        retired ones.
+        """
+        cache = self._path_cache
+        entry = cache.get(key)
+        cls = entry[0] if entry.__class__ is tuple else entry
+        if cls is not None and cls.key is not None and not walk.template:
+            cls.keys.remove(key)  # walked apart from its class
+            del cache[key]
+            cls = None
         self._batch["compiled"] += 1
-        deps = walk.deps
-        if not deps.keys and deps.class_key is None:
-            # Not indexed: new, or just evicted from under a derivation
-            # (a revived record was indexed with its class entry).
-            for device in deps.devices:
-                self._dependents.setdefault(device, set()).add(deps)
-        deps.keys.append(key)
-        if walk.template and self._reads is not None:
-            device, port, frame = key
-            deps.class_key = (device, port, *self._reads.key(frame))
-            slots = None
+        device, port, frame = key
+        class_key = slots = None
+        if walk.template and self._reads is not None and (
+                cls is None or cls.key is not None):
+            class_key = (device, port, *self._reads.key(frame))
             if frame[-4:] == _INT_MAGIC:  # unstamped, or no template
                 slots = _int_region(frame)
-                deps.class_key += (frame[-6],)
+                class_key += (frame[-6],)
+        if cls is None:  # a new key: joins its class, or makes one
+            cls = cache.get(class_key)
+            if len(cache) - self._classes >= PATH_CACHE_CAPACITY:
+                self._evict(cls, PATH_CACHE_CAPACITY)
+            if cls is None:
+                cls = _WalkClass(class_key)
+                if class_key is not None:
+                    cache[class_key] = cls
+                    self._classes += 1
+            cls.keys.append(key)
+        cache[key] = cls if slots is None else (cls, slots, walk)
+        if class_key is not None:
             # The class's walk names no frame, no flow's bytes to hand
             # out: an INT class keeps what each copy got stamped only.
-            self._class_cache[deps.class_key] = _CachedWalk(
-                tuple(_WalkDelivery(d.at, None if slots is None else (
+            walk = _carrying(walk, tuple(_WalkDelivery(
+                d.at, None if slots is None else (
                     d.frame[slots:slots + _INT_HOP * d.frame[-8]]
-                    + d.frame[-8:-6]), d.hops) for d in walk.deliveries),
-                walk.dropped_hop_limit, walk.dropped_link_down,
-                walk.forwarded, walk.ops, deps,
-                walk.link_down_sites, walk.hop_limit_sites,
-            )  # template=False: the class has its entry
+                    + d.frame[-8:-6]), d.hops) for d in walk.deliveries))
+        cls.walks.append(walk)
+        cls.serving = walk
+        deps = walk.deps
+        for name in deps.devices:
+            self._dependents.setdefault(name, set()).add(deps)
+        if len(cls.walks) > PARK_DEPTH + 1:
+            self._unindex(cls.walks.pop(0).deps)
 
     def _lookup(self, key: tuple, count: int) -> Optional[_CachedWalk]:
         """The valid walk for ``key``, replayed ``count`` times; ``None``
         if there is none.  Every entry point looks up through here.
 
         First the walks through devices gone dirty are marked suspect.
-        The exact entry, if any, is re-checked when suspect.  On a miss
-        the key is entered under its class's walk.  The class table
-        holds one walk per ``(device, port, what the lookups read of
-        the frame)`` that preserved its frame outside the INT hop
-        stack.  Every lookup on the way decides for this frame as it
-        did for the recorded one and hands it on as it did, so the
-        class's walk is this frame's walk — once re-checked if suspect,
-        or revived from the park if the class has none.  A plain
-        class's names no frame and is stored under the exact key as it
-        stands; an INT class's deliveries are this frame with each
-        copy's recorded stamps spliced in (a walk object per key,
-        sharing the rest).  Either counts in :attr:`path_shared` and
-        carries on as if the exact lookup had hit.
+        A key not in the table is entered under its class, keyed
+        ``(device, port, what the lookups read of the frame)``: every
+        lookup on the way decides for this frame as it did for the one
+        that walked and hands it on as it did, so the class's walk is
+        this frame's walk (:attr:`path_shared`).  Then the walk the
+        key's class serves is taken — re-checked if suspect, and chosen
+        again among the class's walks if it fails (:meth:`_serve`).  A
+        plain key replays it as it stands; an INT key replays its own
+        splice, this frame with each copy's recorded stamps written in,
+        made again only when its class serves another walk.
 
         The replay moves every counter as ``count`` identical
-        injections would (``0``: a warm-up, nothing moves).  The class
-        step and the replay are written inline, not called: either
-        would be one more call per packet.
+        injections would (``0``: a warm-up, nothing moves).  Entering a
+        key and the replay are written inline, not called: either would
+        be one more call per packet.
         """
         if self._dirty:
             self._mark_dirty()
-        walk = self._path_cache.get(key)
-        if self._suspect and walk is not None and walk.deps in self._suspect:
-            walk = self._recheck(walk)
-        if walk is None:
-            if not (self._class_cache or self._park):
+        cache = self._path_cache
+        entry = cache.get(key)
+        if entry is None:
+            if not self._classes:
                 return None
+            # A new device flushes every walk, so the declarations the
+            # classes were keyed under still stand (and allow sharing).
             device, port, frame = key
-            slots = None
-            if frame[-4:] == _INT_MAGIC:
-                slots = _int_region(frame)
-                if slots is None:
-                    return None  # stamped already, or a runt: its own walk
-            # A new device flushes every walk, so the declarations a
-            # filled class table was keyed under still stand (and allow
-            # sharing).
-            class_key = (device, port, *self._reads.key(frame))
-            if slots is not None:
-                class_key += (frame[-6],)  # never a plain frame's class
-            shared = self._class_cache.get(class_key)
-            if (self._suspect and shared is not None
-                    and shared.deps in self._suspect):
-                shared = self._recheck(shared)
-            if shared is None and self._park:
-                shared = self._revive(class_key)
-            if shared is None:
+            walk = slots = None
+            if frame[-4:] != _INT_MAGIC:
+                cls = cache.get((device, port, *self._reads.key(frame)))
+            elif (slots := _int_region(frame)) is not None:
+                # The trailer's geometry: never a plain frame's class.
+                cls = cache.get((device, port, *self._reads.key(frame),
+                                 frame[-6]))
+            else:
+                return None  # stamped already, or a runt: its own class
+            if cls is None:
                 return None
-            walk = shared
-            if slots is not None:
-                walk = _CachedWalk(
-                    tuple(_WalkDelivery(
-                        d.at, _splice_stack(frame, slots, d.frame), d.hops)
-                        for d in shared.deliveries),
-                    shared.dropped_hop_limit, shared.dropped_link_down,
-                    shared.forwarded, shared.ops, shared.deps,
-                    shared.link_down_sites, shared.hop_limit_sites,
-                )
-            self._store(key, walk)
-            if shared.deps.class_key is None:
-                # Evicted from under its own store: live again, class too.
-                shared.deps.class_key = class_key
-                self._class_cache[class_key] = shared
+        elif entry.__class__ is tuple:  # an INT key
+            cls, slots, walk = entry
+        else:
+            cls, slots = entry, None
+        serving = cls.serving
+        if serving is None or self._suspect and serving.deps in self._suspect:
+            serving = self._serve(cls)
+            if serving is None:
+                return None
+        if entry is None:  # the key joins the walk its class serves
+            if len(cache) - self._classes >= PATH_CACHE_CAPACITY:
+                self._evict(cls, PATH_CACHE_CAPACITY)
+            cls.keys.append(key)
+            cache[key] = cls
+            self._batch["compiled"] += 1
             self.path_shared += 1
+        if slots is None:
+            walk = serving
+        elif walk is None or walk.deps is not serving.deps:
+            walk = _carrying(serving, tuple(_WalkDelivery(
+                d.at, _splice_stack(key[2], slots, d.frame), d.hops)
+                for d in serving.deliveries))
+            cache[key] = (cls, slots, walk)
         if count:
             for opl, packets, drops, deltas in walk.ops:
                 opl.packets += packets * count
@@ -1041,11 +1081,7 @@ class Network:
         ``RunConfig.fastpath`` and ``nf-mon fabric --no-fastpath``."""
         self.path_cache_enabled = enabled
         if not enabled:
-            self._path_cache.clear()
-            self._class_cache.clear()
-            self._dependents.clear()
-            self._suspect.clear()
-            self._park.clear()
+            self._flush()
         for project in self._devices.values():
             cache = getattr(project, "fastpath", None)
             if cache is not None:
@@ -1055,34 +1091,39 @@ class Network:
 
     @property
     def path_entries(self) -> int:
-        return len(self._path_cache)
+        """The exact keys in the table (its class keys aside)."""
+        return len(self._path_cache) - self._classes
 
     def batch_stats(self) -> dict[str, int]:
         """The counted entry's operational counters (never fingerprinted).
 
         ``compiled`` — walks stored in the cache (a stored walk *is* the
-        replayable form); ``entries`` — walks resident now; ``replays``
+        replayable form) and keys entered under a walk they did not take;
+        ``entries`` — keys in the table now (with no link moving,
+        ``compiled - entries`` is what evictions took); ``replays``
         / ``replayed_packets`` — :meth:`inject_batch` calls that
         replayed and the packets they carried; ``cold_misses`` — calls
         that found no valid walk and declined; ``prewarmed`` — walks
         stored by :meth:`warm_paths` before any packet flew.
         """
-        return {**self._batch, "entries": len(self._path_cache)}
+        return {**self._batch, "entries": self.path_entries}
 
     def fastpath_stats(self) -> dict[str, int]:
         """Aggregate flow-cache counters: path cache + device caches.
 
-        ``path_misses`` counts slow walks taken, ``path_shared`` the
-        walks derived from another frame's instead; ``path_hits`` the
-        walks :meth:`inject` replays (a derived one too): the per-packet
+        ``path_misses`` counts slow walks taken, ``path_shared`` the keys
+        that joined a walk they did not take instead; ``path_hits`` the
+        walks :meth:`inject` replays (a shared one too): the per-packet
         reference's and callers' outside the engine — with ``batch`` on
         the engine replays through :meth:`inject_batch` instead.
-        ``path_revalidated`` counts the suspect walks (a device they
-        visited changed) kept after their re-check, ``path_invalidations``
-        the walks dropped — failing it, or with the graph — and
-        ``path_dropped`` the entries (exact and class table) they took;
-        ``path_revived`` the parked class walks that came back instead of
-        a slow walk, everything they read holding again (a repair)."""
+        ``path_revalidated`` counts the re-checks a suspect walk (a device
+        it visited changed) passed, ``path_invalidations`` the serving
+        walks that left service — failing their check, or evicted or
+        forgotten with their class — and ``path_dropped`` every key that
+        left the table, on a capacity eviction or a graph change (a cut
+        drops none); ``path_revived`` the retired walks that served
+        again instead of a slow walk, everything they read holding again
+        (a repair)."""
         stats = {
             "path_hits": self.path_hits,
             "path_misses": self.path_misses,
@@ -1133,25 +1174,20 @@ class Network:
         for project in self._devices.values():
             opl = getattr(project, "opl", None)
             if opl is not None:
-                saved_opl.append(
-                    (opl, opl.packets, opl.drops, dict(opl.counters))
-                )
-        saved_deliveries = len(self.deliveries)
-        saved_hop = self.dropped_hop_limit
-        saved_link = self.dropped_link_down
-        saved_fwd = self.forwarded_hops
+                saved_opl.append((opl, opl.packets, opl.drops,
+                                  dict(opl.counters)))
+        saved = (len(self.deliveries), self.dropped_hop_limit,
+                 self.dropped_link_down, self.forwarded_hops)
         try:
             yield self
         finally:
             for opl, packets, drops, counters in saved_opl:
-                opl.packets = packets
-                opl.drops = drops
+                opl.packets, opl.drops = packets, drops
                 opl.counters.clear()
                 opl.counters.update(counters)
-            del self.deliveries[saved_deliveries:]
-            self.dropped_hop_limit = saved_hop
-            self.dropped_link_down = saved_link
-            self.forwarded_hops = saved_fwd
+            del self.deliveries[saved[0]:]
+            (self.dropped_hop_limit, self.dropped_link_down,
+             self.forwarded_hops) = saved[1:]
 
     def reachability_matrix(self) -> dict[str, frozenset[str]]:
         """Graph-level reachability: BFS over cables with link up.

@@ -45,6 +45,7 @@ PER_EPOCH = ("        self.per_epoch = "
 GOLDEN = ("tests/test_telemetry_golden.py::"
           "test_every_series_matches_the_golden_file")
 PARKED = "tests/test_parked_walks.py::"
+WALK_TABLE = PARKED + "TestOneWalkTable::"
 SPANS = "tests/test_read_bounded_spans.py::TestSpans::"
 SHELL = "tests/test_shell_session.py::"
 PACING = ("tests/test_shell_golden.py::"
@@ -184,7 +185,7 @@ MUTANTS = (
         "        pass",
         (GOLDEN, FEED + "test_hop_histogram_is_fed_once_per_bucket"),
     ),
-    # Parked walks and one replica (testenv/topology.py, fabric/shard.py).
+    # Retired walks and one replica (testenv/topology.py, fabric/shard.py).
     Mutant(
         "a parked walk's re-check skips the link bits",
         TOPOLOGY,
@@ -196,24 +197,60 @@ MUTANTS = (
          "test_set_link_state_marks_both_ends_itself"),
     ),
     Mutant(
-        "a revived walk is not re-entered in the dependents index",
+        "a retired walk leaves the index",
         TOPOLOGY,
-        "                for device in deps.devices:\n"
-        "                    self._dependents.setdefault(device, set())"
-        ".add(deps)\n"
-        "                self.path_revived += 1",
-        "                self.path_revived += 1",
+        "                self.path_invalidations += walk is serving\n",
+        "                self.path_invalidations += walk is serving\n"
+        "                if walk is serving:\n"
+        "                    self._unindex(deps)\n",
         (PARKED + "TestNamedMutants::"
                   "test_a_revived_walk_is_marked_by_the_next_cut",
-         PARKED + "TestParkedWalksOracle::test_a_repair_walks_nothing"),
+         PARKED + "TestParkedWalksOracle::test_a_repair_walks_nothing",
+         WALK_TABLE + "test_a_cut_and_its_repair_drop_no_key_and_derive_none"),
     ),
     Mutant(
-        "a flush keeps the park",
+        "a flush keeps the class walks",
         TOPOLOGY,
-        "        self.path_dropped += sum(map(self._drop, records))\n"
-        "        self._park.clear()\n",
-        "        self.path_dropped += sum(map(self._drop, records))\n",
+        "        self._evict(None, 0)\n",
+        "        self._path_cache = {key: entry for key, entry\n"
+        "                            in self._path_cache.items()\n"
+        "                            if len(key) != 3}\n",
         (PARKED + "TestNamedMutants::test_a_graph_change_empties_the_park",),
+    ),
+    # One walk table (testenv/topology.py).
+    Mutant(
+        "a suspect retired walk serves without its check",
+        TOPOLOGY,
+        "                if self._holds(deps):\n",
+        "                if walk is not serving or self._holds(deps):\n",
+        (PARKED + "TestNamedMutants::"
+                  "test_a_retired_walk_is_checked_before_it_serves",),
+    ),
+    Mutant(
+        "a failed walk serves with no new mark",
+        TOPOLOGY,
+        "            if deps in suspect:\n",
+        "            if deps not in suspect:\n"
+        "                cls.serving = walk\n"
+        "                return walk\n"
+        "            if True:\n",
+        (PARKED + "TestNamedMutants::test_a_failed_walk_waits_for_a_mark",),
+    ),
+    Mutant(
+        "an INT key keeps its splice after its class switched walks",
+        TOPOLOGY,
+        "        elif walk is None or walk.deps is not serving.deps:\n",
+        "        elif walk is None:\n",
+        (WALK_TABLE + "test_an_int_key_follows_its_classs_serving_walk",),
+    ),
+    Mutant(
+        "an eviction leaves a key of the evicted class behind",
+        TOPOLOGY,
+        "            for key in cls.keys:\n",
+        "            for key in cls.keys[1:]:\n",
+        (WALK_TABLE + "test_an_eviction_is_counted",
+         "tests/test_fastpath_invalidation.py::"
+         "test_eviction_from_under_a_derivation_keeps_the_index_whole"),
     ),
     Mutant(
         "inline partitions run without a sandbox",

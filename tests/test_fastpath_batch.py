@@ -72,8 +72,10 @@ class TestInjectBatch:
             one = serial.inject("s1", 0, frame)
         assert counter_state(batched) == counter_state(serial)
         assert batched.batch_stats()["replayed_packets"] == 6
-        # The returned walk is one packet's outcome, field for field.
-        assert [tuple(d) for d in template.deliveries] \
+        # The returned walk is one packet's outcome, field for field (a
+        # frame of None is the one injected).
+        assert [(d.at, d.frame or frame, d.hops)
+                for d in template.deliveries] \
             == [(d.at, d.frame, d.hops) for d in one]
         for name in ("dropped_hop_limit", "dropped_link_down",
                      "hop_limit_sites", "link_down_sites"):
@@ -464,8 +466,9 @@ class TestEngineFingerprint:
         for report in (one, two):
             assert report.fastpath["path_revalidated"] > 0
             assert report.fastpath["path_revived"] > 0
-            assert report.fastpath["path_dropped"] \
-                > report.fastpath["path_invalidations"] > 0
+            # A cut retires walks and drops no key.
+            assert report.fastpath["path_invalidations"] > 0
+            assert report.fastpath["path_dropped"] == 0
         assert two.fastpath["path_misses"] <= one.fastpath["path_misses"]
 
     def test_int_flows_share_walks_through_cuts(self):

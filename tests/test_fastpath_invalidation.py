@@ -60,21 +60,44 @@ def outcome(result: InjectionResult) -> tuple:
             result.hop_limit_sites, result.link_down_sites)
 
 
+def class_of(entry):
+    """The class a table entry names (an INT key's is a triple)."""
+    return entry[0] if isinstance(entry, tuple) else entry
+
+
 def assert_index_whole(net: Network) -> None:
-    """The inverted index holds exactly the records of the resident
-    walks, under exactly the devices they visited — nothing dangling,
-    nothing leaked."""
-    records = {id(walk.deps): walk.deps for walk in net._path_cache.values()}
+    """The inverted index holds exactly the records of the walks the
+    classes in the table hold, retired ones too, under exactly the
+    devices they visited — nothing dangling, nothing leaked; every key
+    in the table is filed under the class that lists it, an INT key
+    with its own hop-slot offset, and the walk a class serves is its
+    last."""
+    classes = {id(class_of(entry)): class_of(entry)
+               for entry in net._path_cache.values()}
+    records = {id(walk.deps): walk.deps
+               for cls in classes.values() for walk in cls.walks}
+    assert len(records) == sum(len(cls.walks) for cls in classes.values())
     indexed = {device: {id(deps) for deps in dependents}
                for device, dependents in net._dependents.items()}
     assert set().union(*indexed.values()) == set(records)
     for deps in records.values():
-        assert all(net._path_cache[key].deps is deps for key in deps.keys)
         assert all(id(deps) in indexed[device] for device in deps.devices)
-    assert sum(len(deps.keys) for deps in records.values()) \
-        == len(net._path_cache)
-    assert {deps.class_key for deps in records.values()} - {None} \
-        == set(net._class_cache)
+    for key, entry in net._path_cache.items():
+        cls = class_of(entry)
+        if len(key) == 3:  # an exact key
+            assert key in cls.keys
+            if isinstance(entry, tuple):  # splices again when stale
+                assert entry[1] == topology_module._int_region(key[2])
+        else:
+            assert cls.key == key and not isinstance(entry, tuple)
+    class_keys = [cls.key for cls in classes.values() if cls.key is not None]
+    assert len(class_keys) == net._classes
+    assert sum(len(cls.keys) for cls in classes.values()) \
+        == net.path_entries == len(net._path_cache) - len(class_keys)
+    for cls in classes.values():
+        assert all(class_of(net._path_cache[key]) is cls for key in cls.keys)
+        assert cls.key is not None or len(cls.keys) <= 1
+        assert cls.serving is None or cls.walks[-1] is cls.serving
     assert {id(deps) for deps in net._suspect} <= set(records)
 
 
@@ -173,8 +196,9 @@ def test_every_mutator_drops_the_walk_and_only_a_change_does(mutator):
     for net in (fast, slow):
         mutator.apply(net)
     send()
-    assert fast.path_hits == 1  # the walk was gone: this one re-walked
-    assert fast.path_invalidations == 1 and fast.path_dropped >= 1
+    assert fast.path_hits == 1  # the walk left service: this one re-walked
+    assert fast.path_invalidations == 1  # the walk, the key stays
+    assert (fast.path_dropped, fast.path_entries) == (0, 1)
     if mutator.repeat_is_noop is not None:
         send()
         assert fast.path_hits == 2  # the re-walk is resident
@@ -231,9 +255,9 @@ def test_set_link_state_marks_both_ends_itself():
     assert generations == [fast.device(name).state_generation()
                            for name in ("s1", "s2")]
     assert [len(r) for r in send()] == [1, 1]
-    # Both walks (each an exact and a class entry) failed their check.
+    # Both walks failed their check and left service; both keys stay.
     assert (fast.path_invalidations, fast.path_dropped,
-            fast.path_revalidated) == (2, 4, 0)
+            fast.path_revalidated, fast.path_entries) == (2, 0, 0, 2)
 
 
 def test_a_cable_looped_onto_one_device_cuts_and_repairs_as_one():
@@ -356,9 +380,11 @@ def test_arming_faults_after_warming_stops_the_replays():
         stats = fast.fastpath_stats()
         assert (stats["path_hits"], stats["path_bypasses"]) == (1, 2)
         assert stats["device_bypasses"] == 2  # s2 stepped aside per packet
-        assert stats["path_dropped"] == 2     # the walk and its template
+        # The walk left service; its key stays, dropped from nothing.
+        assert (stats["path_invalidations"], stats["path_dropped"],
+                stats["path_entries"]) == (1, 0, 1)
     # Disarmed, s2 reads as it did when the walk was recorded: the walk
-    # the arming parked comes back, and both packets replay.
+    # the arming retired serves again, and both packets replay.
     send(2)
     assert (fast.path_hits, fast.path_bypasses, fast.path_misses) == (3, 2, 3)
     assert fast.path_revived == 1
@@ -382,8 +408,9 @@ def test_a_link_cut_drops_only_the_walks_across_its_cable():
     that used the cable read a bit that moved.  The rest — a walk that
     only entered or left the fabric at an end device, or crossed it on
     another port — replay, through the cut and through the repair.  And
-    the repair walks nothing: the walks the cut dropped were parked,
-    read as they did again, and come back (``path_revived``)."""
+    the repair walks nothing: the walks the cut retired stayed in their
+    classes, read as they did again, and serve again
+    (``path_revived``)."""
     fast, slow = _abilene(), _abilene()
     slow.network.set_fastpath(False)
     net = fast.network
@@ -420,22 +447,23 @@ def test_a_link_cut_drops_only_the_walks_across_its_cable():
         revived = net.path_revived
         for fabric in (fast, slow):
             fabric.network.set_link_state(a, b, up)
-        # At the cut the counted entry declines exactly for the dropped
-        # keys; at the repair the walks the cut parked read as they did
-        # again, and it declines none...
+        # At the cut the counted entry declines exactly for the keys whose
+        # walk failed; at the repair the walks the cut retired read as
+        # they did again, and it declines none...
         for pair, injection in injections.items():
             walk = net.inject_batch(*injection, 3)
             assert (walk is None) == (pair in across and not up), pair
             for _ in range(3 if walk is not None else 0):
                 slow.network.inject(*injection)
-        # ... one exact and one class entry for each walk across it; the
-        # other walks through a or b passed their check.
+        # ... the walk each key across it was served left service (the
+        # key stays); the other walks through a or b passed their check,
+        # and at the repair so did the walks the cut retired.
         assert net.path_invalidations - invalidated == len(across)
-        assert net.path_dropped - dropped == 2 * len(across)
-        assert net.path_revalidated - kept == len(near) - len(across)
+        assert net.path_dropped == dropped == 0
+        assert net.path_revalidated - kept \
+            == len(near) - len(across) + (len(across) if up else 0)
         assert net.path_revived - revived == (len(across) if up else 0)
-        assert net.path_entries \
-            == len(injections) - (0 if up else len(across))
+        assert net.path_entries == len(injections)
         # The others stayed resident and replay; these are re-walked at
         # the cut, and at the repair replay their old paths.
         hits = net.path_hits
@@ -458,8 +486,8 @@ def test_a_link_cut_drops_only_the_walks_across_its_cable():
 
 def test_a_rewalked_key_forgets_the_devices_of_its_old_path():
     """The index holds walk records, not keys: once h0→h3 is back on its
-    short path, a mutation on a device only the detour visited must
-    leave the walk alone."""
+    short path, a mutation on a device only the detour visited may mark
+    the retired detour but must leave the serving walk alone."""
     topology = ring()
     net = topology.network
     injection = ("s0", 0, topology.probe_frame("h0", "h3"))
@@ -468,12 +496,14 @@ def test_a_rewalked_key_forgets_the_devices_of_its_old_path():
     assert [d.hops for d in net.inject(*injection)] == [4]  # via s1, s2
     net.set_link_state("s0", "s3", True)
     assert [d.hops for d in net.inject(*injection)] == [2]
-    assert (net.path_invalidations, net.path_dropped) == (2, 4)
+    assert (net.path_invalidations, net.path_dropped,
+            net.path_revived, net.path_misses) == (2, 0, 1, 2)
     assert_index_whole(net)
     for detour in ("s1", "s2"):
         net.device(detour).install_backup_mac(mac(9), 1)
     assert net.inject_batch(*injection, 2) is not None
-    assert (net.path_invalidations, net.path_dropped) == (2, 4)
+    assert (net.path_invalidations, net.path_dropped,
+            net.path_revalidated) == (2, 0, 1)
 
 
 def test_eviction_from_under_a_derivation_keeps_the_index_whole(monkeypatch):
@@ -575,18 +605,23 @@ def test_ops_carry_the_bump_inside_decide():
     checked = hold_walks_to_the_oracle(net)
     frame = make_udp_frame(mac(9), MacAddr(0x02_53_55_4D_45_00), ip(9),
                            ROUTED_TO, size=96, ttl=1).pack()
+    # Past the header window: another path key, r1's cache key.
+    twin = frame[:-1] + b"\x01"
     net.inject("r1", 0, frame)
     # Arming tells and bumps nothing: the walk fails its check, r1's own
-    # cache stays — and serves the re-walk once the session is gone.
+    # cache stays — and serves the twin's walk once the session is gone,
+    # while the frame's own walk, holding again, serves again.
     with inject(get_plan("oq-pressure"), project=net.device("r1")):
         net.inject("r1", 0, frame)  # armed: walked per packet, unrecorded
     net.inject("r1", 0, frame)
+    net.inject("r1", 0, twin)
     stats = net.fastpath_stats()
-    assert (stats["device_hits"], stats["path_invalidations"]) == (1, 1)
+    assert (stats["device_hits"], stats["path_invalidations"],
+            stats["path_revived"]) == (1, 1, 1)
     assert [per_device(walk.ops) for walk in checked] == [
         {id(net.device("r1").opl): (1, 0, {"to_cpu": 1, "ttl_expired": 1})}
     ] * 2
-    assert net.device("r1").opl.counters == {"to_cpu": 3, "ttl_expired": 3}
+    assert net.device("r1").opl.counters == {"to_cpu": 4, "ttl_expired": 4}
 
 
 def test_ops_of_a_flood_that_visits_a_device_twice():

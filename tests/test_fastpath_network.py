@@ -241,12 +241,14 @@ class TestWalkSharing:
         assert [d.frame for d in net.inject("s1", 0, first)] == [first]
         assert [d.frame for d in net.inject("s1", 0, second, int_seq=4)] \
             == [second]
-        assert net.inject_batch("s1", 0, first, 2).deliveries[0].frame == first
+        # The counted entry hands back the class's walk: "what you
+        # injected", whose bytes nobody can scribble on.
+        assert net.inject_batch("s1", 0, first, 2).deliveries[0].frame is None
         assert net.path_shared == 1
 
     def test_a_class_shares_one_walk_that_names_no_frame(self):
-        """Derived keys hold the class's walk itself, and nothing read
-        off it is another flow's bytes."""
+        """Every key of a class holds the class's walk itself, and
+        nothing read off it is another flow's bytes."""
         net = programmed_fabric()
         walked, short, long = (flow_of_pair(1), flow_of_pair(2, size=64),
                                flow_of_pair(3, size=1500))
@@ -254,18 +256,18 @@ class TestWalkSharing:
         shared = net.inject_batch("s1", 0, short, 2)
         assert net.inject_batch("s1", 0, long, 2) is shared
         assert [d.frame for d in shared.deliveries] == [None]
-        # Only the recorded frame's own key names it, being that frame.
-        own = net.inject_batch("s1", 0, walked, 2)
-        assert own is not shared
-        assert [d.frame for d in own.deliveries] == [walked]
+        # The recorded frame's own key names no frame either: its class
+        # is its whole entry.
+        assert net.inject_batch("s1", 0, walked, 2) is shared
         for frame in (long, short, walked, long):
             assert [d.frame for d in net.inject("s1", 0, frame)] == [frame]
         assert (net.path_misses, net.path_shared) == (1, 2)
 
     def test_eviction_from_under_a_derivation_keeps_the_class(
             self, monkeypatch):
-        """Storing a derived key may evict the record it derives from;
-        the record, its class entry included, is live again with it."""
+        """Entering a derived key may evict the oldest key's class, the
+        very class the key joins; that class keeps its walks, less the
+        keys evicted, and goes to the back of the queue."""
         from repro.testenv import topology
 
         monkeypatch.setattr(topology, "PATH_CACHE_CAPACITY", 2)
@@ -483,8 +485,9 @@ class TestOneLookup:
             entry: ({name: value for name, value
                      in net.fastpath_stats().items()
                      if name not in ("path_hits", "path_bypasses")},
-                    set(net._path_cache), set(net._class_cache),
-                    {key: len(parked) for key, parked in net._park.items()})
+                    {key: (len(cls.walks), cls.serving is None)
+                     for key, cls in net._path_cache.items()
+                     if not isinstance(cls, tuple)})
             for entry, net in nets.items()}
         assert states["inject"] == states["inject_batch"] \
             == states["warm_paths"]
@@ -711,7 +714,10 @@ class TestProbeFastpath:
         assert snap['fastpath_events_total{device="net",event="miss"}'] == 1
 
 
-    def test_dropped_walks_have_their_own_series(self):
+    def test_dropped_walks_have_their_own_series(self, monkeypatch):
+        from repro.testenv import topology
+
+        monkeypatch.setattr(topology, "PATH_CACHE_CAPACITY", 2)
         net = programmed_fabric()
         session = TelemetrySession("sim")
         probe_fastpath(net, session)
@@ -719,12 +725,15 @@ class TestProbeFastpath:
             net.inject("s1", 0, flow_of_pair(sport))
         net.device("s2").install_static_mac(mac(2), 2)
         net.inject("s1", 0, flow_of_pair(0))
+        # A third key, of another class: both flows' keys make room.
+        net.inject("s2", 1, udp_frame(2, 1))
         snap = session.registry.snapshot()
-        # Both flows' walks and the template they shared.
         assert snap['fastpath_events_total{device="net",event="dropped"}'] \
-            == net.fastpath_stats()["path_dropped"] == 3
+            == net.fastpath_stats()["path_dropped"] == 2
+        # The walk the mutation failed, then the re-walk the class served
+        # when it was evicted.
         assert snap['fastpath_events_total{device="net",'
-                    'event="invalidation"}'] == 1
+                    'event="invalidation"}'] == net.path_invalidations == 2
 
     def test_every_path_counter_has_a_series(self):
         """Each ``path_*`` counter of ``fastpath_stats()`` (the

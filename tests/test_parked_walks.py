@@ -1,12 +1,15 @@
-"""Each walk once: parked walks and the one-replica inline loop.
+"""Each walk once: one walk table and the one-replica inline loop.
 
 Two changes keep a run from walking the same (class, read state) twice,
 and each is held to the code it replaced:
 
-* a walk a re-check dropped is parked and revived once everything it
-  read holds again — held to a ``set_fastpath(False)`` network on
-  Abilene with FRR, through cuts, repairs back to earlier states and a
-  fault session armed and disarmed, on both entry points;
+* a walk that fails its re-check retires into its class (a *parked*
+  walk) and serves again once everything it read holds again, while
+  the keys of the class stay in the table — held to a
+  ``set_fastpath(False)`` network on Abilene with FRR, through cuts,
+  repairs back to earlier states and a fault session armed and
+  disarmed, on both entry points, and to exact counts on the cut and
+  repair TUTORIAL §11 walks through;
 * the inline partitions take turns on one replica under the counter
   sandbox — held to the loop as it stood, a fresh replica per
   partition (:func:`fresh_replica_partitions`).
@@ -20,6 +23,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.testenv.topology as topology_module
 from repro.fabric import (
     FlowEngine,
     LinkSchedule,
@@ -30,11 +34,17 @@ from repro.fabric import (
 )
 from repro.fabric.shard import merge_reports
 from repro.faults import get_plan, inject
+from repro.cores.lookups import SwitchLiteLookup
+from repro.cores.output_queues import QueueConfig
+from repro.packet.generator import make_udp_frame
+from repro.projects.base import ReferencePipeline
 from repro.projects.reference_switch import ReferenceSwitch
 from repro.testenv.topology import PARK_DEPTH, Network
 
-from .test_fastpath_invalidation import assert_index_whole
-from .test_fastpath_network import flow_of_pair, programmed_fabric
+from .conftest import mac
+from .test_fastpath_invalidation import assert_index_whole, class_of, ring
+from .test_fastpath_network import flow_of_pair, observables, \
+    programmed_fabric
 from .test_int_sharing import (
     HOSTS,
     LINKS,
@@ -48,17 +58,18 @@ pytestmark = pytest.mark.fastpath
 
 
 def assert_park_apart(net: Network) -> None:
-    """Parked walks are in no table and not indexed (their class may have
-    a walk resident meanwhile), and no class parks more than
-    :data:`PARK_DEPTH`."""
-    indexed = set().union(*net._dependents.values())
-    for class_key, parked in net._park.items():
-        assert 0 < len(parked) <= PARK_DEPTH
-        for walk in parked:
-            deps = walk.deps
-            assert net._class_cache.get(class_key) is not walk
-            assert deps not in indexed
-            assert deps.class_key is None and not deps.keys
+    """A class keeps at most :data:`PARK_DEPTH` retired walks beside the
+    one it serves, and no walk it holds is taken on trust: the serving
+    walk holds unless a mutation marked it since its last check, and a
+    retired walk nothing marked since fails its check."""
+    marked = set(net._suspect).union(
+        *(net._dependents.get(device, ()) for device in net._dirty))
+    for entry in net._path_cache.values():
+        cls = class_of(entry)
+        assert len(cls.walks) <= PARK_DEPTH + 1
+        for walk in cls.walks:
+            if walk.deps not in marked:
+                assert net._holds(walk.deps) == (walk is cls.serving)
 
 
 # ----------------------------------------------------------------------
@@ -174,6 +185,153 @@ class TestParkedWalksOracle:
         assert counters(net) == counters(slow.network)
 
 
+class TestOneWalkTable:
+    def test_a_cut_and_its_repair_drop_no_key_and_derive_none(self):
+        """TUTORIAL §11's Abilene, all 110 host pairs warm, each with a
+        second flow of its class: cutting ``atl~hou`` retires the 29
+        walks across it and walks those 29 keys' classes again; the
+        repair serves the 29 retired walks again.  Neither enters or
+        drops a key, and the repair walks nothing."""
+        topology = get_topology("abilene").build()
+        topology.learn()
+        net = topology.network
+        names = topology.host_names()
+        keys = []
+        for src in names:
+            for dst in names:
+                if src != dst:
+                    a, b = topology.hosts[src], topology.hosts[dst]
+                    keys += [(a.device, a.port, frame) for frame in (
+                        topology.probe_frame(src, dst),
+                        make_udp_frame(a.mac, b.mac, a.ip, b.ip, 9, 9,
+                                       size=96).pack())]
+
+        def send_all() -> tuple:
+            for key in keys:
+                net.inject(*key)
+            stats = net.fastpath_stats()
+            return tuple(stats[name] for name in (
+                "path_misses", "path_shared", "path_invalidations",
+                "path_revalidated", "path_revived", "path_dropped",
+                "path_entries"))
+
+        assert send_all() == (110, 110, 0, 0, 0, 0, 220)
+        net.set_link_state("atl", "hou", False)
+        assert send_all() == (139, 110, 29, 30, 0, 0, 220)
+        net.set_link_state("atl", "hou", True)
+        # The 30 walks that never used the cable pass their check again,
+        # and so do the 29 the cut retired.
+        assert send_all() == (139, 110, 58, 89, 29, 0, 220)
+        assert_index_whole(net)
+        assert_park_apart(net)
+
+    def test_an_int_key_follows_its_classs_serving_walk(self):
+        """h0 → h9 INT flows share their class's walk; the class serves
+        a detour at the cut and the old walk at the repair, and the
+        flow that did not walk is spliced from whichever serves: its
+        stamps are a fresh uncached network's each time."""
+        fast = abilene()
+        walked, derived = (frame_of(fast, "h0", "h9", flow_id)
+                           for flow_id in (1, 2))
+        entry = fast.hosts["h0"]
+
+        def fresh(cut: tuple = ()) -> tuple:
+            slow = abilene(fastpath=False)
+            if cut:
+                slow.network.set_link_state(*cut, False)
+            return outcome(slow.network.inject(entry.device, entry.port,
+                                               derived), derived)
+
+        home = fresh()
+        cut = next((a, b) for a, _, b, _ in LINKS if fresh((a, b)) != home)
+        for up, want in ((True, home), (False, fresh(cut)), (True, home)):
+            fast.network.set_link_state(*cut, up)
+            fast.network.inject(entry.device, entry.port, walked)
+            got = fast.network.inject(entry.device, entry.port, derived)
+            assert outcome(got, derived) == want
+        stats = fast.network.fastpath_stats()
+        assert (stats["path_misses"], stats["path_shared"],
+                stats["path_revived"]) == (2, 1, 1)
+
+    def test_a_class_keeps_park_depth_retired_walks(self):
+        """Every table write at s2 fails every walk the class met for
+        good: the class keeps the newest :data:`PARK_DEPTH` retired
+        beside the serving one, and a walk it lets go leaves the
+        index."""
+        fast, slow = programmed_fabric(), programmed_fabric()
+        slow.set_fastpath(False)
+        for step in range(PARK_DEPTH + 4):
+            for net in (fast, slow):
+                net.device("s2").install_static_mac(mac(2), 1 + step % 2)
+                net.inject("s1", 0, flow_of_pair(step % 3))
+            assert observables(fast) == observables(slow)
+        (cls,) = {class_of(entry) for entry in fast._path_cache.values()}
+        assert len(cls.walks) == PARK_DEPTH + 1
+        assert fast.path_misses == PARK_DEPTH + 4
+        assert_index_whole(fast)
+        assert_park_apart(fast)
+
+    def test_a_key_whose_walk_rewrites_leaves_its_class(self):
+        """A table write at s1 sends host 2's frames through x, which
+        rewrites them: the key that walks there takes a class of one,
+        and so does its class sibling; the class keeps its other key,
+        which replays the class's walk again once s1 points back at s2,
+        and so does a new key."""
+        class Remarker(SwitchLiteLookup):
+            def decide(self, header, tuser):
+                decision = super().decide(header, tuser)
+                decision.rewrites[15] = b"\xb8"  # DSCP EF
+                return decision
+
+        def detour_fabric() -> Network:
+            net = programmed_fabric()
+            net.add_device("x", ReferencePipeline(
+                "x", lambda *args: Remarker(*args), QueueConfig()))
+            net.link("s1", 2, "x", 0)
+            return net
+
+        fast, slow = detour_fabric(), detour_fabric()
+        slow.set_fastpath(False)
+
+        def send(*sports: int) -> None:
+            for sport in sports:
+                for net in (fast, slow):
+                    net.inject("s1", 0, flow_of_pair(sport))
+            assert observables(fast) == observables(slow)
+            assert_index_whole(fast)
+
+        send(1, 2, 3)
+        for net in (fast, slow):
+            net.device("s1").install_static_mac(mac(2), 2)
+        send(1, 2, 1, 2)
+        assert {id(class_of(fast._path_cache[("s1", 0, flow_of_pair(sport))]))
+                for sport in (1, 2, 3)} == {id(class_of(entry)) for entry
+                                            in fast._path_cache.values()}
+        for net in (fast, slow):
+            net.device("s1").install_static_mac(mac(2), 3)
+        send(1, 4, 3, 5)  # 1 and 4 walk; 3 and 5 replay 4's walk
+        assert (fast.path_misses, fast.path_shared) == (5, 3)
+        assert fast.deliveries[-1].at.device == "s2"
+
+    def test_an_eviction_is_counted(self, monkeypatch):
+        """With the table bounded low and no link moving, every key
+        entered and no longer in the table left through an eviction:
+        ``path_dropped`` counts them, and the run is the unbounded
+        one's."""
+        workload = WorkloadSpec(flows=240, packets_per_flow=2, seed=5,
+                                window_ticks=4096)
+        spec = get_topology("fat-tree-4")
+        want = run_flows(spec.build(), workload).fingerprint()
+        monkeypatch.setattr(topology_module, "PATH_CACHE_CAPACITY", 16)
+        topology = spec.build()
+        report = run_flows(topology, workload)
+        assert report.fingerprint() == want
+        assert 0 < report.fastpath["path_dropped"] \
+            == report.batch["compiled"] - report.batch["entries"]
+        assert report.batch["entries"] <= 16
+        assert_index_whole(topology.network)
+
+
 # ----------------------------------------------------------------------
 # The one-replica inline loop against a fresh replica per partition
 # ----------------------------------------------------------------------
@@ -267,7 +425,7 @@ class TestNamedMutants:
     def test_a_revival_reads_the_port_table_too(self):
         """Mutant: ``_holds`` skips the link bits.  Liveness comes back
         at both ends while the cable stays dark in the port table: the
-        walk the cut parked must stay parked."""
+        walk the cut retired must not serve again."""
         fast, slow, send = self._pair()
         send()
         for net in (fast, slow):
@@ -281,9 +439,9 @@ class TestNamedMutants:
         assert fast.dropped_link_down == slow.dropped_link_down == 1
 
     def test_a_revived_walk_is_marked_by_the_next_cut(self):
-        """Mutant: a revived walk is not re-entered in the index, so the
-        next cut never marks it suspect and it replays over the dark
-        cable."""
+        """Mutant: a retired walk leaves the index, so the repair never
+        marks it suspect and it cannot serve again: each repair walks
+        once more."""
         fast, slow, send = self._pair()
         for up in (True, False, True, False):
             for net in (fast, slow):
@@ -293,9 +451,9 @@ class TestNamedMutants:
         assert len(fast.deliveries) == len(slow.deliveries) == 2
 
     def test_a_graph_change_empties_the_park(self):
-        """Mutant: ``_flush`` leaves the park standing.  Host 2's port
-        is cabled to a new switch while the walk that delivered there
-        is parked: after the repair the frame goes on to the new
+        """Mutant: ``_flush`` leaves the class walks standing.  Host 2's
+        port is cabled to a new switch while the walk that delivered
+        there is retired: after the repair the frame goes on to the new
         switch, it does not exit."""
         fast, slow, send = self._pair()
         send()
@@ -309,3 +467,46 @@ class TestNamedMutants:
         send()
         assert fast.path_revived == 0
         assert {d.at.device for d in fast.deliveries[-3:]} == {"s3"}
+
+    def test_a_retired_walk_is_checked_before_it_serves(self):
+        """Mutant: a suspect retired walk serves without its check.  A
+        table write at s1 marks both of the class's walks; the one the
+        cut retired still reads a dark cable and must not serve."""
+        fast, slow, send = self._pair()
+        send()
+        for net in (fast, slow):
+            net.set_link_state("s1", "s2", False)
+        send()
+        for net in (fast, slow):
+            net.device("s1").install_static_mac(mac(2), 2)
+        send()
+        assert (fast.path_revived, fast.path_misses) == (0, 3)
+        assert fast.deliveries[-1].at.device == "s1"
+
+    def test_a_failed_walk_waits_for_a_mark(self):
+        """Mutant: a walk whose check failed serves though nothing
+        marked it since.  On a ring the cut retires h0 → h3's short
+        walk; then a table write at s1, which only the detour visits,
+        fails the detour — and the short walk, still across the dark
+        cable, must not serve: the key is walked again."""
+        fast, slow = ring(), ring()
+        slow.network.set_fastpath(False)
+        h3 = fast.hosts["h3"]
+        injection = ("s0", 0, fast.probe_frame("h0", "h3"))
+
+        def send() -> None:
+            got, want = (topology.network.inject(*injection)
+                         for topology in (fast, slow))
+            assert outcome(got, injection[2]) \
+                == outcome(want, injection[2])
+
+        send()
+        for topology in (fast, slow):
+            topology.network.set_link_state("s0", "s3", False)
+        send()
+        for topology in (fast, slow):
+            topology.network.device("s1").install_static_mac(h3.mac, 0)
+        send()
+        net = fast.network
+        assert (net.path_revived, net.path_misses) == (0, 3)
+        assert net.deliveries[-1].at.device == "s1"
