@@ -9,9 +9,9 @@ ingredients make that true:
 * the fabric's switches are statically programmed (``learning=False``
   plus :meth:`FabricTopology.learn`), so forwarding one flow's frames
   never changes the state another flow's frames see;
-* every flow opens its own fault session via
-  ``plan.derived("fabric", flow_id)`` — independent decision streams,
-  not a shared sequential RNG that interleaving would reorder;
+* every flow opens its own fault session, the one
+  ``plan.derived("fabric", flow_id)`` opens — independent decision
+  streams, not a shared sequential RNG that interleaving would reorder;
 * link state is a pure function of the epoch, not a stateful
   schedule: edge flaps are drawn per ``(host, epoch)`` and cable cuts
   per ``(link, epoch)`` from derived seeds, beside the scripted
@@ -581,6 +581,17 @@ class FlowEngine:
     that key, so events pop in exactly the order one heap entry per
     packet would give, at a depth of flows — not packets — in flight.
 
+    A *static* engine skips the heap in :meth:`run`: with coalescing on
+    and a link timeline that cannot move (no schedule window, no armed
+    flap or cut oracle), every span is a whole direction and no
+    observable reads the order, so each flow not yet admitted goes out
+    whole, in start order — its request burst, then its response burst.
+    Its heap is filled only when the stepping surface (:meth:`step`,
+    :attr:`next_tick`, :attr:`finished`, :attr:`pending_events`,
+    :attr:`flows_admitted`) first asks, and then pops the same
+    per-packet order as any engine's; :meth:`run` carries what is on it
+    first.
+
     Control never changes outcomes.  Pausing, stepping one event at a
     time, or warping over idle cycles only decides *when* the next heap
     event dispatches; the heap order — and with it every fingerprinted
@@ -653,6 +664,8 @@ class FlowEngine:
                           if any(f.int_enabled for f in flows) else None)
 
         self._rr = seed_stream(spec.seed, "rr")  # the cursors' tie-break
+        #: Opens flow ``i``'s ``plan.derived("fabric", i).session()``.
+        self._sessions = plan.sessions("fabric") if plan is not None else None
         #: With no plan no flow draws or counts a fault: all share this.
         self._null_session = FaultPlan("none").session()
         self._fault_counters: Counter[str] = Counter()
@@ -668,7 +681,8 @@ class FlowEngine:
         self._admitted_events = 0
         self._dispatched = 0
         self._report: Optional[FabricReport] = None
-        self._admit()
+        if not (self._batch and self._steady == (-math.inf, math.inf)):
+            self._admit()  # a static engine fills its heap on first need
         # Under wire faults a direction whose request is lost is never
         # sent: its walk is paid for when (and if) its first run flies.
         if self._batch and not self._wire_faults:
@@ -709,18 +723,38 @@ class FlowEngine:
         return frame
 
     # -- heap plumbing -------------------------------------------------
+    def _open(self, flow: Flow, rr: int) -> _Cursor:
+        """Admit one flow: its record, its fault session and its events
+        on the books, behind a cursor at its first event."""
+        record = FlowRecord(flow.flow_id, flow.src, flow.dst)
+        self._records.append(record)
+        self._admitted_events += flow.packets + flow.response_packets
+        session = (self._sessions(flow.flow_id) if self._sessions is not None
+                   else self._null_session)
+        return _Cursor(flow, record, session, rr)
+
+    def _finish(self, cursor: _Cursor) -> None:
+        """Drop a carried flow's frames and fold its fault counters."""
+        flow_id = cursor.flow.flow_id
+        self._frames.pop((flow_id, False), None)
+        self._frames.pop((flow_id, True), None)
+        if cursor.session.counters:
+            self._fault_counters.update(cursor.session.counters)
+
     def _admit(self) -> None:
-        while (len(self._records) < len(self._pending)
-               and len(self._heap) < self._max_inflight):
-            flow = self._pending[len(self._records)]
-            record = FlowRecord(flow.flow_id, flow.src, flow.dst)
-            self._records.append(record)
-            session = (self._plan.derived("fabric", flow.flow_id).session()
-                       if self._plan is not None else self._null_session)
-            self._admitted_events += flow.packets + flow.response_packets
-            heapq.heappush(self._heap, _Cursor(
-                flow, record, session,
-                self._rr(flow.flow_id) & 0xFFFFFFFF).key)
+        """Let pending flows onto the heap, up to ``max_inflight``."""
+        admitted, heap = len(self._records), self._heap
+        for flow in self._pending[
+                admitted:admitted + self._max_inflight - len(heap)]:
+            heapq.heappush(heap, self._open(
+                flow, self._rr(flow.flow_id) & 0xFFFFFFFF).key)
+
+    def _live(self) -> list:
+        """The heap, admitting first if it is empty: a static engine's
+        heap fills here, the first time the stepping surface asks."""
+        if not self._heap:
+            self._admit()
+        return self._heap
 
     def _dispatch(self, coalesce: bool = False) -> int:
         """Pop the next event and carry it — with ``coalesce``, together
@@ -738,18 +772,10 @@ class FlowEngine:
             self._steady = self._links.apply(event.tick)
         n = self._segment_span(event) if coalesce else 1
         self._send(event, n)
-        if n > 1:
-            self._coalesced["segments"] += 1
-            self._coalesced["segment_packets"] += n
-        self._dispatched += n
         if event.advance(n):
             heapq.heappush(self._heap, event.key)
         else:
-            flow_id = event.flow.flow_id
-            self._frames.pop((flow_id, False), None)
-            self._frames.pop((flow_id, True), None)
-            if event.session.counters:
-                self._fault_counters.update(event.session.counters)
+            self._finish(event)
             self._admit()
         return n
 
@@ -772,6 +798,10 @@ class FlowEngine:
         (an uncacheable walk) the run goes on packet by packet.  The
         per-packet reference (``batch=False``) only ever ``inject``s.
         """
+        self._dispatched += n
+        if n > 1:
+            self._coalesced["segments"] += 1
+            self._coalesced["segment_packets"] += n
         flow, record = event.flow, event.record
         if event.is_response and record.delivered == 0:
             return  # the request never arrived: there is no RPC to answer
@@ -905,22 +935,25 @@ class FlowEngine:
     # -- introspection -------------------------------------------------
     @property
     def finished(self) -> bool:
-        """All flows carried (the heap only empties once nothing is
-        pending — :meth:`_admit` refills it after every completion)."""
-        return not self._heap
+        """All flows carried (an admitted heap only empties once nothing
+        is pending — :meth:`_admit` refills it after every completion)."""
+        return not self._live()
 
     @property
     def next_tick(self) -> Optional[int]:
         """The tick of the next event, or ``None`` when finished."""
-        return self._heap[0][0] if self._heap else None
+        heap = self._live()
+        return heap[0][0] if heap else None
 
     @property
     def pending_events(self) -> int:
         """Undispatched packet events of the admitted flows."""
+        self._live()
         return self._admitted_events - self._dispatched
 
     @property
     def flows_admitted(self) -> int:
+        self._live()
         return len(self._records)
 
     @property
@@ -935,18 +968,27 @@ class FlowEngine:
     def step(self) -> int:
         """Dispatch the next heap event, uncoalesced; returns how many
         ran (0 once finished)."""
-        return self._dispatch() if self._heap else 0
+        return self._dispatch() if self._live() else 0
 
     def run(self) -> int:
         """Dispatch until finished; returns events dispatched.
 
         This is the batch loop: where coalescing is eligible,
         consecutive same-flow events replay as one counted segment.
+        The heap is carried to completion first; only a static engine
+        has flows left after it, and each goes out whole (see the class
+        docstring), its cursor never keyed.
         """
-        done = 0
+        before = self._dispatched
         while self._heap:
-            done += self._dispatch(self._batch)
-        return done
+            self._dispatch(self._batch)
+        for flow in self._pending[len(self._records):]:
+            cursor = self._open(flow, 0)
+            self._send(cursor, cursor.left)
+            if cursor.advance(cursor.left):
+                self._send(cursor, cursor.left)
+            self._finish(cursor)
+        return self._dispatched - before
 
     # -- the report ----------------------------------------------------
     def report(self) -> FabricReport:

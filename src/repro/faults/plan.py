@@ -271,6 +271,13 @@ class FaultPlan:
         """
         return self.with_seed(derive_seed(self.seed, *parts))
 
+    def sessions(self, *parts: object) -> Callable[[object], "FaultSession"]:
+        """``last -> self.derived(*parts, last).session()``, draw for
+        draw, with the shared seed prefix hashed once (see
+        :func:`seed_stream`): the fabric engine opens one per flow."""
+        derive = seed_stream(self.seed, *parts)
+        return lambda last: FaultSession(self, derive(last))
+
     def session(self) -> "FaultSession":
         """Open a fresh deterministic decision stream for one run."""
         return FaultSession(self)
@@ -314,15 +321,18 @@ class _SiteRngs(dict):
 class FaultSession:
     """Runtime state of one plan execution: per-site RNGs, bursts, counters.
 
-    All draws are deterministic functions of ``(plan.seed, site, draw
+    All draws are deterministic functions of ``(seed, site, draw
     index)``; consulting one site never perturbs another.  The wire's
     entry is :meth:`link_transfers` (a run of transfers, retransmission
     included, in one call); :meth:`link_attempt` is one attempt of one.
     """
 
-    def __init__(self, plan: FaultPlan):
+    def __init__(self, plan: FaultPlan, seed: Optional[int] = None):
         self.plan = plan
-        self._rng = _SiteRngs(plan.seed)
+        #: The stream's seed: the plan's unless one is given (a
+        #: :meth:`FaultPlan.sessions` opener's derived seed).
+        self.seed = plan.seed if seed is None else seed
+        self._rng = _SiteRngs(self.seed)
         self._burst = dict.fromkeys(SITES, 0)
         self.counters: Counter[str] = Counter()
         #: Telemetry hook: ``hook(site, outcome)`` called for every fault
@@ -612,7 +622,7 @@ class FaultSession:
 
     # -- reporting -------------------------------------------------------
     def report(self) -> FaultReport:
-        return FaultReport(self.plan.name, self.plan.seed, dict(self.counters))
+        return FaultReport(self.plan.name, self.seed, dict(self.counters))
 
 
 # ----------------------------------------------------------------------

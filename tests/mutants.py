@@ -130,6 +130,31 @@ MUTANTS = (
         'derived("fabric-link", a, b, 0)',
         (TIMELINE,),
     ),
+    # Static runs skip the event heap (fabric/scheduler.py).
+    Mutant(
+        "the lane is taken while a flap or cut oracle is armed",
+        SCHEDULER,
+        "        if not (self._batch and self._steady == (-math.inf, math.inf)):",
+        "        if not (self._batch and not self._links._flips):",
+        (GRID + "[flaky-fabric]", GRID + "[frr-chaos]"),
+    ),
+    Mutant(
+        "run forgets the cursors a step put on a static engine's heap",
+        SCHEDULER,
+        "        while self._heap:\n            self._dispatch(self._batch)",
+        "        while self._heap and self._steady != (-math.inf, math.inf):\n"
+        "            self._dispatch(self._batch)",
+        (BATCH + "test_a_static_engine_steps_like_any_engine",),
+    ),
+    Mutant(
+        "a flow finished in the lane does not fold its session counters",
+        SCHEDULER,
+        "            self._finish(cursor)\n",
+        "            self._frames.clear()\n",
+        (GRID + "[lossy-link]",
+         "tests/test_fabric_scheduler.py::TestCleanRuns::"
+         "test_no_plan_no_per_flow_plan"),
+    ),
     # Read-bounded spans (fabric/scheduler.py, testenv/topology.py).
     Mutant(
         "a cable counts only when its canonical first end read it",

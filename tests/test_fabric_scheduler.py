@@ -44,17 +44,33 @@ class TestCleanRuns:
 
     def test_no_plan_no_per_flow_plan(self):
         """Without a plan no flow can draw or count a fault: all share
-        the engine's one null session; with one, each has its own."""
-        def sessions(plan):
+        the engine's one null session; with one, each has its own.  A
+        ``batch=False`` engine holds every flow's cursor on its heap
+        from construction; a static batch engine keeps no heap, so its
+        cursors are read as they are sent."""
+        def sessions(plan, batch):
             engine = FlowEngine(get_topology("leaf-spine").build(),
-                                get_workload("uniform-small"), plan)
-            held = {id(entry[-1].session) for entry in engine._heap}
-            return len(held), len(engine._heap), engine.report()
+                                get_workload("uniform-small"), plan,
+                                batch=batch)
+            if batch:
+                assert not engine._heap
+                cursors, send = [], engine._send
+                engine._send = lambda cursor, n: (
+                    cursors.append(cursor), send(cursor, n))
+            else:
+                cursors = [entry[-1] for entry in engine._heap]
+            report = engine.report()
+            held = {id(cursor.session) for cursor in cursors}
+            flows = {cursor.flow.flow_id for cursor in cursors}
+            assert len(flows) == len(report.records)
+            return len(held), len(flows), report
 
-        shared, flows, report = sessions(None)
-        assert (shared, report.fault_counters) == (1, {})
-        own, flows, report = sessions(get_plan("lossy-link", seed=3))
-        assert own == flows > 1 and report.fault_counters
+        for batch in (False, True):
+            shared, flows, report = sessions(None, batch)
+            assert (shared, report.fault_counters) == (1, {})
+            own, flows, report = sessions(get_plan("lossy-link", seed=3),
+                                          batch)
+            assert own == flows > 1 and report.fault_counters
 
     def test_responses_flow_back(self):
         report = _run(workload="incast-64")

@@ -248,6 +248,88 @@ class TestEngineFingerprint:
         uncached = runs[False, True, DEFAULT_MAX_INFLIGHT, 1]
         assert uncached.batch.get("replayed_packets", 0) == 0
 
+    @settings(max_examples=25, deadline=None)
+    @given(pattern=st.sampled_from(("uniform", "bursty", "incast")),
+           response_ratio=st.floats(0.0, 1.0),
+           max_inflight=st.sampled_from((1, 3, DEFAULT_MAX_INFLIGHT)),
+           plan_name=st.sampled_from((None, "lossy-link")),
+           int_ratio=st.sampled_from((0.0, 1.0)),
+           shards=st.sampled_from((1, 2)), seed=st.integers(0, 99))
+    def test_a_static_run_sends_each_flow_whole(
+            self, pattern, response_ratio, max_inflight, plan_name,
+            int_ratio, shards, seed):
+        """With coalescing on and a link timeline that cannot move, the
+        engine never admits a flow to its heap: each goes out whole, in
+        start order.  That order is not the heap's, and the run must
+        still be the per-packet reference's — fingerprint, records and
+        INT summary — at any ``max_inflight`` and inline shard count,
+        on clean and on retransmitting wires."""
+        workload = WorkloadSpec(pattern, flows=12, seed=seed,
+                                packets_per_flow=6,
+                                response_ratio=response_ratio,
+                                int_ratio=int_ratio)
+        spec = get_topology("leaf-spine")
+        plan = plan_name and get_plan(plan_name, seed=seed)
+        reference = run_sharded(spec, workload, plan, fastpath=False,
+                                batch=False)
+
+        def refuse(engine):
+            raise AssertionError("a static run admitted to the heap")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FlowEngine, "_admit", refuse)
+            lane = run_sharded(spec, workload, plan, shards=shards,
+                               parallel=False, max_inflight=max_inflight)
+        assert lane.fingerprint() == reference.fingerprint()
+        assert lane.records == reference.records
+        assert lane.int_summary == reference.int_summary
+        assert lane.fault_counters == reference.fault_counters
+
+    @settings(max_examples=15, deadline=None)
+    @given(first=st.sampled_from(("next_tick", "finished", "flows_admitted",
+                                  "pending_events")),
+           steps=st.integers(0, 30),
+           max_inflight=st.sampled_from((1, 3, DEFAULT_MAX_INFLIGHT)),
+           plan_name=st.sampled_from((None, "lossy-link")))
+    def test_a_static_engine_steps_like_any_engine(
+            self, first, steps, max_inflight, plan_name):
+        """A static engine fills its heap the first time the stepping
+        surface asks — whichever question comes first — and then
+        answers and pops exactly as a ``batch=False`` engine; ``run``
+        after ``k`` steps carries what the steps left on the heap, and
+        the run is the one ``run`` alone gives."""
+        workload = WorkloadSpec("bursty", flows=10, packets_per_flow=5,
+                                seed=steps)
+        plan = plan_name and get_plan(plan_name, seed=2)
+
+        def engine(**kw):
+            return FlowEngine(get_topology("leaf-spine").build(), workload,
+                              plan, max_inflight=max_inflight, **kw)
+
+        def logged(engine):
+            log, send = [], engine._send
+            engine._send = lambda cursor, n: (
+                log.append((cursor.flow.flow_id, cursor.is_response,
+                            cursor.pkt_index, n)), send(cursor, n))
+            return log
+
+        static, heap = engine(), engine(batch=False)
+        assert not static._heap and heap._heap
+        surface = ("next_tick", "finished", "flows_admitted", "pending_events")
+        for name in (first, *surface):
+            assert getattr(static, name) == getattr(heap, name), name
+        stepped, popped = logged(static), logged(heap)
+        for _ in range(steps):
+            assert static.step() == heap.step()
+        assert stepped == popped
+        assert static.pending_events == heap.pending_events
+        static.run()
+        assert static.finished and static.next_tick is None
+        alone = engine().report()
+        assert static.report().fingerprint() == alone.fingerprint() \
+            == heap.report().fingerprint()
+        assert static.report().records == alone.records
+
     def test_the_tier_engages_only_for_walks_that_avoid_armed_devices(self):
         """A walk through a device with an armed data-path session is
         never cached, so its flows go packet by packet — inside the one

@@ -125,6 +125,24 @@ class TestDeterminism:
         assert seed_stream(seed, *parts)(last) \
             == derive_seed(seed, *parts, last)
 
+    def test_a_session_opener_is_derived_then_session_draw_for_draw(self):
+        """The fabric engine opens flow ``i``'s session through one
+        ``plan.sessions("fabric")`` opener instead of re-deriving the
+        plan per flow: every stream, counter and report must be the
+        ``plan.derived("fabric", i).session()`` one."""
+        plan = get_plan("lossy-link", seed=11)
+        opener, retransmits = plan.sessions("fabric"), 0
+        for flow_id in range(64):
+            fast, slow = opener(flow_id), plan.derived("fabric",
+                                                       flow_id).session()
+            assert fast.seed == slow.plan.seed
+            for n in (1, 5, 3, 16):
+                assert fast.link_transfers(n) == slow.link_transfers(n)
+            assert fast.counters == slow.counters
+            assert fast.report() == slow.report()
+            retransmits += fast.report().retransmits
+        assert retransmits > 0  # the streams were exercised
+
     def test_lazy_site_rngs_match_eager_ones_in_any_first_use_order(self):
         """Per-site generators are seeded on first draw; the streams
         must be the ones seeded all up front, whichever site goes
