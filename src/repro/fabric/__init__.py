@@ -39,7 +39,7 @@ Fault plans compose exactly as with ``run_test``: pass a
 :class:`~repro.faults.FaultPlan` and wire loss, retransmits and link
 flaps are drawn deterministically per flow and per (host, epoch).
 
-How a run executes — ``max_inflight``, ``fastpath``, ``batch``, ``frr``,
+How a run executes — ``fastpath``, ``batch``, ``frr``,
 ``link_schedule``, ``int_all`` — is one :class:`RunConfig`.
 :func:`run_sharded`, :func:`run_flows` and :class:`FlowEngine` accept
 its fields as keywords; everything below them passes the config whole,
@@ -47,7 +47,6 @@ and the merged report carries it as ``report.config``.
 """
 
 from repro.fabric.scheduler import (
-    DEFAULT_MAX_INFLIGHT,
     FLAP_EPOCH_TICKS,
     FabricReport,
     FlowEngine,
@@ -88,7 +87,6 @@ from repro.fabric.workload import (
 
 __all__ = [
     "CheckpointStore",
-    "DEFAULT_MAX_INFLIGHT",
     "FLAP_EPOCH_TICKS",
     "FabricError",
     "FabricReport",

@@ -26,11 +26,11 @@ rest on.
 The interleaving itself is still real: per-packet events are ordered
 ``(tick, rr, flow_id, …)`` where ``rr`` is a seeded per-flow hash, so
 packets of concurrent flows alternate rather than running flow-by-flow.
-Each flow's own events are already sorted by that key, so the heap
-holds one entry per live flow — a k-way merge over per-flow cursors —
-and ``max_inflight`` bounds how many flows are resident at once (a
-memory bound only — it never shifts a packet's tick, which would leak
-scheduling into the flap-epoch draws).
+Each flow's own events are already sorted by that key, so the stepping
+heap holds one entry per live flow — a k-way merge over per-flow
+cursors.  :meth:`FlowEngine.run` needs no heap: it walks the link
+timeline's steady intervals in order and carries every cursor due in
+one before the timeline moves on, which no packet's tick can tell.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import heapq
 import json
 import math
 import time
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from hashlib import sha256
@@ -55,9 +55,6 @@ from repro.packet.generator import make_udp_frame, retarget_udp_frame
 #: Ticks per link-flap epoch: a flapped (host, epoch) pair is down for
 #: this whole window, mirroring the soak harness's epoch granularity.
 FLAP_EPOCH_TICKS = 32
-
-#: Default bound on flows with resident scheduler events.
-DEFAULT_MAX_INFLIGHT = 1024
 
 #: Base UDP ports; the flow id is folded in so captures stay tellable.
 _SPORT_BASE = 40000
@@ -286,14 +283,11 @@ class RunConfig:
     per-engine and unpicklable.
 
     Only ``frr``, ``link_schedule`` and ``int_all`` can move an outcome;
-    ``max_inflight``, ``fastpath`` and ``batch`` never do — with
-    ``fastpath=False, batch=False`` a run is the per-packet reference
-    every other combination must fingerprint identically to.
+    ``fastpath`` and ``batch`` never do — with ``fastpath=False,
+    batch=False`` a run is the per-packet reference every other
+    combination must fingerprint identically to.
     """
 
-    #: Bound on flows with resident scheduler events.  A memory bound
-    #: only: it never shifts a packet's tick.
-    max_inflight: int = DEFAULT_MAX_INFLIGHT
     #: ``False`` turns the flow caches (path cache + per-device
     #: microflow caches) off — the A/B switch; only ``report.fastpath``
     #: and the wall clock move.
@@ -315,10 +309,6 @@ class RunConfig:
     #: flow is INT-enabled an :class:`~repro.int.IntCollector` rides
     #: the run and the report carries its receiver-side summary.
     int_all: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
 
     def as_dict(self) -> dict:
         """The canonical JSON-safe form (the link schedule as its
@@ -426,8 +416,8 @@ class _LinkTimeline:
         over which no answer of this timeline can change.
 
         An absolute, idempotent assignment, never a relative toggle, so
-        a late-admitted flow whose tick sits before the heap front still
-        sees exactly its own epoch's state, in any shard.  The interval
+        a tick sees exactly its own epoch's state whatever was applied
+        before it, in any shard.  The interval
         is one epoch while a flap or cut oracle is armed, else the
         stretch between the flips around ``tick`` — all time when
         nothing can move.
@@ -563,10 +553,9 @@ def int_frame(
 class FlowEngine:
     """The fabric scheduler as a steppable machine.
 
-    This is :func:`run_flows` opened up: the same setup, the same event
-    order, the same dispatch — but instead of one closed ``while heap``
-    loop the engine exposes :meth:`step` (one event) and :meth:`run`
-    (drain), and :attr:`next_tick` says when the next event is due.
+    This is :func:`run_flows` opened up: the same setup and the same
+    dispatch, with :meth:`step` (one event) beside :meth:`run` (drain),
+    and :attr:`next_tick` saying when the next event is due.
     The engine keeps no time of its own: the shell's
     :meth:`VirtualClock.pace <repro.shell.clock.VirtualClock.pace>`
     advances its clock to ``next_tick`` before each ``step``, while
@@ -575,27 +564,26 @@ class FlowEngine:
     path* and the :class:`FabricReport` fingerprint is identical by
     construction.
 
-    The heap is a k-way merge: one ``(tick, rr, flow_id, is_response,
-    pkt_index, cursor)`` tuple per live flow, re-pushed at the flow's
-    next event after each dispatch.  Every flow's stream is sorted by
-    that key, so events pop in exactly the order one heap entry per
-    packet would give, at a depth of flows — not packets — in flight.
-
-    A *static* engine skips the heap in :meth:`run`: with coalescing on
-    and a link timeline that cannot move (no schedule window, no armed
-    flap or cut oracle), every span is a whole direction and no
-    observable reads the order, so each flow not yet admitted goes out
-    whole, in start order — its request burst, then its response burst.
-    Its heap is filled only when the stepping surface (:meth:`step`,
+    :meth:`step` pops a heap, a k-way merge: one ``(tick, rr, flow_id,
+    is_response, pkt_index, cursor)`` tuple per live flow, re-pushed at
+    the flow's next event after each dispatch.  Every flow's stream is
+    sorted by that key, so events pop in exactly the order one heap
+    entry per packet would give.  The heap fills, with every flow at
+    once, only when the stepping surface (:meth:`step`,
     :attr:`next_tick`, :attr:`finished`, :attr:`pending_events`,
-    :attr:`flows_admitted`) first asks, and then pops the same
-    per-packet order as any engine's; :meth:`run` carries what is on it
-    first.
+    :attr:`flows_admitted`) first asks.
+
+    :meth:`run` keeps no heap.  It walks the link timeline's steady
+    intervals in order — one interval when nothing can move — and
+    carries every cursor due in an interval up to its end before the
+    timeline moves on: with coalescing on, whole directions where they
+    fit and read-bounded spans where they do not.  That order is not
+    the heap's, and no observable reads it.
 
     Control never changes outcomes.  Pausing, stepping one event at a
     time, or warping over idle cycles only decides *when* the next heap
-    event dispatches; the heap order — and with it every fingerprinted
-    observable — is fixed by ``(topology, workload, seed, plan)`` alone.
+    event dispatches; every fingerprinted observable is fixed by
+    ``(topology, workload, seed, plan)`` alone.
 
     ``flow_filter`` selects the subset of generated flows this engine
     carries (the sharded executor passes ``flow_id % shards == index``);
@@ -646,7 +634,6 @@ class FlowEngine:
         self.spec = spec
         self.config = config
         self._plan = plan
-        self._max_inflight = config.max_inflight
         self._shards = shards
         self._wire_faults = plan is not None and plan.link is not None
         # Coalescing eligibility: the fast path must exist (no cache,
@@ -657,8 +644,8 @@ class FlowEngine:
         self._coalesced = dict.fromkeys(
             ("segments", "segment_packets", "splits", "wire_lost"), 0)
         self._links = _LinkTimeline(plan, config.link_schedule, network)
-        #: The tick interval over which the timeline's answers hold: an
-        #: event outside it applies the timeline, a span ends at its end.
+        #: The tick interval over which the timeline's answers hold: a
+        #: tick at or past its end applies the timeline, a span ends there.
         self._steady = self._links.before
         self.collector = (IntCollector(topology.network)
                           if any(f.int_enabled for f in flows) else None)
@@ -674,15 +661,15 @@ class FlowEngine:
         self._loss_by_epoch: Counter[int] = Counter()
         self._frames: dict[tuple[int, bool], bytes] = {}
 
-        # Admit flows to the heap in start order, at most max_inflight
-        # at a time.
+        # Flows open in start order: run() opens those due in each
+        # interval, the stepping heap (see _live) all at once.
         self._pending = sorted(flows, key=lambda f: (f.start_tick, f.flow_id))
+        self._starts = [flow.start_tick for flow in self._pending]
         self._heap: list[tuple] = []  # one _Cursor.key per live flow
-        self._admitted_events = 0
+        # A list, not a generator: each generator step is a profiled call.
+        self._events = sum([f.packets + f.response_packets for f in flows])
         self._dispatched = 0
         self._report: Optional[FabricReport] = None
-        if not (self._batch and self._steady == (-math.inf, math.inf)):
-            self._admit()  # a static engine fills its heap on first need
         # Under wire faults a direction whose request is lost is never
         # sent: its walk is paid for when (and if) its first run flies.
         if self._batch and not self._wire_faults:
@@ -723,12 +710,12 @@ class FlowEngine:
         return frame
 
     # -- heap plumbing -------------------------------------------------
-    def _open(self, flow: Flow, rr: int) -> _Cursor:
-        """Admit one flow: its record, its fault session and its events
-        on the books, behind a cursor at its first event."""
+    def _open(self, flow: Flow, rr: int = 0) -> _Cursor:
+        """Admit one flow: its record and its fault session on the
+        books, behind a cursor at its first event (``rr`` matters only
+        to a cursor the heap keys)."""
         record = FlowRecord(flow.flow_id, flow.src, flow.dst)
         self._records.append(record)
-        self._admitted_events += flow.packets + flow.response_packets
         session = (self._sessions(flow.flow_id) if self._sessions is not None
                    else self._null_session)
         return _Cursor(flow, record, session, rr)
@@ -741,43 +728,23 @@ class FlowEngine:
         if cursor.session.counters:
             self._fault_counters.update(cursor.session.counters)
 
-    def _admit(self) -> None:
-        """Let pending flows onto the heap, up to ``max_inflight``."""
-        admitted, heap = len(self._records), self._heap
-        for flow in self._pending[
-                admitted:admitted + self._max_inflight - len(heap)]:
-            heapq.heappush(heap, self._open(
-                flow, self._rr(flow.flow_id) & 0xFFFFFFFF).key)
-
     def _live(self) -> list:
-        """The heap, admitting first if it is empty: a static engine's
-        heap fills here, the first time the stepping surface asks."""
-        if not self._heap:
-            self._admit()
+        """The stepping heap: every flow not yet opened goes on it, in
+        one ``heapify``, the first time the stepping surface asks."""
+        if len(self._records) < len(self._pending):
+            self._heap += [self._open(f, self._rr(f.flow_id) & 0xFFFFFFFF).key
+                           for f in self._pending[len(self._records):]]
+            heapq.heapify(self._heap)
         return self._heap
 
-    def _dispatch(self, coalesce: bool = False) -> int:
-        """Pop the next event and carry it — with ``coalesce``, together
-        with the rest of its segment; returns the events carried.
-
-        Pull-forward is safe because per-flow outcomes are pure
-        functions of ``(topology, workload, seed, plan)`` independent
-        of event interleaving — the same contract that lets sharding
-        reorder arbitrarily.  The flow's cursor then skips everything
-        carried, so a coalesced event never reaches the heap.
-        """
-        event = heapq.heappop(self._heap)[-1]
-        start, end = self._steady
-        if not start <= event.tick < end:  # a late flow can step back
-            self._steady = self._links.apply(event.tick)
-        n = self._segment_span(event) if coalesce else 1
-        self._send(event, n)
-        if event.advance(n):
-            heapq.heappush(self._heap, event.key)
-        else:
-            self._finish(event)
-            self._admit()
-        return n
+    def _end(self, tick: int) -> float:
+        """The end of the steady interval holding ``tick``.  :meth:`step`
+        pops in tick order and :meth:`run` takes its intervals in order,
+        so no tick falls before the interval held: the link timeline is
+        applied again only once one reaches its end."""
+        if tick >= self._steady[1]:
+            self._steady = self._links.apply(tick)
+        return self._steady[1]
 
     def _send(self, event: _Cursor, n: int) -> None:
         """Carry the run of ``n`` consecutive packets the event heads
@@ -901,17 +868,17 @@ class FlowEngine:
             n -= 1
             left = left[1:]
 
-    def _segment_span(self, event: _Cursor) -> int:
+    def _segment_span(self, event: _Cursor, end: float) -> int:
         """How many consecutive packets this event may coalesce.
 
         The remaining packets of the event's flow direction that fall
-        inside the steady interval: packet ``i`` of the segment sits at
-        ``tick + i * gap_ticks``, and the link timeline must answer the
-        same for all of them.  The interval is one epoch under an armed
-        flap or cut oracle, runs to the next window flip under a
-        schedule alone, and is all time when nothing can move (an
-        empty schedule or a zero cut rate moves nothing) — then the
-        span covers the whole remaining burst.
+        before ``end``, the steady interval's: packet ``i`` of the
+        segment sits at ``tick + i * gap_ticks``, and the link timeline
+        must answer the same for all of them.  The interval is one
+        epoch under an armed flap or cut oracle, runs to the next window
+        flip under a schedule alone, and is all time when nothing can
+        move (an empty schedule or a zero cut rate moves nothing) — then
+        the span covers the whole remaining burst.
 
         A burst that crosses a flip under a schedule alone asks the
         walk it will replay (looked up after :meth:`_LinkTimeline.apply`)
@@ -921,7 +888,7 @@ class FlowEngine:
         """
         flow, tick = event.flow, event.tick
         last = (event.left - 1) * flow.gap_ticks  # head to last packet, in ticks
-        room = self._steady[1] - tick
+        room = end - tick
         if room <= last and not self._links.per_epoch:
             src = self.topology.hosts[flow.dst if event.is_response else flow.src]
             cables = self.topology.network.cables_read(
@@ -935,8 +902,7 @@ class FlowEngine:
     # -- introspection -------------------------------------------------
     @property
     def finished(self) -> bool:
-        """All flows carried (an admitted heap only empties once nothing
-        is pending — :meth:`_admit` refills it after every completion)."""
+        """All flows carried (the heap holds every flow once filled)."""
         return not self._live()
 
     @property
@@ -947,9 +913,9 @@ class FlowEngine:
 
     @property
     def pending_events(self) -> int:
-        """Undispatched packet events of the admitted flows."""
+        """Undispatched packet events of the workload."""
         self._live()
-        return self._admitted_events - self._dispatched
+        return self._events - self._dispatched
 
     @property
     def flows_admitted(self) -> int:
@@ -966,28 +932,54 @@ class FlowEngine:
 
     # -- stepping surface ----------------------------------------------
     def step(self) -> int:
-        """Dispatch the next heap event, uncoalesced; returns how many
-        ran (0 once finished)."""
-        return self._dispatch() if self._live() else 0
+        """Dispatch the next heap event alone; returns how many ran (0
+        once finished)."""
+        if not self._live():
+            return 0
+        event = heapq.heappop(self._heap)[-1]
+        self._end(event.tick)
+        self._send(event, 1)
+        if event.advance(1):
+            heapq.heappush(self._heap, event.key)
+        else:
+            self._finish(event)
+        return 1
 
     def run(self) -> int:
         """Dispatch until finished; returns events dispatched.
 
-        This is the batch loop: where coalescing is eligible,
-        consecutive same-flow events replay as one counted segment.
-        The heap is carried to completion first; only a static engine
-        has flows left after it, and each goes out whole (see the class
-        docstring), its cursor never keyed.
+        This is the batch loop, one steady interval of the link
+        timeline at a time (see the class docstring).  Each turn takes
+        the earliest due tick — of a cursor waiting from an earlier
+        interval, the ones steps left on the heap first, or of the next
+        unopened flow — applies the timeline there if it must, opens the
+        flows starting before the interval's end and carries every
+        cursor up to that end.  Where coalescing is eligible a carry is
+        a whole direction or a read-bounded span
+        (:meth:`_segment_span`), else one packet.  A cursor whose next
+        packet falls past the end waits for that packet's interval.
         """
-        before = self._dispatched
-        while self._heap:
-            self._dispatch(self._batch)
-        for flow in self._pending[len(self._records):]:
-            cursor = self._open(flow, 0)
-            self._send(cursor, cursor.left)
-            if cursor.advance(cursor.left):
-                self._send(cursor, cursor.left)
-            self._finish(cursor)
+        before, opened = self._dispatched, len(self._records)
+        due, self._heap = [entry[-1] for entry in sorted(self._heap)], []
+        while due or opened < len(self._pending):
+            end = self._end(min([cursor.tick for cursor in due]
+                                + self._starts[opened:opened + 1]))
+            upto, waiting = bisect_left(self._starts, end, opened), []
+            # Flows open as the loop reaches them, so a finished one's
+            # cursor and session are freed at once.
+            for cursor in chain(due, map(self._open,
+                                         self._pending[opened:upto])):
+                while cursor.tick < end:
+                    n = cursor.left if self._batch else 1
+                    if cursor.tick + (n - 1) * cursor.flow.gap_ticks >= end:
+                        n = self._segment_span(cursor, end)
+                    self._send(cursor, n)
+                    if not cursor.advance(n):
+                        self._finish(cursor)
+                        break
+                else:
+                    waiting.append(cursor)
+            due, opened = waiting, upto
         return self._dispatched - before
 
     # -- the report ----------------------------------------------------

@@ -65,7 +65,8 @@ _RESULT = "ok"
 #: Bumped when the checkpoint layout changes; old directories are then
 #: rejected rather than misread.  3: the identity and the serialized
 #: report carry the run's :class:`RunConfig` as one ``as_dict()``.
-CHECKPOINT_FORMAT = 3
+#: 4: the config lost ``max_inflight``.
+CHECKPOINT_FORMAT = 4
 
 #: The worker's exit code for a chaos-drawn crash (visible in stats
 #: debugging; any non-zero exit without a result is treated the same).

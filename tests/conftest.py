@@ -3,9 +3,21 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
+
+# ``tier1`` (the default): every run draws the same examples, so a
+# failure or a memory spike seen once is seen again.  ``explore``
+# (``--hypothesis-profile=explore``, with ``--hypothesis-seed`` to
+# replay a run) draws fresh ones.  Neither changes a site's
+# ``max_examples``.
+settings.register_profile("tier1", derandomize=True, database=None,
+                          print_blob=True)
+settings.register_profile("explore", database=None, print_blob=True)
 
 
 def pytest_configure(config):
+    if config.getoption("hypothesis_profile", None) is None:
+        settings.load_profile("tier1")
     config.addinivalue_line(
         "markers",
         "faults: deterministic fault-injection and recovery coverage "

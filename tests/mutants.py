@@ -8,7 +8,9 @@ mutant's tests against the copy; it never edits the checkout.
 
     PYTHONPATH=src python -m tests.mutants
 
-A mutant is *caught* when every test it names fails.  The run fails
+A mutant is *caught* when every test it names fails, or when its tests
+run past :data:`HANG_S` (a mutant that makes a loop spin forever is
+caught by the hang; the runner kills it and goes on).  The run fails
 when any mutant survives, when a named test already fails on the
 unmutated tree, or when a snippet no longer occurs exactly once — a
 refactor that moves the code must move the catalogue entry with it.
@@ -28,6 +30,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: Seconds one mutant's tests may run before the mutant counts as caught
+#: by a hang: five times the slowest mutant that fails (about 12 s, a
+#: hypothesis property shrinking; most take about 1 s).
+HANG_S = 60
 
 SCHEDULER = "repro/fabric/scheduler.py"
 PROBES = "repro/telemetry/probes.py"
@@ -50,6 +56,8 @@ SPANS = "tests/test_read_bounded_spans.py::TestSpans::"
 SHELL = "tests/test_shell_session.py::"
 PACING = ("tests/test_shell_golden.py::"
           "test_transcript_matches_the_golden_file[shell_pacing]")
+ONE_RUN = ("tests/test_fabric_scheduler.py::TestCleanRuns::"
+           "test_heap_order_and_interval_order_are_one_run")
 PAUSE = (SHELL + "TestFingerprintIdentity::"
          "test_a_pausing_tick_hook_stops_run_after_that_cycles_event")
 
@@ -65,13 +73,6 @@ class Mutant:
 
 MUTANTS = (
     # The link-state timeline (fabric/scheduler.py).
-    Mutant(
-        "dispatch re-applies link state only at or past the interval's end",
-        SCHEDULER,
-        "        if not start <= event.tick < end:",
-        "        if event.tick >= end:",
-        (GRID + "[flaky-fabric]", GRID + "[link-schedule]"),
-    ),
     Mutant(
         "flips are taken from window starts only",
         SCHEDULER,
@@ -96,7 +97,7 @@ MUTANTS = (
         SCHEDULER,
         "                flips[i] * FLAP_EPOCH_TICKS if i < len(flips)",
         "                (flips[i] + 1) * FLAP_EPOCH_TICKS if i < len(flips)",
-        (GRID + "[link-schedule]", TIMELINE,
+        (TIMELINE,
          "tests/test_fabric_wire_runs.py::TestNamedMutants::"
          "test_a_declined_replay_does_not_redraw_the_wire"
          "[a cut and its repair]"),
@@ -130,30 +131,55 @@ MUTANTS = (
         'derived("fabric-link", a, b, 0)',
         (TIMELINE,),
     ),
-    # Static runs skip the event heap (fabric/scheduler.py).
+    # One run loop over the steady intervals (fabric/scheduler.py).
     Mutant(
-        "the lane is taken while a flap or cut oracle is armed",
+        "a cursor due past the interval's end is carried before the next apply",
         SCHEDULER,
-        "        if not (self._batch and self._steady == (-math.inf, math.inf)):",
-        "        if not (self._batch and not self._links._flips):",
-        (GRID + "[flaky-fabric]", GRID + "[frr-chaos]"),
+        "                while cursor.tick < end:\n"
+        "                    n = cursor.left if self._batch else 1\n"
+        "                    if cursor.tick + (n - 1) * cursor.flow.gap_ticks >= end:",
+        "                while True:\n"
+        "                    n = cursor.left if self._batch else 1\n"
+        "                    if False:",
+        (GRID + "[flaky-fabric]", ONE_RUN + "[link-schedule]"),
     ),
     Mutant(
-        "run forgets the cursors a step put on a static engine's heap",
+        "the run loop never applies the timeline at the interval's end",
         SCHEDULER,
-        "        while self._heap:\n            self._dispatch(self._batch)",
-        "        while self._heap and self._steady != (-math.inf, math.inf):\n"
-        "            self._dispatch(self._batch)",
-        (BATCH + "test_a_static_engine_steps_like_any_engine",),
+        "        if tick >= self._steady[1]:",
+        "        if tick > self._steady[1]:",
+        (ONE_RUN + "[link-schedule]",),
     ),
     Mutant(
-        "a flow finished in the lane does not fold its session counters",
+        "a span ignores the cables its walk read",
         SCHEDULER,
-        "            self._finish(cursor)\n",
-        "            self._frames.clear()\n",
-        (GRID + "[lossy-link]",
+        "                room = self._links.reach(cables, tick) - tick",
+        "                room = math.inf",
+        (SPANS + "test_a_flow_splits_at_its_own_cables_first_edge",
+         SPANS + "test_a_detour_is_bounded_by_the_cables_it_reads_now"),
+    ),
+    Mutant(
+        "run drops the cursors that steps left on the heap",
+        SCHEDULER,
+        "        due, self._heap = [entry[-1] for entry in sorted(self._heap)], []",
+        "        due, self._heap = [], []",
+        (BATCH + "test_steps_then_run_is_run_alone",),
+    ),
+    Mutant(
+        "a flow finished in the run loop does not fold its session counters",
+        SCHEDULER,
+        "                        self._finish(cursor)\n",
+        "                        self._frames.clear()\n",
+        (ONE_RUN + "[lossy-link]",
          "tests/test_fabric_scheduler.py::TestCleanRuns::"
          "test_no_plan_no_per_flow_plan"),
+    ),
+    Mutant(
+        "the batch=False run coalesces",
+        SCHEDULER,
+        "n = cursor.left if self._batch else 1",
+        "n = cursor.left",
+        (ONE_RUN + "[clean]",),
     ),
     # Read-bounded spans (fabric/scheduler.py, testenv/topology.py).
     Mutant(
@@ -340,16 +366,20 @@ MUTANTS = (
 )
 
 
-def _pytest(src: Path, tests) -> tuple[int, set[str], str]:
+def _pytest(src: Path, tests, timeout=None) -> tuple[int, set[str], str]:
     """Run ``tests`` against the package tree ``src``; returns the exit
-    code, the node ids that failed and the output."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
-         *tests],
-        cwd=ROOT, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(src),
-             "PYTHONDONTWRITEBYTECODE": "1"},
-    )
+    code, the node ids that failed and the output.  A run killed at
+    ``timeout`` seconds fails every test it names."""
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p",
+             "no:cacheprovider", *tests],
+            cwd=ROOT, capture_output=True, text=True, timeout=timeout,
+            env={**os.environ, "PYTHONPATH": str(src),
+                 "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+    except subprocess.TimeoutExpired:
+        return -1, set(tests), f"killed after {timeout} s"
     failed = {line[len("FAILED "):].split(" - ", 1)[0]
               for line in proc.stdout.splitlines()
               if line.startswith("FAILED ")}
@@ -385,12 +415,15 @@ def main() -> int:
             target.write_text(text.replace(mutant.snippet,
                                            mutant.replacement))
             started = time.perf_counter()
-            _, failed, _ = _pytest(src, mutant.tests)
+            code, failed, _ = _pytest(src, mutant.tests, HANG_S)
         missed = [t for t in mutant.tests if not _failed(t, failed)]
-        verdict = "SURVIVED" if missed else "caught"
+        verdict = ("SURVIVED" if missed else "caught" if code != -1
+                   else "hung")
+        outcome = (f"killed after {HANG_S} s" if code == -1 else
+                   f"{len(mutant.tests) - len(missed)}/{len(mutant.tests)} "
+                   f"named tests failed")
         print(f"{verdict:9} {mutant.name} "
-              f"({len(mutant.tests) - len(missed)}/{len(mutant.tests)} "
-              f"named tests failed, {time.perf_counter() - started:.1f} s)")
+              f"({outcome}, {time.perf_counter() - started:.1f} s)")
         for test in missed:
             print(f"          passed: {test}")
         bad += bool(missed)

@@ -45,8 +45,6 @@ def _flipped(name: str) -> RunConfig:
     default = getattr(RunConfig(), name)
     if isinstance(default, bool):
         value = not default
-    elif isinstance(default, int):
-        value = default + 1
     else:
         assert name == "link_schedule", f"teach _flipped about {name!r}"
         value = SCHEDULE
@@ -60,8 +58,8 @@ def _half(index: int, config: RunConfig):
 
 
 class TestSerialization:
-    CONFIG = RunConfig(max_inflight=7, fastpath=False, frr=True,
-                       link_schedule=SCHEDULE, int_all=True)
+    CONFIG = RunConfig(fastpath=False, frr=True, link_schedule=SCHEDULE,
+                       int_all=True)
 
     @pytest.mark.parametrize("config", [RunConfig(), CONFIG])
     def test_dict_round_trip_through_json(self, config):
@@ -77,10 +75,6 @@ class TestSerialization:
 
 
 class TestValidation:
-    def test_max_inflight_must_be_positive(self):
-        with pytest.raises(ValueError, match="max_inflight"):
-            RunConfig(max_inflight=0)
-
     def test_unknown_option_is_a_type_error(self):
         with pytest.raises(TypeError, match="no_such_option"):
             run_sharded(get_topology(TOPO), get_workload(WORKLOAD),
@@ -106,6 +100,18 @@ class TestEveryFieldIsIdentity:
         b = _half(1, _flipped(name))
         with pytest.raises(ValueError, match=rf"\b{name} differ"):
             merge_reports([a, b], 2)
+
+
+def test_a_format_3_checkpoint_is_refused(tmp_path):
+    """A directory written before ``max_inflight`` left the config
+    holds it in its identity: it belongs to no run of this format."""
+    spec, workload = get_topology(TOPO), get_workload(WORKLOAD)
+    identity = run_identity(spec, workload, None, 2, None, RunConfig())
+    old = {**identity, "format": 3, "max_inflight": 1024}
+    (tmp_path / "run.json").write_text(json.dumps(old, sort_keys=True))
+    with pytest.raises(ValueError, match="different run"):
+        CheckpointStore(tmp_path, identity)
+    assert identity["format"] == CHECKPOINT_FORMAT == 4
 
 
 def test_identity_covers_shards_and_seed():

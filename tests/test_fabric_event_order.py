@@ -1,9 +1,9 @@
 """Event order is the scheduler's spec.
 
-The engine's heap holds one entry per live flow; these tests pin it to
-what one heap entry per *packet* would do — the same pops in the same
-order, admission at the same points — and keep the per-packet cost of
-the coalesced drain loop from creeping back.
+The engine's stepping heap holds one entry per live flow; these tests
+pin it to what one heap entry per *packet* would do — the same pops in
+the same order — and keep the per-packet cost of the coalesced run loop
+from creeping back.
 """
 
 from __future__ import annotations
@@ -31,40 +31,25 @@ pytestmark = pytest.mark.fabric
 
 
 class EagerHeap:
-    """The reference: every packet event of every admitted flow sits in
-    the heap, keyed ``(tick, rr, flow_id, is_response, pkt_index)``."""
+    """The reference: every packet event of every flow sits in the heap,
+    keyed ``(tick, rr, flow_id, is_response, pkt_index)``."""
 
-    def __init__(self, flows, seed, max_inflight):
-        self._pending = sorted(flows, key=lambda f: (f.start_tick, f.flow_id))
-        self._seed = seed
-        self._max_inflight = max_inflight
-        self._resident = {}
+    def __init__(self, flows, seed):
         self.heap = []
-        self._admit()
-
-    def _admit(self):
-        while self._pending and len(self._resident) < self._max_inflight:
-            flow = self._pending.pop(0)
-            rr = derive_seed(self._seed, "rr", flow.flow_id) & 0xFFFFFFFF
+        for flow in flows:
+            rr = derive_seed(seed, "rr", flow.flow_id) & 0xFFFFFFFF
             first = flow.start_tick + flow.packets * flow.gap_ticks + 1
-            events = [
+            self.heap += [
                 (flow.start_tick + i * flow.gap_ticks, rr, flow.flow_id,
                  False, i) for i in range(flow.packets)
             ] + [
                 (first + i * flow.gap_ticks, rr, flow.flow_id, True, i)
                 for i in range(flow.response_packets)
             ]
-            self._resident[flow.flow_id] = len(events)
-            for event in events:
-                heapq.heappush(self.heap, event)
+        heapq.heapify(self.heap)
 
     def pop(self):
-        event = heapq.heappop(self.heap)
-        self._resident[event[2]] -= 1
-        if not self._resident[event[2]]:
-            del self._resident[event[2]]
-            self._admit()
-        return event
+        return heapq.heappop(self.heap)
 
 
 def _recording(log):
@@ -89,48 +74,41 @@ specs = st.builds(
     burst_gap=st.integers(1, 16),
     response_ratio=st.floats(0.0, 1.0),
 )
-inflights = st.sampled_from((1, 3, 1024))
 
 
-def _engine(spec, max_inflight):
+def _engine(spec):
     topology = get_topology("star-3").build()
     flows = generate_flows(topology.host_names(), spec)
-    engine = FlowEngine(topology, spec, max_inflight=max_inflight,
-                        batch=False)
-    return engine, flows
+    return FlowEngine(topology, spec, batch=False), flows
 
 
 class TestOrderIsTheSpec:
     @settings(max_examples=30, deadline=None)
-    @given(spec=specs, max_inflight=inflights)
-    def test_step_pops_in_eager_heap_order(self, spec, max_inflight):
-        engine, flows = _engine(spec, max_inflight)
-        reference = EagerHeap(flows, spec.seed, max_inflight)
+    @given(spec=specs)
+    def test_step_pops_in_eager_heap_order(self, spec):
+        engine, flows = _engine(spec)
+        reference = EagerHeap(flows, spec.seed)
         log = []
         with _recording(log):
             while not engine.finished:
-                before = engine.pending_events, engine.flows_admitted
-                assert before[0] == len(reference.heap)
+                assert engine.flows_admitted == len(flows)
+                assert engine.pending_events == len(reference.heap)
                 assert engine.next_tick == reference.heap[0][0]
                 assert engine.step() == 1
                 assert log[-1] == reference.pop()
-                if engine.flows_admitted == before[1]:  # nobody let in
-                    assert engine.pending_events == before[0] - 1
         assert engine.pending_events == 0
         assert engine.next_tick is None and not reference.heap
         assert engine.step() == 0
         assert len(log) == sum(f.packets + f.response_packets for f in flows)
-        if max_inflight >= len(flows):
-            assert log == sorted(log)  # nothing held back: globally sorted
+        assert log == sorted(log)  # one heap: globally sorted
 
     @settings(max_examples=30, deadline=None)
-    @given(spec=specs, max_inflight=inflights, data=st.data())
-    def test_run_until_stops_on_the_same_event(self, spec, max_inflight,
-                                               data):
+    @given(spec=specs, data=st.data())
+    def test_run_until_stops_on_the_same_event(self, spec, data):
         """The shell's ``run-until``: the clock paces the engine until
         the next event lies past the tick."""
-        engine, flows = _engine(spec, max_inflight)
-        reference = EagerHeap(flows, spec.seed, max_inflight)
+        engine, flows = _engine(spec)
+        reference = EagerHeap(flows, spec.seed)
         last = max(event[0] for event in reference.heap)
         tick = data.draw(st.integers(0, last + 1))
         expected = []
@@ -142,7 +120,6 @@ class TestOrderIsTheSpec:
             assert clock.pace(
                 engine, lambda _: engine.next_tick > tick) == len(expected)
         assert log == expected
-        # A flow admitted late can step back: time never does.
         assert clock.now == max((event[0] for event in expected), default=0)
         assert engine.pending_events == len(reference.heap)
         assert engine.next_tick == (reference.heap[0][0]
@@ -153,8 +130,13 @@ class TestOrderIsTheSpec:
         called ``derive_seed(seed, "rr", flow_id)`` whole: rendering the
         prefix once per engine cannot have moved one."""
         spec = WorkloadSpec("uniform", flows=100, seed=5)
-        engine, flows = _engine(spec, 1024)
-        rr = [entry[1] for entry in sorted(engine._heap, key=lambda e: e[2])]
+        engine, flows = _engine(spec)
+        log = []
+        with _recording(log):
+            while engine.step():
+                pass
+        by_flow = {flow_id: rr for _, rr, flow_id, *_ in log}
+        rr = [by_flow[flow_id] for flow_id in sorted(by_flow)]
         assert rr[:3] == [493227606, 2492957608, 1055332539]
         assert sha256(repr(rr).encode()).hexdigest() == (
             "1bcf0c49d9a8f8fd9081660e3249388e8bdf8e34e2f23283e6be7e5997bd8b0c")
@@ -188,7 +170,6 @@ class TestWhatTheCursorCanOrder:
         reference = run(fastpath=False, batch=False)
         assert reference.attempted > 4 * 5
         assert run().fingerprint() == reference.fingerprint()
-        assert run(max_inflight=1).fingerprint() == reference.fingerprint()
 
     @pytest.mark.parametrize("bad", [{"gap_ticks": -1}, {"packets": 0}])
     def test_unorderable_flow_rejected_by_name(self, bad):

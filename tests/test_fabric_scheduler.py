@@ -8,6 +8,8 @@ from repro.fabric import (
     FabricReport,
     FlowEngine,
     FlowRecord,
+    LinkSchedule,
+    WorkloadSpec,
     get_topology,
     get_workload,
     run_flows,
@@ -35,30 +37,47 @@ class TestCleanRuns:
     def test_run_is_reproducible(self):
         assert _run().fingerprint() == _run().fingerprint()
 
-    def test_interleaving_does_not_change_outcomes(self):
-        """max_inflight reshapes the event interleaving but per-flow
-        outcomes are order-independent, so the fingerprint holds."""
-        wide = _run(max_inflight=1024)
-        narrow = _run(max_inflight=1)
-        assert wide.fingerprint() == narrow.fingerprint()
+    @pytest.mark.parametrize("plan_name, schedule", (
+        (None, None), ("flaky-fabric", None), ("lossy-link", None),
+        (None, LinkSchedule((("spine0", "leaf0", 2, 5),
+                             ("leaf1", "spine1", 4, 7)))),
+    ), ids=("clean", "flaky-fabric", "lossy-link", "link-schedule"))
+    def test_heap_order_and_interval_order_are_one_run(
+            self, plan_name, schedule):
+        """``step()`` driven to the end pops the heap's per-packet order,
+        ``run()`` carries each steady interval of the link timeline in
+        turn, and the per-packet reference runs that loop one packet at
+        a time: per-flow outcomes are order-independent, so all three
+        are one fingerprint — and the same fault counters, folded as
+        each flow finishes.  Flows of eight packets cross the
+        schedule's flips.  The reference never coalesces."""
+        plan = plan_name and get_plan(plan_name, seed=2)
+        workload = WorkloadSpec(flows=48, packets_per_flow=8, seed=7)
+
+        def engine(**options):
+            return FlowEngine(get_topology("leaf-spine").build(), workload,
+                              plan, link_schedule=schedule, **options)
+
+        stepped = engine()
+        while stepped.step():
+            pass
+        reference = engine(fastpath=False, batch=False).report()
+        assert reference.batch["segments"] == 0
+        for report in (stepped.report(), engine().report()):
+            assert report.fingerprint() == reference.fingerprint()
+            assert report.fault_counters == reference.fault_counters
 
     def test_no_plan_no_per_flow_plan(self):
         """Without a plan no flow can draw or count a fault: all share
-        the engine's one null session; with one, each has its own.  A
-        ``batch=False`` engine holds every flow's cursor on its heap
-        from construction; a static batch engine keeps no heap, so its
+        the engine's one null session; with one, each has its own.  The
         cursors are read as they are sent."""
         def sessions(plan, batch):
             engine = FlowEngine(get_topology("leaf-spine").build(),
                                 get_workload("uniform-small"), plan,
                                 batch=batch)
-            if batch:
-                assert not engine._heap
-                cursors, send = [], engine._send
-                engine._send = lambda cursor, n: (
-                    cursors.append(cursor), send(cursor, n))
-            else:
-                cursors = [entry[-1] for entry in engine._heap]
+            cursors, send = [], engine._send
+            engine._send = lambda cursor, n: (
+                cursors.append(cursor), send(cursor, n))
             report = engine.report()
             held = {id(cursor.session) for cursor in cursors}
             flows = {cursor.flow.flow_id for cursor in cursors}
@@ -156,10 +175,6 @@ class TestReport:
         report = _run()
         report.records[0].blackholed = 1
         assert not report.healthy()
-
-    def test_bad_max_inflight_rejected(self):
-        with pytest.raises(ValueError):
-            _run(max_inflight=0)
 
 
 @pytest.mark.telemetry

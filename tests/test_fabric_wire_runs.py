@@ -333,8 +333,14 @@ class TestCoalescedEqualsPerPacket:
             engine = FlowEngine(get_topology("leaf-spine").build(), spec,
                                 get_plan("flaky-fabric", seed=5), batch=batch)
             telemetry = TelemetrySession("hw")
-            for *_, cursor in engine._heap:  # every flow is admitted
-                probe_faults(cursor.session, telemetry)
+            opener = engine._sessions  # each flow's session, probed as it opens
+
+            def probed(flow_id):
+                session = opener(flow_id)
+                probe_faults(session, telemetry)
+                return session
+
+            engine._sessions = probed
             engine.report()
             return (telemetry.registry.snapshot(),
                     Counter(event.name for event in telemetry.trace.events))

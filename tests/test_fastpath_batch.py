@@ -23,7 +23,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fabric import DEFAULT_MAX_INFLIGHT, get_topology, run_sharded
+from repro.fabric import get_topology, run_sharded
 from repro.fabric.scheduler import (
     FLAP_EPOCH_TICKS, FlowEngine, LinkSchedule, _LinkTimeline, run_flows)
 from repro.fabric.workload import WorkloadSpec
@@ -212,58 +212,65 @@ class TestEngineFingerprint:
     ), ids=("None", "lossy-link", "black-hole", "flaky-fabric", "frr-chaos",
             "link-schedule"))
     def test_outcome_neutral_grid_is_one_run(self, plan_name, schedule):
-        """``fastpath``, ``batch``, ``max_inflight`` and the shard count
-        decide how a run executes, never what it computes: every point
-        of the grid reproduces the per-packet reference's fingerprint,
-        per-flow records and loss curve — on clean wires, under
-        retransmitted loss (``lossy-link``), under permanent loss that
-        gates responses (``black-hole``), under loss plus edge flaps
-        (``flaky-fabric``), under seeded cable cuts (``frr-chaos``) and
-        under scripted windows.  At ``max_inflight=1`` a late-admitted
-        flow's first tick can lie before the interval the link timeline
-        last answered for: it must be applied again."""
+        """``fastpath``, ``batch`` and the shard count decide how a run
+        executes, never what it computes: every point of the grid
+        reproduces the per-packet reference's fingerprint, per-flow
+        records and loss curve — on clean wires, under retransmitted
+        loss (``lossy-link``), under permanent loss that gates responses
+        (``black-hole``), under loss plus edge flaps (``flaky-fabric``),
+        under seeded cable cuts (``frr-chaos``) and under scripted
+        windows.  The reference itself is the heap's per-packet order
+        driven by ``step()``."""
         spec = get_topology("leaf-spine")
         plan = plan_name and get_plan(plan_name, seed=4)
         reference = run_sharded(spec, self.WORKLOAD, plan, fastpath=False,
                                 batch=False, link_schedule=schedule)
+        # The reference's own loop is run()'s: the heap's per-packet
+        # order, stepped to the end, pins it from outside that loop.
+        stepped = FlowEngine(spec.build(), self.WORKLOAD, plan, fastpath=False,
+                             batch=False, link_schedule=schedule)
+        while stepped.step():
+            pass
+        stepped = stepped.report()
+        assert stepped.fingerprint() == reference.fingerprint()
+        assert stepped.records == reference.records
+        assert stepped.loss_by_epoch == reference.loss_by_epoch
+        assert stepped.fault_counters == reference.fault_counters
         runs = {}
-        for point in itertools.product(
-                (True, False), (True, False), (1, DEFAULT_MAX_INFLIGHT),
-                (1, 2, 4)):
-            fastpath, batch, max_inflight, shards = point
+        for point in itertools.product((True, False), (True, False),
+                                       (1, 2, 4)):
+            fastpath, batch, shards = point
             run = runs[point] = run_sharded(
                 spec, self.WORKLOAD, plan, shards=shards, parallel=False,
-                fastpath=fastpath, batch=batch, max_inflight=max_inflight,
-                link_schedule=schedule)
+                fastpath=fastpath, batch=batch, link_schedule=schedule)
             assert run.fingerprint() == reference.fingerprint(), point
             assert run.records == reference.records, point
             assert run.loss_by_epoch == reference.loss_by_epoch, point
             assert run.fault_counters == reference.fault_counters, point
-        on = runs[True, True, DEFAULT_MAX_INFLIGHT, 1]
+        on = runs[True, True, 1]
         assert on.batch["segment_packets"] > 0
         assert on.batch["replayed_packets"] > 0
         if plan is None and schedule is None:  # prewarmed, nothing mutated
             assert on.batch["splits"] == 0
         # batch needs the flow cache; without it the tier stands down
-        uncached = runs[False, True, DEFAULT_MAX_INFLIGHT, 1]
+        uncached = runs[False, True, 1]
         assert uncached.batch.get("replayed_packets", 0) == 0
 
     @settings(max_examples=25, deadline=None)
     @given(pattern=st.sampled_from(("uniform", "bursty", "incast")),
            response_ratio=st.floats(0.0, 1.0),
-           max_inflight=st.sampled_from((1, 3, DEFAULT_MAX_INFLIGHT)),
            plan_name=st.sampled_from((None, "lossy-link")),
            int_ratio=st.sampled_from((0.0, 1.0)),
            shards=st.sampled_from((1, 2)), seed=st.integers(0, 99))
     def test_a_static_run_sends_each_flow_whole(
-            self, pattern, response_ratio, max_inflight, plan_name,
-            int_ratio, shards, seed):
+            self, pattern, response_ratio, plan_name, int_ratio, shards,
+            seed):
         """With coalescing on and a link timeline that cannot move, the
-        engine never admits a flow to its heap: each goes out whole, in
-        start order.  That order is not the heap's, and the run must
-        still be the per-packet reference's — fingerprint, records and
-        INT summary — at any ``max_inflight`` and inline shard count,
-        on clean and on retransmitting wires."""
+        run is one steady interval: no heap is built, and every carry
+        is a whole direction.  That order is not the heap's, and the
+        run must still be the per-packet reference's — fingerprint,
+        records and INT summary — at any inline shard count, on clean
+        and on retransmitting wires."""
         workload = WorkloadSpec(pattern, flows=12, seed=seed,
                                 packets_per_flow=6,
                                 response_ratio=response_ratio,
@@ -272,39 +279,52 @@ class TestEngineFingerprint:
         plan = plan_name and get_plan(plan_name, seed=seed)
         reference = run_sharded(spec, workload, plan, fastpath=False,
                                 batch=False)
+        whole, send = [], FlowEngine._send
 
         def refuse(engine):
-            raise AssertionError("a static run admitted to the heap")
+            raise AssertionError("a run that never stepped built the heap")
+
+        def carry(engine, cursor, n):
+            whole.append(n == cursor.left)
+            send(engine, cursor, n)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(FlowEngine, "_admit", refuse)
+            patch.setattr(FlowEngine, "_live", refuse)
+            patch.setattr(FlowEngine, "_send", carry)
             lane = run_sharded(spec, workload, plan, shards=shards,
-                               parallel=False, max_inflight=max_inflight)
+                               parallel=False)
+        assert whole and all(whole)
         assert lane.fingerprint() == reference.fingerprint()
         assert lane.records == reference.records
         assert lane.int_summary == reference.int_summary
         assert lane.fault_counters == reference.fault_counters
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=20, deadline=None)
     @given(first=st.sampled_from(("next_tick", "finished", "flows_admitted",
                                   "pending_events")),
            steps=st.integers(0, 30),
-           max_inflight=st.sampled_from((1, 3, DEFAULT_MAX_INFLIGHT)),
-           plan_name=st.sampled_from((None, "lossy-link")))
-    def test_a_static_engine_steps_like_any_engine(
-            self, first, steps, max_inflight, plan_name):
-        """A static engine fills its heap the first time the stepping
-        surface asks — whichever question comes first — and then
-        answers and pops exactly as a ``batch=False`` engine; ``run``
-        after ``k`` steps carries what the steps left on the heap, and
-        the run is the one ``run`` alone gives."""
+           timeline=st.sampled_from((None, "lossy-link", "flaky-fabric",
+                                     "frr-chaos", "schedule")))
+    def test_steps_then_run_is_run_alone(self, first, steps, timeline):
+        """Under every kind of link timeline — static (clean or with
+        wire faults), armed flaps, armed cuts, a schedule alone — an
+        engine fills its heap the first time the stepping surface asks,
+        whichever question comes first, and then answers and pops
+        exactly as a ``batch=False`` engine; ``run`` after ``k`` steps
+        carries what the steps left on the heap, and the run is the one
+        ``run`` alone gives."""
         workload = WorkloadSpec("bursty", flows=10, packets_per_flow=5,
                                 seed=steps)
-        plan = plan_name and get_plan(plan_name, seed=2)
+        options = {}
+        if timeline == "schedule":
+            options["link_schedule"] = LinkSchedule(
+                (("spine0", "leaf0", 0, 2), ("leaf1", "spine1", 1, 3)))
+            timeline = None
+        plan = timeline and get_plan(timeline, seed=2)
 
         def engine(**kw):
             return FlowEngine(get_topology("leaf-spine").build(), workload,
-                              plan, max_inflight=max_inflight, **kw)
+                              plan, **options, **kw)
 
         def logged(engine):
             log, send = [], engine._send
@@ -313,22 +333,22 @@ class TestEngineFingerprint:
                             cursor.pkt_index, n)), send(cursor, n))
             return log
 
-        static, heap = engine(), engine(batch=False)
-        assert not static._heap and heap._heap
+        batch, heap = engine(), engine(batch=False)
+        assert not batch._heap and not heap._heap  # filled on first ask
         surface = ("next_tick", "finished", "flows_admitted", "pending_events")
         for name in (first, *surface):
-            assert getattr(static, name) == getattr(heap, name), name
-        stepped, popped = logged(static), logged(heap)
+            assert getattr(batch, name) == getattr(heap, name), name
+        stepped, popped = logged(batch), logged(heap)
         for _ in range(steps):
-            assert static.step() == heap.step()
+            assert batch.step() == heap.step()
         assert stepped == popped
-        assert static.pending_events == heap.pending_events
-        static.run()
-        assert static.finished and static.next_tick is None
+        assert batch.pending_events == heap.pending_events
+        batch.run()
+        assert batch.finished and batch.next_tick is None
         alone = engine().report()
-        assert static.report().fingerprint() == alone.fingerprint() \
+        assert batch.report().fingerprint() == alone.fingerprint() \
             == heap.report().fingerprint()
-        assert static.report().records == alone.records
+        assert batch.report().records == alone.records
 
     def test_the_tier_engages_only_for_walks_that_avoid_armed_devices(self):
         """A walk through a device with an armed data-path session is
