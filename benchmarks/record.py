@@ -10,13 +10,19 @@ printed: the five end-to-end metrics, the fingerprint, ``correct``.  Rows compar
 machine (``nproc``, ``python``).  A row is measured before its commit
 exists, so it names the commit it was measured on top of: ``parent``.
 
-``--against REV`` makes the row a paired claim: ``REV`` is checked out
-in a temporary ``git worktree`` and each pair runs its ``bench/run.py``
-and this tree's back to back, the order flipped every pair so neither
-side always runs first.  The row then holds, per workload and metric,
-each side's q1 / median / q3 and how many pairs the change won
-(``change_ahead``, "k/N"); ``metrics`` are the change's medians.  A
-row's ``pairs`` is how many pairs stand behind it: 0 for a single run.
+``--against REV`` makes the row a paired claim: ``REV``'s committed
+files are unpacked (``git archive``) into a temporary directory and
+each pair runs its ``bench/run.py`` and this tree's back to back, the
+order flipped every pair so neither side always runs first.  The row
+then holds, per workload and metric, each side's q1 / median / q3 and
+how many pairs the change won (``change_ahead``, "k/N"); ``metrics``
+are the change's medians.  A row's ``pairs`` is how many pairs stand
+behind it: 0 for a single run.
+
+Before each side of each pair the host is probed: the floor of a fixed
+pure-Python loop (:func:`host_probe_s`).  The row keeps each side's
+q1 / median / q3 of it as ``host_probe_s``, so a row measured while the
+machine ran slow, or while it slowed down on one side only, says so.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -38,6 +45,23 @@ ROOT = Path(__file__).resolve().parent.parent
 SERIES = ROOT / "benchmarks" / "BENCH_repo.json"
 WORKLOADS = ("elephants", "mice", "lossy", "churn")
 SEED = 1  # the seed every fingerprint quoted in the docs belongs to
+#: The host probe: the floor of ``PROBE_REPEATS`` timings of a
+#: ``PROBE_LOOPS``-iteration loop, about 10 ms each on a 2-vCPU box.
+PROBE_LOOPS = 200_000
+PROBE_REPEATS = 5
+
+
+def host_probe_s() -> float:
+    """The floor of a fixed pure-Python loop's timings — the same work
+    whatever tree is measured, so it moves only with the host."""
+    best = float("inf")
+    for _ in range(PROBE_REPEATS):
+        start = time.perf_counter()
+        total = 0
+        for i in range(PROBE_LOOPS):
+            total += i
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def _read(text: str) -> tuple[dict, str]:
@@ -88,10 +112,11 @@ def _compare(before: list[float], after: list[float], better: str) -> dict:
 
 
 def build_paired_row(outputs: dict[str, list[tuple[str, str]]],
-                     parent: str) -> dict:
+                     parent: str, probes: dict[str, list[float]]) -> dict:
     """A paired row: ``outputs[name]`` is one ``(parent stdout, change
-    stdout)`` per pair.  ``correct`` asks every run on both sides to be
-    correct and to print the change's fingerprint."""
+    stdout)`` per pair, ``probes[side]`` the :func:`host_probe_s` taken
+    before each of that side's runs.  ``correct`` asks every run on both
+    sides to be correct and to print the change's fingerprint."""
     contract = json.loads((ROOT / "BENCHMARK.json").read_text())
     paired, fingerprints, correct = {}, {}, True
     for name, runs in outputs.items():
@@ -115,7 +140,9 @@ def build_paired_row(outputs: dict[str, list[tuple[str, str]]],
             "metrics": {name: {metric: cell["change"][1]
                                for metric, cell in cells.items()}
                         for name, cells in paired.items()},
-            "paired": paired}
+            "paired": paired,
+            "host_probe_s": {side: _quartiles(values)
+                             for side, values in probes.items()}}
 
 
 def _bench(tree: Path, name: str) -> str:
@@ -128,6 +155,17 @@ def _bench(tree: Path, name: str) -> str:
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
                           text=True, check=True).stdout.strip()
+
+
+def _export(rev: str, tree: Path) -> None:
+    """``rev``'s committed files, unpacked into ``tree`` — nothing is
+    registered in the repository, so an interrupted run leaves no trace."""
+    with subprocess.Popen(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                          stdout=subprocess.PIPE) as archive:
+        with tarfile.open(fileobj=archive.stdout, mode="r|") as tar:
+            tar.extractall(tree, filter="data")
+    if archive.returncode != 0:
+        raise subprocess.CalledProcessError(archive.returncode, "git archive")
 
 
 def main(argv: Optional[list[str]] = None) -> None:
@@ -147,20 +185,21 @@ def main(argv: Optional[list[str]] = None) -> None:
         parent = _git("rev-parse", "--short", args.against)
         with tempfile.TemporaryDirectory() as scratch:
             tree = Path(scratch) / "parent"
-            _git("worktree", "add", "--detach", str(tree), parent)
-            try:
-                outputs = {}
-                for name in WORKLOADS:
-                    outputs[name] = []
-                    for i in range(args.pairs):
-                        print(f"{name}: pair {i + 1}/{args.pairs}",
-                              file=sys.stderr)
-                        sides = (tree, ROOT) if i % 2 == 0 else (ROOT, tree)
-                        got = {side: _bench(side, name) for side in sides}
-                        outputs[name].append((got[tree], got[ROOT]))
-            finally:
-                _git("worktree", "remove", "--force", str(tree))
-        row = build_paired_row(outputs, parent)
+            _export(parent, tree)
+            outputs, probes = {}, {"parent": [], "change": []}
+            for name in WORKLOADS:
+                outputs[name] = []
+                for i in range(args.pairs):
+                    print(f"{name}: pair {i + 1}/{args.pairs}",
+                          file=sys.stderr)
+                    sides = (tree, ROOT) if i % 2 == 0 else (ROOT, tree)
+                    got = {}
+                    for side in sides:
+                        label = "change" if side == ROOT else "parent"
+                        probes[label].append(host_probe_s())
+                        got[side] = _bench(side, name)
+                    outputs[name].append((got[tree], got[ROOT]))
+        row = build_paired_row(outputs, parent, probes)
     series = json.loads(SERIES.read_text()) if SERIES.exists() else []
     SERIES.write_text(json.dumps(series + [row], indent=2) + "\n")
     print(json.dumps(row, indent=2))

@@ -61,8 +61,8 @@ class StateCell:
     Everything a forwarding decision reads — lookup tables, port
     liveness, VLAN membership, the active flow-table bank — shares one
     cell per device, and the statement that changes any of it calls
-    :meth:`bump`.  That moves :attr:`generation` (what a device's own
-    microflow cache compares) *and* calls every watcher (how a
+    :meth:`bump`.  That moves :attr:`generation` (what
+    ``state_generation()`` reads) *and* calls every watcher (how a
     :class:`~repro.testenv.topology.Network` learns which cached walks
     to drop), so no mutation can do one without the other.  A table
     built on its own gets a private cell; the lookup that owns it hands

@@ -102,11 +102,11 @@ class OutputPortLookup(Module):
     DECISION_LATENCY_CYCLES = 2
 
     #: Whether ``decide()`` is a pure function of (header, TUSER) and the
-    #: lookup's *table* state.  The microflow fast path
-    #: (:mod:`repro.fastpath`) only caches decisions of lookups that
-    #: declare this; lookups with hidden per-packet state (e.g. the
-    #: firewall's SYN-flood detector) set it False and always take the
-    #: slow path.
+    #: lookup's *table* state.  The network path cache
+    #: (:class:`repro.testenv.topology.Network`) only caches walks whose
+    #: every lookup declares this; lookups with hidden per-packet state
+    #: (e.g. the firewall's SYN-flood detector) set it False, and every
+    #: walk through them is taken afresh.
     CACHEABLE = True
 
     def __init__(self, name: str, s_axis: AxiStreamChannel, m_axis: AxiStreamChannel):

@@ -288,9 +288,8 @@ class RunConfig:
     combination must fingerprint identically to.
     """
 
-    #: ``False`` turns the flow caches (path cache + per-device
-    #: microflow caches) off — the A/B switch; only ``report.fastpath``
-    #: and the wall clock move.
+    #: ``False`` turns the network's path cache off — the A/B switch;
+    #: only ``report.fastpath`` and the wall clock move.
     fastpath: bool = True
     #: ``False`` turns coalesced dispatch (a flow's consecutive packets
     #: carried as one run: wire outcomes pre-drawn, survivors replayed
@@ -1066,7 +1065,7 @@ def _moved(stats: dict[str, int], base: dict[str, int]) -> dict[str, int]:
     On a fresh replica that is the absolute count.  On a replica that
     carries several partitions in turn the partitions' shares sum to
     the replica's totals — the resident gauges (``path_entries``,
-    ``entries``, ``device_entries``) telescope to the end-of-run count.
+    ``entries``) telescope to the end-of-run count.
     """
     return {name: value - base[name] for name, value in stats.items()}
 

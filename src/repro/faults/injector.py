@@ -86,10 +86,10 @@ class FaultInjector:
 
         Also attaches the session to the project's data path
         (:meth:`~repro.projects.base.ReferencePipeline.attach_datapath_faults`,
-        undone on :meth:`disarm`), so the flow-cache fast path drops what
-        it cached through the device and bypasses itself while data-path
-        sites are armed — a cache hit must never skip a per-packet
-        fault draw.
+        undone on :meth:`disarm`), so a network's path cache retires the
+        walks it cached through the device and caches none through it
+        while the session is attached — a replay must never skip a
+        per-packet fault draw.
         """
         self.arm_interconnect(project.interconnect)
         self.arm_output_queues(project.oq)

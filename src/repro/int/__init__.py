@@ -16,11 +16,10 @@ fabric needs, where no single process holds the global counter view.
 
 Stamping itself lives in the data-plane walk
 (:meth:`repro.projects.base.ReferencePipeline.forward_behavioural`) and
-is fastpath-compatible by construction: stamps are a pure function of
-(device, ingress, egress, decision note, frame), applied identically on
-slow decisions and cached replays, and the network path cache stores
-sequence-zero templates with the per-packet sequence substituted into
-deliveries after the walk.
+is path-cache-compatible by construction: stamps are a pure function of
+(device, ingress, egress, decision note, frame), so the network path
+cache stores sequence-zero templates with the per-packet sequence
+substituted into deliveries after the walk.
 """
 
 from repro.int.codec import (

@@ -9,11 +9,10 @@ the UDP payload:
 
 * **zero length change** — the trailer replaces fill bytes, so the
   frame's wire length (and with it every length-keyed cache: the
-  microflow key's ``len(frame)``, ``bytes_delivered``) is untouched;
+  path cache key's frame length, ``bytes_delivered``) is untouched;
 * **header-window clear** — :func:`encode_template` refuses frames
   whose trailer would reach into the first ``HEADER_WINDOW`` bytes the
-  lookups (and the microflow cache key) read, so stamping can never
-  perturb a forwarding decision;
+  lookups read, so stamping can never perturb a forwarding decision;
 * **fixed offsets from the frame end** — every hop record lives at a
   constant negative offset, so a stamp is a handful of ``bytearray``
   writes and the receiver can parse without knowing the frame size.
@@ -60,8 +59,8 @@ MAX_INT_HOPS = 8
 HEADER_BYTES = 16
 HOP_BYTES = 10
 
-#: Bytes of frame the lookups (and the microflow cache key) read; the
-#: trailer must start strictly after them.
+#: Bytes of frame the lookups read; the trailer must start strictly
+#: after them.
 HEADER_WINDOW = 64
 
 #: Smallest ``make_udp_frame(size=...)`` wire size whose packed frame

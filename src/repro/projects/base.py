@@ -31,7 +31,6 @@ from repro.core.metadata import (
 )
 from repro.core.module import Module
 from repro.cores.input_arbiter import InputArbiter
-from repro.fastpath import MicroflowCache, session_has_datapath_sites
 from repro.int.codec import is_int_frame
 from repro.cores.output_port_lookup import OutputPortLookup
 from repro.cores.output_queues import OutputQueues, QueueConfig
@@ -120,14 +119,9 @@ class ReferencePipeline(Module):
             )
         )
 
-        # Flow-cache fast path for behavioural forwarding.  Always
-        # byte-identical to the slow path (invalidation + counter-delta
-        # replay guarantee it); flip ``fastpath.enabled`` off for A/B
-        # comparisons.
-        self.fastpath = MicroflowCache()
         #: The fault session armed on this device's data path, if any
-        #: (:meth:`attach_datapath_faults`); the fast path bypasses
-        #: itself while one is attached.
+        #: (:meth:`attach_datapath_faults`); a network never caches a
+        #: walk through a device while one is attached.
         self.datapath_faults = None
         self.soft_resets = 0
 
@@ -211,8 +205,8 @@ class ReferencePipeline(Module):
         """Report physical port ``index`` link state to the lookup.
 
         Returns True if the state changed.  The liveness flip bumps the
-        OPL's state cell, so microflow-cache entries are flushed and
-        network path-cache walks through this device are re-checked.
+        OPL's state cell, so network path-cache walks through this
+        device are re-checked.
         """
         return self.opl.set_port_state(index, up)
 
@@ -239,97 +233,26 @@ class ReferencePipeline(Module):
 
         This is the path the unified test environment's ``hw`` mode and
         the large benchmark sweeps use; experiment E11 checks it agrees
-        packet-for-packet with the cycle kernel.  A microflow cache
-        (:mod:`repro.fastpath`) short-circuits repeated (port, header)
-        pairs between table mutations; the E18 suite pins that the
-        cache changes no observable — outputs, counters, fingerprints.
-        A miss costs the decision plus one journaled hop: the entry's
-        replay list is the counter names ``opl.bump`` journaled.
-        """
-        cache = self.fastpath
-        opl = self.opl
-        if not cache.enabled or not opl.CACHEABLE:
-            outputs, decision = self._forward_slow(frame, src)
-            return self._int_stamp_outputs(outputs, src, decision.note)
-        if self.datapath_faults is not None and session_has_datapath_sites(
-            self.datapath_faults
-        ):
-            cache.bypasses += 1
-            outputs, decision = self._forward_slow(frame, src)
-            return self._int_stamp_outputs(outputs, src, decision.note)
-        generation = opl.state.generation
-        cache.validate(generation)
-        key = (src.bit, frame[:64], len(frame))
-        entry = cache.entries.get(key)
-        if entry is not None:
-            cache.hits += 1
-            return self._int_stamp_outputs(
-                self._replay_cached(entry, frame), src, entry[2]
-            )
-        cache.misses += 1
-        # Listen to this hop alone — bumps inside decide() (the router's
-        # "to_cpu"), then the note — and hand what it journaled on to
-        # whoever was listening already (a recording walk).
-        listener, opl.journal = opl.journal, []
-        try:
-            outputs, decision = self._forward_slow(frame, src)
-        finally:
-            bumped, opl.journal = opl.journal, listener
-        if listener is not None:
-            listener += bumped
-        # If decide() itself mutated table state (e.g. a learning
-        # switch's first sighting of this source MAC) the frozen
-        # decision could differ from a re-decide, so skip the fill: the
-        # next identical packet re-learns as a no-op and fills.
-        if opl.state.generation == generation:
-            cache.store(key, (
-                PORTS_BY_DST_BITS[tuser_dst_port(decision.tuser)],
-                tuple((off, bytes(rep)) for off, rep in decision.rewrites.items()),
-                decision.note,
-                decision.drop,
-                tuple(bumped),
-                # Read since a recording walk zeroed it: this decision's
-                # reads at least (more only makes a replaying walk careful).
-                opl.port_reads,
-            ))
-        return self._int_stamp_outputs(outputs, src, decision.note)
-
-    def _int_stamp_outputs(
-        self,
-        outputs: list[tuple[PortRef, bytes]],
-        src: PortRef,
-        note: str,
-    ) -> list[tuple[PortRef, bytes]]:
-        """Stamp INT hop records onto physical-egress copies of a frame.
-
-        Applied as the last step of *every* forwarding path — slow
-        decisions, cache-bypass decisions and microflow-cache replays —
-        so the fast path and the slow path emit byte-identical stamped
-        frames.  DMA deliveries (host-bound copies) are left unstamped:
-        the host sees the stack exactly as it stood at its edge switch.
-        """
-        if not outputs or not is_int_frame(outputs[0][1]):
-            return outputs
-        ingress = src.index if src.kind == "phys" else 0xF0 | src.index
-        return [
-            (port, self.opl.int_stamp(frame, ingress, port.index, note))
-            if port.kind == "phys" else (port, frame)
-            for port, frame in outputs
-        ]
-
-    def _forward_slow(self, frame: bytes, src: PortRef):
-        """The uncached decision path; returns (outputs, decision).
+        packet-for-packet with the cycle kernel.  Every call decides:
+        repeated traffic is made cheap a level up, where the network's
+        path cache (:class:`repro.testenv.topology.Network`) replays
+        whole walks.
 
         Copies nothing it does not change: every output shares the
-        injected ``frame`` unless the decision rewrites it.
+        injected ``frame`` unless the decision rewrites it.  An INT
+        frame gets a hop record stamped onto each physical-egress copy
+        as the last step; DMA deliveries (host-bound copies) are left
+        unstamped, so the host sees the stack exactly as it stood at
+        its edge switch.
         """
         opl = self.opl
         decision = opl.decide(frame[:64], pack_tuser_len_src(len(frame), src.bit))
-        opl.bump(decision.note)
+        note = decision.note
+        opl.bump(note)
         opl.packets += 1
         if decision.drop:
             opl.drops += 1
-            return [], decision
+            return []
         if decision.rewrites:
             data = bytearray(frame)
             for offset, replacement in decision.rewrites.items():
@@ -337,24 +260,12 @@ class ReferencePipeline(Module):
             frame = bytes(data)
         dst = tuser_dst_port(decision.tuser)
         opl.port_reads |= dst  # the ports copies go out of
-        return [(port, frame) for port in PORTS_BY_DST_BITS[dst]], decision
-
-    def _replay_cached(
-        self, entry: tuple, frame: bytes
-    ) -> list[tuple[PortRef, bytes]]:
-        """Re-apply a frozen decision: counters, reads, rewrites, fan-out."""
-        ports, rewrites, _note, drop, bumped, read = entry
-        opl = self.opl
-        opl.port_reads |= read
-        for name in bumped:
-            opl.bump(name)
-        opl.packets += 1
-        if drop:
-            opl.drops += 1
-            return []
-        if rewrites:
-            data = bytearray(frame)
-            for offset, replacement in rewrites:
-                data[offset : offset + len(replacement)] = replacement
-            frame = bytes(data)
-        return [(port, frame) for port in ports]
+        ports = PORTS_BY_DST_BITS[dst]
+        if not ports or not is_int_frame(frame):
+            return [(port, frame) for port in ports]
+        ingress = src.index if src.kind == "phys" else 0xF0 | src.index
+        return [
+            (port, opl.int_stamp(frame, ingress, port.index, note))
+            if port.kind == "phys" else (port, frame)
+            for port in ports
+        ]

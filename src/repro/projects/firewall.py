@@ -220,8 +220,8 @@ class FirewallLookup(OutputPortLookup):
 
     #: The SYN-flood detector advances on every observed packet, so two
     #: identical frames can legitimately get different decisions — this
-    #: lookup is not a pure function of (header, tables) and must never
-    #: be served from the microflow cache.
+    #: lookup is not a pure function of (header, tables), so a network
+    #: never caches a walk through it.
     CACHEABLE = False
 
     def _set_default(self, value: int) -> None:

@@ -345,12 +345,6 @@ class Repl:
                 self._print(f"  {label} ({len(tables[label])} entries):")
                 for mac, port in tables[label]:
                     self._print(f"    {mac} -> port {port}")
-        if "flow_cache" in tables:
-            cache = tables["flow_cache"]
-            self._print(
-                f"  flow_cache: {cache['entries']} entries, "
-                f"{cache['hits']} hits, {cache['misses']} misses"
-            )
         counters = {k: v for k, v in tables["counters"].items() if v}
         if counters:
             self._print("  counters:")

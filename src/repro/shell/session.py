@@ -265,7 +265,7 @@ class ShellSession:
         }
 
     def tables(self, device: str) -> dict:
-        """One device's CAM/backup/cache state, software-readable."""
+        """One device's CAM/backup table state, software-readable."""
         project = self.topology.network.device(device)  # raises on unknown
         out: dict = {"device": device, "counters": dict(project.opl.counters)}
         mac_table = getattr(project, "mac_table", None)
@@ -280,13 +280,6 @@ class ShellSession:
                 (str(MacAddr(key)), _one_hot_port(value))
                 for key, value in backup
             ]
-        cache = getattr(project, "fastpath", None)
-        if cache is not None:
-            out["flow_cache"] = {
-                "entries": len(cache.entries),
-                "hits": cache.hits,
-                "misses": cache.misses,
-            }
         return out
 
     def int_paths(self) -> dict:

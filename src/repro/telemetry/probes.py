@@ -421,37 +421,29 @@ def probe_int(report: Any, session: "TelemetrySession") -> None:
 
 
 def probe_fastpath(network: Any, session: "TelemetrySession") -> None:
-    """Mirror a test network's flow-cache counters into the registry.
+    """Mirror a test network's path-cache counters into the registry.
 
-    One ``fastpath_events_total`` series per (device, event) for the
-    microflow caches, plus the network-wide path cache under the
-    pseudo-device ``net``; ``fastpath_entries`` gauges track occupancy.
-    All ``cycle_dependent=False``: cache behaviour is a pure function of
+    One ``fastpath_events_total`` series per event, under the
+    pseudo-device ``net`` (the network-wide path cache); the
+    ``fastpath_entries`` gauge tracks its occupancy.  All
+    ``cycle_dependent=False``: cache behaviour is a pure function of
     the traffic and table mutations, so sim and hw runs of the same
     scenario must agree — the counters join the parity set rather than
     being waived from it.
     """
     registry = session.registry
-    caches = [((name,), cache) for name in network.device_names()
-              if (cache := getattr(network.device(name), "fastpath", None))
-              is not None]
-    events = [((name, event), (cache, attr)) for (name,), cache in caches
-              for event, attr in (("hit", "hits"), ("miss", "misses"),
-                                  ("invalidation", "invalidations"),
-                                  ("bypass", "bypasses"))]
-    events += [(("net", event), (network, attr)) for event, attr in (
+    events = [(("net", event), attr) for event, attr in (
         ("hit", "path_hits"), ("miss", "path_misses"),
         ("invalidation", "path_invalidations"), ("dropped", "path_dropped"),
         ("revalidated", "path_revalidated"), ("revived", "path_revived"),
         ("bypass", "path_bypasses"), ("shared", "path_shared"))]
     _mirror(registry, "counter", "fastpath_events_total",
-            "flow-cache lookups by outcome", lambda pair: getattr(*pair),
+            "flow-cache lookups by outcome", partial(getattr, network),
             events, ("device", "event"), cycle_dependent=False)
     _mirror(registry, "gauge", "fastpath_entries",
             "entries resident per flow cache",
-            lambda c: c.path_entries if c is network else len(c.entries),
-            [*caches, (("net",), network)], ("device",),
-            cycle_dependent=False)
+            lambda net: net.path_entries,
+            [(("net",), network)], ("device",), cycle_dependent=False)
 
 
 def probe_shard(report: Any, session: "TelemetrySession") -> None:

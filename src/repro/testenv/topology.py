@@ -130,8 +130,14 @@ points differ only in ``count`` and in what a miss costs:
   miss it takes a dry walk inside :meth:`Network.sandbox` and stores
   it, so the engine's first counted offer already hits.
 
-``set_fastpath(False)`` turns the path cache *and* every device's
-microflow cache off for A/B runs.
+The path cache is the only flow cache: each hop of a slow walk decides
+afresh (``forward_behavioural``).  ``set_fastpath(False)`` turns it
+off for A/B runs — then every injection walks — and the ``-m
+fastpath`` suite asserts the fingerprints agree.  Its counters are
+:meth:`Network.fastpath_stats`, mirrored into telemetry by
+:func:`repro.telemetry.probes.probe_fastpath` and printed by ``nf-mon
+fabric`` (``--no-fastpath`` is the switch; ``--no-batch`` keeps the
+cache but sends every packet through the per-packet entry).
 """
 
 from __future__ import annotations
@@ -1076,18 +1082,11 @@ class Network:
 
     # -- fast-path control & stats --------------------------------------
     def set_fastpath(self, enabled: bool) -> None:
-        """Enable/disable the path cache and every device's microflow
-        cache in one switch — the A/B toggle behind
+        """Enable/disable the path cache — the A/B toggle behind
         ``RunConfig.fastpath`` and ``nf-mon fabric --no-fastpath``."""
         self.path_cache_enabled = enabled
         if not enabled:
             self._flush()
-        for project in self._devices.values():
-            cache = getattr(project, "fastpath", None)
-            if cache is not None:
-                cache.enabled = enabled
-                if not enabled:
-                    cache.clear()
 
     @property
     def path_entries(self) -> int:
@@ -1109,7 +1108,7 @@ class Network:
         return {**self._batch, "entries": self.path_entries}
 
     def fastpath_stats(self) -> dict[str, int]:
-        """Aggregate flow-cache counters: path cache + device caches.
+        """The path cache's counters.
 
         ``path_misses`` counts slow walks taken, ``path_shared`` the keys
         that joined a walk they did not take instead; ``path_hits`` the
@@ -1124,7 +1123,7 @@ class Network:
         drops none); ``path_revived`` the retired walks that served
         again instead of a slow walk, everything they read holding again
         (a repair)."""
-        stats = {
+        return {
             "path_hits": self.path_hits,
             "path_misses": self.path_misses,
             "path_invalidations": self.path_invalidations,
@@ -1134,22 +1133,11 @@ class Network:
             "path_bypasses": self.path_bypasses,
             "path_shared": self.path_shared,
             "path_entries": self.path_entries,
+            # Retired with the per-device decision cache: 0 by
+            # construction, kept only while the bench spec names them.
             "device_hits": 0,
             "device_misses": 0,
-            "device_invalidations": 0,
-            "device_bypasses": 0,
-            "device_entries": 0,
         }
-        for project in self._devices.values():
-            cache = getattr(project, "fastpath", None)
-            if cache is None:
-                continue
-            stats["device_hits"] += cache.hits
-            stats["device_misses"] += cache.misses
-            stats["device_invalidations"] += cache.invalidations
-            stats["device_bypasses"] += cache.bypasses
-            stats["device_entries"] += len(cache.entries)
-        return stats
 
     # ------------------------------------------------------------------
     # Probes: observing the live network without perturbing it

@@ -35,7 +35,7 @@ def pytest_configure(config):
     )
     config.addinivalue_line(
         "markers",
-        "fastpath: flow-cache fast path — microflow/path caches, "
+        "fastpath: flow-cache fast path — the path cache, "
         "generation invalidation, batched injection "
         "(run just these with -m fastpath)",
     )

@@ -51,6 +51,7 @@ PER_EPOCH = ("        self.per_epoch = "
 GOLDEN = ("tests/test_telemetry_golden.py::"
           "test_every_series_matches_the_golden_file")
 PARKED = "tests/test_parked_walks.py::"
+PATH_CACHE = "tests/test_fastpath_network.py::TestPathCache::"
 WALK_TABLE = PARKED + "TestOneWalkTable::"
 SPANS = "tests/test_read_bounded_spans.py::TestSpans::"
 SHELL = "tests/test_shell_session.py::"
@@ -319,6 +320,30 @@ MUTANTS = (
         "    return dict(stats)",
         (BATCH + "test_shards_sum_what_the_cuts_dropped",
          BATCH + "test_shard_reports_carry_summed_batch_stats"),
+    ),
+    # The walk's uncacheable guard, the one place an armed device or a
+    # lookup that is not CACHEABLE keeps a walk out of the cache
+    # (testenv/topology.py).
+    Mutant(
+        "a walk through an armed device is cached",
+        TOPOLOGY,
+        "                    if (project.datapath_faults is not None\n"
+        "                            or not opl.CACHEABLE):",
+        "                    if (False\n"
+        "                            or not opl.CACHEABLE):",
+        (PATH_CACHE + "test_armed_datapath_faults_make_walks_uncacheable",
+         "tests/test_fastpath_invalidation.py::"
+         "test_arming_faults_after_warming_stops_the_replays"),
+    ),
+    Mutant(
+        "a walk through a lookup that is not cacheable is cached",
+        TOPOLOGY,
+        "                    if (project.datapath_faults is not None\n"
+        "                            or not opl.CACHEABLE):",
+        "                    if (project.datapath_faults is not None\n"
+        "                            or False):",
+        (PATH_CACHE + "test_an_uncacheable_lookup_bars_the_walk",
+         PATH_CACHE + "test_a_lookup_that_is_not_cacheable_is_a_path_bypass"),
     ),
     # The clock paces the engine (shell/clock.py, shell/session.py).
     Mutant(

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import subprocess
+
+import pytest
 
 from benchmarks import record
 from benchmarks.record import (
@@ -72,10 +75,15 @@ class TestPairedRow:
     #: Four pairs of ``mice``: the change wins three on throughput.
     PPS = ((50.0, 60.0), (52.0, 59.0), (51.0, 50.0), (49.0, 61.0))
 
+    #: The host probe before each side of each pair: the parent's side
+    #: ran on a slower host in the last pair.
+    PROBES = {"parent": [0.010, 0.011, 0.010, 0.020],
+              "change": [0.010, 0.010, 0.012, 0.011]}
+
     def _row(self, **change):
         outputs = {"mice": [(_run(before, 99.7), _run(after, 77.2, **change))
                             for before, after in self.PPS]}
-        return build_paired_row(outputs, "abc1234")
+        return build_paired_row(outputs, "abc1234", self.PROBES)
 
     def test_each_side_has_its_quartiles_and_the_pairs_are_counted(self):
         row = self._row()
@@ -95,6 +103,11 @@ class TestPairedRow:
         assert {"parent", "date", "seed", "nproc", "python"} <= set(row)
         json.dumps(row)
 
+    def test_each_side_keeps_the_quartiles_of_its_host_probes(self):
+        probes = self._row()["host_probe_s"]
+        assert probes["parent"] == pytest.approx([0.01, 0.0105, 0.01325])
+        assert probes["change"] == pytest.approx([0.01, 0.0105, 0.01125])
+
     def test_a_moved_fingerprint_or_a_wrong_run_marks_the_row(self):
         assert self._row(fingerprint="cd34")["correct"] is False
         assert self._row(correct=False)["correct"] is False
@@ -102,10 +115,13 @@ class TestPairedRow:
 
 def test_the_sides_swap_order_every_pair(tmp_path, monkeypatch):
     """``--against``: one worktree of REV, runs alternating first."""
-    calls, git = [], []
+    calls, exported = [], []
     monkeypatch.setattr(record, "SERIES", tmp_path / "series.json")
-    monkeypatch.setattr(record, "_git",
-                        lambda *args: git.append(args) or "abc1234")
+    monkeypatch.setattr(record, "_git", lambda *args: "abc1234")
+    monkeypatch.setattr(record, "_export",
+                        lambda rev, tree: exported.append(rev))
+    monkeypatch.setattr(record, "host_probe_s",
+                        lambda: calls.append("probe") or 0.01)
 
     def bench(tree, name):
         calls.append("change" if tree == record.ROOT else "parent")
@@ -113,10 +129,39 @@ def test_the_sides_swap_order_every_pair(tmp_path, monkeypatch):
 
     monkeypatch.setattr(record, "_bench", bench)
     record.main(["--against", "HEAD~1", "--pairs", "3"])
-    assert calls == ["parent", "change", "change", "parent",
-                     "parent", "change"] * len(WORKLOADS)
-    assert [args[:2] for args in git[1:]] == [("worktree", "add"),
-                                              ("worktree", "remove")]
+    # The host is probed before every run, on either side.
+    assert calls == [step for side in ["parent", "change", "change",
+                                       "parent", "parent", "change"]
+                     * len(WORKLOADS) for step in ("probe", side)]
+    assert exported == ["abc1234"]
     (row,) = json.loads(record.SERIES.read_text())
     assert (row["parent"], row["pairs"]) == ("abc1234", 3)
     assert list(row["paired"]) == list(WORKLOADS)
+    assert row["host_probe_s"] == {"parent": [0.01] * 3,
+                                   "change": [0.01] * 3}
+
+
+def test_the_parent_tree_is_its_committed_files(tmp_path, monkeypatch):
+    """``git archive`` of a revision, unpacked: the files as committed,
+    not as the working tree has them, and no repository."""
+    repo = tmp_path / "repo"
+    (repo / "bench").mkdir(parents=True)
+    (repo / "bench" / "run.py").write_text("committed\n")
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "one")
+    (repo / "bench" / "run.py").write_text("edited\n")
+    monkeypatch.setattr(record, "ROOT", repo)
+    tree = tmp_path / "parent"
+    record._export("HEAD", tree)
+    assert (tree / "bench" / "run.py").read_text() == "committed\n"
+    assert not (tree / ".git").exists()
+
+
+def test_the_host_probe_is_a_positive_floor():
+    assert 0 < record.host_probe_s() < 10

@@ -9,6 +9,7 @@ from repro.core.metadata import (
     SUME_TUSER,
     all_phys_ports_mask,
     dma_port_bit,
+    pack_tuser_len_src,
     phys_port_bit,
     port_bits_to_indices,
 )
@@ -79,3 +80,19 @@ class TestTuserLayout:
         word = SUME_TUSER.pack(len=length, src_port=src, dst_port=dst, user=user)
         fields = SUME_TUSER.unpack(word)
         assert fields == {"len": length, "src_port": src, "dst_port": dst, "user": user}
+
+    def test_compiled_packer_matches_general_pack(self):
+        for length, src in [(64, 0b1), (1518, 0b0100_0000), (0, 0)]:
+            assert (pack_tuser_len_src(length, src)
+                    == SUME_TUSER.pack(len=length, src_port=src))
+
+    def test_compiled_packer_oversize_error_is_identical(self):
+        with pytest.raises(ValueError) as compiled:
+            pack_tuser_len_src(1 << 16, 0)
+        with pytest.raises(ValueError) as general:
+            SUME_TUSER.pack(len=1 << 16, src_port=0)
+        assert str(compiled.value) == str(general.value)
+
+    def test_packer_unknown_field_raises_keyerror(self):
+        with pytest.raises(KeyError):
+            SUME_TUSER.packer("len", "no_such_field")

@@ -9,14 +9,16 @@ import pstats
 
 import pytest
 
+from bench.workloads import build_case
 from repro.cores.lookups import SwitchLiteLookup
 from repro.cores.output_queues import QueueConfig
 from repro.fabric import get_topology, get_workload, run_sharded
 from repro.fabric.scheduler import flow_frame, int_frame, run_flows
 from repro.fabric.workload import Flow, WorkloadSpec, generate_flows
-from repro.faults import get_plan, inject
+from repro.faults import available_plans, get_plan, inject
 from repro.host.nfmon import main as nfmon_main
 from repro.int import INT_MIN_FRAME_SIZE, encode_template
+from repro.packet.addresses import Ipv4Addr, MacAddr
 from repro.packet.generator import make_udp_frame
 from repro.projects.base import ReferencePipeline
 from repro.projects.firewall import FirewallProject, SynFloodDetector
@@ -33,6 +35,10 @@ pytestmark = pytest.mark.fastpath
 
 _SPORT_BASE = 40000
 _DPORT_BASE = 50000
+#: The reference router's own interface MAC (port 0).
+ROUTER_MAC = MacAddr(0x02_53_55_4D_45_00)
+#: An address on the router's port-1 subnet.
+ROUTED_TO = Ipv4Addr.parse("10.0.1.2")
 
 
 def two_switch_fabric() -> Network:
@@ -128,10 +134,12 @@ class TestPathCache:
         with inject(get_plan("oq-pressure"), project=net.device("s2")):
             net.inject("s1", 0, frame)
             net.inject("s1", 0, frame)
-            assert net.path_hits == 0
-            assert net.path_bypasses >= 2
-        stats = net.fastpath_stats()
-        assert stats["device_bypasses"] >= 2  # s2 stepped aside per packet
+            assert (net.path_hits, net.path_bypasses,
+                    net.path_entries) == (0, 2, 0)
+        # Disarmed, the next walk is stored and the one after replays it.
+        net.inject("s1", 0, frame)
+        net.inject("s1", 0, frame)
+        assert (net.path_hits, net.path_entries) == (1, 1)
 
     def test_set_fastpath_off_clears_and_stops_counting(self):
         net = two_switch_fabric()
@@ -141,10 +149,9 @@ class TestPathCache:
         assert net.path_entries > 0
         net.set_fastpath(False)
         assert net.path_entries == 0
-        misses_before = net.path_misses
+        before = net.fastpath_stats()
         net.inject("s1", 0, frame)
-        assert net.path_misses == misses_before
-        assert net.fastpath_stats()["device_entries"] == 0
+        assert net.fastpath_stats() == before
 
     def test_an_uncacheable_lookup_bars_the_walk(self):
         """The SYN-flood detector advances per packet, so a walk through
@@ -164,6 +171,80 @@ class TestPathCache:
                 assert net.path_bypasses == 10
         assert outcomes[0] == outcomes[1]
         assert outcomes[0] == (3, {"permitted": 3, "syn_flood_dropped": 7})
+
+    def test_a_lookup_that_is_not_cacheable_is_a_path_bypass(self):
+        """Not what a walk did but what the lookup declares: UDP moves no
+        table and no detector, yet ``CACHEABLE = False`` keeps every
+        walk through the firewall out of the cache."""
+        net = Network()
+        net.add_device("fw", FirewallProject())
+        assert net.device("fw").opl.CACHEABLE is False
+        for _ in range(3):
+            assert len(net.inject("fw", 0, udp_frame(1, 2))) == 1
+        assert (net.path_hits, net.path_misses, net.path_bypasses,
+                net.path_entries) == (0, 3, 3, 0)
+
+    def test_a_bump_inside_decide_replays_exactly(self):
+        """The router bumps ``to_cpu`` inside ``decide()``, on top of the
+        decision's note: a replayed walk moves it as the decision did."""
+        fast, slow = Network(), Network()
+        for net in (fast, slow):
+            net.add_device("r1", ReferenceRouter())
+        slow.set_fastpath(False)
+        frame = make_udp_frame(mac(9), ROUTER_MAC, ip(9), ip(2), size=96,
+                               ttl=1).pack()
+        for _ in range(4):
+            for net in (fast, slow):
+                assert net.inject("r1", 0, frame) == []
+            assert observables(fast) == observables(slow)
+        assert (fast.path_hits, fast.path_misses) == (3, 1)
+        assert fast.device("r1").opl.counters \
+            == {"to_cpu": 4, "ttl_expired": 4}
+
+    def test_a_routed_walk_replays_its_rewrites(self):
+        """A routed hop rewrites both MACs, decrements the TTL and
+        patches the checksum: every replayed copy carries all three."""
+        fast, slow = Network(), Network()
+        for net in (fast, slow):
+            net.add_device("r1", ReferenceRouter()).tables.add_arp(
+                ROUTED_TO, mac(2))
+        slow.set_fastpath(False)
+        frame = make_udp_frame(mac(9), ROUTER_MAC, ip(9), ROUTED_TO, size=96,
+                               ttl=32).pack()
+        for _ in range(3):
+            got, want = (net.inject("r1", 0, frame) for net in (fast, slow))
+            assert [(d.at, d.frame) for d in got] \
+                == [(d.at, d.frame) for d in want]
+            assert len(got) == 1 and got[0].frame != frame
+            assert observables(fast) == observables(slow)
+        assert (fast.path_hits, fast.path_misses) == (2, 1)
+
+
+@pytest.mark.parametrize("plan", available_plans())
+def test_every_fault_plan_bars_the_walks_through_its_device(plan):
+    """Whatever sites a plan arms, a walk through the device it is armed
+    on is decided afresh per packet, never stored, and equals the walk
+    of a fabric that caches nothing; once the plan is disarmed the walk
+    is stored and replays."""
+    fast, slow = programmed_fabric(), programmed_fabric()
+    slow.set_fastpath(False)
+    frame = flow_of_pair(1)
+
+    def send() -> None:
+        got, want = (net.inject("s1", 0, frame) for net in (fast, slow))
+        assert [(d.at, d.frame) for d in got] \
+            == [(d.at, d.frame) for d in want]
+
+    with inject(get_plan(plan), project=fast.device("s2")), \
+            inject(get_plan(plan), project=slow.device("s2")):
+        for _ in range(3):
+            send()
+        assert (fast.path_hits, fast.path_bypasses,
+                fast.path_entries) == (0, 3, 0)
+    send()
+    send()
+    assert (fast.path_hits, fast.path_entries) == (1, 1)
+    assert observables(fast) == observables(slow)
 
 
 # ----------------------------------------------------------------------
@@ -686,10 +767,9 @@ class TestProbeFastpath:
             net.path_misses
         assert snap['fastpath_entries{device="net"}'] == net.path_entries
         assert snap['fastpath_events_total{device="net",event="shared"}'] == 0
-        s1 = net.device("s1").fastpath
-        assert snap['fastpath_events_total{device="s1",event="miss"}'] == \
-            s1.misses
-        assert snap['fastpath_entries{device="s1"}'] == len(s1.entries)
+        # The path cache is the only flow cache: no device has a series.
+        assert all('device="net"' in name for name in snap
+                   if name.startswith("fastpath_"))
 
     def test_series_are_in_the_parity_set(self):
         """Cache behaviour is mode-independent, so the series must
@@ -757,12 +837,13 @@ class TestProbeFastpath:
 # The slow walk itself, without a clock
 # ----------------------------------------------------------------------
 def test_one_cold_int_walk_stays_under_its_call_ceiling():
-    """One recorded Abilene h0 → h9 INT walk (5 hops) with every device
-    cache cleared makes 233 Python calls (3.11; measured x 1.1 is the
-    ceiling) — it made 457 while a hop parsed addresses into objects,
-    read TUSER through the generic ``BitField``, built an attachment
-    per output and copied and diffed ``opl.counters`` twice.  Coming
-    back over the ceiling means one of those is back."""
+    """One recorded Abilene h0 → h9 INT walk (5 hops) makes 177 Python
+    calls (measured x 1.1 is the ceiling) — it made 457 while a hop
+    parsed addresses into objects, read TUSER through the generic
+    ``BitField``, built an attachment per output and copied and diffed
+    ``opl.counters`` twice, and 228 while every hop consulted, keyed and
+    filled a per-device decision cache.  Coming back over the ceiling
+    means one of those is back."""
     topology = get_topology("abilene").build()
     topology.learn()
     topology.install_backups()
@@ -773,15 +854,24 @@ def test_one_cold_int_walk_stays_under_its_call_ceiling():
         response_packets=0, start_tick=0, gap_ticks=1, int_enabled=True))
     profile = cProfile.Profile()
     for profiled in (False, True):  # once to warm, once to count
-        for name in net.device_names():
-            net.device(name).fastpath.clear()
         if profiled:
             profile.enable()
         result, walk = net._walk(entry.device, entry.port, frame, record=True)
         profile.disable()
         assert [d.hops for d in result] == [5] and len(walk.ops) == 5
     calls = pstats.Stats(profile).total_calls - 1  # less the disable()
-    assert calls < 258, f"{calls} calls for one cold 5-hop INT walk"
+    assert calls < 195, f"{calls} calls for one cold 5-hop INT walk"
+
+
+@pytest.mark.parametrize("name", ["elephants", "mice", "lossy", "churn"])
+def test_the_retired_device_keys_read_zero_on_every_bench_workload(name):
+    """``device_hits`` / ``device_misses`` outlived the per-device
+    decision cache only because the benchmark contract still names
+    them: on each of its workloads, at quick size, both read 0."""
+    case = build_case(name, 1, quick=True)
+    report = run_sharded(case.spec, case.workload, case.plan, **case.options)
+    assert report.fastpath["device_hits"] == 0
+    assert report.fastpath["device_misses"] == 0
 
 
 # ----------------------------------------------------------------------

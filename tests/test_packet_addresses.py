@@ -44,6 +44,21 @@ class TestMacAddr:
         assert MacAddr.parse(str(addr)) == addr
         assert MacAddr.from_bytes(addr.packed) == addr
 
+    def test_parse_memo_matches_and_is_cached(self):
+        assert MacAddr.parse("02:aa:00:00:00:01").value == 0x02AA00000001
+        # Repeat parses serve from the memo yet stay value-equal.
+        assert (MacAddr.parse("02:aa:00:00:00:01")
+                == MacAddr.parse("02:AA:00:00:00:01"))
+
+    @pytest.mark.parametrize("bad", ["", "02:aa", "zz:zz:zz:zz:zz:zz",
+                                     "02:aa:00:00:00:01:99", "02aa00000001x"])
+    def test_parse_malformed_raises_every_time(self, bad):
+        with pytest.raises(ValueError) as first:
+            MacAddr.parse(bad)
+        with pytest.raises(ValueError) as second:
+            MacAddr.parse(bad)  # errors are not cached
+        assert str(first.value) == str(second.value)
+
 
 class TestIpv4Addr:
     def test_parse_format_roundtrip(self):

@@ -250,7 +250,6 @@ class TestObservation:
         table = session.tables("leaf0")
         ports = [port for _, port in table["mac_table"]]
         assert ports and all(0 <= p < 4 for p in ports)
-        assert "flow_cache" in table
 
     def test_int_paths_requires_int_flows(self):
         session = ShellSession(seed=0)
