@@ -21,10 +21,10 @@ them.  This package is that scale-out layer, in four stages:
    :mod:`repro.fabric.supervisor`) — independent flows partitioned
    across supervised worker processes (deadlines, heartbeats, seeded
    crash chaos, bounded retries, inline fallback, checkpoint/resume),
-   each worker rebuilding its own replica from the same seed (inline,
-   the partitions take turns on one), merged so the fingerprint is
-   identical for 1 and N shards — crashed workers, resumed checkpoints
-   and all.
+   each worker rebuilding its own replica from the same seed, merged
+   so the fingerprint is identical for 1 and N shards — crashed
+   workers, resumed checkpoints and all.  Inline, one engine carries
+   every flow on one replica: the 1-shard run, reported as N.
 
 Quickstart::
 

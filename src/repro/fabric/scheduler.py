@@ -133,10 +133,9 @@ class FabricReport:
     #: Flow-cache statistics (hits/misses/... per cache layer): what
     #: this run's engines moved on their replicas.  Like ``shards`` and
     #: ``elapsed_s`` these are *operational* data, not observables: hit
-    #: counts depend on how the run was partitioned and on what an
-    #: earlier partition left warm on a shared replica (a worker's
-    #: starts cold), so they stay out of :meth:`signature` and the
-    #: fingerprint.
+    #: counts depend on how the run was partitioned across workers
+    #: (each worker's replica starts cold), so they stay out of
+    #: :meth:`signature` and the fingerprint.
     fastpath: dict[str, int] = field(default_factory=dict)
     #: Receiver-side INT summary (:meth:`repro.int.IntCollector.summary`)
     #: when any carried flow was INT-enabled, else ``None``.  Pure
@@ -614,10 +613,8 @@ class FlowEngine:
         topology.learn()
         if config.frr:
             topology.install_backups()
-        if flows is None:
-            flows = generate_flows(topology.host_names(), spec)
-        else:
-            flows = list(flows)
+        flows = (generate_flows(topology.host_names(), spec) if flows is None
+                 else list(flows))
         if flow_filter is not None:
             flows = [f for f in flows if flow_filter(f)]
         if config.int_all:
@@ -720,12 +717,15 @@ class FlowEngine:
         return _Cursor(flow, record, session, rr)
 
     def _finish(self, cursor: _Cursor) -> None:
-        """Drop a carried flow's frames and fold its fault counters."""
+        """Drop a carried flow's frames and fold its fault counters and
+        INT ledgers."""
         flow_id = cursor.flow.flow_id
         self._frames.pop((flow_id, False), None)
         self._frames.pop((flow_id, True), None)
         if cursor.session.counters:
             self._fault_counters.update(cursor.session.counters)
+        if self.collector is not None:
+            self.collector.close(flow_id)
 
     def _live(self) -> list:
         """The stepping heap: every flow not yet opened goes on it, in
@@ -1063,9 +1063,9 @@ def _moved(stats: dict[str, int], base: dict[str, int]) -> dict[str, int]:
     """What a replica's cache statistics moved since ``base``.
 
     On a fresh replica that is the absolute count.  On a replica that
-    carries several partitions in turn the partitions' shares sum to
-    the replica's totals — the resident gauges (``path_entries``,
-    ``entries``) telescope to the end-of-run count.
+    carries several engines in turn their shares sum to the replica's
+    totals — the resident gauges (``path_entries``, ``entries``)
+    telescope to the end-of-run count.
     """
     return {name: value - base[name] for name, value in stats.items()}
 

@@ -22,19 +22,16 @@ Worker processes run under :mod:`repro.fabric.supervisor`, the only
 process path: a crashed worker costs a retry, never the run — and never
 a bit of the fingerprint.
 
-``parallel=False`` (or ``shards=1``) runs the same partition/merge path
-in-process — the reference the process path is checked against, and
-the fallback when worker processes are unavailable (e.g. a daemonic
-parent process).  It builds *one* replica and carries the partitions on
-it in turn, each inside :meth:`~repro.testenv.topology.Network.sandbox`,
-which restores every fingerprinted counter: ``learn()`` and
-``install_backups()`` are idempotent and each engine restores the links
-it cut, so a partition starts from a fresh build's observables — and
-from the walks the partitions before it left in the caches.  Workers
-(and the supervisor's inline fallback) carry theirs through the same
-:func:`_carry_partition` on a replica of their own.  It cannot honour
-``chaos=`` or ``checkpoint=``; asking is a ``ValueError``, not a silent
-clean run.
+``parallel=False`` (or ``shards=1``) runs every flow in-process as
+one engine on one fresh replica — the reference the process path is
+checked against.  That is the same run the merge rebuilds: per-flow
+outcomes do not depend on partitioning, so the inline report is the
+1-shard run's with ``shards`` set to the count asked for.  Workers
+(and the supervisor's inline fallback, used when worker processes are
+unavailable, e.g. under a daemonic parent) carry their slice through
+:func:`_run_shard` on a replica of their own.  The inline path cannot
+honour ``chaos=`` or ``checkpoint=``; asking is a ``ValueError``, not a
+silent clean run.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
 from repro.fabric.scheduler import FabricReport, RunConfig, run_flows
-from repro.fabric.topo import FabricSpec, FabricTopology
+from repro.fabric.topo import FabricSpec
 from repro.fabric.workload import Flow, WorkloadSpec, generate_flows
 from repro.faults import FaultPlan
 from repro.int import merge_int_summaries
@@ -74,24 +71,11 @@ def _run_shard(
     shards: int,
     index: int,
 ) -> FabricReport:
-    """One worker's slice, on a replica of its own.  Module-level so
-    worker processes can pickle it."""
-    return _carry_partition(spec.build(), workload, plan, flows, config,
-                            shards, index)
-
-
-def _carry_partition(
-    topology: FabricTopology,
-    workload: WorkloadSpec,
-    plan: Optional[FaultPlan],
-    flows: Optional[list[Flow]],
-    config: RunConfig,
-    shards: int,
-    index: int,
-) -> FabricReport:
-    """Carry flows ≡ index (mod shards) on ``topology`` — of the
-    caller's ``flows``, else of the workload's, of which only that slice
-    is expanded."""
+    """Carry flows ≡ index (mod shards) on a replica of their own — of
+    the caller's ``flows``, else of the workload's, of which only that
+    slice is expanded.  Module-level so worker processes can pickle
+    it."""
+    topology = spec.build()
     if flows is None and shards > 1:
         flows = generate_flows(topology.host_names(), workload,
                                range(index, workload.flows, shards))
@@ -188,12 +172,13 @@ def run_sharded(
     fields; the config built from them here is what every layer below
     is handed.  With ``parallel=True`` and ``shards > 1`` the partitions
     run in worker processes (at most ``min(shards, cores)``
-    concurrently) under the supervised executor; otherwise they run
-    sequentially in-process through the identical partition/merge path,
-    on one replica.  Either way the merged report's fingerprint equals
+    concurrently) under the supervised executor and merge; otherwise
+    one engine carries every flow in-process on one fresh replica, and
+    its report is returned with ``shards`` set — per-flow outcomes do
+    not depend on partitioning, so that is the report the merge would
+    rebuild, counter for counter.  Either way the fingerprint equals
     the 1-shard run's — and equals the run with ``fastpath=False`` (flow
-    caches off), since the caches are observationally inert, whether a
-    partition finds them cold or warm.
+    caches off), since the caches are observationally inert.
 
     ``chaos`` is a fault plan whose :class:`~repro.faults.ShardFaultSpec`
     seeds worker crash/hang/corrupt chaos per (shard, attempt).  It is
@@ -205,7 +190,8 @@ def run_sharded(
     ``parallel=False``: the inline path has no workers to crash.
 
     The report's ``elapsed_s`` is this call's wall-clock on every path,
-    set-up and merge included: what a caller timing the call would read.
+    set-up (and, on the process path, merge) included: what a caller
+    timing the call would read.
     """
     started = time.perf_counter()
     config = RunConfig(**options)
@@ -234,16 +220,8 @@ def run_sharded(
             config=config, chaos=chaos, checkpoint=checkpoint,
             options=supervisor,
         )
-    elif shards == 1:
-        report = _run_shard(spec, workload, plan, flows, config, 1, 0)
     else:
-        topology, reports = spec.build(), []
-        for index in range(shards):
-            # Each partition leaves every fingerprinted counter as it
-            # found it; its engine restores the links it cut.
-            with topology.network.sandbox():
-                reports.append(_carry_partition(
-                    topology, workload, plan, flows, config, shards, index))
-        report = merge_reports(reports, shards)
+        report = _run_shard(spec, workload, plan, flows, config, 1, 0)
+        report.shards = shards
     report.elapsed_s = time.perf_counter() - started
     return report

@@ -404,7 +404,7 @@ def run_supervised(
     """Run a sharded fabric workload under supervision and merge.
 
     The process path behind :func:`~repro.fabric.shard.run_sharded`:
-    the inline path's partition (``flow_id % shards``), merge and
+    the shard partition (``flow_id % shards``), merge and
     fingerprint — plus worker deadlines/heartbeats, seeded ``chaos``,
     bounded retries with the inline fallback, and optional
     ``checkpoint`` (a directory) for resume.  The merged report carries

@@ -84,17 +84,21 @@ class FaultInjector:
     def arm_project(self, project: Any) -> None:
         """Arm a reference pipeline's control plane and output queues.
 
-        Also attaches the session to the project's data path
+        A plan with output-queue pressure also attaches the session to
+        the project's data path
         (:meth:`~repro.projects.base.ReferencePipeline.attach_datapath_faults`,
         undone on :meth:`disarm`), so a network's path cache retires the
         walks it cached through the device and caches none through it
         while the session is attached — a replay must never skip a
-        per-packet fault draw.
+        per-packet fault draw, and ``oq_pressure`` is the only one a
+        walk through a project makes.  A control-plane-only plan leaves
+        the cache alone: its writes bump the device's state like any
+        other table write.
         """
         self.arm_interconnect(project.interconnect)
         self.arm_output_queues(project.oq)
         attach = getattr(project, "attach_datapath_faults", None)
-        if attach is not None:
+        if attach is not None and self.session.plan.oq is not None:
             previous = project.datapath_faults
             attach(self.session)
             self._restores.append(lambda: attach(previous))

@@ -524,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     fabric.add_argument("--shards", type=int, default=1,
                         help="partition flows across this many workers")
     fabric.add_argument("--inline", action="store_true",
-                        help="run shards sequentially in-process")
+                        help="run every flow in-process on one engine")
     fabric.add_argument("--batch", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="S27 coalesced dispatch (counted replay of "
@@ -567,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     frr.add_argument("--shards", type=int, default=1,
                      help="partition flows across this many workers")
     frr.add_argument("--inline", action="store_true",
-                     help="run shards sequentially in-process")
+                     help="run every flow in-process on one engine")
     frr.add_argument("--format", choices=("table", "json"), default="table")
     frr.add_argument("--per-link", action="store_true",
                      help="include the per-link results table")
@@ -589,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     int_cmd.add_argument("--shards", type=int, default=1,
                          help="partition flows across this many workers")
     int_cmd.add_argument("--inline", action="store_true",
-                         help="run shards sequentially in-process")
+                         help="run every flow in-process on one engine")
     int_cmd.add_argument("--no-fastpath", action="store_true",
                          help="disable the flow-cache fast path (A/B "
                               "reference run; same fingerprint, slower)")

@@ -111,6 +111,9 @@ class IntCollector:
             for port, (peer, _) in network.neighbors(device).items():
                 self._cables[(device, port)] = "~".join(sorted((device, peer)))
         self._flows: dict[tuple[int, bool], _FlowDirState] = {}
+        #: What :meth:`close` folded: the summary's loss books and the
+        #: count of flows they came from.
+        self._closed = _books()
         #: stack bytes -> (path label, path, latency labels, rerouting
         #: devices, rerouted links, stamps, overflow, response)
         self._plans: dict[tuple[bytes, bytes], tuple] = {}
@@ -229,65 +232,106 @@ class IntCollector:
         state.received.update(seqs)
 
     # ------------------------------------------------------------------
+    def close(self, flow_id: int) -> None:
+        """Fold a finished flow's two ledgers into the closed books and
+        free them.  The flow must send and receive nothing more: a
+        ledger closed is booked as it stands, so :meth:`summary` reads
+        the same whether, and in which order, flows were closed."""
+        flows = self._flows
+        request = flows.pop((flow_id, False), None)
+        response = flows.pop((flow_id, True), None)
+        if request is not None or response is not None:
+            self._closed["flows"] += 1
+            _fold((request, response), self._closed)
+
     def summary(self) -> dict:
-        """Close the ledgers: attribute every missing sequence.
+        """The closed books plus every ledger still open, each missing
+        sequence attributed.
 
         Returns the flat, Counter-mergeable summary dict the
-        :class:`~repro.fabric.scheduler.FabricReport` carries.
+        :class:`~repro.fabric.scheduler.FabricReport` carries; open
+        ledgers stay open, so a mid-run summary changes nothing.
         """
-        lost = lost_link_down = lost_hop_limit = blackholes = 0
-        drop_sites: Counter = Counter()
-        blackhole_paths: Counter = Counter()
-        loss_by_epoch: Counter = Counter()
-        packets = delivered = 0
-        for state in self._flows.values():
-            received, runs = state.received, state.runs
-            if state.count is None:  # a sequence sent twice: its last send
-                last = {}
-                for seqs, epochs, sites in runs:
-                    for seq, epoch in zip(seqs, epochs):
-                        last[seq] = (epoch, sites)
-                runs = [((seq,), (epoch,), sites)
-                        for seq, (epoch, sites) in last.items()]
-                packets += len(last)
-            else:
-                packets += state.count
-            for seqs, epochs, (down_sites, limit_sites) in runs:
-                if received.issuperset(seqs):
-                    delivered += len(seqs)
-                    continue
-                for seq, epoch in zip(seqs, epochs):
-                    if seq in received:
-                        delivered += 1
-                        continue
-                    lost += 1
-                    loss_by_epoch[str(epoch)] += 1
-                    if down_sites:
-                        lost_link_down += 1
-                        for device, port in down_sites:
-                            drop_sites[f"{device}:{port}"] += 1
-                    elif limit_sites:
-                        lost_hop_limit += 1
-                        for device, port in limit_sites:
-                            drop_sites[f"{device}:{port}"] += 1
-                    else:
-                        blackholes += 1
-                        blackhole_paths[">".join(state.last_path) or "?"] += 1
+        books = {key: value.copy() if isinstance(value, Counter) else value
+                 for key, value in self._closed.items()}
+        books["flows"] += len({flow_id for flow_id, _ in self._flows})
+        _fold(self._flows.values(), books)
         return {
-            "flows": len({flow_id for flow_id, _ in self._flows}),
-            "packets": packets,
-            "delivered": delivered,
+            "flows": books["flows"],
+            "packets": books["packets"],
+            "delivered": books["delivered"],
             "stamps": self.stamps,
             "overflows": self.overflows,
-            "lost": lost,
-            "lost_link_down": lost_link_down,
-            "lost_hop_limit": lost_hop_limit,
-            "blackholes": blackholes,
+            "lost": books["lost"],
+            "lost_link_down": books["lost_link_down"],
+            "lost_hop_limit": books["lost_hop_limit"],
+            "blackholes": books["blackholes"],
             "reroutes": dict(sorted(self.reroutes.items())),
             "reroute_links": dict(sorted(self.reroute_links.items())),
             "paths": dict(sorted(self.paths.items())),
             "hop_latency": dict(sorted(self.hop_latency.items())),
-            "drop_sites": dict(sorted(drop_sites.items())),
-            "blackhole_paths": dict(sorted(blackhole_paths.items())),
-            "loss_by_epoch": dict(sorted(loss_by_epoch.items())),
+            "drop_sites": dict(sorted(books["drop_sites"].items())),
+            "blackhole_paths": dict(sorted(books["blackhole_paths"].items())),
+            "loss_by_epoch": dict(sorted(books["loss_by_epoch"].items())),
         }
+
+
+def _books() -> dict:
+    """Empty books for :func:`_fold`: the summary's per-ledger counts
+    and attribution counters."""
+    return {"flows": 0, "packets": 0, "delivered": 0, "lost": 0,
+            "lost_link_down": 0, "lost_hop_limit": 0, "blackholes": 0,
+            "drop_sites": Counter(), "blackhole_paths": Counter(),
+            "loss_by_epoch": Counter()}
+
+
+def _fold(states, books: dict) -> None:
+    """Book ``states``' ledgers (``None`` entries skipped) into
+    ``books``: packets sent, delivered, and every missing sequence
+    attributed to its drop sites or as a blackhole."""
+    lost = lost_link_down = lost_hop_limit = blackholes = 0
+    drop_sites = books["drop_sites"]
+    blackhole_paths = books["blackhole_paths"]
+    loss_by_epoch = books["loss_by_epoch"]
+    packets = delivered = 0
+    for state in states:
+        if state is None:
+            continue
+        received, runs = state.received, state.runs
+        if state.count is None:  # a sequence sent twice: its last send
+            last = {}
+            for seqs, epochs, sites in runs:
+                for seq, epoch in zip(seqs, epochs):
+                    last[seq] = (epoch, sites)
+            runs = [((seq,), (epoch,), sites)
+                    for seq, (epoch, sites) in last.items()]
+            packets += len(last)
+        else:
+            packets += state.count
+        for seqs, epochs, (down_sites, limit_sites) in runs:
+            if received.issuperset(seqs):
+                delivered += len(seqs)
+                continue
+            for seq, epoch in zip(seqs, epochs):
+                if seq in received:
+                    delivered += 1
+                    continue
+                lost += 1
+                loss_by_epoch[str(epoch)] += 1
+                if down_sites:
+                    lost_link_down += 1
+                    for device, port in down_sites:
+                        drop_sites[f"{device}:{port}"] += 1
+                elif limit_sites:
+                    lost_hop_limit += 1
+                    for device, port in limit_sites:
+                        drop_sites[f"{device}:{port}"] += 1
+                else:
+                    blackholes += 1
+                    blackhole_paths[">".join(state.last_path) or "?"] += 1
+    books["packets"] += packets
+    books["delivered"] += delivered
+    books["lost"] += lost
+    books["lost_link_down"] += lost_link_down
+    books["lost_hop_limit"] += lost_hop_limit
+    books["blackholes"] += blackholes

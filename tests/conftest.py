@@ -64,8 +64,14 @@ def pytest_configure(config):
         "(run just these with -m shell)",
     )
 
+from repro.faults import FaultPlan, OqFaultSpec
 from repro.packet.addresses import Ipv4Addr, MacAddr
 from repro.packet.generator import make_udp_frame
+
+#: A data-path fault session that draws output-queue pressure on every
+#: enqueue and never spikes: armed on a device, it keeps every walk
+#: through the device out of the path cache and changes no outcome.
+QUEUE_DRAWS = FaultPlan("queue-draws", 0, oq=OqFaultSpec())
 
 
 def mac(i: int) -> MacAddr:
@@ -102,16 +108,46 @@ def cycle_sim():
 
 @pytest.fixture
 def partitions(monkeypatch):
-    """Every partition report ``run_sharded`` makes in this test, in
-    order: the inline loop's on its shared replica, and a lone
-    partition's on its own."""
+    """Every in-process :func:`~repro.fabric.shard._run_shard` report
+    made in this test, in order: the inline path's one engine, and the
+    supervisor's inline fallback's slices."""
     from repro.fabric import shard
 
     reports = []
 
-    def recording(*job, carry=shard._carry_partition):
-        reports.append(carry(*job))
+    def recording(*job, run=shard._run_shard):
+        reports.append(run(*job))
         return reports[-1]
 
-    monkeypatch.setattr(shard, "_carry_partition", recording)
+    monkeypatch.setattr(shard, "_run_shard", recording)
     return reports
+
+
+def worker_slices(spec, workload, plan=None, shards: int = 2,
+                  **options) -> list:
+    """The process path's shard reports, made in-process: slice ``i``
+    carries flows ≡ i (mod ``shards``) on a replica of its own, as a
+    worker does.  ``options`` are :class:`~repro.fabric.RunConfig`
+    fields."""
+    from repro.fabric import RunConfig
+    from repro.fabric.shard import _run_shard
+
+    config = RunConfig(**options)
+    return [_run_shard(spec, workload, plan, None, config, shards, index)
+            for index in range(shards)]
+
+
+def closed_ledgers(collector) -> dict:
+    """Every INT ledger ``collector`` closes from here on, by ``(flow_id,
+    response)``: the state :meth:`~repro.int.IntCollector.close` folds
+    and frees, kept as it stood."""
+    ledgers, close = {}, collector.close
+
+    def recording(flow_id: int) -> None:
+        for key in ((flow_id, False), (flow_id, True)):
+            if key in collector._flows:
+                ledgers[key] = collector._flows[key]
+        close(flow_id)
+
+    collector.close = recording
+    return ledgers

@@ -40,6 +40,7 @@ PROBES = "repro/telemetry/probes.py"
 TOPOLOGY = "repro/testenv/topology.py"
 CLOCK = "repro/shell/clock.py"
 SESSION = "repro/shell/session.py"
+COLLECTOR = "repro/int/collector.py"
 
 BATCH = "tests/test_fastpath_batch.py::TestEngineFingerprint::"
 GRID = BATCH + "test_outcome_neutral_grid_is_one_run"
@@ -55,6 +56,7 @@ PATH_CACHE = "tests/test_fastpath_network.py::TestPathCache::"
 WALK_TABLE = PARKED + "TestOneWalkTable::"
 SPANS = "tests/test_read_bounded_spans.py::TestSpans::"
 SHELL = "tests/test_shell_session.py::"
+CLOSE = "tests/test_int_ledger_close.py::TestClose::"
 PACING = ("tests/test_shell_golden.py::"
           "test_transcript_matches_the_golden_file[shell_pacing]")
 ONE_RUN = ("tests/test_fabric_scheduler.py::TestCleanRuns::"
@@ -305,21 +307,56 @@ MUTANTS = (
          "test_eviction_from_under_a_derivation_keeps_the_index_whole"),
     ),
     Mutant(
-        "inline partitions run without a sandbox",
-        "repro/fabric/shard.py",
-        "            with topology.network.sandbox():",
-        "            if True:",
-        (PARKED + "TestOneReplica::test_each_partition_is_a_fresh_replicas_run",
-         "tests/test_fabric_sharding.py::TestShardInvariance::"
-         "test_inline_fingerprint_matches_single_process"),
-    ),
-    Mutant(
         "the engine reports the replica's absolute cache statistics",
         SCHEDULER,
         "    return {name: value - base[name] for name, value in stats.items()}",
         "    return dict(stats)",
-        (BATCH + "test_shards_sum_what_the_cuts_dropped",
-         BATCH + "test_shard_reports_carry_summed_batch_stats"),
+        (BATCH + "test_engines_back_to_back_report_their_own_share",),
+    ),
+    # A finished flow's INT ledgers fold at once (int/collector.py).
+    Mutant(
+        "close folds only the request direction",
+        COLLECTOR,
+        "            _fold((request, response), self._closed)",
+        "            _fold((request,), self._closed)",
+        (CLOSE + "test_closing_any_flows_in_any_order_keeps_the_summary",
+         CLOSE + "test_a_finished_run_holds_no_ledger"),
+    ),
+    Mutant(
+        "a closed flow leaves the flow count",
+        COLLECTOR,
+        '            self._closed["flows"] += 1',
+        "            pass",
+        (CLOSE + "test_closing_any_flows_in_any_order_keeps_the_summary",
+         CLOSE + "test_a_finished_run_holds_no_ledger"),
+    ),
+    Mutant(
+        "a summary folds the open ledgers into the closed books",
+        COLLECTOR,
+        "        books = {key: value.copy() if isinstance(value, Counter) "
+        "else value",
+        "        books = {key: value if isinstance(value, Counter) else value",
+        (CLOSE + "test_closing_any_flows_in_any_order_keeps_the_summary",
+         CLOSE + "test_a_shell_sessions_mid_run_int_summary_is_unchanged"),
+    ),
+    Mutant(
+        "a finished flow's ledgers stay open",
+        SCHEDULER,
+        "            self.collector.close(flow_id)",
+        "            pass",
+        (CLOSE + "test_a_finished_run_holds_no_ledger",
+         CLOSE + "test_a_shell_sessions_mid_run_int_summary_is_unchanged"),
+    ),
+    # Only a plan that draws on the data path bars the path cache
+    # (faults/injector.py).
+    Mutant(
+        "a control-plane-only plan bars the path cache",
+        "repro/faults/injector.py",
+        "        if attach is not None and self.session.plan.oq is not None:",
+        "        if attach is not None:",
+        ("tests/test_fastpath_network.py::"
+         "test_a_fault_plan_bars_the_walks_through_its_device_if_it_draws_"
+         "there[flaky-writes]",),
     ),
     # The walk's uncacheable guard, the one place an armed device or a
     # lookup that is not CACHEABLE keeps a walk out of the cache

@@ -2,7 +2,8 @@
 
 The ISSUE's acceptance criterion: the merged delivery fingerprint must
 be byte-identical whether a run uses 1, 2 or 4 shards — with real
-``multiprocessing`` workers and with the inline partition path.
+``multiprocessing`` workers and on the inline path, which carries every
+flow on one engine.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import time
 import pytest
 
 from repro.fabric import (
+    RunConfig,
     generate_flows,
     get_topology,
     get_workload,
@@ -64,9 +66,9 @@ class TestShardInvariance:
         assert a.signature() == b.signature()
 
     def test_a_shard_expands_only_the_flows_it_carries(self, monkeypatch):
-        """Flow ``i`` never depends on its neighbours, so a shard asks
-        for its own ids and nobody regenerates the whole workload; an
-        explicit ``flows=`` is still just filtered."""
+        """Flow ``i`` never depends on its neighbours, so a worker's
+        slice asks for its own ids and nobody regenerates the whole
+        workload; an explicit ``flows=`` is still just filtered."""
         from repro.fabric import scheduler, shard
 
         spec = get_topology("leaf-spine")
@@ -83,31 +85,34 @@ class TestShardInvariance:
 
         monkeypatch.setattr(shard, "generate_flows", recording)
         monkeypatch.setattr(scheduler, "generate_flows", refusing)
-        merged = run_sharded(spec, workload, shards=4, parallel=False)
+
+        def merged(flows=None):
+            return merge_reports([
+                shard._run_shard(spec, workload, None, flows, RunConfig(),
+                                 4, index)
+                for index in range(4)], 4)
+
+        assert merged().signature() == whole.signature()
         assert asked == [range(i, workload.flows, 4) for i in range(4)]
-        assert merged.signature() == whole.signature()
         flows = generate_flows(spec.build().host_names(), workload)
         del asked[:]
-        listed = run_sharded(spec, workload, shards=4, parallel=False,
-                             flows=flows)
-        assert not asked and listed.signature() == whole.signature()
+        assert merged(flows).signature() == whole.signature()
+        assert not asked
 
 
 class TestElapsed:
     @pytest.mark.parametrize("shards", [1, 4])
     def test_elapsed_is_the_callers_wall(self, shards, partitions):
         """``packets_per_second`` is the throughput a caller timing the
-        call would compute: inline shards run one after another, and
-        each engine's own timer starts after build, learn and prewarm,
-        so neither the slowest shard nor their sum is the run's wall."""
+        call would compute: the engine's own timer starts after build,
+        learn and prewarm, so its seconds are not the run's wall."""
         started = time.perf_counter()
         report = run_sharded(get_topology("abilene"),
                              get_workload("uniform-small"),
                              shards=shards, parallel=False)
         wall = time.perf_counter() - started
-        engine_seconds = [partition.elapsed_s for partition in partitions]
-        assert len(engine_seconds) == shards
-        assert sum(engine_seconds) <= report.elapsed_s <= wall
+        (engine,) = partitions  # inline, any shard count is one engine
+        assert engine.elapsed_s <= report.elapsed_s <= wall
         assert report.packets_per_second <= 1.5 * report.attempted / wall
 
 

@@ -29,6 +29,7 @@ from repro.fabric.workload import Flow
 from repro.faults import FaultPlan, LinkFaultSpec, get_plan
 from repro.faults import inject as arm_faults
 from repro.telemetry import TelemetrySession, probe_faults
+from tests.conftest import QUEUE_DRAWS, closed_ledgers
 from tests.test_faults_plan import reference_link_transfer
 
 pytestmark = [pytest.mark.fabric, pytest.mark.fastpath]
@@ -139,12 +140,15 @@ def sent_per_sequence(state) -> dict:
 
 
 def observed(engine: FlowEngine) -> dict:
-    """Everything a finished run shows, the collector's books included."""
+    """Everything a run shows once finished, the collector's books
+    included: call it before the engine runs."""
+    closed = (None if engine.collector is None
+              else closed_ledgers(engine.collector))
     report = engine.report()
-    ledgers = None if engine.collector is None else {
+    ledgers = None if closed is None else {
         key: (sent_per_sequence(state), state.received, state.last_seq,
               state.last_path)
-        for key, state in engine.collector._flows.items()}
+        for key, state in closed.items()}
     return {
         "fingerprint": report.fingerprint(),
         "records": report.records,
@@ -165,7 +169,7 @@ def run_both(plan, flows=None, topology="leaf-spine",
     for cls in (FlowEngine, PerPacketOracle):
         fabric = get_topology(topology).build()
         for name in armed:
-            arm_faults(plan, project=fabric.network.device(name))
+            arm_faults(QUEUE_DRAWS, project=fabric.network.device(name))
         engines.append(cls(fabric, spec, plan, flows=flows, **options))
     engine, oracle = engines
     return engine, observed(engine), observed(oracle)

@@ -23,7 +23,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fabric import get_topology, run_sharded
+from repro.fabric import get_topology, merge_reports, run_sharded
 from repro.fabric.scheduler import (
     FLAP_EPOCH_TICKS, FlowEngine, LinkSchedule, _LinkTimeline, run_flows)
 from repro.fabric.workload import WorkloadSpec
@@ -33,7 +33,7 @@ from repro.host.nfmon import main as nfmon_main
 from repro.projects.reference_switch import ReferenceSwitch
 from repro.testenv.topology import Network
 
-from .conftest import udp_frame
+from .conftest import QUEUE_DRAWS, closed_ledgers, udp_frame, worker_slices
 
 pytestmark = pytest.mark.fastpath
 
@@ -240,9 +240,14 @@ class TestEngineFingerprint:
         for point in itertools.product((True, False), (True, False),
                                        (1, 2, 4)):
             fastpath, batch, shards = point
-            run = runs[point] = run_sharded(
-                spec, self.WORKLOAD, plan, shards=shards, parallel=False,
-                fastpath=fastpath, batch=batch, link_schedule=schedule)
+            options = dict(fastpath=fastpath, batch=batch,
+                           link_schedule=schedule)
+            # Inline, any shard count is the one engine: the shard axis
+            # is the workers' slices, each an engine of its own.
+            run = runs[point] = (
+                run_sharded(spec, self.WORKLOAD, plan, **options)
+                if shards == 1 else merge_reports(worker_slices(
+                    spec, self.WORKLOAD, plan, shards, **options), shards))
             assert run.fingerprint() == reference.fingerprint(), point
             assert run.records == reference.records, point
             assert run.loss_by_epoch == reference.loss_by_epoch, point
@@ -355,13 +360,15 @@ class TestEngineFingerprint:
         never cached, so its flows go packet by packet — inside the one
         dispatch that drew their wire outcomes — while flows that stay
         clear of it still replay.  Every leaf-to-leaf path crosses
-        spine0; same-leaf flows cross no spine."""
+        spine0; same-leaf flows cross no spine.  The armed session draws
+        output-queue pressure that never spikes: it bars the cache and
+        changes no outcome."""
         plan = get_plan("flaky-fabric", seed=3)
 
         def run(armed, **kw):
             topology = get_topology("leaf-spine").build()
             for name in armed:
-                arm_faults(plan, project=topology.network.device(name))
+                arm_faults(QUEUE_DRAWS, project=topology.network.device(name))
             return run_flows(topology, self.WORKLOAD, plan, **kw)
 
         everywhere = get_topology("leaf-spine").build().network.device_names()
@@ -535,8 +542,8 @@ class TestEngineFingerprint:
     def test_the_report_brings_every_moved_link_back_up(self):
         """A run that ends inside a window leaves its cable dark until
         the report, which restores every cable the run may move — the
-        replica is handed on (the next inline partition prewarms on
-        it) with the links it was built with."""
+        replica is handed on (the next engine on it prewarms there)
+        with the links it was built with."""
         topology = get_topology("leaf-spine").build()
         network = topology.network
         engine = FlowEngine(topology, self.WORKLOAD, link_schedule=(
@@ -547,31 +554,51 @@ class TestEngineFingerprint:
         assert all(network.link_is_up(a.device, b.device)
                    for a, b in network.links())
 
-    def test_shards_sum_what_the_cuts_dropped(self, partitions):
-        """The inline partitions take turns on one replica, each going
-        through the cut and the repair; each partition's report counts
-        what its own engine kept, dropped and revived, and the run
-        reports their sum.  A later partition finds the walks an earlier
-        one parked: sharding the inline run costs no slow walk."""
+    def test_shards_sum_what_the_cuts_dropped(self):
+        """Each worker's slice goes through the cut and the repair on a
+        replica of its own; its report counts what its own engine kept,
+        dropped and revived, and the merge sums them.  Inline, a 2-shard
+        run is the 1-shard run's one engine: the same ledger."""
         schedule = LinkSchedule(events=(("spine0", "leaf0", 1, 4),))
         workload = WorkloadSpec(flows=120, packets_per_flow=12, seed=0)
         spec = get_topology("leaf-spine")
         one, two = (run_sharded(spec, workload, shards=shards, parallel=False,
                                 link_schedule=schedule)
                     for shards in (1, 2))
-        assert one.fingerprint() == two.fingerprint()
-        assert len(partitions) == 3  # the lone one, then the two
+        slices = worker_slices(spec, workload, link_schedule=schedule)
+        merged = merge_reports(slices, 2)
+        assert one.fingerprint() == two.fingerprint() == merged.fingerprint()
+        assert two.fastpath == one.fastpath
         for name in ("path_invalidations", "path_dropped",
                      "path_revalidated", "path_revived", "path_misses"):
-            assert two.fastpath[name] == sum(
-                partition.fastpath[name] for partition in partitions[1:])
-        for report in (one, two):
+            assert merged.fastpath[name] == sum(
+                part.fastpath[name] for part in slices)
+        for report in (one, *slices):
             assert report.fastpath["path_revalidated"] > 0
             assert report.fastpath["path_revived"] > 0
             # A cut retires walks and drops no key.
             assert report.fastpath["path_invalidations"] > 0
             assert report.fastpath["path_dropped"] == 0
-        assert two.fastpath["path_misses"] <= one.fastpath["path_misses"]
+        assert one.fastpath["path_misses"] <= merged.fastpath["path_misses"]
+
+    def test_engines_back_to_back_report_their_own_share(self):
+        """A report's ``fastpath`` / ``batch`` are what its own engine
+        moved, never the replica's running total: two engines carried
+        one after the other on one replica, through a cut and its
+        repair, sum to the replica's counts."""
+        topology = get_topology("leaf-spine").build()
+        schedule = LinkSchedule(events=(("spine0", "leaf0", 1, 4),))
+        reports = [run_flows(topology, self.WORKLOAD, shards=2,
+                             flow_filter=lambda flow, i=index:
+                             flow.flow_id % 2 == i,
+                             link_schedule=schedule)
+                   for index in range(2)]
+        network = topology.network
+        for name, total in (("fastpath", network.fastpath_stats()),
+                            ("batch", network.batch_stats())):
+            first, second = (getattr(report, name) for report in reports)
+            assert any(first.values()) and any(second.values())
+            assert {key: first[key] + second[key] for key in total} == total
 
     def test_int_flows_share_walks_through_cuts(self):
         """Every hop stamps an INT frame, but only in its hop stack: the
@@ -625,22 +652,24 @@ class TestEngineFingerprint:
             + on.fastpath["path_hits"] == on.attempted  # nothing lost for good
         assert off.batch["segments"] == off.batch["replayed_packets"] == 0
 
-    def test_shard_reports_carry_summed_batch_stats(self, partitions):
-        """Each partition on the shared replica books the packets its
-        own engine replayed — never the replica's running total — so
-        the merged ledger is the 1-shard run's."""
+    def test_shard_reports_carry_summed_batch_stats(self):
+        """Each worker's slice books the packets its own engine
+        replayed, so the merged ledger is the 1-shard run's; inline, a
+        4-shard run is that run."""
         spec = get_topology("leaf-spine")
-        merged = run_sharded(spec, self.WORKLOAD, shards=4, parallel=False)
         single = run_sharded(spec, self.WORKLOAD, shards=1)
+        inline = run_sharded(spec, self.WORKLOAD, shards=4, parallel=False)
+        slices = worker_slices(spec, self.WORKLOAD, shards=4)
+        merged = merge_reports(slices, 4)
         assert merged.batch["replayed_packets"] == \
             single.batch["replayed_packets"]
         assert merged.batch["replayed_packets"] <= merged.attempted
-        for partition in partitions[:4]:
-            assert partition.batch["replayed_packets"] == partition.attempted
-        assert merged.batch == {name: sum(p.batch[name]
-                                          for p in partitions[:4])
+        for part in slices:
+            assert part.batch["replayed_packets"] == part.attempted
+        assert merged.batch == {name: sum(part.batch[name] for part in slices)
                                 for name in merged.batch}
-        assert merged.config.batch is True
+        assert inline.batch == single.batch
+        assert merged.config.batch is inline.config.batch is True
 
 
 # ----------------------------------------------------------------------
@@ -652,13 +681,16 @@ class TestIntBatched:
     def test_batched_int_run_is_gapless_at_the_collector(self):
         topology = get_topology("leaf-spine").build()
         engine = FlowEngine(topology, self.WORKLOAD, int_all=True)
+        ledgers = closed_ledgers(engine.collector)
         engine.run()
         report = engine.report()
         assert report.batch["replayed_packets"] > 0
         summary = report.int_summary
         assert summary["lost"] == 0
         assert summary["delivered"] == summary["packets"] > 0
-        for state in engine.collector._flows.values():
+        assert len({flow_id for flow_id, _ in ledgers}) \
+            == self.WORKLOAD.flows
+        for state in ledgers.values():
             sent = [seq for seqs, _, _ in state.runs for seq in seqs]
             assert sent == list(range(len(sent)))  # gapless assignment
             assert state.received == set(sent)  # gapless arrival

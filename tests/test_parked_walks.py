@@ -1,4 +1,4 @@
-"""Each walk once: one walk table and the one-replica inline loop.
+"""Each walk once: one walk table and one inline engine.
 
 Two changes keep a run from walking the same (class, read state) twice,
 and each is held to the code it replaced:
@@ -10,15 +10,17 @@ and each is held to the code it replaced:
   repairs back to earlier states and a fault session armed and
   disarmed, on both entry points, and to exact counts on the cut and
   repair TUTORIAL §11 walks through;
-* the inline partitions take turns on one replica under the counter
-  sandbox — held to the loop as it stood, a fresh replica per
-  partition (:func:`fresh_replica_partitions`).
+* the inline path carries every flow on one engine, so the link
+  timeline is replayed once however many shards — held to the 1-shard
+  run and to the merge of the worker slices, each on a fresh replica.
 
 ``TestNamedMutants`` are the smallest cases on which one plausible
 wrong version differs from its oracle.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,7 +43,7 @@ from repro.projects.base import ReferencePipeline
 from repro.projects.reference_switch import ReferenceSwitch
 from repro.testenv.topology import PARK_DEPTH, Network
 
-from .conftest import mac
+from .conftest import mac, worker_slices
 from .test_fastpath_invalidation import assert_index_whole, class_of, ring
 from .test_fastpath_network import flow_of_pair, observables, \
     programmed_fabric
@@ -355,36 +357,25 @@ CASES = {
 }
 
 
-def fresh_replica_partitions(spec, workload, options, shards) -> list:
-    """The inline loop as it stood: each partition on a replica of its
-    own, built, learned and prewarmed again."""
-    return [
-        run_flows(spec.build(), workload, shards=shards,
-                  flow_filter=lambda flow, i=index: flow.flow_id % shards == i,
-                  **options)
-        for index in range(shards)
-    ]
-
-
 @pytest.mark.fabric
 class TestOneReplica:
     @pytest.mark.parametrize("case", CASES)
-    def test_each_partition_is_a_fresh_replicas_run(self, case, partitions):
+    def test_inline_shards_are_one_engine(self, case, partitions):
+        """Inline, an N-shard run is the 1-shard run — one engine, one
+        fresh replica, the same cache ledgers — but for ``shards``, and
+        the merge of the worker slices signs the same."""
         name, workload, options, shards = CASES[case]
         spec = get_topology(name)
-        merged = run_sharded(spec, workload, shards=shards, parallel=False,
+        inline = run_sharded(spec, workload, shards=shards, parallel=False,
                              **options)
-        assert len(partitions) == shards
-        reference = fresh_replica_partitions(spec, workload, options, shards)
-        for partition, fresh in zip(partitions, reference):
-            # The signature carries the partition's int_summary too.
-            assert partition.signature() == fresh.signature()
-        assert merged.signature() \
-            == merge_reports(reference, shards).signature()
-        assert merged.batch["replayed_packets"] <= merged.attempted
         one = run_sharded(spec, workload, **options)
-        assert merged.fingerprint() == one.fingerprint()
-        assert merged.fastpath["path_misses"] <= one.fastpath["path_misses"]
+        assert len(partitions) == 2  # one engine per call
+        assert inline.shards == shards
+        assert replace(inline, shards=1, elapsed_s=0.0) \
+            == replace(one, elapsed_s=0.0)
+        assert inline.batch["replayed_packets"] <= inline.attempted
+        slices = worker_slices(spec, workload, None, shards, **options)
+        assert merge_reports(slices, shards).signature() == one.signature()
 
     @pytest.mark.parametrize("case", CASES)
     def test_on_a_fresh_replica_the_share_is_the_total(self, case):
@@ -399,12 +390,15 @@ class TestOneReplica:
         assert {key: report.batch[key] for key in batch} == batch
 
     def test_sharding_takes_no_more_slow_walks(self):
+        """Nor re-checks, invalidations or revivals: the timeline's cuts
+        are replayed once, whatever the shard count."""
         name, workload, options, _ = CASES["churn-quick"]
         spec = get_topology(name)
-        misses = [run_sharded(spec, workload, shards=shards, parallel=False,
-                              **options).fastpath["path_misses"]
-                  for shards in (1, 2, 4)]
-        assert misses[1] <= misses[0] and misses[2] <= misses[0]
+        one, two, four = (run_sharded(spec, workload, shards=shards,
+                                      parallel=False, **options).fastpath
+                          for shards in (1, 2, 4))
+        assert one["path_invalidations"] > 0
+        assert one == two == four
 
 
 # ----------------------------------------------------------------------
