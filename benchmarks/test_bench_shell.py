@@ -3,16 +3,17 @@
 One idle-heavy workload (a handful of flows scattered over a two
 million tick window — the shape of an hour-long soak, where almost
 every cycle is dead air between scheduled events) run twice through
-the shell's stepping engine: once with the :class:`VirtualClock`
-walking every cycle (the cycle-driven baseline) and once warping over
-idle spans (the event-driven mode ``nf-mon shell`` defaults to).
+:meth:`VirtualClock.pace` over an engine built with the defaults, as
+``nf-mon shell`` builds it: once with the clock walking every cycle
+(the cycle-driven baseline, one span per event tick) and once warping
+over idle spans (the event-driven mode ``nf-mon shell`` defaults to).
 
 The claims pinned here are the S26 contract: warp changes *wall-clock
 only* — both runs produce byte-identical FabricReport fingerprints and
 the same final cycle — and compresses the soak by at least
-``MIN_COMPRESSION``× (measured ~15-50× ; the floor is conservative for
-noisy CI machines; CI re-reads ``compression_x`` from the row the
-``bench_recorder`` fixture writes).
+``MIN_COMPRESSION``× (measured ~140-200× on a 2-core Xeon; the floor
+is conservative for noisy CI machines; CI re-reads ``compression_x``
+from the row the ``bench_recorder`` fixture writes).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def _soak(warp: bool):
     topology = get_topology(TOPOLOGY).build()
     clock = VirtualClock(warp=warp)
     started = time.perf_counter()
-    engine = FlowEngine(topology, WORKLOAD, batch=False)
+    engine = FlowEngine(topology, WORKLOAD)
     clock.pace(engine)
     report = engine.report()
     return report, clock, time.perf_counter() - started

@@ -292,7 +292,8 @@ class RunConfig:
     fastpath: bool = True
     #: ``False`` turns coalesced dispatch (a flow's consecutive packets
     #: carried as one run: wire outcomes pre-drawn, survivors replayed
-    #: through ``inject_batch``) off — ``nf-mon fabric --no-batch``;
+    #: through ``inject_batch``) off — the per-packet reference, set
+    #: only by tests and the benchmark's reference runs (no CLI option);
     #: only ``report.batch`` and the wall clock move.
     batch: bool = True
     #: Install the precomputed loop-free backup next-hops after
@@ -552,15 +553,17 @@ class FlowEngine:
     """The fabric scheduler as a steppable machine.
 
     This is :func:`run_flows` opened up: the same setup and the same
-    dispatch, with :meth:`step` (one event) beside :meth:`run` (drain),
-    and :attr:`next_tick` saying when the next event is due.
-    The engine keeps no time of its own: the shell's
-    :meth:`VirtualClock.pace <repro.shell.clock.VirtualClock.pace>`
-    advances its clock to ``next_tick`` before each ``step``, while
-    ``run_flows`` drains the engine at once — so the shell's
-    interactive path and the sharded/fastpath batch path are *one code
-    path* and the :class:`FabricReport` fingerprint is identical by
-    construction.
+    dispatch, with :meth:`step` (one event) beside :meth:`run` (every
+    event due by a tick, all by default), and :attr:`next_tick` saying
+    when the next event is due.  The engine keeps no time of its own:
+    the shell's :meth:`VirtualClock.pace
+    <repro.shell.clock.VirtualClock.pace>` advances its clock to
+    ``next_tick``, has :meth:`run` carry a span capped at its stop tick
+    (at that one tick on a walked clock) and advances to
+    :attr:`last_tick`, while ``run_flows`` runs the engine uncapped —
+    so the shell's interactive path and the sharded/fastpath batch
+    path are *one code path* and the :class:`FabricReport` fingerprint
+    is identical by construction.
 
     :meth:`step` pops a heap, a k-way merge: one ``(tick, rr, flow_id,
     is_response, pkt_index, cursor)`` tuple per live flow, re-pushed at
@@ -569,14 +572,16 @@ class FlowEngine:
     entry per packet would give.  The heap fills, with every flow at
     once, only when the stepping surface (:meth:`step`,
     :attr:`next_tick`, :attr:`finished`, :attr:`pending_events`,
-    :attr:`flows_admitted`) first asks.
+    :attr:`flows_admitted`) or a capped :meth:`run` first asks.
 
-    :meth:`run` keeps no heap.  It walks the link timeline's steady
-    intervals in order — one interval when nothing can move — and
-    carries every cursor due in an interval up to its end before the
-    timeline moves on: with coalescing on, whole directions where they
-    fit and read-bounded spans where they do not.  That order is not
-    the heap's, and no observable reads it.
+    :meth:`run` takes the heap's due cursors off it and keeps no heap
+    while it carries.  It walks the link timeline's steady intervals in
+    order — one interval when nothing can move — and carries every
+    cursor due in an interval up to its end before the timeline moves
+    on: with coalescing on, whole directions where they fit and
+    read-bounded spans where they do not.  That order is not the
+    heap's, and no observable reads it; the cursors a capped run
+    leaves go back on the heap.
 
     Control never changes outcomes.  Pausing, stepping one event at a
     time, or warping over idle cycles only decides *when* the next heap
@@ -665,6 +670,8 @@ class FlowEngine:
         # A list, not a generator: each generator step is a profiled call.
         self._events = sum([f.packets + f.response_packets for f in flows])
         self._dispatched = 0
+        #: The latest tick :meth:`run` carried.
+        self.last_tick = 0
         self._report: Optional[FabricReport] = None
         # Under wire faults a direction whose request is lost is never
         # sent: its walk is paid for when (and if) its first run flies.
@@ -736,14 +743,15 @@ class FlowEngine:
             heapq.heapify(self._heap)
         return self._heap
 
-    def _end(self, tick: int) -> float:
-        """The end of the steady interval holding ``tick``.  :meth:`step`
-        pops in tick order and :meth:`run` takes its intervals in order,
-        so no tick falls before the interval held: the link timeline is
-        applied again only once one reaches its end."""
+    def _end(self, tick: int, limit: float = math.inf) -> float:
+        """The end of the steady interval holding ``tick``, capped at
+        ``limit``.  :meth:`step` pops in tick order and :meth:`run` takes
+        its intervals in order, so no tick falls before the interval
+        held: the link timeline is applied again only once one reaches
+        its end."""
         if tick >= self._steady[1]:
             self._steady = self._links.apply(tick)
-        return self._steady[1]
+        return self._steady[1] if self._steady[1] < limit else limit
 
     def _send(self, event: _Cursor, n: int) -> None:
         """Carry the run of ``n`` consecutive packets the event heads
@@ -867,7 +875,7 @@ class FlowEngine:
             n -= 1
             left = left[1:]
 
-    def _segment_span(self, event: _Cursor, end: float) -> int:
+    def _segment_span(self, event: _Cursor, end: float, until: float) -> int:
         """How many consecutive packets this event may coalesce.
 
         The remaining packets of the event's flow direction that fall
@@ -883,12 +891,13 @@ class FlowEngine:
         walk it will replay (looked up after :meth:`_LinkTimeline.apply`)
         which cables it read, and runs on to the walk's own next edge
         (:meth:`_LinkTimeline.reach`): a flip on a cable the walk never
-        read cannot change its outcome.  A cold miss keeps the flip.
+        read cannot change its outcome.  A cold miss keeps the flip, and
+        so does a run capped at ``until``: that edge may lie past it.
         """
         flow, tick = event.flow, event.tick
         last = (event.left - 1) * flow.gap_ticks  # head to last packet, in ticks
         room = end - tick
-        if room <= last and not self._links.per_epoch:
+        if room <= last and until == math.inf and not self._links.per_epoch:
             src = self.topology.hosts[flow.dst if event.is_response else flow.src]
             cables = self.topology.network.cables_read(
                 src.device, src.port, self._frame(flow, event.is_response))
@@ -944,8 +953,9 @@ class FlowEngine:
             self._finish(event)
         return 1
 
-    def run(self) -> int:
-        """Dispatch until finished; returns events dispatched.
+    def run(self, until: float = math.inf) -> int:
+        """Dispatch every event due by ``until`` (all of them by
+        default); returns events dispatched.
 
         This is the batch loop, one steady interval of the link
         timeline at a time (see the class docstring).  Each turn takes
@@ -953,16 +963,24 @@ class FlowEngine:
         interval, the ones steps left on the heap first, or of the next
         unopened flow — applies the timeline there if it must, opens the
         flows starting before the interval's end and carries every
-        cursor up to that end.  Where coalescing is eligible a carry is
-        a whole direction or a read-bounded span
-        (:meth:`_segment_span`), else one packet.  A cursor whose next
-        packet falls past the end waits for that packet's interval.
+        cursor up to that end, capped one tick past ``until``.  Where
+        coalescing is eligible a carry is a whole direction or a
+        read-bounded span (:meth:`_segment_span`), else one packet.  A
+        cursor whose next packet falls past the end waits for that
+        packet's interval, or, past ``until``, goes back on the
+        stepping heap — which a capped run fills first, so every cursor
+        it leaves carries its tie-break.  :attr:`last_tick` ends on the
+        latest tick carried.
         """
-        before, opened = self._dispatched, len(self._records)
-        due, self._heap = [entry[-1] for entry in sorted(self._heap)], []
+        if until < math.inf:
+            self._live()
+        before, opened, top = self._dispatched, len(self._records), self.last_tick
+        heap, due = self._heap, []
+        while heap and heap[0][0] <= until:
+            due.append(heapq.heappop(heap)[-1])
         while due or opened < len(self._pending):
             end = self._end(min([cursor.tick for cursor in due]
-                                + self._starts[opened:opened + 1]))
+                                + self._starts[opened:opened + 1]), until + 1)
             upto, waiting = bisect_left(self._starts, end, opened), []
             # Flows open as the loop reaches them, so a finished one's
             # cursor and session are freed at once.
@@ -971,14 +989,20 @@ class FlowEngine:
                 while cursor.tick < end:
                     n = cursor.left if self._batch else 1
                     if cursor.tick + (n - 1) * cursor.flow.gap_ticks >= end:
-                        n = self._segment_span(cursor, end)
+                        n = self._segment_span(cursor, end, until)
+                    last = cursor.tick + (n - 1) * cursor.flow.gap_ticks
+                    top = last if last > top else top
                     self._send(cursor, n)
                     if not cursor.advance(n):
                         self._finish(cursor)
                         break
                 else:
-                    waiting.append(cursor)
+                    if cursor.tick > until:
+                        heapq.heappush(heap, cursor.key)
+                    else:
+                        waiting.append(cursor)
             due, opened = waiting, upto
+        self.last_tick = top
         return self._dispatched - before
 
     # -- the report ----------------------------------------------------

@@ -188,7 +188,6 @@ def cmd_fabric(args: argparse.Namespace) -> int:
             spec, workload, plan,
             shards=args.shards, parallel=not args.inline,
             fastpath=not args.no_fastpath,
-            batch=args.batch,
             chaos=chaos, checkpoint=args.checkpoint,
         )
     except ValueError as exc:
@@ -525,11 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="partition flows across this many workers")
     fabric.add_argument("--inline", action="store_true",
                         help="run every flow in-process on one engine")
-    fabric.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="S27 coalesced dispatch (counted replay of "
-                             "cached walks); --no-batch takes the "
-                             "per-packet reference path")
     fabric.add_argument("--no-fastpath", action="store_true",
                         help="disable the flow-cache fast path (A/B "
                              "reference run; same fingerprint, slower)")

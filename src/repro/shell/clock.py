@@ -1,35 +1,38 @@
 """The virtual clock: the fabric's cycle domain as a first-class object.
 
 Batch runs (:func:`repro.fabric.scheduler.run_flows`) free-run: the
-event heap is drained as fast as Python will go and "time" is just the
-tick stamped on each event.  Interactive emulation wants the opposite —
-the cycle domain must be *ownable*: pausable, single-steppable, and
-compressible (skip the idle cycles between scheduled events so an
-hour-long soak replays in seconds, the way an event-driven simulator
-outruns a cycle-driven one).
+engine carries its flows as fast as Python will go and "time" is just
+the tick stamped on each packet.  Interactive emulation wants the
+opposite — the cycle domain must be *ownable*: pausable,
+single-steppable, and compressible (skip the idle cycles between
+scheduled events so an hour-long soak replays in seconds, the way an
+event-driven simulator outruns a cycle-driven one).
 
 :class:`VirtualClock` is that owner.  :meth:`pace` drives a fabric
-scheduler's stepping engine: it calls :meth:`advance_to` with the next
-event's tick before dispatching that event, and the clock then either
-*walks* tick by tick (``warp=False`` — every cycle is
-visited and every registered tick hook runs, the cycle-driven
-behaviour) or *warps* (``warp=True`` — idle cycles between events are
-skipped in O(1) and only accounted).  Either way the event order, and
-with it every observable the :class:`~repro.fabric.scheduler.FabricReport`
-fingerprints, is untouched: the clock decides how fast virtual time
-passes, never what happens in it.  Tick hooks are observers (telemetry
-watches, progress meters) — they are *not* part of the determinism
-contract and are skipped over warped spans.
+scheduler's engine in spans: it calls :meth:`advance_to` with the next
+event's tick, has the engine carry a span, and advances to the latest
+tick the span carried.  The clock either *walks* tick by tick
+(``warp=False`` — every cycle is visited and every registered tick
+hook runs before that cycle's events, the cycle-driven behaviour; a
+span is one tick's events) or *warps* (``warp=True`` — idle cycles
+are skipped in O(1) and only accounted; a span runs to the stop tick,
+coalesced like a batch run).  Either way every observable the
+:class:`~repro.fabric.scheduler.FabricReport` fingerprints is
+untouched: the clock decides how fast virtual time passes, never what
+happens in it.  Tick hooks are observers (telemetry watches, progress
+meters) — they are *not* part of the determinism contract and are
+skipped over warped spans.
 
 ``paused`` is advisory: the shell's ``run`` paces with a stop on it,
 so a pause (the ``pause`` command, or a tick hook) yields control back
-after the current event; it never blocks ``step``/``run-until``, which
+after the current span; it never blocks ``step``/``run-until``, which
 are explicit user motion.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import math
+from typing import Callable
 
 #: Signature of a tick hook: called with the cycle just entered.
 TickHook = Callable[[int], None]
@@ -58,7 +61,7 @@ class VirtualClock:
     # ------------------------------------------------------------------
     def pause(self) -> None:
         """Ask the shell's free-running ``run`` to yield after the
-        current event.  Explicit ``step``/``run-until`` still move."""
+        current span.  Explicit ``step``/``run-until`` still move."""
         self.paused = True
 
     def resume(self) -> None:
@@ -102,19 +105,25 @@ class VirtualClock:
                     hook(self.now)
         return delta
 
-    def pace(self, engine, stop: Optional[Callable[[int], bool]] = None) -> int:
+    def pace(self, engine, until: float = math.inf, stop=None) -> int:
         """Carry ``engine`` (a :class:`~repro.fabric.scheduler.FlowEngine`)
-        one event at a time, on this clock; returns events dispatched.
+        through every event due by ``until``, on this clock; returns
+        events dispatched.
 
-        Before each event the clock advances to its tick.  Pacing ends
-        when the run is finished or ``stop(dispatched so far)`` holds,
-        checked before every event.  One event per step, never a
-        coalesced segment: every event's tick passes on the clock.
+        One span per turn: the clock advances to the next event's tick,
+        :meth:`~repro.fabric.scheduler.FlowEngine.run` carries
+        everything due by ``until`` (warped: one coalesced span) or by
+        that tick (walked: each cycle's hooks run before its events),
+        and the clock advances to the latest tick carried.  Pacing ends
+        when the run is finished, its next event lies past ``until``,
+        or ``stop(dispatched so far)`` holds, checked before every span.
         """
         done = 0
-        while not engine.finished and not (stop is not None and stop(done)):
+        while not (engine.finished or engine.next_tick > until
+                   or stop is not None and stop(done)):
             self.advance_to(engine.next_tick)
-            done += engine.step()
+            done += engine.run(until if self.warp else engine.next_tick)
+            self.advance_to(engine.last_tick)
         return done
 
     # ------------------------------------------------------------------

@@ -45,7 +45,7 @@ COMMANDS: dict[str, str] = {
     "run": "run — dispatch until finished or paused",
     "run-until": "run-until <cycle> — dispatch and idle up to a cycle",
     "step": "step [N] — dispatch N heap events (default 1)",
-    "pause": "pause — make `run` yield after the current event",
+    "pause": "pause — make `run` yield after the current cycle",
     "resume": "resume — clear the pause flag",
     "warp": "warp on|off — compress idle cycles (on) or walk them (off)",
     "metrics": "metrics — telemetry registry snapshot",

@@ -3,9 +3,11 @@
 A :class:`ShellSession` owns one live fabric — a built
 :class:`~repro.fabric.topo.FabricTopology`, an optional running
 :class:`~repro.fabric.scheduler.FlowEngine`, and the
-:class:`~repro.shell.clock.VirtualClock` that paces it: every command
-that moves the run (``step``, ``run``, ``run-until``, ``finish``) goes
-through :meth:`~repro.shell.clock.VirtualClock.pace`.  The
+:class:`~repro.shell.clock.VirtualClock` that paces it: ``run``,
+``run-until`` and ``finish`` carry spans through
+:meth:`~repro.shell.clock.VirtualClock.pace` — the batch engine's own
+loop, capped at the stop tick — and ``step`` carries one heap event at
+a time.  The
 line-oriented REPL (:mod:`repro.shell.repl`) is a thin front end: it
 parses words and calls these methods; everything it prints is rendered
 from the structured values returned here, so tests (and any other
@@ -80,10 +82,7 @@ class ShellSession:
         self.workload_name = workload
         self.seed = seed
         self.plan: Optional[FaultPlan] = None
-        # The clock paces one event at a time: nothing to coalesce or
-        # prewarm for, so the engine injects every event on its own.
-        self.config = RunConfig(frr=frr, int_all=int_all, fastpath=fastpath,
-                                batch=False)
+        self.config = RunConfig(frr=frr, int_all=int_all, fastpath=fastpath)
         self.build(topo, workload, seed)
         if plan is not None:
             self.faults_arm(plan)
@@ -181,18 +180,21 @@ class ShellSession:
         return self.clock.stats()
 
     def step(self, events: int = 1) -> dict:
-        """Dispatch up to ``events`` heap events, pause or not."""
+        """Dispatch up to ``events`` heap events one at a time, the
+        clock advanced to each one's tick, pause or not."""
         if events < 1:
             raise ShellError("step count must be >= 1")
-        engine = self._need_engine()
-        dispatched = self.clock.pace(engine, lambda done: done >= events)
+        engine, dispatched = self._need_engine(), 0
+        while dispatched < events and not engine.finished:
+            self.clock.advance_to(engine.next_tick)
+            dispatched += engine.step()
         return {"dispatched": dispatched, **self.status()}
 
     def run(self) -> dict:
         """Dispatch until the run finishes or the clock is paused."""
         engine = self._need_engine()
         self.clock.resume()
-        dispatched = self.clock.pace(engine, lambda _: self.clock.paused)
+        dispatched = self.clock.pace(engine, stop=lambda _: self.clock.paused)
         return {"dispatched": dispatched, **self.status()}
 
     def run_until(self, tick: int) -> dict:
@@ -200,7 +202,7 @@ class ShellSession:
         if tick < 0:
             raise ShellError("run-until cycle must be >= 0")
         engine = self._need_engine()
-        dispatched = self.clock.pace(engine, lambda _: engine.next_tick > tick)
+        dispatched = self.clock.pace(engine, tick)
         self.clock.advance_to(tick)
         return {"dispatched": dispatched, **self.status()}
 

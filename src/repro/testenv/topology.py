@@ -115,9 +115,9 @@ points differ only in ``count`` and in what a miss costs:
 * :meth:`Network.inject` is the per-packet entry (``count`` 1): on a
   miss it takes the slow walk and stores it.  The engine sends through
   it what the counted entry declined and, with ``batch=False`` (the
-  per-packet reference), every packet; :meth:`Network.pingall` and the
-  shell's ``inject`` use it, and :meth:`Network.inject_many` is it in
-  a loop.
+  per-packet reference tests and the benchmark run), every packet;
+  :meth:`Network.pingall` and the shell's ``inject`` use it, and
+  :meth:`Network.inject_many` is it in a loop.
 * :meth:`Network.inject_batch` is the counted entry (``count`` n), and
   the fabric engine's only one with ``batch`` on, a single packet
   included: deltas applied as ``count * delta``, and the frozen walk
@@ -136,8 +136,7 @@ off for A/B runs — then every injection walks — and the ``-m
 fastpath`` suite asserts the fingerprints agree.  Its counters are
 :meth:`Network.fastpath_stats`, mirrored into telemetry by
 :func:`repro.telemetry.probes.probe_fastpath` and printed by ``nf-mon
-fabric`` (``--no-fastpath`` is the switch; ``--no-batch`` keeps the
-cache but sends every packet through the per-packet entry).
+fabric`` (``--no-fastpath`` is the switch).
 """
 
 from __future__ import annotations

@@ -164,8 +164,8 @@ MUTANTS = (
     Mutant(
         "run drops the cursors that steps left on the heap",
         SCHEDULER,
-        "        due, self._heap = [entry[-1] for entry in sorted(self._heap)], []",
-        "        due, self._heap = [], []",
+        "            due.append(heapq.heappop(heap)[-1])\n",
+        "            heapq.heappop(heap)\n",
         (BATCH + "test_steps_then_run_is_run_alone",),
     ),
     Mutant(
@@ -386,11 +386,11 @@ MUTANTS = (
     Mutant(
         "pace dispatches without advancing the clock",
         CLOCK,
-        "            self.advance_to(engine.next_tick)\n",
-        "",
-        (PACING, PAUSE,
-         "tests/test_fabric_event_order.py::TestOrderIsTheSpec::"
-         "test_run_until_stops_on_the_same_event"),
+        "            self.advance_to(engine.next_tick)\n"
+        "            done += engine.run(until if self.warp else engine.next_tick)\n"
+        "            self.advance_to(engine.last_tick)\n",
+        "            done += engine.run(until if self.warp else engine.next_tick)\n",
+        (PACING, PAUSE),
     ),
     Mutant(
         "run-until does not idle the clock to its tick",
@@ -402,7 +402,7 @@ MUTANTS = (
     Mutant(
         "run ignores a pause",
         SESSION,
-        "self.clock.pace(engine, lambda _: self.clock.paused)",
+        "self.clock.pace(engine, stop=lambda _: self.clock.paused)",
         "self.clock.pace(engine)",
         (PAUSE,),
     ),
@@ -413,6 +413,22 @@ MUTANTS = (
         "        self._report = engine.report()",
         "        self._report = engine.report()",
         (PACING,),
+    ),
+    Mutant(
+        "the shell pins batch=False again",
+        SESSION,
+        "RunConfig(frr=frr, int_all=int_all, fastpath=fastpath)",
+        "RunConfig(frr=frr, int_all=int_all, fastpath=fastpath, batch=False)",
+        (SHELL + "TestFingerprintIdentity::"
+         "test_a_clocked_lossy_run_replays_through_the_batch_tier",),
+    ),
+    Mutant(
+        "a capped span reads past until",
+        SCHEDULER,
+        "room <= last and until == math.inf and not",
+        "room <= last and not",
+        ("tests/test_fabric_event_order.py::TestCappedSpans::"
+         "test_run_until_carries_exactly_the_heaps_events",),
     ),
     # One pinned forwarding tree (fabric/topo.py).
     Mutant(

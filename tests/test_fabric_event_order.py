@@ -18,11 +18,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.fabric import (
     FlowEngine,
+    LinkSchedule,
     WorkloadSpec,
     generate_flows,
     get_topology,
     run_flows,
 )
+from repro.fabric.scheduler import FLAP_EPOCH_TICKS
 from repro.fabric.workload import Flow
 from repro.faults import derive_seed, get_plan
 from repro.shell import VirtualClock
@@ -53,12 +55,15 @@ class EagerHeap:
 
 
 def _recording(log):
-    """Patch the one send path so every dispatched event is logged."""
+    """Patch the one send path so every dispatched event is logged, a
+    coalesced span as the ``n`` events it carries."""
     real = FlowEngine._send
 
     def send(engine, event, n):
-        log.append((event.tick, event.rr, event.flow.flow_id,
-                    event.is_response, event.pkt_index))
+        gap = event.flow.gap_ticks
+        log.extend((event.tick + i * gap, event.rr, event.flow.flow_id,
+                    event.is_response, event.pkt_index + i)
+                   for i in range(n))
         return real(engine, event, n)
 
     return mock.patch.object(FlowEngine, "_send", send)
@@ -79,7 +84,7 @@ specs = st.builds(
 def _engine(spec):
     topology = get_topology("star-3").build()
     flows = generate_flows(topology.host_names(), spec)
-    return FlowEngine(topology, spec, batch=False), flows
+    return FlowEngine(topology, spec), flows
 
 
 class TestOrderIsTheSpec:
@@ -105,8 +110,9 @@ class TestOrderIsTheSpec:
     @settings(max_examples=30, deadline=None)
     @given(spec=specs, data=st.data())
     def test_run_until_stops_on_the_same_event(self, spec, data):
-        """The shell's ``run-until``: the clock paces the engine until
-        the next event lies past the tick."""
+        """The shell's ``run-until``: the clock paces the engine in
+        spans capped at the tick, which carry exactly the eager heap's
+        events up to it.  Order inside a span is not observable."""
         engine, flows = _engine(spec)
         reference = EagerHeap(flows, spec.seed)
         last = max(event[0] for event in reference.heap)
@@ -117,9 +123,8 @@ class TestOrderIsTheSpec:
         log = []
         clock = VirtualClock(warp=True)
         with _recording(log):
-            assert clock.pace(
-                engine, lambda _: engine.next_tick > tick) == len(expected)
-        assert log == expected
+            assert clock.pace(engine, tick) == len(expected)
+        assert sorted(log) == expected
         assert clock.now == max((event[0] for event in expected), default=0)
         assert engine.pending_events == len(reference.heap)
         assert engine.next_tick == (reference.heap[0][0]
@@ -140,6 +145,65 @@ class TestOrderIsTheSpec:
         assert rr[:3] == [493227606, 2492957608, 1055332539]
         assert sha256(repr(rr).encode()).hexdigest() == (
             "1bcf0c49d9a8f8fd9081660e3249388e8bdf8e34e2f23283e6be7e5997bd8b0c")
+
+
+@st.composite
+def cut_runs(draw):
+    """Abilene under 1-4 scripted windows (epochs 1-9), 1-4 bursts of up
+    to 64 packets from the first two epochs, and an increasing list of
+    stop ticks: a few drawn ones plus one shortly past every flip, so
+    some capped span starts before a flip inside a burst that runs on
+    past the stop."""
+    topology = get_topology("abilene").build()
+    cables = [(a.device, b.device) for a, b in topology.network.links()]
+    windows = draw(st.lists(st.tuples(
+        st.sampled_from(cables), st.integers(1, 6), st.integers(1, 3)),
+        min_size=1, max_size=4))
+    schedule = LinkSchedule(tuple((a, b, start, start + length)
+                                  for (a, b), start, length in windows))
+    hosts = topology.host_names()
+    flows = []
+    for flow_id in range(draw(st.integers(1, 4))):
+        src, dst = draw(st.lists(st.sampled_from(hosts), min_size=2,
+                                 max_size=2, unique=True))
+        packets = draw(st.integers(2, 64))
+        flows.append(Flow(
+            flow_id, src, dst, 128, packets,
+            draw(st.sampled_from((0, packets))),
+            start_tick=draw(st.integers(0, 2 * FLAP_EPOCH_TICKS)),
+            gap_ticks=draw(st.integers(1, 16))))
+    flips = sorted({edge * FLAP_EPOCH_TICKS
+                    for *_, down, up in schedule.events for edge in (down, up)})
+    past = st.integers(1, 2 * FLAP_EPOCH_TICKS)
+    drawn = draw(st.lists(st.integers(0, 40 * FLAP_EPOCH_TICKS), max_size=4))
+    return schedule, flows, sorted({*drawn, *(flip + draw(past) for flip in flips)})
+
+
+class TestCappedSpans:
+    @settings(max_examples=25, deadline=None)
+    @given(run=cut_runs(), frr=st.booleans(), seed=st.integers(0, 2**32))
+    def test_run_until_carries_exactly_the_heaps_events(self, run, frr, seed):
+        """The shell's ``run-until`` under a link schedule: each capped
+        span carries the eager heap's events up to its stop tick and no
+        further — a read-bounded span does not run on past it — and the
+        run ends on the batch fingerprint."""
+        schedule, flows, stops = run
+        spec = WorkloadSpec(flows=1, seed=seed)
+        engine = FlowEngine(get_topology("abilene").build(), spec,
+                            flows=flows, frr=frr, link_schedule=schedule)
+        reference = EagerHeap(flows, seed)
+        clock, log, expected = VirtualClock(warp=True), [], []
+        with _recording(log):
+            for tick in stops:
+                while reference.heap and reference.heap[0][0] <= tick:
+                    expected.append(reference.pop())
+                clock.pace(engine, tick)
+                assert sorted(log) == expected
+                assert engine.pending_events == len(reference.heap)
+            report = engine.report()
+        assert report.fingerprint() == run_flows(
+            get_topology("abilene").build(), spec, flows=flows, frr=frr,
+            link_schedule=schedule).fingerprint()
 
 
 def _flow(flow_id, src, dst, **kw):

@@ -16,7 +16,6 @@ an execution strategy, never an observable.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 
@@ -706,7 +705,7 @@ class TestIntBatched:
 
 
 # ----------------------------------------------------------------------
-# nf-mon: the operator's A/B switch
+# nf-mon: the batch tier's ledger in the operator's report
 # ----------------------------------------------------------------------
 class TestNfmonBatch:
     def test_fabric_prints_batch_tier_stats(self, capsys):
@@ -715,14 +714,3 @@ class TestNfmonBatch:
         out = capsys.readouterr().out
         assert "batch tier:" in out
         assert "replayed_packets" in out
-
-    def test_no_batch_flag_same_fingerprint(self, capsys):
-        args = ["fabric", "--topo", "leaf-spine",
-                "--workload", "uniform-small", "--format", "json"]
-        assert nfmon_main(args) == 0
-        with_batch = json.loads(capsys.readouterr().out)
-        assert nfmon_main(args + ["--no-batch"]) == 0
-        without = json.loads(capsys.readouterr().out)
-        assert with_batch["fingerprint"] == without["fingerprint"]
-        assert with_batch["batch"]["replayed_packets"] > 0
-        assert without["batch"].get("replayed_packets", 0) == 0

@@ -19,11 +19,11 @@ pytestmark = pytest.mark.shell
 
 
 def batch_fingerprint(topo: str = "leaf-spine", workload: str = "uniform-small",
-                      seed: int = 0, **kwargs) -> str:
+                      seed: int = 0, plan=None, **kwargs) -> str:
     """The reference batch run the session must mirror."""
     topology = get_topology(topo).build()
     spec = get_workload(workload).with_seed(seed)
-    return run_flows(topology, spec, **kwargs).fingerprint()
+    return run_flows(topology, spec, plan, **kwargs).fingerprint()
 
 
 class TestFingerprintIdentity:
@@ -76,6 +76,24 @@ class TestFingerprintIdentity:
         session.run()
         assert session.engine.finished
         assert session.fingerprint() == batch_fingerprint(seed=1)
+
+    @pytest.mark.parametrize("warp", (True, False), ids=("warped", "walked"))
+    def test_a_clocked_lossy_run_replays_through_the_batch_tier(self, warp):
+        """The shell paces the batch engine itself: under wire faults,
+        warped or walked, a session mirrors the batch run and replays
+        nearly every packet through the counted entry."""
+        from repro.faults import get_plan
+
+        want = batch_fingerprint(workload="bursty-256", seed=1,
+                                 plan=get_plan("lossy-link", seed=1))
+        session = ShellSession(workload="bursty-256", seed=1,
+                               plan="lossy-link", warp=warp)
+        session.start()
+        session.finish()
+        report = session.report
+        assert report.fingerprint() == want
+        assert report.fault_counters.get("link_retransmits", 0) > 0
+        assert report.batch["replayed_packets"] >= 0.9 * report.attempted
 
     def test_finish_mid_run_drains_the_rest(self):
         session = ShellSession(seed=0)
