@@ -41,7 +41,7 @@ import math
 import time
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from hashlib import sha256
 from itertools import chain
 from typing import Callable, Optional
@@ -49,12 +49,10 @@ from typing import Callable, Optional
 from repro.fabric.topo import FabricTopology
 from repro.fabric.workload import Flow, WorkloadSpec, generate_flows
 from repro.faults import FaultPlan, FaultSession, seed_stream
-from repro.int import INT_MIN_FRAME_SIZE, IntCollector, encode_template
+from repro.int import (
+    FLAP_EPOCH_TICKS, INT_MIN_FRAME_SIZE, IntCollector, encode_template,
+    epoch_chunks)
 from repro.packet.generator import make_udp_frame, retarget_udp_frame
-
-#: Ticks per link-flap epoch: a flapped (host, epoch) pair is down for
-#: this whole window, mirroring the soak harness's epoch granularity.
-FLAP_EPOCH_TICKS = 32
 
 #: Base UDP ports; the flow id is folded in so captures stay tellable.
 _SPORT_BASE = 40000
@@ -623,7 +621,9 @@ class FlowEngine:
         if flow_filter is not None:
             flows = [f for f in flows if flow_filter(f)]
         if config.int_all:
-            flows = [replace(f, int_enabled=True) for f in flows]
+            flows = [Flow(f.flow_id, f.src, f.dst, f.frame_size, f.packets,
+                          f.response_packets, f.start_tick, f.gap_ticks, True)
+                     for f in flows]
         for flow in flows:
             if flow.gap_ticks < 0 or flow.packets < 1:
                 raise ValueError(
@@ -771,6 +771,9 @@ class FlowEngine:
         again at once — it replays the walk the head just stored, or
         (an uncacheable walk) the run goes on packet by packet.  The
         per-packet reference (``batch=False``) only ever ``inject``s.
+        A lost or stamped run is booked by its clock ``(tick, seq,
+        gap)``, once per epoch it spans (:func:`~repro.int.epoch_chunks`,
+        :meth:`~repro.int.IntCollector.sent_run`).
         """
         self._dispatched += n
         if n > 1:
@@ -853,21 +856,16 @@ class FlowEngine:
                 record.blackholed += m
                 lost = 1
             if lost or telemetered:
-                # A run may span epochs where nothing flips: loss and INT
-                # evidence are booked at each packet's own epoch.
-                seqs, gap = left[:m], flow.gap_ticks
-                first = (tick + (seqs[0] - seq) * gap) // FLAP_EPOCH_TICKS
-                if first == (tick + (seqs[-1] - seq) * gap) // FLAP_EPOCH_TICKS:
-                    epochs = [first] * m
-                else:
-                    epochs = [(tick + (s - seq) * gap) // FLAP_EPOCH_TICKS
-                              for s in seqs]
+                # A run may span epochs where nothing flips: its clock
+                # books loss and INT evidence at each packet's own epoch.
+                seqs, clock = left[:m], (tick, seq, flow.gap_ticks)
                 if lost:
-                    for packet_epoch in epochs:
-                        self._loss_by_epoch[packet_epoch] += lost
+                    for epoch, count in epoch_chunks(clock, seqs):
+                        self._loss_by_epoch[epoch] += lost * count
                 if telemetered:
-                    self.collector.sent_batch(
-                        flow.flow_id, event.is_response, seqs, epochs, outcome)
+                    self.collector.sent_run(
+                        flow.flow_id, event.is_response, seqs, clock,
+                        outcome.link_down_sites, outcome.hop_limit_sites)
                     for delivery in deliveries:
                         self.collector.deliver_batch(delivery.frame, seqs)
             if m == n:

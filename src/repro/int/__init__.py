@@ -35,9 +35,15 @@ from repro.int.codec import (
     stamp,
     trailer_bytes,
 )
-from repro.int.collector import IntCollector, merge_int_summaries
+from repro.int.collector import (
+    FLAP_EPOCH_TICKS,
+    IntCollector,
+    epoch_chunks,
+    merge_int_summaries,
+)
 
 __all__ = [
+    "FLAP_EPOCH_TICKS",
     "INT_MIN_FRAME_SIZE",
     "IntCollector",
     "IntError",
@@ -45,6 +51,7 @@ __all__ = [
     "IntStack",
     "MAX_INT_HOPS",
     "encode_template",
+    "epoch_chunks",
     "is_int_frame",
     "merge_int_summaries",
     "parse",

@@ -2,13 +2,14 @@
 
 The :class:`IntCollector` is the *receiver-centric* half of S24 — it
 never reads a device counter.  The scheduler shows it two things per
-INT packet: the transmit record (flow, direction, sequence, epoch, and
-the injection's drop-site evidence) and every delivered frame.  From
-the stamps alone it reconstructs per-flow paths, attributes reroutes to
-the failed link (the FRR-flagged hop names the rerouting device; its
-``dead_ports`` mask names the dead cable), measures per-hop latency
-from the timestamp deltas, and detects loss from sequence gaps —
-packets that were sent but whose stamps never arrived.
+run of INT packets: the transmit record (flow, direction, sequences,
+the run's clock and the injection's drop-site evidence) and every
+delivered frame.  From the stamps alone it reconstructs per-flow paths,
+attributes reroutes to the failed link (the FRR-flagged hop names the
+rerouting device; its ``dead_ports`` mask names the dead cable),
+measures per-hop latency from the timestamp deltas, and detects loss
+from sequence gaps — packets that were sent but whose stamps never
+arrived.
 
 Missing sequences split three ways: drops the network localized on the
 wire (``link_down`` / hop-limit drop sites, satellite of this PR) are
@@ -28,14 +29,36 @@ of the :class:`~repro.fabric.scheduler.FabricReport`.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import groupby
 from typing import Any, Optional
 
 from repro.int.codec import HEADER_BYTES, HOP_BYTES, IntError, parse
 
+#: Ticks per link-flap epoch: a flapped (host, epoch) pair is down for
+#: this whole window, mirroring the soak harness's epoch granularity.
+#: Loss is booked by epoch here and in the fabric scheduler.
+FLAP_EPOCH_TICKS = 32
 
-def _merge_counter(total: Counter, part: dict) -> None:
-    for key, value in part.items():
-        total[key] += value
+
+def epoch_chunks(clock: tuple, seqs) -> list[tuple[int, int]]:
+    """``[(epoch, count)]``, epochs ascending, of the ascending
+    sequences ``seqs`` of a run whose ``clock`` is ``(tick, seq, gap)``:
+    sequence ``s`` leaves at ``tick + (s - seq) * gap``.  A ``range`` is
+    cut by arithmetic, one step per epoch chunk; a list is counted."""
+    tick, seq, gap = clock
+    if type(seqs) is not range or seqs.step != 1:
+        return list(Counter([(tick + (s - seq) * gap) // FLAP_EPOCH_TICKS
+                             for s in seqs]).items())
+    chunks, s, stop = [], seqs.start, seqs.stop
+    while s < stop:
+        epoch = (tick + (s - seq) * gap) // FLAP_EPOCH_TICKS
+        # The first sequence past this epoch, clamped without a min()
+        # call per chunk.
+        end = (seq + ((epoch + 1) * FLAP_EPOCH_TICKS - tick - 1) // gap + 1
+               if gap else stop)
+        chunks.append((epoch, (end if end < stop else stop) - s))
+        s = end
+    return chunks
 
 
 def merge_int_summaries(parts: list[Optional[dict]]) -> Optional[dict]:
@@ -52,7 +75,7 @@ def merge_int_summaries(parts: list[Optional[dict]]) -> Optional[dict]:
     for part in present:
         for key, value in part.items():
             if isinstance(value, dict):
-                _merge_counter(dicts.setdefault(key, Counter()), value)
+                dicts.setdefault(key, Counter()).update(value)
             else:
                 ints[key] += value
     out: dict[str, Any] = {key: ints[key] for key in ints}
@@ -67,8 +90,9 @@ class _FlowDirState:
     """TX/RX ledger for one (flow_id, direction) stream.
 
     The TX side is kept by run, as the engine sends: one ``(seqs,
-    epochs, sites)`` entry per :meth:`IntCollector.sent_batch` call,
-    ``sites`` the run's shared ``(link_down_sites, hop_limit_sites)``.
+    clock, sites)`` entry per :meth:`IntCollector.sent_run` call, the
+    ``clock`` the run's ``(tick, seq, gap)`` (see :func:`epoch_chunks`)
+    and ``sites`` its shared ``(link_down_sites, hop_limit_sites)``.
     While every run starts above the high-water mark ``top``, no
     sequence was sent twice and ``count`` is the sequences sent;
     ``count`` is ``None`` once a run went back, and the summary then
@@ -167,20 +191,30 @@ class IntCollector:
 
     def sent_batch(self, flow_id: int, response: bool, seqs,
                    epochs, result: Any) -> None:
+        """Record ascending ``seqs`` sharing ``result``'s drop sites,
+        sequence ``seqs[i]`` sent in epoch ``epochs[i]``: one
+        :meth:`sent_run` per stretch of one epoch."""
+        sites = (tuple(getattr(result, "link_down_sites", ())),
+                 tuple(getattr(result, "hop_limit_sites", ())))
+        self._state(flow_id, response)  # a direction that sent nothing
+        for epoch, run in groupby(zip(seqs, epochs), lambda pair: pair[1]):
+            self.sent_run(flow_id, response, [seq for seq, _ in run],
+                          (epoch * FLAP_EPOCH_TICKS, 0, 0), *sites)
+
+    def sent_run(self, flow_id: int, response: bool, seqs, clock: tuple,
+                 link_down_sites: tuple, hop_limit_sites: tuple) -> None:
         """Record a coalesced run of transmitted packets (S27).
 
         All ``seqs`` (ascending, as a flow direction sends them) share
         one injection outcome (the coalescing eligibility contract), so
-        each gets the same drop-site evidence — but a run may span flap
-        epochs, so ``epochs`` carries one entry per sequence.  The run
-        is booked as one ledger entry.
+        each gets the same drop-site evidence; a run may span flap
+        epochs, which its ``clock`` ``(tick, seq, gap)`` tells per
+        sequence (:func:`epoch_chunks`).  The run is one ledger entry.
         """
         state = self._state(flow_id, response)
         if not seqs:
             return
-        state.runs.append((seqs, epochs, (
-            tuple(getattr(result, "link_down_sites", ())),
-            tuple(getattr(result, "hop_limit_sites", ())))))
+        state.runs.append((seqs, clock, (link_down_sites, hop_limit_sites)))
         if state.count is not None:
             if seqs[0] > state.top:
                 state.count += len(seqs)
@@ -300,35 +334,37 @@ def _fold(states, books: dict) -> None:
         received, runs = state.received, state.runs
         if state.count is None:  # a sequence sent twice: its last send
             last = {}
-            for seqs, epochs, sites in runs:
-                for seq, epoch in zip(seqs, epochs):
-                    last[seq] = (epoch, sites)
-            runs = [((seq,), (epoch,), sites)
-                    for seq, (epoch, sites) in last.items()]
+            for seqs, clock, sites in runs:
+                for seq in seqs:
+                    last[seq] = (clock, sites)
+            runs = [((seq,), clock, sites)
+                    for seq, (clock, sites) in last.items()]
             packets += len(last)
         else:
             packets += state.count
-        for seqs, epochs, (down_sites, limit_sites) in runs:
+        for seqs, clock, (down_sites, limit_sites) in runs:
+            n = len(seqs)
             if received.issuperset(seqs):
-                delivered += len(seqs)
+                delivered += n
                 continue
-            for seq, epoch in zip(seqs, epochs):
-                if seq in received:
-                    delivered += 1
-                    continue
-                lost += 1
-                loss_by_epoch[str(epoch)] += 1
-                if down_sites:
-                    lost_link_down += 1
-                    for device, port in down_sites:
-                        drop_sites[f"{device}:{port}"] += 1
-                elif limit_sites:
-                    lost_hop_limit += 1
-                    for device, port in limit_sites:
-                        drop_sites[f"{device}:{port}"] += 1
-                else:
-                    blackholes += 1
-                    blackhole_paths[">".join(state.last_path) or "?"] += 1
+            if not received.isdisjoint(seqs):
+                seqs = [seq for seq in seqs if seq not in received]
+                delivered += n - len(seqs)
+                n = len(seqs)
+            lost += n
+            for epoch, count in epoch_chunks(clock, seqs):
+                loss_by_epoch[str(epoch)] += count
+            if down_sites:
+                lost_link_down += n
+                for device, port in down_sites:
+                    drop_sites[f"{device}:{port}"] += n
+            elif limit_sites:
+                lost_hop_limit += n
+                for device, port in limit_sites:
+                    drop_sites[f"{device}:{port}"] += n
+            else:
+                blackholes += n
+                blackhole_paths[">".join(state.last_path) or "?"] += n
     books["packets"] += packets
     books["delivered"] += delivered
     books["lost"] += lost

@@ -101,7 +101,8 @@ class ShellSession:
         A fresh build is required before a second ``start``: device
         counters are cumulative, so re-running a workload over a used
         fabric would fingerprint differently from the batch run it is
-        supposed to mirror.
+        supposed to mirror.  The clock restarts at cycle 0 with it, as
+        the new run's engine does; warp mode and tick hooks stay.
         """
         if topo is not None:
             self.topo_name = topo
@@ -117,6 +118,8 @@ class ShellSession:
             self.topology.install_backups()
         self.engine = None
         self._report = None
+        clock = self.clock
+        clock.now = clock.ticks_walked = clock.ticks_warped = 0
         return {
             "topology": self.topology.key,
             "workload": self.workload.key,

@@ -57,6 +57,7 @@ WALK_TABLE = PARKED + "TestOneWalkTable::"
 SPANS = "tests/test_read_bounded_spans.py::TestSpans::"
 SHELL = "tests/test_shell_session.py::"
 CLOSE = "tests/test_int_ledger_close.py::TestClose::"
+CLOCKED = "tests/test_int_run_clock.py::"
 PACING = ("tests/test_shell_golden.py::"
           "test_transcript_matches_the_golden_file[shell_pacing]")
 ONE_RUN = ("tests/test_fabric_scheduler.py::TestCleanRuns::"
@@ -312,6 +313,29 @@ MUTANTS = (
         "    return {name: value - base[name] for name, value in stats.items()}",
         "    return dict(stats)",
         (BATCH + "test_engines_back_to_back_report_their_own_share",),
+    ),
+    # A run's clock books its loss per epoch chunk (int/collector.py).
+    Mutant(
+        "an epoch chunk ends one sequence late",
+        COLLECTOR,
+        "        end = (seq + ((epoch + 1) * FLAP_EPOCH_TICKS - tick - 1) "
+        "// gap + 1\n",
+        "        end = (seq + ((epoch + 1) * FLAP_EPOCH_TICKS - tick - 1) "
+        "// gap + 2\n",
+        (CLOCKED + "TestEpochChunks::"
+         "test_chunks_count_each_sequence_at_its_own_epoch",
+         CLOCKED + "TestLossyIntParity::"
+         "test_batch_int_summary_is_the_per_packet_one"),
+    ),
+    Mutant(
+        "a wholly lost run books its blackhole path once, not per packet",
+        COLLECTOR,
+        '                blackhole_paths[">".join(state.last_path) or "?"] += n',
+        '                blackhole_paths[">".join(state.last_path) or "?"] += 1',
+        (CLOCKED + "TestLossyIntParity::"
+         "test_batch_int_summary_is_the_per_packet_one",
+         "tests/test_int_sharing.py::TestCollectorOracle::"
+         "test_the_run_ledger_sums_up_as_the_sequence_ledger"),
     ),
     # A finished flow's INT ledgers fold at once (int/collector.py).
     Mutant(

@@ -28,6 +28,7 @@ from repro.fabric.scheduler import FLAP_EPOCH_TICKS, LinkSchedule
 from repro.fabric.workload import Flow
 from repro.faults import FaultPlan, LinkFaultSpec, get_plan
 from repro.faults import inject as arm_faults
+from repro.int import epoch_chunks
 from repro.telemetry import TelemetrySession, probe_faults
 from tests.conftest import QUEUE_DRAWS, closed_ledgers
 from tests.test_faults_plan import reference_link_transfer
@@ -42,7 +43,8 @@ class PerPacketOracle(FlowEngine):
     settled; with ``batch=False`` that is always the one) but for its
     wire draw, which goes to the per-attempt reference kept in
     ``test_faults_plan`` rather than to ``link_transfers``, the kernel
-    the engine under test draws through."""
+    the engine under test draws through, and for its books, which take
+    the run's clock as the engine's do (``epoch_chunks``, ``sent_run``)."""
 
     def __init__(self, *args, **options):
         super().__init__(*args, **options, batch=False)
@@ -115,17 +117,16 @@ class PerPacketOracle(FlowEngine):
             record.blackholed += n
             lost = 1
         if lost or telemetered:
-            # A run may span flap epochs (the epoch-free case): loss and
-            # INT evidence are booked at each packet's own epoch.
-            gap = flow.gap_ticks
-            epochs = [(tick + j * gap) // FLAP_EPOCH_TICKS for j in range(n)]
+            # A run may span flap epochs (the epoch-free case): its clock
+            # books loss and INT evidence at each packet's own epoch.
+            seqs, clock = range(seq, seq + n), (tick, seq, flow.gap_ticks)
             if lost:
-                for packet_epoch in epochs:
-                    self._loss_by_epoch[packet_epoch] += lost
+                for packet_epoch, count in epoch_chunks(clock, seqs):
+                    self._loss_by_epoch[packet_epoch] += lost * count
             if telemetered:
-                seqs = range(seq, seq + n)
-                self.collector.sent_batch(
-                    flow.flow_id, event.is_response, seqs, epochs, outcome)
+                self.collector.sent_run(
+                    flow.flow_id, event.is_response, seqs, clock,
+                    outcome.link_down_sites, outcome.hop_limit_sites)
                 for delivery in deliveries:
                     self.collector.deliver_batch(delivery.frame, seqs)
         return n
@@ -133,10 +134,10 @@ class PerPacketOracle(FlowEngine):
 
 def sent_per_sequence(state) -> dict:
     """A flow direction's run ledger read back per sequence — however
-    the sends were cut into runs: ``seq -> (epoch, drop sites)``, the
-    last send standing."""
-    return {seq: (epoch, sites) for seqs, epochs, sites in state.runs
-            for seq, epoch in zip(seqs, epochs)}
+    the sends were cut into runs: ``seq -> (epoch, drop sites)``, each
+    epoch told by its run's clock, the last send standing."""
+    return {seq: ((tick + (seq - head) * gap) // FLAP_EPOCH_TICKS, sites)
+            for seqs, (tick, head, gap), sites in state.runs for seq in seqs}
 
 
 def observed(engine: FlowEngine) -> dict:

@@ -50,7 +50,7 @@ def recorded_run() -> tuple:
     call the run made, in order, as ``(method, args)``."""
     engine = small_churn()
     collector, log = engine.collector, []
-    for name in ("sent_batch", "deliver_batch"):
+    for name in ("sent_run", "deliver_batch"):
         def recording(*args, name=name, method=getattr(collector, name)):
             log.append((name, args))
             method(*args)
@@ -60,7 +60,7 @@ def recorded_run() -> tuple:
 
 
 def flow_of(name: str, args: tuple) -> int:
-    if name == "sent_batch":
+    if name.startswith("sent"):
         return args[0]
     return int.from_bytes(args[0][-16:-12], "big")  # the trailer's flow id
 
@@ -68,13 +68,18 @@ def flow_of(name: str, args: tuple) -> int:
 @st.composite
 def synthetic_sends(draw) -> tuple:
     """A send of a flow the run did not carry, every packet lost: it may
-    go back over sequences already sent (the last send stands)."""
+    go back over sequences already sent (the last send stands).  It is
+    clocked, as the engine sends, or handed over with an epoch per
+    sequence."""
     seqs = sorted(draw(st.sets(st.integers(0, 12), min_size=1, max_size=4)))
-    epoch = draw(st.integers(0, 3))
     down, limit = draw(st.sampled_from(SITES))
+    flow, response = draw(st.integers(1000, 1003)), draw(st.booleans())
+    if draw(st.booleans()):
+        clock = (draw(st.integers(0, 128)), seqs[0], draw(st.integers(0, 40)))
+        return ("sent_run", (flow, response, seqs, clock, down, limit))
+    epoch = draw(st.integers(0, 3))
     return ("sent_batch", (
-        draw(st.integers(1000, 1003)), draw(st.booleans()), seqs,
-        [epoch] * len(seqs),
+        flow, response, seqs, [epoch] * len(seqs),
         SimpleNamespace(link_down_sites=down, hop_limit_sites=limit)))
 
 

@@ -185,6 +185,28 @@ class TestLifecycle:
         session.run()
         assert session.fingerprint() == batch_fingerprint()
 
+    def test_a_rebuild_restarts_the_clock_with_the_run(self):
+        """A second run's clock starts where its engine does, at cycle
+        0, keeping warp mode and hooks: no event of it lies behind the
+        clock."""
+        session = ShellSession(seed=0, warp=False)
+        seen = []
+        session.clock.on_tick(seen.append)
+        session.start()
+        session.run()
+        assert session.clock.now > 0
+        session.build(seed=3)
+        session.start()
+        assert session.clock.now <= session.engine.next_tick
+        assert session.clock.stats() == {
+            "now": 0, "warp": False, "paused": False,
+            "ticks_walked": 0, "ticks_warped": 0}
+        del seen[:]
+        session.step(1)
+        assert seen == list(range(1, session.engine.last_tick + 1))
+        session.run()
+        assert session.fingerprint() == batch_fingerprint(seed=3)
+
     def test_build_swaps_topology_and_seed(self):
         session = ShellSession()
         info = session.build("abilene", "uniform-small", 5)
